@@ -163,9 +163,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
     store = None
     if args.store:
         from .harness.store import resolve_store
@@ -177,8 +174,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         progress=True, jobs=args.jobs,
                         cell_timeout=args.cell_timeout,
                         retries=args.retries,
-                        journal=args.journal,
-                        resume=args.resume,
                         store=store)
     for metric, label in (("cycles", "Execution time"),
                           ("energy_nj", "Energy"), ("edp", "EDP")):
@@ -305,7 +300,7 @@ def _cmd_sweepd_submit(args: argparse.Namespace) -> int:
     from .harness.service import submit
 
     schemes = args.schemes or SCHEME_ORDER
-    benchmarks = args.benchmarks or ["gaussian", "hotspot", "kmeans"]
+    benchmarks = args.benchmarks or workload_tier("smoke")
     cells = expand_grid(schemes, benchmarks, _experiment_config(args),
                         reseed_cells=args.reseed_cells)
     policy = BusPolicy(
@@ -485,16 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="retry failed cells up to N times with "
                               "backoff and fresh deterministic seeds "
                               "(default: REPRO_RETRIES or 0)")
-    p_sweep.add_argument("--journal", metavar="PATH",
-                         help="checkpoint completed cells to an "
-                              "append-only JSON-lines journal")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="restore successful cells from --journal "
-                              "instead of recomputing them")
     p_sweep.add_argument("--store", metavar="DIR",
                          help="content-addressed result store: hits "
                               "skip execution, fresh results are "
-                              "recorded (default: off)")
+                              "recorded, so re-running with the same "
+                              "DIR resumes a killed sweep (default: off)")
     _add_validation(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from ..core.equinox import EquiNoxDesign, design_equinox
 from ..core.grid import Grid
@@ -37,6 +37,7 @@ from ..core.serialize import FORMAT_VERSION, design_from_dict, design_to_dict
 _DESIGNS: Dict[Tuple, EquiNoxDesign] = {}
 _PLACEMENTS: Dict[Tuple, PlacementResult] = {}
 _CORRUPT_EVICTIONS = 0
+_T = TypeVar("_T")
 
 
 def corrupt_evictions() -> int:
@@ -52,21 +53,31 @@ def corrupt_evictions() -> int:
 # ----------------------------------------------------------------------
 # Disk tier
 # ----------------------------------------------------------------------
-def cache_dir() -> Optional[Path]:
-    """The on-disk store location, or ``None`` when disabled.
+# Values of a location variable (or ``--store`` spec) that switch the
+# corresponding on-disk store off.
+DISABLED = ("", "0", "off", "none", "disabled")
 
-    Resolution order: ``$REPRO_CACHE_DIR`` (empty/``off``/``0``/``none``
-    disables the disk tier), then ``$XDG_CACHE_HOME/repro-equinox``,
-    then ``~/.cache/repro-equinox``.
+
+def env_dir(var: str, *subdirs: str) -> Optional[Path]:
+    """An on-disk store location, or ``None`` when disabled.
+
+    Resolution order: ``$var`` (one of :data:`DISABLED` switches the
+    store off), then ``$XDG_CACHE_HOME/repro-equinox/<subdirs>``, then
+    ``~/.cache/repro-equinox/<subdirs>``.
     """
-    env = os.environ.get("REPRO_CACHE_DIR")
+    env = os.environ.get(var)
     if env is not None:
-        if not env or env.strip().lower() in ("0", "off", "none", "disabled"):
+        if env.strip().lower() in DISABLED:
             return None
         return Path(env)
     base = os.environ.get("XDG_CACHE_HOME")
     root = Path(base) if base else Path.home() / ".cache"
-    return root / "repro-equinox"
+    return root.joinpath("repro-equinox", *subdirs)
+
+
+def cache_dir() -> Optional[Path]:
+    """The design-cache location (``$REPRO_CACHE_DIR``, see :func:`env_dir`)."""
+    return env_dir("REPRO_CACHE_DIR")
 
 
 def _code_version() -> str:
@@ -86,19 +97,18 @@ def _entry_path(kind: str, params: Dict) -> Optional[Path]:
     return root / f"{kind}-{digest}.json"
 
 
-def _evict(path: Optional[Path]) -> None:
-    """Remove a corrupt entry (it would fail on every future read)."""
+def read_entry(
+    path: Optional[Path], parse: Callable[[Any], _T]
+) -> Optional[_T]:
+    """Load one durable entry; ``None`` on a miss or a corrupt entry.
+
+    ``parse`` turns the decoded JSON into the caller's object and
+    raises ``ValueError``/``KeyError``/``TypeError`` when the content
+    is not a valid entry.  An entry that fails to decode (torn write,
+    disk damage) or to parse is counted and removed — it would fail on
+    every future read — never trusted.
+    """
     global _CORRUPT_EVICTIONS
-    _CORRUPT_EVICTIONS += 1
-    if path is None:
-        return
-    try:
-        path.unlink()
-    except OSError:
-        pass  # already gone, or a read-only store; counting still holds
-
-
-def _disk_read(path: Optional[Path]) -> Optional[Dict]:
     if path is None:
         return None
     try:
@@ -106,10 +116,15 @@ def _disk_read(path: Optional[Path]) -> Optional[Dict]:
     except OSError:
         return None  # missing entry or unreadable store: just a miss
     try:
-        return json.loads(text)
-    except ValueError:
-        _evict(path)  # unparseable JSON (torn write, disk damage)
-        return None
+        return parse(json.loads(text))
+    except (ValueError, KeyError, TypeError):
+        pass  # corrupt: evict below
+    _CORRUPT_EVICTIONS += 1
+    try:
+        path.unlink()
+    except OSError:
+        pass  # already gone, or a read-only store; counting still holds
+    return None
 
 
 def _fsync_dir(path: Path) -> None:
@@ -126,7 +141,7 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _disk_write(path: Optional[Path], data: Dict) -> None:
+def write_entry(path: Optional[Path], data: Dict) -> None:
     """Atomically persist ``data`` (concurrent workers may race here).
 
     Writes land in a ``mkstemp`` temp file in the target directory and
@@ -140,7 +155,8 @@ def _disk_write(path: Optional[Path], data: Dict) -> None:
     parent directory is fsynced *after* the rename: the rename itself
     lives in the directory's entry table, so without the directory
     fsync a power loss can silently undo the rename and the entry
-    vanishes even though its bytes were durable.
+    vanishes even though its bytes were durable.  Keys are sorted, so
+    racing writers of one entry land byte-identical files.
     """
     if path is None:
         return
@@ -150,16 +166,16 @@ def _disk_write(path: Optional[Path], data: Dict) -> None:
         fd, tmp = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name, suffix=".tmp"
         )
-        with os.fdopen(fd, "w") as handle:
-            json.dump(data, handle)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(json.dumps(data, sort_keys=True).encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
         tmp = None
         _fsync_dir(path.parent)
     except OSError:
-        # A read-only store degrades to tier 1, never fails a run; but
-        # don't leave the half-written temp file behind.
+        # A read-only store degrades to a miss on the next read, never
+        # fails a run; but don't leave the half-written temp file behind.
         if tmp is not None:
             try:
                 os.unlink(tmp)
@@ -190,20 +206,14 @@ def equinox_design(
             "seed": seed,
         },
     )
-    data = _disk_read(path)
-    if data is not None:
-        try:
-            design = design_from_dict(data, strict=True)
-        except (ValueError, KeyError, TypeError):
-            design = None  # corrupt/stale entry: evict and redo
-            _evict(path)
+    design = read_entry(path, lambda data: design_from_dict(data, strict=True))
     if design is None:
         design = design_equinox(
             width,
             num_cbs,
             SearchConfig(iterations_per_level=iterations_per_level, seed=seed),
         )
-        _disk_write(path, design_to_dict(design))
+        write_entry(path, design_to_dict(design))
     _DESIGNS[key] = design
     return design
 
@@ -217,20 +227,17 @@ def placement(name: str, width: int, num_cbs: int = 8) -> PlacementResult:
     path = _entry_path(
         "placement", {"name": name, "width": width, "num_cbs": num_cbs}
     )
-    data = _disk_read(path)
-    if data is not None:
-        try:
-            result = PlacementResult(
-                name=data["name"],
-                nodes=tuple(data["nodes"]),
-                penalty=data["penalty"],
-            )
-        except (KeyError, TypeError):
-            result = None
-            _evict(path)
+    result = read_entry(
+        path,
+        lambda data: PlacementResult(
+            name=data["name"],
+            nodes=tuple(data["nodes"]),
+            penalty=data["penalty"],
+        ),
+    )
     if result is None:
         result = by_name(name, Grid(width), num_cbs)
-        _disk_write(
+        write_entry(
             path,
             {
                 "name": result.name,

@@ -88,7 +88,7 @@ def default_config() -> ExperimentConfig:
 def config_digest(config: ExperimentConfig) -> str:
     """Short stable digest of a fully-resolved experiment config.
 
-    Keys the sweep journal and the telemetry artifacts: a record is
+    Keys the result store and the telemetry artifacts: a record is
     only trusted if the scheme, benchmark *and* every config knob
     (seed, quota, fault plan, ...) match the producing run exactly.
     """
@@ -101,7 +101,7 @@ def config_to_dict(config: ExperimentConfig) -> Dict[str, object]:
 
     Round-trips exactly through :func:`config_from_dict`: the rebuilt
     config has the same :func:`config_digest`, so a cell shipped over
-    the work queue keys the same journal/store entries as a local one.
+    the work queue keys the same store entries as a local one.
     """
     data = asdict(config)
     data["faults"] = [spec.to_dict() for spec in config.faults]
@@ -312,8 +312,6 @@ def run_suite(
     jobs: int = 1,
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    journal: Optional[object] = None,
-    resume: bool = False,
     store: Optional[object] = None,
 ) -> Dict[Tuple[str, str], ExperimentResult]:
     """Run a scheme x benchmark grid; ``jobs > 1`` fans out across cores.
@@ -332,15 +330,13 @@ def run_suite(
         progress=progress,
         cell_timeout=cell_timeout,
         retries=retries,
-        journal=journal,
-        resume=resume,
         store=store,
     )
     errors = report.errors()
     if errors:
-        (scheme, benchmark), trace = next(iter(errors.items()))
+        labels = "\n".join(f"  {s} x {b}" for s, b in errors)
         raise RuntimeError(
-            f"{len(errors)} sweep cell(s) failed; first: "
-            f"{scheme} x {benchmark}\n{trace}"
+            f"{len(errors)} sweep cell(s) failed:\n{labels}\n"
+            f"first traceback:\n{next(iter(errors.values()))}"
         )
     return report.results()

@@ -51,7 +51,7 @@ class ExperimentResult:
     packets_recovered: int = 0
     # Telemetry record (repro.telemetry export schema) when the run was
     # sampled; None otherwise.  Plain JSON data: rides through the
-    # sweep journal and process-pool pickling unchanged.
+    # work-queue bus and the result store unchanged.
     telemetry: Optional[Dict[str, object]] = None
 
     @property
@@ -71,10 +71,10 @@ class ExperimentResult:
 
 
 def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
-    """Plain-JSON form of a result (sweep journal, reports).
+    """Plain-JSON form of a result (bus records, store entries, reports).
 
     Floats round-trip exactly through ``json`` (repr-based), so a
-    journalled result restores bit-identical to the original — the
+    stored result restores bit-identical to the original — the
     crash-safe resume path relies on this.
     """
     from dataclasses import asdict

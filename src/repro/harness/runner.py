@@ -21,11 +21,11 @@ deterministic simulation, which makes the grid embarrassingly parallel:
   search per process.
 
 Robustness: every cell attempt can be bounded by a wall-clock timeout
-(SIGALRM-based, ``REPRO_CELL_TIMEOUT``), failed attempts can be
+(SIGALRM-based, ``REPRO_CELL_TIMEOUT``) and failed attempts can be
 retried with exponential backoff under a fresh deterministic seed
-(``REPRO_RETRIES``), and a sweep can journal completed cells to an
-append-only JSON-lines checkpoint (:class:`SweepJournal`) from which a
-killed run resumes without recomputing finished work.
+(``REPRO_RETRIES``).  Resuming a killed sweep is re-running it with
+the same ``store`` (:mod:`~repro.harness.store`): finished cells are
+served from it, only the missing or failed ones execute.
 
 Determinism contract: for a fixed ``(seed, config)``, serial and
 parallel execution (and cold vs warm disk cache) produce bit-identical
@@ -34,35 +34,30 @@ across all four combinations.  The bus extends the same contract to
 any worker fleet size and any kill schedule: a crashed worker's lease
 expires and the cell re-runs under the *same* seed (crashes never
 consume the retry budget), so the re-delivered result is byte-equal
-to what the dead worker would have produced.  A resumed sweep
-restores journalled results bit-identically (JSON floats round-trip
-exactly).
+to what the dead worker would have produced.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import signal
 import tempfile
 import threading
 import time
-import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..schemes import get_config
 from . import cache
-from .experiment import ExperimentConfig, config_digest, run_experiment
-from .metrics import (
-    ExperimentResult,
-    format_table,
-    result_from_dict,
-    result_to_dict,
-)
+from .experiment import ExperimentConfig
+
+# Not called here: ``service.execute_lease`` resolves it through this
+# module, which makes ``runner.run_experiment`` the one seam tests patch.
+from .experiment import run_experiment  # noqa: F401
+from .metrics import ExperimentResult, format_table
 
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 RETRIES_ENV = "REPRO_RETRIES"
@@ -110,8 +105,6 @@ class CellOutcome:
     error_type: Optional[str] = None
     # Seed the recorded attempt actually ran with (retries reseed).
     seed_used: Optional[int] = None
-    # Restored from a sweep journal instead of being recomputed.
-    from_journal: bool = False
 
     @property
     def ok(self) -> bool:
@@ -282,217 +275,6 @@ def _wall_clock_limit(seconds: float) -> Iterator[None]:
             signal.setitimer(signal.ITIMER_REAL, remaining, outer_interval)
 
 
-def _run_cell(
-    cell: SweepCell,
-    cell_timeout: float = 0.0,
-    retries: int = 0,
-    backoff_s: float = 0.05,
-) -> CellOutcome:
-    """Execute one cell, converting any failure into data.
-
-    Runs up to ``1 + retries`` attempts, each under ``cell_timeout``
-    seconds of wall clock (0 = unbounded).  Retry attempts run with a
-    fresh :func:`retry_seed` — replaying the identical seed of a
-    deterministic simulation would fail identically — and back off
-    exponentially so transient resource failures can clear.
-    KeyboardInterrupt and SystemExit always propagate: a user abort
-    must kill the sweep, not be recorded as just another cell failure.
-    """
-    start = time.perf_counter()
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    stall_dump: Optional[str] = None
-    timed_out = False
-    attempt = 0
-    while True:
-        if attempt == 0:
-            seed = cell.config.seed
-            config = cell.config
-        else:
-            seed = retry_seed(cell.config.seed, attempt)
-            config = replace(cell.config, seed=seed)
-        try:
-            with _wall_clock_limit(cell_timeout):
-                result = run_experiment(cell.scheme, cell.benchmark, config)
-            return CellOutcome(
-                cell=cell,
-                result=result,
-                error=None,
-                duration_s=time.perf_counter() - start,
-                pid=os.getpid(),
-                attempts=attempt + 1,
-                seed_used=seed,
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            error = traceback.format_exc()
-            error_type = type(exc).__name__
-            timed_out = isinstance(exc, CellTimeout)
-            dump = getattr(exc, "dump", None)
-            stall_dump = dump if isinstance(dump, str) and dump else None
-        if attempt >= retries:
-            return CellOutcome(
-                cell=cell,
-                result=None,
-                error=error,
-                duration_s=time.perf_counter() - start,
-                pid=os.getpid(),
-                stall_dump=stall_dump,
-                attempts=attempt + 1,
-                timed_out=timed_out,
-                error_type=error_type,
-                seed_used=seed,
-            )
-        attempt += 1
-        time.sleep(backoff_s * (2 ** (attempt - 1)))
-
-
-# Journal records are keyed by the shared experiment-config digest, so
-# a resumed sweep only reuses a cell if every knob matches exactly.
-_config_digest = config_digest
-
-
-JOURNAL_SCHEMA = 1
-
-
-class SweepJournal:
-    """Append-only JSON-lines checkpoint of completed sweep cells.
-
-    Every completed cell appends one self-contained record keyed by
-    ``(scheme, benchmark, config digest)``.  Appends are flushed and
-    fsynced, so a record is durable the moment ``append`` returns, and
-    :meth:`load` skips torn or corrupt lines, so killing the sweep
-    mid-append costs at most that one record.  ``repro sweep --resume``
-    replays successful records bit-identically (floats survive the
-    JSON round trip exactly) and re-runs everything else.
-    """
-
-    def __init__(self, path: object) -> None:
-        self.path = str(path)
-
-    @staticmethod
-    def key(cell: SweepCell) -> Tuple[str, str, str]:
-        return (cell.scheme, cell.benchmark, _config_digest(cell.config))
-
-    def write_header(self, cells: int) -> None:
-        """Make a fresh journal self-describing before any cell lands.
-
-        Written (and fsynced) once, only when the file is absent or
-        zero-byte — a sweep killed before this fsync leaves an empty
-        file, and both :meth:`load` and ``--resume`` treat that the
-        same as no journal at all: start fresh.  Existing journals
-        (including ones resumed across schema-1 versions without a
-        header) are left untouched.  :meth:`load` skips the header
-        record, so pre-header readers of the same format keep working.
-        """
-        try:
-            if os.path.getsize(self.path) > 0:
-                return
-        except OSError:
-            pass  # absent: create below
-        from .. import __version__
-
-        record = {
-            "schema": JOURNAL_SCHEMA,
-            "kind": "header",
-            "version": __version__,
-            "cells": cells,
-        }
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        with open(self.path, "ab") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def append(self, outcome: CellOutcome) -> None:
-        record = {
-            "schema": JOURNAL_SCHEMA,
-            "scheme": outcome.cell.scheme,
-            "benchmark": outcome.cell.benchmark,
-            "config": _config_digest(outcome.cell.config),
-            "ok": outcome.ok,
-            "result": (
-                result_to_dict(outcome.result)
-                if outcome.result is not None
-                else None
-            ),
-            "error": outcome.error,
-            "error_type": outcome.error_type,
-            "duration_s": outcome.duration_s,
-            "pid": outcome.pid,
-            "stall_dump": outcome.stall_dump,
-            "attempts": outcome.attempts,
-            "timed_out": outcome.timed_out,
-            "seed_used": outcome.seed_used,
-        }
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        with open(self.path, "a+b") as fh:
-            if fh.tell() > 0:
-                # A kill mid-append can leave a torn, newline-less tail;
-                # this record must start on its own line or both lines
-                # become unparseable.
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    data = b"\n" + data
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def load(self) -> Dict[Tuple[str, str, str], dict]:
-        """Parse the journal; last valid record per key wins."""
-        records: Dict[Tuple[str, str, str], dict] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a kill mid-append
-            if (
-                not isinstance(record, dict)
-                or record.get("schema") != JOURNAL_SCHEMA
-                or record.get("kind") == "header"
-            ):
-                continue
-            key = (
-                record.get("scheme"),
-                record.get("benchmark"),
-                record.get("config"),
-            )
-            if any(not isinstance(part, str) for part in key):
-                continue
-            records[key] = record
-        return records
-
-    def restore(
-        self, cell: SweepCell, record: dict
-    ) -> Optional[CellOutcome]:
-        """Rebuild a successful outcome from its journal record."""
-        if not record.get("ok") or not isinstance(record.get("result"), dict):
-            return None  # failed cells are re-run on resume
-        try:
-            result = result_from_dict(record["result"])
-        except (TypeError, ValueError):
-            return None
-        return CellOutcome(
-            cell=cell,
-            result=result,
-            error=None,
-            duration_s=float(record.get("duration_s", 0.0)),
-            pid=int(record.get("pid", 0)),
-            attempts=int(record.get("attempts", 1)),
-            seed_used=record.get("seed_used"),
-            from_journal=True,
-        )
-
-
 def warm_design_cache(cells: Sequence[SweepCell]) -> None:
     """Compute each distinct design artefact once, before forking.
 
@@ -522,9 +304,7 @@ def warm_design_cache(cells: Sequence[SweepCell]) -> None:
 
 
 def _report_progress(outcome: CellOutcome, done: int, total: int) -> None:
-    if outcome.from_journal:
-        status = "ok (journal)"
-    elif outcome.ok:
+    if outcome.ok:
         status = "ok"
     elif outcome.timed_out:
         status = "FAILED (timeout)"
@@ -586,8 +366,6 @@ def run_sweep(
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     backoff_s: float = 0.05,
-    journal: Optional[object] = None,
-    resume: bool = False,
     store: Optional[object] = None,
     lease_s: float = FLEET_LEASE_S,
     heartbeat_s: float = FLEET_HEARTBEAT_S,
@@ -610,13 +388,13 @@ def run_sweep(
 
     ``cell_timeout`` (seconds per attempt) and ``retries`` default to
     the ``REPRO_CELL_TIMEOUT`` / ``REPRO_RETRIES`` env vars, so CI can
-    arm a whole sweep without threading flags through.  ``journal``
-    names a :class:`SweepJournal` path to checkpoint completed cells
-    into (written from the parent process only); with ``resume``,
-    successful journalled cells are restored instead of recomputed.
-    ``store`` names a content-addressed result store
+    arm a whole sweep without threading flags through.  ``store``
+    names a content-addressed result store
     (:mod:`~repro.harness.store`): hits skip execution, fresh results
-    are recorded for future sweeps.
+    are recorded by whichever worker computed them, so re-running a
+    killed sweep with the same store resumes it.  Fleet workers reopen
+    the store by its ``root`` directory, so ``jobs > 1`` needs a
+    directory-backed store.
     """
     from . import service
     from .bus import DEAD, DONE, BusPolicy, MemoryBus, SqliteBus
@@ -627,28 +405,17 @@ def run_sweep(
     if retries is None:
         retries = _env_int(RETRIES_ENV, 0)
     retries = max(0, retries)
-    jnl = SweepJournal(journal) if journal is not None else None
-    if jnl is not None:
-        jnl.write_header(len(cells))
+    jobs = max(1, jobs)
+    store_root = getattr(store, "root", None)
+    if jobs > 1 and store is not None and store_root is None:
+        raise ValueError(
+            f"jobs={jobs} needs a directory-backed store (one with a "
+            f".root the worker processes can reopen), got "
+            f"{type(store).__name__}"
+        )
     start = time.perf_counter()
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total
-    done = 0
-    jobs = max(1, jobs)
-    if jnl is not None and resume:
-        records = jnl.load()
-        for index, cell in enumerate(cells):
-            record = records.get(SweepJournal.key(cell))
-            if record is None:
-                continue
-            restored = jnl.restore(cell, record)
-            if restored is None:
-                continue
-            outcomes[index] = restored
-            done += 1
-            if progress:
-                _report_progress(restored, done, total)
-    pending = [i for i in range(total) if outcomes[i] is None]
     policy = BusPolicy(retries=retries, backoff_s=backoff_s)
     options = service.WorkerOptions(
         lease_s=lease_s, heartbeat_s=heartbeat_s,
@@ -658,31 +425,27 @@ def run_sweep(
     handled: set = set()
 
     def handle_terminal(record: Optional[Dict[str, object]]) -> None:
-        """Journal + report one task that reached done/dead (once)."""
-        nonlocal done
+        """Record + report one task that reached done/dead (once)."""
         if record is None or record["task_id"] in handled:
             return
         handled.add(record["task_id"])
         index = task_index[record["task_id"]]
         outcome = service.outcome_from_record(cells[index], record)
         outcomes[index] = outcome
-        if jnl is not None:
-            jnl.append(outcome)
-        done += 1
         if progress:
-            _report_progress(outcome, done, total)
+            _report_progress(outcome, len(handled), total)
 
     def enqueue(bus: object) -> None:
-        for index in pending:
-            task_id = service.task_id_for(index, cells[index])
+        for index, cell in enumerate(cells):
+            task_id = service.task_id_for(index, cell)
             task_index[task_id] = index
-            bus.put(task_id, service.cell_payload(cells[index]))
+            bus.put(task_id, service.cell_payload(cell))
 
     def drain_terminal(bus: object) -> None:
         for record in bus.records([DONE, DEAD]):
             handle_terminal(record)
 
-    if pending and (jobs <= 1 or len(pending) == 1):
+    if cells and (jobs <= 1 or total == 1):
         memory_bus = MemoryBus(policy=policy)
         enqueue(memory_bus)
         service.worker_loop(
@@ -690,17 +453,16 @@ def run_sweep(
             on_terminal=handle_terminal,
         )
         drain_terminal(memory_bus)
-    elif pending:
+    elif cells:
         if warm:
-            warm_design_cache([cells[i] for i in pending])
-        store_root = getattr(store, "root", None)
+            warm_design_cache(cells)
         with tempfile.TemporaryDirectory(prefix="repro-sweep-bus-") as tmp:
             bus = SqliteBus(os.path.join(tmp, "bus.sqlite"), policy=policy)
             enqueue(bus)
             procs: List[object] = []
             try:
                 procs = service.spawn_fleet(
-                    bus.path, min(jobs, len(pending)), policy, options,
+                    bus.path, min(jobs, total), policy, options,
                     store_root=(
                         str(store_root) if store_root is not None else None
                     ),
@@ -762,8 +524,6 @@ def sweep(
     reseed_cells: bool = False,
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    journal: Optional[object] = None,
-    resume: bool = False,
     store: Optional[object] = None,
 ) -> SweepReport:
     """Grid convenience wrapper: :func:`expand_grid` + :func:`run_sweep`."""
@@ -774,7 +534,5 @@ def sweep(
         progress=progress,
         cell_timeout=cell_timeout,
         retries=retries,
-        journal=journal,
-        resume=resume,
         store=store,
     )

@@ -269,7 +269,7 @@ def worker_loop(
 
     ``on_terminal`` fires with the full bus record after each task
     *this worker* drove to a terminal state (done or dead) — the
-    serial sweep uses it for journalling and progress.  ``store``
+    serial sweep uses it for collection and progress.  ``store``
     short-circuits execution on a content-address hit and records
     fresh results for future sweeps.
     """
@@ -422,7 +422,7 @@ def outcome_from_record(cell, record: Dict[str, object]):
 
     Floats survive the JSON round trip exactly, so an outcome
     collected off the bus is bit-identical to one computed in-process
-    (the same contract the sweep journal relies on).
+    (the same contract the result store relies on).
     """
     from .runner import CellOutcome
 

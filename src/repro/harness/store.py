@@ -14,9 +14,10 @@ computed.
 Backends:
 
 * :class:`MemoryResultStore` — a dict, for tests and in-process use;
-* :class:`DirectoryResultStore` — one fsynced JSON file per entry
-  (atomic temp-file + rename + parent-directory fsync, the same
-  durability discipline as the design cache), safe for concurrent
+* :class:`DirectoryResultStore` — one fsynced JSON file per entry,
+  written and read through the design cache's durable-entry pair
+  (:func:`~repro.harness.cache.write_entry` /
+  :func:`~repro.harness.cache.read_entry`), safe for concurrent
   writers because every entry is immutable under its address.
 
 The package version is part of the address, so a release that could
@@ -29,18 +30,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from .cache import _fsync_dir
+from .cache import DISABLED, env_dir, read_entry, write_entry
 from .experiment import ExperimentConfig, config_digest
 from .metrics import ExperimentResult, result_from_dict, result_to_dict
 
 STORE_SCHEMA = 1
 STORE_ENV = "REPRO_STORE_DIR"
-_DISABLED = ("", "0", "off", "none", "disabled")
 
 
 def _version() -> str:
@@ -167,10 +165,10 @@ class DirectoryResultStore:
     """One immutable fsynced JSON file per entry under ``root``.
 
     ``get`` is O(1) (the filename is the address); ``query`` scans.
-    Entries are only ever written whole (temp file + fsync + rename +
-    directory fsync), so concurrent workers racing to store the same
-    key land byte-identical bytes and readers can never observe a torn
-    entry.
+    Entries are only ever written whole
+    (:func:`~repro.harness.cache.write_entry`), so concurrent workers
+    racing to store the same key land byte-identical bytes and readers
+    can never observe a torn entry.
     """
 
     def __init__(self, root: object) -> None:
@@ -182,47 +180,17 @@ class DirectoryResultStore:
     def put(self, record: Dict[str, object]) -> None:
         if not _valid_record(record):
             raise ValueError("malformed store record")
-        path = self._path(record["key"])
-        data = json.dumps(record, sort_keys=True).encode("utf-8")
-        tmp: Optional[str] = None
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.root), prefix=path.name, suffix=".tmp"
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            tmp = None
-            _fsync_dir(self.root)
-        except OSError:
-            # A read-only store degrades to a cache miss on the next
-            # read; don't leave a half-written temp file behind.
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        write_entry(self._path(record["key"]), record)
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            record = json.loads(text)
-        except ValueError:
-            record = None
-        if not _valid_record(record) or record["key"] != key:
-            try:
-                path.unlink()  # corrupt entry: evict, never trust
-            except OSError:
-                pass
-            return None
-        return record
+        def parse(record: object) -> Dict[str, object]:
+            # The filename is the lookup key and must agree with the
+            # content; anything else is corrupt: evict, never trust.
+            if not _valid_record(record) or record["key"] != key:
+                raise ValueError("not the record stored under this key")
+            return record
+
+        return read_entry(self._path(key), parse)
 
     def _iter_records(self) -> Iterator[Dict[str, object]]:
         if not self.root.is_dir():
@@ -254,32 +222,17 @@ class DirectoryResultStore:
         return sum(1 for _ in self._iter_records())
 
 
-def default_store_dir() -> Optional[Path]:
-    """Store location from the environment, or ``None`` when disabled.
-
-    Resolution order: ``$REPRO_STORE_DIR`` (empty/``off``/``0``/
-    ``none`` disables), then ``$XDG_CACHE_HOME/repro-equinox/results``,
-    then ``~/.cache/repro-equinox/results``.
-    """
-    env = os.environ.get(STORE_ENV)
-    if env is not None:
-        if env.strip().lower() in _DISABLED:
-            return None
-        return Path(env)
-    base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
-    return root / "repro-equinox" / "results"
-
-
 def resolve_store(spec: Optional[str]) -> Optional[DirectoryResultStore]:
     """A store from a CLI/config spec: a path, ``off``, or ``None``.
 
-    ``None`` defers to the environment (:func:`default_store_dir`);
-    the disabling sentinels return ``None``.
+    ``None`` defers to the environment: ``$REPRO_STORE_DIR``, else
+    ``results/`` under the user cache dir
+    (:func:`~repro.harness.cache.env_dir`).  The disabling sentinels
+    return ``None``.
     """
     if spec is None:
-        root = default_store_dir()
+        root = env_dir(STORE_ENV, "results")
         return DirectoryResultStore(root) if root is not None else None
-    if spec.strip().lower() in _DISABLED:
+    if spec.strip().lower() in DISABLED:
         return None
     return DirectoryResultStore(spec)

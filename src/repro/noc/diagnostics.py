@@ -37,6 +37,21 @@ VALIDATE_ENV = "REPRO_VALIDATE"
 WATCHDOG_ENV = "REPRO_WATCHDOG_CYCLES"
 
 
+def _env_int(name: str) -> Optional[int]:
+    """``$name`` as an integer: ``None`` when unset or empty.
+
+    An unparseable value raises — ``REPRO_VALIDATE=true`` must fail the
+    run, not quietly leave every audit off.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def validate_interval_from_env(default: int = 0) -> int:
     """Audit interval requested via ``REPRO_VALIDATE`` (0 = disabled).
 
@@ -44,14 +59,8 @@ def validate_interval_from_env(default: int = 0) -> int:
     :data:`DEFAULT_AUDIT_INTERVAL`, any larger integer is the interval
     itself.
     """
-    raw = os.environ.get(VALIDATE_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return resolve_validate_interval(value)
+    value = _env_int(VALIDATE_ENV)
+    return default if value is None else resolve_validate_interval(value)
 
 
 def resolve_validate_interval(value: int) -> int:
@@ -65,14 +74,8 @@ def resolve_validate_interval(value: int) -> int:
 
 def watchdog_cycles_from_env(default: int) -> int:
     """Watchdog window override via ``REPRO_WATCHDOG_CYCLES``."""
-    raw = os.environ.get(WATCHDOG_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
+    value = _env_int(WATCHDOG_ENV)
+    return value if value is not None and value > 0 else default
 
 
 # ----------------------------------------------------------------------

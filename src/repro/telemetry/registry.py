@@ -62,7 +62,9 @@ def interval_from_env(default: int = 0) -> int:
     try:
         value = int(raw)
     except ValueError:
-        return default
+        raise ValueError(
+            f"{TELEMETRY_ENV} must be an integer, got {raw!r}"
+        ) from None
     return resolve_interval(value)
 
 

@@ -45,6 +45,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "TorusMax"])
 
+    @pytest.mark.parametrize("flag", [["--journal", "x"], ["--resume"]],
+                             ids=["journal", "resume"])
+    def test_journal_flags_are_gone(self, flag):
+        # Resume is "re-run with the same --store"; the old flags must
+        # fail loudly rather than be accepted and ignored.
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["sweep"] + flag)
+        assert exc_info.value.code == 2
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -87,3 +96,32 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "Execution time (normalised to SingleBase)" in out
+
+    def test_sweep_resumes_from_store(self, tmp_path, capsys, monkeypatch):
+        argv = [
+            "sweep", "--schemes", "SingleBase", "SeparateBase",
+            "--benchmarks", "gaussian", "--quota", "10",
+            "--iterations", "10", "--store", str(tmp_path / "sweep.store"),
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        from repro.harness import runner
+
+        def must_not_run(scheme, benchmark, config):
+            raise AssertionError("resumed sweep re-ran a stored cell")
+
+        monkeypatch.setattr(runner, "run_experiment", must_not_run)
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+
+        def tables(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith("[sweep ")]
+
+        assert tables(second) == tables(first)
+
+    def test_unparseable_validate_env_fails_the_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VALIDATE", "true")
+        with pytest.raises(ValueError, match="REPRO_VALIDATE"):
+            main(["run", "--scheme", "SingleBase", "--benchmark",
+                  "gaussian", "--quota", "10", "--iterations", "10"])

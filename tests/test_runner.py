@@ -13,6 +13,7 @@ import pytest
 
 from repro.harness import cache
 from repro.harness.experiment import ExperimentConfig, run_suite
+from repro.harness.metrics import ExperimentResult, LatencyNs
 from repro.harness.runner import (
     SweepCell,
     cell_seed,
@@ -21,8 +22,41 @@ from repro.harness.runner import (
     sweep,
     warm_design_cache,
 )
+from repro.harness.store import DirectoryResultStore, make_record
 
 CFG = ExperimentConfig(quota=8, mcts_iterations=10)
+
+
+def _entry_writers(tmp_path):
+    """Both users of the durable-entry pair in ``harness.cache``.
+
+    One ``(write, path, content, read)`` tuple per user — the design
+    cache calling the pair directly, the result store through
+    ``put``/``get`` — so every durability property below is pinned for
+    each of them.
+    """
+    entry = tmp_path / "cache" / "design-deadbeef.json"
+    result = ExperimentResult(
+        scheme="SingleBase", benchmark="hotspot", width=8, cycles=1,
+        instructions=1, energy_nj=0.0, area_mm2=0.0,
+        latency=LatencyNs(), reply_bits_fraction=0.0,
+    )
+    record = make_record("SingleBase", "hotspot", CFG, result)
+    store = DirectoryResultStore(tmp_path / "store")
+    return [
+        (
+            lambda: cache.write_entry(entry, {"k": 1}),
+            entry,
+            {"k": 1},
+            lambda: cache.read_entry(entry, dict),
+        ),
+        (
+            lambda: store.put(record),
+            tmp_path / "store" / f"result-{record['key']}.json",
+            record,
+            lambda: store.get(record["key"]),
+        ),
+    ]
 
 
 class TestGrid:
@@ -75,6 +109,18 @@ class TestRunSweep:
     def test_run_suite_raises_on_failed_cell(self):
         with pytest.raises(RuntimeError, match="no-such-benchmark"):
             run_suite(["SingleBase"], ["no-such-benchmark"], CFG)
+
+    def test_run_suite_error_lists_every_failed_cell(self):
+        with pytest.raises(RuntimeError) as exc_info:
+            run_suite(["SingleBase", "EquiNox"], ["no-such-benchmark"], CFG)
+        lines = str(exc_info.value).splitlines()
+        assert lines[:4] == [
+            "2 sweep cell(s) failed:",
+            "  SingleBase x no-such-benchmark",
+            "  EquiNox x no-such-benchmark",
+            "first traceback:",
+        ]
+        assert lines[4].startswith("Traceback")
 
     def test_stall_dump_captured_from_failed_cell(self, monkeypatch):
         """Watchdog/audit failures carry their diagnostic dump into the
@@ -189,11 +235,12 @@ class TestDiskCache:
 
         monkeypatch.setattr(cache.os, "fsync", spy_fsync)
         monkeypatch.setattr(cache.os, "replace", spy_replace)
-        target = tmp_path / "design-deadbeef.json"
-        cache._disk_write(target, {"k": 1})
-        assert "fsync" in events and "replace" in events
-        assert events.index("fsync") < events.index("replace")
-        assert json.loads(target.read_text()) == {"k": 1}
+        for write, path, content, _read in _entry_writers(tmp_path):
+            events.clear()
+            write()
+            assert "fsync" in events and "replace" in events, path
+            assert events.index("fsync") < events.index("replace"), path
+            assert json.loads(path.read_text()) == content
 
     def test_disk_write_fsyncs_directory_after_publishing(self, tmp_path,
                                                           monkeypatch):
@@ -219,40 +266,39 @@ class TestDiskCache:
 
         monkeypatch.setattr(cache.os, "fsync", spy_fsync)
         monkeypatch.setattr(cache.os, "replace", spy_replace)
-        cache._disk_write(tmp_path / "design-cafef00d.json", {"k": 2})
-        assert "fsync-dir" in events
-        assert events.index("replace") < events.index("fsync-dir")
+        for write, path, _content, _read in _entry_writers(tmp_path):
+            events.clear()
+            write()
+            assert "fsync-dir" in events, path
+            assert events.index("replace") < events.index("fsync-dir"), path
 
     def test_torn_write_never_visible_under_entry_name(self, tmp_path,
                                                        monkeypatch):
         # A writer that dies before the rename must leave the entry
         # name absent (a clean miss) and clean up its temp file — a
         # reader must never see a half-written JSON under the key.
-        target = tmp_path / "design-cafebabe.json"
-
         def crash_replace(src, dst):
             raise OSError("simulated crash before publish")
 
         monkeypatch.setattr(cache.os, "replace", crash_replace)
-        cache._disk_write(target, {"k": 2})
-        assert not target.exists()
-        assert list(tmp_path.glob("*.tmp")) == []
-        assert cache._disk_read(target) is None  # a miss, not an error
+        for write, path, _content, read in _entry_writers(tmp_path):
+            write()
+            assert not path.exists()
+            assert list(path.parent.glob("*.tmp")) == []
+            assert read() is None  # a miss, not an error
 
-    def test_orphaned_tmp_files_are_never_read(self, tmp_path,
-                                               monkeypatch):
+    def test_orphaned_tmp_files_are_never_read(self, tmp_path):
         # A hard crash (kill -9) can orphan a mkstemp file; entries are
         # only ever read via their .json path, so the orphan must not
         # poison the store or shadow the real entry once written.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache.clear()
-        (tmp_path / "placement-0.jsonorphanXYZ.tmp").write_text("{torn")
-        before = cache.corrupt_evictions()
-        first = cache.placement("diamond", 8)
-        cache.clear()
-        second = cache.placement("diamond", 8)
-        assert second == first
-        assert cache.corrupt_evictions() == before  # orphan never parsed
+        for write, path, content, read in _entry_writers(tmp_path):
+            path.parent.mkdir(parents=True)
+            (path.parent / f"{path.name}orphanXYZ.tmp").write_text("{torn")
+            assert read() is None
+            write()
+            assert read() == content
+        assert cache.corrupt_evictions() == 0  # orphans never parsed
 
     def test_key_includes_parameters(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

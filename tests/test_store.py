@@ -11,7 +11,6 @@ from repro.harness.runner import expand_grid, run_sweep
 from repro.harness.store import (
     DirectoryResultStore,
     MemoryResultStore,
-    default_store_dir,
     make_record,
     record_result,
     resolve_store,
@@ -149,7 +148,6 @@ class TestDirectoryStore:
 class TestResolution:
     def test_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(store_mod.STORE_ENV, str(tmp_path))
-        assert default_store_dir() == tmp_path
         store = resolve_store(None)
         assert isinstance(store, DirectoryResultStore)
         assert store.root == tmp_path
@@ -158,13 +156,13 @@ class TestResolution:
                                           "disabled", " OFF "])
     def test_env_disables(self, sentinel, monkeypatch):
         monkeypatch.setenv(store_mod.STORE_ENV, sentinel)
-        assert default_store_dir() is None
         assert resolve_store(None) is None
 
     def test_xdg_fallback(self, tmp_path, monkeypatch):
         monkeypatch.delenv(store_mod.STORE_ENV, raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert default_store_dir() == tmp_path / "repro-equinox" / "results"
+        root = resolve_store(None).root
+        assert root == tmp_path / "repro-equinox" / "results"
 
     def test_explicit_spec_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(store_mod.STORE_ENV, "off")

@@ -1,4 +1,4 @@
-"""Sweep robustness: timeouts, retries, journalling, crash-safe resume."""
+"""Sweep robustness: timeouts, retries, crash-safe resume from the store."""
 
 import json
 import signal
@@ -6,18 +6,17 @@ import time
 
 import pytest
 
+import repro
 from repro.harness import cache, runner
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import ExperimentConfig, config_digest
 from repro.harness.runner import (
     CellTimeout,
-    SweepJournal,
-    _config_digest,
-    _run_cell,
     _wall_clock_limit,
     retry_seed,
     run_sweep,
     sweep,
 )
+from repro.harness.store import DirectoryResultStore, MemoryResultStore
 
 CFG = ExperimentConfig(quota=8, mcts_iterations=10)
 GRID = dict(schemes=["EquiNox", "SeparateBase"], benchmarks=["hotspot"])
@@ -118,7 +117,9 @@ class TestRetries:
             )
 
         monkeypatch.setattr(runner, "run_experiment", flaky)
-        outcome = _run_cell(_cells()[0], retries=2, backoff_s=0.0)
+        (outcome,) = run_sweep(
+            _cells()[:1], retries=2, backoff_s=0.0
+        ).outcomes
         assert outcome.ok
         assert outcome.attempts == 2
         # The retry ran under a fresh deterministic seed.
@@ -130,7 +131,9 @@ class TestRetries:
             raise RuntimeError("permanent")
 
         monkeypatch.setattr(runner, "run_experiment", always)
-        outcome = _run_cell(_cells()[0], retries=1, backoff_s=0.0)
+        (outcome,) = run_sweep(
+            _cells()[:1], retries=1, backoff_s=0.0
+        ).outcomes
         assert not outcome.ok
         assert outcome.attempts == 2
         assert outcome.error_type == "RuntimeError"
@@ -144,7 +147,7 @@ class TestRetries:
 
         monkeypatch.setattr(runner, "run_experiment", hang)
         start = time.monotonic()
-        outcome = _run_cell(_cells()[0], cell_timeout=0.1)
+        (outcome,) = run_sweep(_cells()[:1], cell_timeout=0.1).outcomes
         assert time.monotonic() - start < 5
         assert not outcome.ok
         assert outcome.timed_out
@@ -156,7 +159,7 @@ class TestRetries:
 
         monkeypatch.setattr(runner, "run_experiment", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            _run_cell(_cells()[0], retries=5)
+            run_sweep(_cells()[:1], retries=5, backoff_s=0.0)
 
     def test_system_exit_propagates(self, monkeypatch):
         def exiting(scheme, benchmark, config):
@@ -164,7 +167,7 @@ class TestRetries:
 
         monkeypatch.setattr(runner, "run_experiment", exiting)
         with pytest.raises(SystemExit):
-            _run_cell(_cells()[0], retries=5)
+            run_sweep(_cells()[:1], retries=5, backoff_s=0.0)
 
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRIES", "not-a-number")
@@ -204,114 +207,119 @@ class TestRetries:
 
 
 class TestJournal:
-    def test_config_digest_sensitivity(self):
-        a = _config_digest(CFG)
-        assert a == _config_digest(ExperimentConfig(quota=8,
-                                                    mcts_iterations=10))
-        assert a != _config_digest(ExperimentConfig(quota=9,
-                                                    mcts_iterations=10))
+    """The resume contract the sweep journal used to hold, now the
+    result store's: resuming is re-running with the same store."""
 
-    def test_records_and_resume_bit_identical(self, tmp_path):
-        journal = tmp_path / "sweep.journal"
-        full = sweep(**GRID, config=CFG, journal=journal)
-        assert all(o.ok and not o.from_journal for o in full.outcomes)
-        records = SweepJournal(journal).load()
-        assert len(records) == len(full.outcomes)
-        resumed = sweep(**GRID, config=CFG, journal=journal, resume=True)
-        assert all(o.from_journal for o in resumed.outcomes)
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        """Labels of the cells that actually ran (store hits don't)."""
+        ran = []
+        real = runner.run_experiment
+
+        def spy(scheme, benchmark, config):
+            ran.append((scheme, benchmark))
+            return real(scheme, benchmark, config)
+
+        monkeypatch.setattr(runner, "run_experiment", spy)
+        return ran
+
+    def test_config_digest_sensitivity(self):
+        a = config_digest(CFG)
+        assert a == config_digest(ExperimentConfig(quota=8,
+                                                   mcts_iterations=10))
+        assert a != config_digest(ExperimentConfig(quota=9,
+                                                   mcts_iterations=10))
+
+    def test_records_and_resume_bit_identical(self, tmp_path, executed):
+        store = DirectoryResultStore(tmp_path)
+        full = sweep(**GRID, config=CFG, store=store)
+        assert all(o.ok for o in full.outcomes)
+        assert len(executed) == len(store) == len(full.outcomes)
+        executed.clear()
+        resumed = sweep(**GRID, config=CFG, store=store)
+        assert executed == []  # served entirely from the store
         for before, after in zip(full.outcomes, resumed.outcomes):
             assert after.result == before.result  # bit-identical restore
 
-    def test_partial_journal_resumes_missing_cells(self, tmp_path):
-        journal = tmp_path / "sweep.journal"
-        full = sweep(**GRID, config=CFG, journal=journal)
-        lines = journal.read_text().splitlines()
-        # Simulate a kill: header + first record intact, second torn
-        # mid-write.
-        journal.write_text(
-            lines[0] + "\n" + lines[1] + "\n"
-            + lines[2][: len(lines[2]) // 2]
-        )
-        resumed = sweep(**GRID, config=CFG, journal=journal, resume=True)
-        from_journal = [o.from_journal for o in resumed.outcomes]
-        assert from_journal == [True, False]
+    def test_partial_journal_resumes_missing_cells(self, tmp_path, executed):
+        store = DirectoryResultStore(tmp_path)
+        full = sweep(**GRID, config=CFG, store=store)
+        # Simulate a kill before the second cell was recorded.
+        second = full.outcomes[1].cell
+        lost = store.query(scheme=second.scheme)[0]["key"]
+        (tmp_path / f"result-{lost}.json").unlink()
+        executed.clear()
+        resumed = sweep(**GRID, config=CFG, store=store)
+        assert executed == [second.key]
         for before, after in zip(full.outcomes, resumed.outcomes):
             assert after.result == before.result
-        # The re-run cell was journalled again: resume is idempotent.
-        assert len(SweepJournal(journal).load()) == 2
+        # The re-run cell was stored again: resume is idempotent.
+        assert len(store) == 2
 
-    def test_stale_config_not_reused(self, tmp_path):
-        journal = tmp_path / "sweep.journal"
-        sweep(**GRID, config=CFG, journal=journal)
+    def test_stale_config_not_reused(self, tmp_path, executed):
+        store = DirectoryResultStore(tmp_path)
+        sweep(**GRID, config=CFG, store=store)
+        executed.clear()
         other = ExperimentConfig(quota=9, mcts_iterations=10)
-        resumed = sweep(**GRID, config=other, journal=journal, resume=True)
-        assert not any(o.from_journal for o in resumed.outcomes)
+        sweep(**GRID, config=other, store=store)
+        assert len(executed) == 2
+        assert len(store) == 4
+
+    def test_other_version_not_reused(self, tmp_path, executed, monkeypatch):
+        # The journal key had no version in it; the store address does,
+        # so a behaviour-changing release never serves stale results.
+        store = DirectoryResultStore(tmp_path)
+        sweep(**GRID, config=CFG, store=store)
+        executed.clear()
+        monkeypatch.setattr(repro, "__version__", "0.0.0+other")
+        sweep(**GRID, config=CFG, store=store)
+        assert len(executed) == 2
+        assert len(store) == 4
 
     def test_failed_cells_rerun_on_resume(self, tmp_path, monkeypatch):
-        journal = tmp_path / "sweep.journal"
+        store = DirectoryResultStore(tmp_path)
 
         def boom(scheme, benchmark, config):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(runner, "run_experiment", boom)
-        failed = run_sweep(_cells(), journal=journal)
+        failed = run_sweep(_cells(), store=store)
         assert not any(o.ok for o in failed.outcomes)
+        assert len(store) == 0  # failures are never stored
         monkeypatch.undo()
-        resumed = run_sweep(_cells(), journal=journal, resume=True)
-        assert all(o.ok and not o.from_journal for o in resumed.outcomes)
+        resumed = run_sweep(_cells(), store=store)
+        assert all(o.ok for o in resumed.outcomes)
+        assert len(store) == 2
 
-    def test_header_written_once_and_skipped_by_load(self, tmp_path):
-        journal = tmp_path / "sweep.journal"
-        sweep(**GRID, config=CFG, journal=journal)
-        lines = journal.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["kind"] == "header"
-        assert header["schema"] == runner.JOURNAL_SCHEMA
-        assert header["cells"] == 2
-        # The header is metadata only: load() returns just the cells.
-        assert len(SweepJournal(journal).load()) == 2
-        # Resuming never writes a second header.
-        sweep(**GRID, config=CFG, journal=journal, resume=True)
-        kinds = [
-            json.loads(line).get("kind")
-            for line in journal.read_text().splitlines()
-        ]
-        assert kinds.count("header") == 1
+    def test_corrupt_entry_evicted_and_rerun(self, tmp_path, executed):
+        store = DirectoryResultStore(tmp_path)
+        full = sweep(**GRID, config=CFG, store=store)
+        first = full.outcomes[0].cell
+        torn = store.query(scheme=first.scheme)[0]["key"]
+        (tmp_path / f"result-{torn}.json").write_text("{torn")
+        executed.clear()
+        cache.clear()  # resets the eviction counter
+        resumed = sweep(**GRID, config=CFG, store=store)
+        assert executed == [first.key]
+        assert cache.corrupt_evictions() == 1
+        assert resumed.outcomes[0].result == full.outcomes[0].result
+        assert len(store) == 2  # rewritten by the re-run
 
-    def test_empty_journal_resumes_fresh(self, tmp_path):
-        # Regression: a sweep killed before the header fsync leaves a
-        # zero-byte journal; --resume must start fresh, not error out.
-        journal = tmp_path / "sweep.journal"
-        journal.write_bytes(b"")
-        report = sweep(**GRID, config=CFG, journal=journal, resume=True)
-        assert all(o.ok and not o.from_journal for o in report.outcomes)
-        # The fresh run journalled normally on top of the empty file.
-        assert len(SweepJournal(journal).load()) == 2
+    def test_fleet_rejects_store_it_cannot_reopen(self, monkeypatch):
+        # Regression: jobs>1 used to drop a root-less store silently and
+        # run the fleet with no store at all.
+        from repro.harness import service
 
-    def test_header_only_journal_resumes_fresh(self, tmp_path):
-        journal = tmp_path / "sweep.journal"
-        SweepJournal(journal).write_header(cells=2)
-        report = sweep(**GRID, config=CFG, journal=journal, resume=True)
-        assert all(o.ok and not o.from_journal for o in report.outcomes)
+        def must_not_spawn(*args, **kwargs):
+            raise AssertionError("fleet spawned before the store check")
 
-    def test_torn_header_resumes_fresh(self, tmp_path):
-        journal = tmp_path / "sweep.journal"
-        SweepJournal(journal).write_header(cells=2)
-        text = journal.read_text()
-        journal.write_text(text[: len(text) // 2])  # torn mid-write
-        report = sweep(**GRID, config=CFG, journal=journal, resume=True)
-        assert all(o.ok and not o.from_journal for o in report.outcomes)
-
-    def test_garbage_lines_skipped(self, tmp_path):
-        journal = tmp_path / "sweep.journal"
-        journal.write_text(
-            "not json at all\n"
-            + json.dumps({"schema": 99, "scheme": "X"}) + "\n"
-            + json.dumps(["wrong", "shape"]) + "\n"
-        )
-        assert SweepJournal(journal).load() == {}
-        missing = SweepJournal(tmp_path / "nope.journal")
-        assert missing.load() == {}
+        monkeypatch.setattr(service, "spawn_fleet", must_not_spawn)
+        with pytest.raises(ValueError, match="MemoryResultStore"):
+            run_sweep(_cells(), jobs=2, store=MemoryResultStore())
+        # Serially the same store works: the worker loop runs inline.
+        store = MemoryResultStore()
+        assert all(o.ok for o in run_sweep(_cells(), store=store).outcomes)
+        assert len(store) == 2
 
 
 class TestCacheEvictions:

@@ -68,7 +68,9 @@ class TestIntervals:
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         assert interval_from_env() == DEFAULT_INTERVAL
         monkeypatch.setenv("REPRO_TELEMETRY", "garbage")
-        assert interval_from_env() == 0
+        with pytest.raises(ValueError, match="REPRO_TELEMETRY must be an "
+                                             "integer, got 'garbage'"):
+            interval_from_env()
 
     def test_registry_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,27 @@ class TestDrivers:
         )
         assert run_case(case, validate_every=0).stats_fingerprint == baseline
 
+    def test_hermetic_env_covers_every_knob_in_the_source(self):
+        # The scrub list is maintained by hand; scanning the source for
+        # REPRO_* names keeps it from drifting behind a new knob.  Only
+        # variables that cannot change a result may be left unscrubbed.
+        import re
+        from pathlib import Path
+
+        import repro
+        from repro.verify.invariants import HERMETIC_ENV
+
+        not_knobs = {
+            "REPRO_CACHE_DIR",  # where artefacts live, not what they are
+            "REPRO_STORE_DIR",  # likewise
+            "REPRO_SWEEPD_CHAOS_KILL",  # test-only worker crash injection
+        }
+        mentioned = set()
+        for source in Path(repro.__file__).parent.rglob("*.py"):
+            mentioned.update(re.findall(r"REPRO_[A-Z_]+", source.read_text()))
+        assert mentioned >= set(HERMETIC_ENV) | not_knobs  # no dead names
+        assert mentioned - not_knobs == set(HERMETIC_ENV)
+
 
 class TestArtifacts:
     def test_bytes_identical_across_builds(self, tmp_path):

@@ -118,8 +118,12 @@ class TestEnvKnobs:
         assert validate_interval_from_env() == 128
         monkeypatch.setenv("REPRO_VALIDATE", "0")
         assert validate_interval_from_env() == 0
-        monkeypatch.setenv("REPRO_VALIDATE", "junk")
-        assert validate_interval_from_env() == 0
+        # Unparseable is a loud config error: REPRO_VALIDATE=true must
+        # not quietly disable every audit.
+        monkeypatch.setenv("REPRO_VALIDATE", "true")
+        with pytest.raises(ValueError, match="REPRO_VALIDATE must be an "
+                                             "integer, got 'true'"):
+            validate_interval_from_env()
 
     def test_resolve_validate_interval(self):
         assert resolve_validate_interval(-3) == 0
@@ -134,6 +138,10 @@ class TestEnvKnobs:
         assert watchdog_cycles_from_env(999) == 1234
         monkeypatch.setenv("REPRO_WATCHDOG_CYCLES", "-5")
         assert watchdog_cycles_from_env(999) == 999
+        monkeypatch.setenv("REPRO_WATCHDOG_CYCLES", "soon")
+        with pytest.raises(ValueError, match="REPRO_WATCHDOG_CYCLES must "
+                                             "be an integer"):
+            watchdog_cycles_from_env(999)
 
 
 class TestValidationDeterminism:

@@ -26,7 +26,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.harness.bench import SCENARIOS, checksum_divergence, run_scenario
+from repro.harness.bench import (
+    SCENARIOS,
+    arming_note,
+    checksum_divergence,
+    run_scenario,
+)
 
 
 def slots_note() -> str:
@@ -84,7 +89,7 @@ def main() -> int:
                 f"{name:<10} {scheduler:<7} {row['cycles']:>8} cycles  "
                 f"{row['seconds']:.3f} s  "
                 f"{row['cycles_per_s']:>10.0f} cycles/s  "
-                f"checksum {row['checksum']}"
+                f"checksum {row['checksum']}{arming_note(row)}"
             )
             print(line, flush=True)
             lines.append(line)

@@ -23,10 +23,13 @@ statistics.  ``compare_bench`` turns a current/baseline pair into a
 list of violations: a checksum change is always fatal (simulated
 behaviour drifted), a throughput drop is fatal past the tolerance, an
 object<->vector checksum divergence between paired scenarios is fatal
-(the engine-parity contract broke), and a vector speedup below
+(the engine-parity contract broke), a vector speedup below
 ``MIN_ENGINE_SPEEDUP`` on ``synthetic`` is fatal (the vector engine
-stopped paying for itself).  ``repro bench`` wires this into CI as the
-bench-gate job against the committed ``BENCH_BASELINE.json``.
+stopped paying for itself), and ``low_load_vector`` below
+``MIN_LOW_LOAD_RATIO`` of ``low_load`` is fatal (the vector engine
+stopped staying out of the way of a quiet mesh).  ``repro bench`` wires
+this into CI as the bench-gate job against the committed
+``BENCH_BASELINE.json``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ DEFAULT_TOLERANCE = 0.25
 # on the saturated ``synthetic`` scenario (wall-clock cycles/s measured
 # on the same machine in the same run, so no calibration applies).
 MIN_ENGINE_SPEEDUP = 3.0
+
+# ...and may not fall below this fraction of it on the quiet
+# ``low_load`` scenario, where the occupancy-adaptive engine should be
+# ticking through the object path (same run, same machine).
+MIN_LOW_LOAD_RATIO = 0.8
 
 # (vector scenario, object scenario) pairs whose behaviour checksums
 # must agree: both engines simulate the identical configuration.
@@ -109,7 +117,7 @@ def _uniform_row(
         Grid(width), injection_rate=rate, cycles=cycles, seed=1,
         scheduler=scheduler, engine=engine,
     ))
-    return {
+    row = {
         "engine": engine,
         "cycles": result.cycles,
         "seconds": best,
@@ -117,6 +125,25 @@ def _uniform_row(
         "checksum": _network_checksum(result),
         "received": result.received,
     }
+    if engine == "vector":
+        net = result.network
+        row["arming"] = {
+            "armed_cycles": net.armed_cycles,
+            "arms": net.arms,
+            "disarms": net.disarms,
+        }
+    return row
+
+
+def arming_note(row: Dict[str, object]) -> str:
+    """How a vector row spent its cycles: never armed, armed, thrashing."""
+    arming = row.get("arming")
+    if not arming:
+        return ""
+    return (
+        f"  armed {arming['armed_cycles']}/{row['cycles']} cycles "
+        f"({arming['arms']} arms, {arming['disarms']} disarms)"
+    )
 
 
 def _scenario_synthetic(
@@ -279,9 +306,21 @@ def load_bench(path) -> Dict[str, object]:
     return json.loads(Path(path).read_text())
 
 
+def _vector_ratio(
+    rows: Dict[str, Dict[str, object]], name: str
+) -> Optional[float]:
+    """``<name>_vector`` cycles/s over ``<name>``'s, if both rows ran."""
+    vec = rows.get(f"{name}_vector")
+    obj = rows.get(name)
+    if not vec or not obj or not obj["cycles_per_s"]:
+        return None
+    return vec["cycles_per_s"] / obj["cycles_per_s"]
+
+
 def engine_violations(
     rows: Dict[str, Dict[str, object]],
     min_speedup: float = MIN_ENGINE_SPEEDUP,
+    min_low_load_ratio: float = MIN_LOW_LOAD_RATIO,
 ) -> List[str]:
     """Cross-engine checks within one bench run.
 
@@ -289,8 +328,10 @@ def engine_violations(
       configuration under both tick engines, so a checksum mismatch
       means the engine-parity contract broke — always fatal.
     * On ``synthetic`` the vector engine must clear ``min_speedup``
-      over the object engine.  Both figures come from the same run on
-      the same machine, so the ratio needs no calibration scaling.
+      over the object engine, and on ``low_load`` it must hold
+      ``min_low_load_ratio`` of it.  Both figures of a ratio come from
+      the same run on the same machine, so no calibration scaling
+      applies.
     """
     violations: List[str] = []
     for vec_name, obj_name in ENGINE_PAIRS:
@@ -304,16 +345,19 @@ def engine_violations(
                 f"{obj['checksum']} != {vec['checksum']} "
                 f"(engine-parity contract broke)"
             )
-    vec = rows.get("synthetic_vector")
-    obj = rows.get("synthetic")
-    if vec is not None and obj is not None and obj["cycles_per_s"]:
-        speedup = vec["cycles_per_s"] / obj["cycles_per_s"]
-        if speedup < min_speedup:
+    for name, floor, what in (
+        ("synthetic", min_speedup, "speedup"),
+        ("low_load", min_low_load_ratio, "ratio"),
+    ):
+        ratio = _vector_ratio(rows, name)
+        if ratio is not None and ratio < floor:
+            vec = rows[f"{name}_vector"]
             violations.append(
-                f"synthetic: vector engine speedup {speedup:.2f}x is "
-                f"below the {min_speedup:.1f}x floor "
+                f"{name}: vector engine {what} {ratio:.2f}x is "
+                f"below the {floor:.1f}x floor "
                 f"({vec['cycles_per_s']:.0f} vs "
-                f"{obj['cycles_per_s']:.0f} cycles/s)"
+                f"{rows[name]['cycles_per_s']:.0f} cycles/s)"
+                f"{arming_note(vec)}"
             )
     return violations
 
@@ -428,15 +472,17 @@ def format_bench(
         if base:
             ratio = row["cycles_per_s"] / base["cycles_per_s"]
             line += f"  ({ratio:.2f}x baseline)"
-        lines.append(line)
-    vec = rows.get("synthetic_vector")
-    obj = rows.get("synthetic")
-    if vec and obj and obj["cycles_per_s"]:
-        lines.append(
-            f"vector/object speedup on synthetic: "
-            f"{vec['cycles_per_s'] / obj['cycles_per_s']:.2f}x "
-            f"(floor {MIN_ENGINE_SPEEDUP:.1f}x)"
-        )
+        lines.append(line + arming_note(row))
+    for name, floor, what in (
+        ("synthetic", MIN_ENGINE_SPEEDUP, "speedup"),
+        ("low_load", MIN_LOW_LOAD_RATIO, "ratio"),
+    ):
+        ratio = _vector_ratio(rows, name)
+        if ratio is not None:
+            lines.append(
+                f"vector/object {what} on {name}: {ratio:.2f}x "
+                f"(floor {floor:.1f}x)"
+            )
     return "\n".join(lines)
 
 

@@ -410,24 +410,8 @@ class Network:
                 if active:
                     self.active.add(node)
 
-        # NIs.  All effects (flit onto a link, core reservation) are
-        # local to the NI or scheduled >= 1 cycle ahead, and an NI only
-        # gains work outside its own tick via enqueue, fault requeue, or
-        # a credit returning to a stalled injection link — all of which
-        # wake it — so visiting only armed NIs (in registration order,
-        # matching the dense walk over ``nis``) is bit-identical to
-        # visiting all of them: ticking a credit-stalled NI is a no-op.
+        self._tick_nis(cycle)
         if active:
-            if self._active_nis:
-                idle_nis: List[int] = []
-                nis = self.nis
-                for idx in sorted(self._active_nis):
-                    ni = nis[idx]
-                    ni.tick(cycle)
-                    if not ni.has_work():
-                        idle_nis.append(idx)
-                for idx in idle_nis:
-                    self._active_nis.discard(idx)
             routers = self.routers
             finished: List[int] = []
             for node in sorted(self.active):
@@ -443,18 +427,41 @@ class Network:
                 self.active.discard(node)
             return
 
-        # Dense oracle: unconditionally walk every NI and router.  A
-        # workless component's tick is a no-op (rr pointers advance only
-        # on wins), so this is behaviourally identical to the active
-        # path — and catches any missed wake as a fingerprint mismatch.
-        for ni in self.nis:
-            ni.tick(cycle)
+        # Dense oracle: unconditionally walk every router.  A workless
+        # component's tick is a no-op (rr pointers advance only on
+        # wins), so this is behaviourally identical to the active path
+        # — and catches any missed wake as a fingerprint mismatch.
         for router in self.routers:
             moves = router.tick(cycle)
             for in_port, in_vc, out_port, out_vc, flit in moves:
                 self._commit(
                     router, in_port, in_vc, out_port, out_vc, flit, cycle
                 )
+
+    def _tick_nis(self, cycle: int) -> None:
+        """The NI phase of a tick, shared by both engines.
+
+        All effects (flit onto a link, core reservation) are local to
+        the NI or scheduled >= 1 cycle ahead, and an NI only gains work
+        outside its own tick via enqueue, fault requeue, or a credit
+        returning to a stalled injection link — all of which wake it —
+        so visiting only armed NIs (in registration order, matching the
+        dense walk over ``nis``) is bit-identical to visiting all of
+        them: ticking a credit-stalled NI is a no-op.
+        """
+        if not self._active_scheduler:
+            for ni in self.nis:
+                ni.tick(cycle)
+        elif self._active_nis:
+            idle_nis: List[int] = []
+            nis = self.nis
+            for idx in sorted(self._active_nis):
+                ni = nis[idx]
+                ni.tick(cycle)
+                if not ni.has_work():
+                    idle_nis.append(idx)
+            for idx in idle_nis:
+                self._active_nis.discard(idx)
 
     def _commit(
         self,

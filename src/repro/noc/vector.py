@@ -37,11 +37,22 @@ differential property pins ``stats_fingerprint`` equality across the
 verify config space, and :meth:`sync_for_inspection` materialises the
 SoA back onto the Router/OutputPort objects so the conservation audits
 and diagnostics read the same state they would under the object engine.
+
+The SoA is *occupancy-adaptive*: a batched tick costs the same ~100
+numpy calls whether it moves 5 flits or 500, so while fewer than
+``ARM_FLITS`` flits move per cycle the network stays disarmed (``_soa
+is None``) and ticks through the inherited object path; it arms by
+importing live object state (the ``_SoA`` constructor) and disarms by
+materialising back once traffic falls below ``DISARM_FLITS`` (or when a
+port is added) — the conversions the per-cycle audits already prove
+exact, so transitions are bit-identical (docs/VECTOR.md, "When the SoA
+is armed").
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +60,33 @@ from . import routing
 from .network import Network
 from .router import Router
 from .types import Flit, Packet
+
+
+#: Flits landing at the start of a cycle (= flits that moved in the
+#: previous one) at which the SoA arms, and below which it disarms
+#: again.  Measured, not tuned per mesh: per-cycle object/SoA break-even
+#: sits at ~100-120 moves on 8- to 24-wide meshes alike; arming waits a
+#: little past it because the signal is spiky and a round trip costs
+#: 3-40 ms, and the wide gap is hysteresis against thrashing.
+ARM_FLITS = 144
+DISARM_FLITS = 64
+
+
+@contextmanager
+def arming(arm: int, disarm: int) -> Iterator[None]:
+    """Override the arming thresholds (tests and ``repro.verify`` only).
+
+    ``arming(0, 0)`` keeps the SoA armed from the first tick; tiny
+    thresholds such as ``arming(3, 2)`` force arm/disarm round trips on
+    meshes far too small to reach the measured break-even.
+    """
+    global ARM_FLITS, DISARM_FLITS
+    saved = ARM_FLITS, DISARM_FLITS
+    ARM_FLITS, DISARM_FLITS = arm, disarm
+    try:
+        yield
+    finally:
+        ARM_FLITS, DISARM_FLITS = saved
 
 
 def _next_pow2(n: int) -> int:
@@ -124,8 +162,8 @@ class _SoA:
     """Flat-array snapshot of one network, imported from object state.
 
     Construction reads whatever the Router/OutputPort/event-dict objects
-    currently hold, so building at the first tick (empty network) and
-    rebuilding after a structural change (ports added mid-run, after a
+    currently hold, so arming an empty network, arming mid-run and
+    re-arming after a structural change (ports added mid-run, after a
     materialise) share one code path.
     """
 
@@ -143,7 +181,6 @@ class _SoA:
         C = _next_pow2(max(2, net.vc_capacity))
         self.C = C
         self.cmask = C - 1
-        self.version = -1
 
         # --- flit interning --------------------------------------------
         self.f_objs: List[Flit] = []
@@ -378,29 +415,29 @@ class VectorNetwork(Network):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._soa: Optional[_SoA] = None
-        self._struct_version = 0
+        # Arming observability; deliberately outside stats.snapshot().
+        self.armed_cycles = 0
+        self.arms = 0
+        self.disarms = 0
 
     # ------------------------------------------------------------------
-    # Structure tracking (ports are only added through these two)
+    # Structure changes (ports are only added through these two) drop
+    # the snapshot *before* the port exists, so a snapshot never has to
+    # describe ports it predates; the next tick re-arms if still busy.
     # ------------------------------------------------------------------
     def add_injection_port(self, node: int) -> int:
-        self._struct_version += 1
+        self._disarm()
         return super().add_injection_port(node)
 
     def add_eject_port(self, node: int, capacity: Optional[int] = None) -> int:
-        self._struct_version += 1
+        self._disarm()
         return super().add_eject_port(node, capacity)
 
-    def _ensure_soa(self) -> _SoA:
-        soa = self._soa
-        if soa is not None and soa.version == self._struct_version:
-            return soa
-        if soa is not None:
+    def _disarm(self) -> None:
+        if self._soa is not None:
             self._materialize()
-        soa = _SoA(self)
-        soa.version = self._struct_version
-        self._soa = soa
-        return soa
+            self._soa = None
+            self.disarms += 1
 
     # ------------------------------------------------------------------
     # Event scheduling overrides
@@ -464,11 +501,11 @@ class VectorNetwork(Network):
     # Receive side
     # ------------------------------------------------------------------
     def pop_delivered(self, node: int, port: Optional[int] = None) -> Optional[Packet]:
+        if not self._delivered.get(node):
+            return None  # the common case costs one call in either state
         soa = self._soa
         if soa is None:
             return super().pop_delivered(node, port)
-        if not self._delivered.get(node):
-            return None
         rotate = False
         start = 0
         if port is not None:
@@ -500,7 +537,18 @@ class VectorNetwork(Network):
     # Simulation
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        soa = self._ensure_soa()
+        soa = self._soa
+        if soa is None:
+            if len(self._arrivals.get(self.cycle + 1, ())) < ARM_FLITS:
+                super().tick()
+                return
+            soa = self._soa = _SoA(self)
+            self.arms += 1
+        elif len(soa.p_slots) + len(soa.p_sink) < DISARM_FLITS:
+            self._disarm()
+            super().tick()
+            return
+        self.armed_cycles += 1
         self.cycle += 1
         cycle = self.cycle
         stats = self.stats
@@ -555,22 +603,7 @@ class VectorNetwork(Network):
             for node, eject_port, flit in sink:
                 self._deliver(node, eject_port, flit, cycle)
 
-        # --- NI phase (identical discipline to the object engine) ------
-        if self._active_scheduler:
-            if self._active_nis:
-                idle_nis: List[int] = []
-                nis = self.nis
-                for idx in sorted(self._active_nis):
-                    ni = nis[idx]
-                    ni.tick(cycle)
-                    if not ni.has_work():
-                        idle_nis.append(idx)
-                for idx in idle_nis:
-                    self._active_nis.discard(idx)
-        else:
-            for ni in self.nis:
-                ni.tick(cycle)
-
+        self._tick_nis(cycle)
         if not soa.buffered_total:
             return
 

@@ -25,9 +25,9 @@ turns whichever exception reaches it into a shrunk replay artifact.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import ContextManager, Iterator, List, Optional, Tuple
 
 from ..gpu.system import System, SystemConfig, SystemResult
 from ..harness.experiment import build_fabric
@@ -65,6 +65,28 @@ def hermetic_env() -> Iterator[None]:
         yield
     finally:
         os.environ.update(saved)
+
+
+#: Arming thresholds a vector-engine case runs under, picked by ``seed
+#: % 3``: SoA armed from the first tick, forced arm/disarm round trips,
+#: or the shipped constants (which 4-8-wide meshes never reach, so
+#: without the first two the SoA would go unfuzzed).  A pure function
+#: of the case, so artifacts replay with no extra field.
+ARMING_REGIMES = ((0, 0), (3, 2), None)
+
+
+def arming_regime(case: VerifyCase) -> ContextManager[None]:
+    """The :func:`repro.noc.vector.arming` override ``case`` runs under."""
+    thresholds = (
+        ARMING_REGIMES[case.seed % 3] if case.engine == "vector" else None
+    )
+    if thresholds is None:
+        return nullcontext()
+    # Imported on use, like network_class(): object-only campaigns and
+    # `import repro.verify` itself never load the SoA engine.
+    from ..noc.vector import arming
+
+    return arming(*thresholds)
 
 
 class VerifyFailure(AssertionError):
@@ -118,7 +140,7 @@ def run_case(
     for post-run inspection.  ``NetworkAuditError`` and
     ``SimulationStall`` propagate to the caller.
     """
-    with hermetic_env():
+    with hermetic_env(), arming_regime(case):
         config = case.experiment_config()
         fabric = build_fabric(case.scheme, config)
         injector: Optional[FaultInjector] = None

@@ -147,3 +147,36 @@ class TestDispatch:
     def test_unknown_algorithm(self, grid):
         with pytest.raises(ValueError):
             routing.route_candidates(grid, "valiant", 0, 0, 9)
+
+    @pytest.mark.parametrize("algorithm", ["xy", "oddeven"])
+    def test_memo_matches_uncached_and_ignores_source_count(
+        self, algorithm, monkeypatch
+    ):
+        # Full 6x6 (cur, src, dst) enumeration: 46 656 lookups must
+        # equal the uncached functions, while the memo — keyed on the
+        # same-column bit, not the source id — stays within 2·N² entries
+        # however many distinct sources asked.
+        monkeypatch.setattr(routing, "_ROUTE_CACHE", {})
+        grid = Grid(6)
+        nodes = list(grid.nodes())
+        for cur in nodes:
+            for src in nodes:
+                for dst in nodes:
+                    expected = (
+                        xy_route(grid, cur, dst) if algorithm == "xy"
+                        else odd_even_routes(grid, cur, src, dst)
+                    )
+                    assert routing.route_candidates(
+                        grid, algorithm, cur, src, dst
+                    ) == tuple(expected), (cur, src, dst)
+        size = len(routing._ROUTE_CACHE)
+        assert size <= 2 * grid.size ** 2
+        # One source per column class already fills it: the rest of the
+        # enumeration (34 more sources per router) added nothing.
+        one_source = {}
+        monkeypatch.setattr(routing, "_ROUTE_CACHE", one_source)
+        for cur in nodes:
+            for src in (cur, (cur + 1) % grid.size):
+                for dst in nodes:
+                    routing.route_candidates(grid, algorithm, cur, src, dst)
+        assert len(one_source) == size

@@ -392,6 +392,37 @@ class TestBenchGate:
         assert "below the 3.0x floor" in violations[0]
         assert engine_violations(rows, min_speedup=2.0) == []
 
+    def test_low_load_floor(self):
+        from repro.harness.bench import engine_violations, format_bench
+
+        rows = {
+            "low_load": {"checksum": "aaa", "cycles_per_s": 8000.0,
+                         "cycles": 3014, "seconds": 0.4},
+            "low_load_vector": {
+                "checksum": "aaa", "cycles_per_s": 7000.0,
+                "cycles": 3014, "seconds": 0.43,
+                "arming": {"armed_cycles": 0, "arms": 0, "disarms": 0},
+            },
+        }
+        assert engine_violations(rows) == []
+        # The pre-adaptive engine's ratio: always armed on a quiet mesh.
+        rows["low_load_vector"]["cycles_per_s"] = 2700.0
+        rows["low_load_vector"]["arming"] = {
+            "armed_cycles": 3014, "arms": 1, "disarms": 0,
+        }
+        violations = engine_violations(rows)
+        assert len(violations) == 1
+        assert violations[0].startswith(
+            "low_load: vector engine ratio 0.34x is below the 0.8x floor "
+            "(2700 vs 8000 cycles/s)"
+        )
+        # ...and the message says why: it never left the SoA.
+        assert "armed 3014/3014 cycles (1 arms, 0 disarms)" in violations[0]
+        assert engine_violations(rows, min_low_load_ratio=0.3) == []
+        table = format_bench({"scenarios": rows})
+        assert "armed 3014/3014 cycles (1 arms, 0 disarms)" in table
+        assert "vector/object ratio on low_load: 0.34x (floor 0.8x)" in table
+
     def test_checksum_divergence_helper(self):
         rows = {"dense": {"checksum": "a"}, "active": {"checksum": "a"}}
         assert checksum_divergence(rows) is None

@@ -8,14 +8,27 @@ golden model.  These tests pin that contract directly for all seven
 compared schemes and the synthetic drivers; the fuzzed side lives in
 the verify campaign's dedicated engine-parity property
 (:func:`repro.verify.check_engine_parity_case`).
+
+The SoA is occupancy-adaptive and these meshes are far too small to
+reach its shipped arming threshold, so every test states its regime:
+the parity classes run always-armed (every cycle through the SoA), and
+``TestForcedTransitions`` runs thresholds low enough to arm and disarm
+many times mid-run.  ``run_case`` picks the regime from ``seed % 3``
+(:data:`repro.verify.invariants.ARMING_REGIMES`).
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.grid import Grid
+from repro.noc import vector
 from repro.noc.faults import FaultSpec
+from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network, network_class, resolve_engine
+from repro.noc.types import Packet, PacketType, packet_flits
+from repro.noc.validation import audit_network
 from repro.noc.vector import VectorNetwork
 from repro.schemes import SCHEME_ORDER, get_spec
 from repro.verify import (
@@ -26,10 +39,22 @@ from repro.verify import (
     engine_counterpart,
     run_case,
 )
+from repro.verify.invariants import ARMING_REGIMES
 from repro.verify.strategies import cases
 from repro.workloads.synthetic import run_uniform
 
-QUICK = dict(benchmark="backprop", width=4, num_cbs=3, quota=3, seed=7)
+# seed % 3 == 0: run_case keeps the SoA armed from the first tick.
+QUICK = dict(benchmark="backprop", width=4, num_cbs=3, quota=3, seed=6)
+# seed % 3 == 1: the forced arm/disarm regime.
+THRASH = dict(QUICK, seed=7)
+# Loop topologies are object-only and reject fault plans, so the
+# firing-faults parity tests range over the fault-capable mesh schemes
+# (the loop baselines get their own rails in
+# test_schemes.py::TestLoopSchemes).
+VECTOR_SCHEMES = [
+    s for s in SCHEME_ORDER
+    if "vector" in get_spec(s).engines and get_spec(s).supports_faults
+]
 
 #: A plan that demonstrably fires inside every QUICK-sized run: a
 #: transient mesh-link fault plus an NI-buffer fault, both healing well
@@ -47,7 +72,17 @@ def _assert_parity(case: VerifyCase):
     base = run_case(case, validate_every=0)
     twin = run_case(engine_counterpart(case), validate_every=0)
     assert twin.stats_fingerprint == base.stats_fingerprint, case.label()
+    for net in _networks(twin):
+        # Always-armed: armed by the first tick and never dropped, so
+        # no tick slipped through the object path (fast-forwarded
+        # cycles are ticked by neither engine).
+        assert (net.arms, net.disarms) == (1, 0), case.label()
+        assert net.armed_cycles > 0, case.label()
     return base
+
+
+def _networks(run):
+    return [net for net, _ratio, _role in run.fabric.networks]
 
 
 class TestEngineSelection:
@@ -86,14 +121,13 @@ class TestEngineSelection:
 
 
 class TestSchemeParity:
-    # Loop topologies are object-only and reject fault plans, so the
-    # firing-faults parity property ranges over the fault-capable
-    # mesh schemes (the loop baselines get their own rails in
-    # test_schemes.py::TestLoopSchemes).
-    @pytest.mark.parametrize(
-        "scheme",
-        [s for s in SCHEME_ORDER if get_spec(s).supports_faults],
-    )
+    def test_quick_seeds_select_the_intended_regimes(self):
+        assert ARMING_REGIMES[QUICK["seed"] % 3] == (0, 0)
+        arm, disarm = ARMING_REGIMES[THRASH["seed"] % 3]
+        assert 0 < disarm <= arm < 8
+        assert ARMING_REGIMES[2] is None  # the shipped constants
+
+    @pytest.mark.parametrize("scheme", VECTOR_SCHEMES)
     def test_firing_faults_bit_identical(self, scheme):
         # The strongest form of the contract: a fault plan that
         # actually fires mid-run (not merely armed) must perturb both
@@ -134,7 +168,9 @@ class TestSyntheticParity:
             injection_rate=0.1, cycles=300, seed=3, scheduler=scheduler
         )
         obj = run_uniform(Grid(8), **kwargs)
-        vec = run_uniform(Grid(8), engine="vector", **kwargs)
+        with vector.arming(0, 0):
+            vec = run_uniform(Grid(8), engine="vector", **kwargs)
+        assert vec.network.armed_cycles == vec.cycles
         assert isinstance(vec.network, VectorNetwork)
         assert not isinstance(obj.network, VectorNetwork)
         assert (vec.sent, vec.received, vec.cycles) == (
@@ -146,7 +182,177 @@ class TestSyntheticParity:
         )
 
 
+class TestForcedTransitions:
+    """Arming and disarming mid-run must be invisible in the results."""
+
+    def test_arming_restores_the_shipped_thresholds(self):
+        shipped = (vector.ARM_FLITS, vector.DISARM_FLITS)
+        assert shipped[0] > shipped[1] > 0  # hysteresis
+        with pytest.raises(RuntimeError):
+            with vector.arming(3, 2):
+                assert (vector.ARM_FLITS, vector.DISARM_FLITS) == (3, 2)
+                raise RuntimeError
+        assert (vector.ARM_FLITS, vector.DISARM_FLITS) == shipped
+
+    @pytest.mark.parametrize("scheduler", ["active", "dense"])
+    @pytest.mark.parametrize("scheme", VECTOR_SCHEMES)
+    def test_thrashing_scheme_cells_bit_identical(self, scheme, scheduler):
+        # Everything at once: a fault plan that fires, per-cycle
+        # telemetry probes and per-cycle audits, all reading a network
+        # that keeps switching representation underneath them.
+        case = VerifyCase(
+            scheme=scheme, scheduler=scheduler, faults=FIRING_PLAN,
+            telemetry=1, **THRASH,
+        )
+        base = run_case(case, validate_every=0)
+        twin = run_case(engine_counterpart(case), validate_every=1)
+        assert twin.stats_fingerprint == base.stats_fingerprint
+        assert twin.injector.applied > 0
+        nets = _networks(twin)
+        assert sum(n.arms for n in nets) >= 2
+        assert sum(n.disarms for n in nets) >= 2
+        for net in nets:
+            assert net.arms >= 1 and net.disarms >= 1
+            assert 0 < net.armed_cycles < net.stats.cycles
+
+    @pytest.mark.parametrize("scheduler", ["active", "dense"])
+    def test_thrashing_uniform_traffic_bit_identical(self, scheduler):
+        kwargs = dict(
+            injection_rate=0.005, cycles=400, seed=3, scheduler=scheduler
+        )
+        obj = run_uniform(Grid(8), **kwargs)
+        with vector.arming(12, 6):
+            vec = run_uniform(Grid(8), engine="vector", **kwargs)
+        net = vec.network
+        assert net.arms >= 5 and net.disarms >= 5
+        assert 0 < net.armed_cycles < vec.cycles
+        assert (vec.sent, vec.received, vec.cycles) == (
+            obj.sent, obj.received, obj.cycles
+        )
+        assert net.stats.fingerprint() == obj.network.stats.fingerprint()
+
+    def test_default_thresholds_leave_a_quiet_mesh_disarmed(self):
+        vec = run_uniform(
+            Grid(8), engine="vector", injection_rate=0.01, cycles=200,
+            seed=3,
+        )
+        net = vec.network
+        assert (net.arms, net.disarms, net.armed_cycles) == (0, 0, 0)
+        assert net._soa is None
+
+    @staticmethod
+    def _bursts_with_ports_added(engine, thresholds, scheduler):
+        """Two traffic bursts around a lull; an NI joins in each phase.
+
+        The first new port lands in the lull (cycle 100), the second in
+        the middle of the second burst (cycle 160) — with thrashing
+        thresholds that is one structural change while disarmed and one
+        while armed.  A change while armed drops the snapshot before the
+        port exists and the next tick re-arms: both new ports sit past
+        the old snapshot's port stride (every router had the same
+        ports), which a stale snapshot could not have indexed.
+        """
+        grid = Grid(6)
+        net = network_class(engine)(
+            "ports", grid, flit_bytes=16, vc_classes=[(0,), (1,)],
+            scheduler=scheduler,
+        )
+        nodes = list(grid.nodes())
+        senders = {n: [NetworkInterface(net, n)] for n in nodes}
+        rng = random.Random(11)
+        armed_when_added = []
+        pid = 0
+        with vector.arming(*thresholds):
+            for cycle in range(400):
+                if cycle in (100, 160):
+                    node = nodes[-1] if cycle == 100 else nodes[0]
+                    armed_when_added.append(
+                        getattr(net, "_soa", None) is not None
+                    )
+                    senders[node].append(NetworkInterface(net, node))
+                if cycle < 40 or 120 <= cycle < 200:
+                    for src in nodes:
+                        if rng.random() >= 0.2:
+                            continue
+                        dst = rng.choice(nodes)
+                        if dst == src:
+                            continue
+                        pid += 1
+                        ptype = (
+                            PacketType.READ_REPLY if pid % 2
+                            else PacketType.READ_REQUEST
+                        )
+                        nis = senders[src]
+                        nis[pid % len(nis)].enqueue(Packet(
+                            pid, ptype, src, dst, packet_flits(ptype, 16),
+                            0, vc_class=1 if ptype.is_reply else 0,
+                        ))
+                net.tick()
+                report = audit_network(net)
+                assert report.ok, (cycle, report.problems)
+                for node in nodes:
+                    while net.pop_delivered(node) is not None:
+                        pass
+        assert net.idle()
+        assert net.stats.packets_delivered == pid
+        return net, armed_when_added
+
+    @pytest.mark.parametrize("scheduler", ["active", "dense"])
+    @pytest.mark.parametrize(
+        "thresholds, armed_when_added, transitions",
+        [
+            # always armed: each port add is a disarm + immediate re-arm
+            ((0, 0), [True, True], (3, 2)),
+            # two bursts, plus the same round trip for the armed add
+            ((8, 4), [False, True], (3, 3)),
+        ],
+    )
+    def test_port_added_mid_run(
+        self, thresholds, armed_when_added, transitions, scheduler
+    ):
+        obj, _ = self._bursts_with_ports_added("object", (0, 0), scheduler)
+        vec, seen = self._bursts_with_ports_added(
+            "vector", thresholds, scheduler
+        )
+        assert seen == armed_when_added
+        assert (vec.arms, vec.disarms) == transitions
+        assert vec.stats.fingerprint() == obj.stats.fingerprint()
+
+
 class TestVerifyIntegration:
+    def test_engine_parity_property_exercises_every_regime(self):
+        # The fuzzed property must not pass vacuously on its small
+        # meshes: across a sample of generated cases each regime occurs,
+        # always-armed cases really run armed, thrash cases really make
+        # round trips.
+        seen = {}
+
+        @settings(
+            deadline=None, max_examples=12, derandomize=True,
+            database=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(case=cases(widths=(4,), with_faults=False))
+        def sample(case):
+            if "vector" not in get_spec(case.scheme).engines:
+                return
+            regime = case.seed % 3
+            if regime in seen:
+                return
+            run = run_case(
+                case.with_variant(engine="vector"), validate_every=0
+            )
+            seen[regime] = [
+                (n.arms, n.disarms, n.armed_cycles) for n in _networks(run)
+            ]
+
+        sample()
+        assert sorted(seen) == [0, 1, 2]
+        assert all((a, d) == (1, 0) and c for a, d, c in seen[0])
+        assert all(a >= 1 and d >= 1 for a, d, _c in seen[1])
+        assert all((a, d, c) == (0, 0, 0) for a, d, c in seen[2])
+
+
     def test_engine_parity_is_a_campaign_property(self):
         assert PROPERTY_ENGINE_PARITY in KNOWN_PROPERTIES
         assert FAST.engine_examples > 0

@@ -25,10 +25,13 @@ behaviour drifted), a throughput drop is fatal past the tolerance, an
 object<->vector checksum divergence between paired scenarios is fatal
 (the engine-parity contract broke), a vector speedup below
 ``MIN_ENGINE_SPEEDUP`` on ``synthetic`` is fatal (the vector engine
-stopped paying for itself), and ``low_load_vector`` below
+stopped paying for itself), ``low_load_vector`` below
 ``MIN_LOW_LOAD_RATIO`` of ``low_load`` is fatal (the vector engine
-stopped staying out of the way of a quiet mesh).  ``repro bench`` wires
-this into CI as the bench-gate job against the committed
+stopped staying out of the way of a quiet mesh), and more than
+``MAX_FALLBACK_SHARE`` of ``synthetic_vector``'s allocations going
+through the per-router golden-model fallback is fatal (the traffic
+assumption the engine's design rests on stopped holding).  ``repro
+bench`` wires this into CI as the bench-gate job against the committed
 ``BENCH_BASELINE.json``.
 """
 
@@ -56,6 +59,14 @@ MIN_ENGINE_SPEEDUP = 3.0
 # ``low_load`` scenario, where the occupancy-adaptive engine should be
 # ticking through the object path (same run, same machine).
 MIN_LOW_LOAD_RATIO = 0.8
+
+# The vector engine batches the common allocation shape and hands every
+# other attempt, one router at a time, to the object model's
+# ``Router._route_and_allocate`` — exact but ~50 us a call.  That is only
+# the cheaper design while such attempts are rare: on ``synthetic_vector``
+# at most this many per successful VC allocation (counts from one run,
+# so machine-independent; measured 0.022).
+MAX_FALLBACK_SHARE = 0.05
 
 # (vector scenario, object scenario) pairs whose behaviour checksums
 # must agree: both engines simulate the identical configuration.
@@ -131,6 +142,8 @@ def _uniform_row(
             "armed_cycles": net.armed_cycles,
             "arms": net.arms,
             "disarms": net.disarms,
+            "fallback_allocs": net.fallback_allocs,
+            "vc_allocs": net.stats.vc_allocs,
         }
     return row
 
@@ -142,7 +155,8 @@ def arming_note(row: Dict[str, object]) -> str:
         return ""
     return (
         f"  armed {arming['armed_cycles']}/{row['cycles']} cycles "
-        f"({arming['arms']} arms, {arming['disarms']} disarms)"
+        f"({arming['arms']} arms, {arming['disarms']} disarms), "
+        f"fallback {arming['fallback_allocs']}/{arming['vc_allocs']} allocs"
     )
 
 
@@ -321,6 +335,7 @@ def engine_violations(
     rows: Dict[str, Dict[str, object]],
     min_speedup: float = MIN_ENGINE_SPEEDUP,
     min_low_load_ratio: float = MIN_LOW_LOAD_RATIO,
+    max_fallback_share: float = MAX_FALLBACK_SHARE,
 ) -> List[str]:
     """Cross-engine checks within one bench run.
 
@@ -332,6 +347,9 @@ def engine_violations(
       ``min_low_load_ratio`` of it.  Both figures of a ratio come from
       the same run on the same machine, so no calibration scaling
       applies.
+    * ``synthetic_vector`` may put at most ``max_fallback_share`` of
+      its allocations through the golden-model fallback — two counts
+      from one run, so no machine enters into it at all.
     """
     violations: List[str] = []
     for vec_name, obj_name in ENGINE_PAIRS:
@@ -359,6 +377,16 @@ def engine_violations(
                 f"{rows[name]['cycles_per_s']:.0f} cycles/s)"
                 f"{arming_note(vec)}"
             )
+    arming = rows.get("synthetic_vector", {}).get("arming")
+    if arming and (
+        arming["fallback_allocs"] > max_fallback_share * arming["vc_allocs"]
+    ):
+        violations.append(
+            f"synthetic_vector: {arming['fallback_allocs']} of "
+            f"{arming['vc_allocs']} allocations took the golden-model "
+            f"fallback, above the {max_fallback_share:.0%} ceiling "
+            f"(the batched allocator stopped covering the common shape)"
+        )
     return violations
 
 

@@ -272,16 +272,7 @@ class Network:
         to a telemetry-off run (pinned by the differential test).
         """
         stats = self.stats
-
-        if self._active_scheduler:
-            def active_nodes():
-                return self.active
-        else:
-            # Dense oracle: the equivalent ground truth is the set of
-            # routers currently holding flits.
-            def active_nodes():
-                return [r.node for r in self.routers if r.flit_count]
-
+        active_nodes = self._active_nodes
         registry.register_series(f"{prefix}.in_flight", self.in_flight)
         registry.register_series(
             f"{prefix}.flits_injected", lambda: stats.flits_injected
@@ -308,11 +299,22 @@ class Network:
                 f"{prefix}.{name}", lambda name=name: getattr(stats, name)
             )
         registry.register_final(
-            f"{prefix}.peak_router_flits",
-            lambda: max((r.peak_flits for r in self.routers), default=0),
+            f"{prefix}.peak_router_flits", self._peak_router_flits
         )
         for ni in self.nis:
             ni.register_telemetry(registry, prefix)
+
+    # The two telemetry reads of per-router buffer state, which an
+    # engine keeping that state elsewhere overrides.
+    def _active_nodes(self):
+        if self._active_scheduler:
+            return self.active
+        # Dense oracle: the equivalent ground truth is the set of
+        # routers currently holding flits.
+        return [r.node for r in self.routers if r.flit_count]
+
+    def _peak_router_flits(self) -> int:
+        return max((r.peak_flits for r in self.routers), default=0)
 
     # ------------------------------------------------------------------
     # Event scheduling (used by routers and NIs)
@@ -373,7 +375,7 @@ class Network:
             queue = self.receive_queues.get((node, p))
             if queue:
                 packet, eject_port = queue.popleft()
-                eject_port.credits[0] += packet.size
+                self._return_eject_credits(eject_port, packet.size)
                 self._delivered[node] -= 1
                 self._delivered_total -= 1
                 if rotate:
@@ -384,6 +386,10 @@ class Network:
                     self._pop_rr[node] = (start + k + 1) % len(ports)
                 return packet
         return None
+
+    def _return_eject_credits(self, eject_port: OutputPort, flits: int) -> None:
+        """Free a consumed packet's receive-buffer space (engine hook)."""
+        eject_port.credits[0] += flits
 
     # ------------------------------------------------------------------
     # Simulation
@@ -561,12 +567,13 @@ class Network:
         """
 
     def soa_invalidate(self) -> None:
-        """Notify the engine that structure changed behind its back.
+        """Notify the engine that a fault is changing structure.
 
         Fault injection mutates ``failed_outputs`` / ``faults_fired`` /
-        NI wiring directly on the objects; the vector engine overrides
-        this to drop its retry memoisation so every router re-attempts
-        allocation.  No-op for the object engine.
+        NI wiring directly on the objects and then pulls in-flight flits
+        back out of ``_arrivals``; the vector engine overrides this to
+        disarm, so the objects are canonical before any of that is read
+        (as before a port is added).  No-op for the object engine.
         """
 
     def in_flight(self) -> int:

@@ -23,14 +23,16 @@ table (the only thing odd-even routing asks about the source is whether
 it shares the current router's column), so the common allocation shape
 — no fired faults, no VC monopolisation, unfiltered single eject port,
 at most one attempting head per router — reduces to gathers over the
-credit/owner arrays.  Anything else falls back to an exact Python
-replica of the object router's scan for just the affected ports.  A
-per-node ``epoch`` vs per-slot ``fail_epoch`` comparison skips retries
-that cannot succeed: a failed allocation mutates nothing in the object
-model, so eliding one is bit-identical, and every event that could
-change an allocation's outcome (arrival, pop, credit return, owner
-release, delivered-packet pop, fault fire/heal) bumps the affected
-router's epoch.
+credit/owner arrays.  Anything else is not re-implemented here: the one
+affected router is materialised onto its :class:`Router` object, the
+golden ``Router._route_and_allocate`` decides, and the decision is
+imported back into the arrays — so every allocation rule (VC borrowing,
+eject filters, fault detours, route overrides) lives in ``router.py``
+alone.  A per-node ``epoch`` vs per-slot ``fail_epoch`` comparison skips
+retries that cannot succeed: a failed allocation mutates nothing in the
+object model, so eliding one is bit-identical, and every event that
+could change an allocation's outcome (arrival, pop, credit return, owner
+release, delivered-packet pop) bumps the affected router's epoch.
 
 The object model stays the golden reference: the engine-parity
 differential property pins ``stats_fingerprint`` equality across the
@@ -43,10 +45,10 @@ numpy calls whether it moves 5 flits or 500, so while fewer than
 ``ARM_FLITS`` flits move per cycle the network stays disarmed (``_soa
 is None``) and ticks through the inherited object path; it arms by
 importing live object state (the ``_SoA`` constructor) and disarms by
-materialising back once traffic falls below ``DISARM_FLITS`` (or when a
-port is added) — the conversions the per-cycle audits already prove
-exact, so transitions are bit-identical (docs/VECTOR.md, "When the SoA
-is armed").
+materialising back once traffic falls below ``DISARM_FLITS`` (or before
+a structural change: a port added, a fault fired or healed) — the
+conversions the per-cycle audits already prove exact, so transitions
+are bit-identical (docs/VECTOR.md, "When the SoA is armed").
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 from . import routing
 from .network import Network
 from .router import Router
-from .types import Flit, Packet
+from .types import Flit
 
 
 #: Flits landing at the start of a cycle (= flits that moved in the
@@ -105,7 +107,7 @@ def _route_tables(grid, algorithm: str) -> Tuple[np.ndarray, np.ndarray]:
     only property of the source either routing function looks at.
     Entry order matches the list order of :func:`routing.xy_route` /
     :func:`routing.odd_even_routes`, which the strictly-greater credit
-    comparison in ``_scan_outputs`` depends on.
+    comparison in ``Router._scan_outputs`` depends on.
     """
     N = grid.size
     W = grid.width
@@ -243,7 +245,6 @@ class _SoA:
                     owner.append(out.owner[v])
                     credits.append(out.credits[v])
                 base += out.num_vcs
-        self.num_out = len(out_obj)
         self.out_obj = out_obj
         self.out_node = out_node
         self.out_port_nr = out_port_nr
@@ -338,13 +339,7 @@ class _SoA:
                     self.qlen[slot] = len(ivc.queue)
                     self.buffered_total += len(ivc.queue)
                     if ivc.out_port is not None:
-                        oi = self.out_idx[(node, ivc.out_port)]
-                        self.route_oi[slot] = oi
-                        self.route_cs[slot] = out_base[oi] + ivc.out_vc
-                        db = dest_base[oi]
-                        self.route_dest[slot] = (
-                            S + oi if db < 0 else db + ivc.out_vc
-                        )
+                        self.import_route(slot, node, ivc)
         # Rotation key of every slot under its port's current rr_in,
         # kept incrementally: rr_in only changes at traversal commits,
         # which rewrite the winner ports' V entries.
@@ -359,14 +354,7 @@ class _SoA:
                 slot = (node * P + port) * V + vc
                 vid = self.register(flit)
                 if cycle == next_cycle:
-                    pending_here = self.p_slots.count(slot)
-                    pos = slot * C + (
-                        (int(self.headpos[slot]) + int(self.qlen[slot])
-                         + pending_here) & self.cmask
-                    )
-                    self.ring[pos] = vid
-                    self.p_slots.append(slot)
-                    self.p_vids.append(vid)
+                    self.land(slot, vid)
                 else:
                     self.far.setdefault(cycle, []).append((slot, vid))
         for cycle in sorted(net._credits):
@@ -406,6 +394,32 @@ class _SoA:
         self.f_n = i + 1
         return i
 
+    def import_route(self, slot: int, node: int, ivc) -> int:
+        """Copy ``ivc``'s allocated route into ``slot``; returns its ``cs``."""
+        oi = self.out_idx[(node, ivc.out_port)]
+        cs = int(self.out_base[oi]) + ivc.out_vc
+        self.route_oi[slot] = oi
+        self.route_cs[slot] = cs
+        db = int(self.dest_base[oi])
+        self.route_dest[slot] = self.S + oi if db < 0 else db + ivc.out_vc
+        return cs
+
+    def land(self, slot: int, vid: int) -> None:
+        """Queue flit ``vid`` to arrive in ``slot`` at the next tick.
+
+        The flit is written into the ring now and counted in ``qlen``
+        when the arrival applies.  Its position is stable until then:
+        pops keep ``headpos + qlen`` invariant, and one link feeds each
+        slot at most one flit per cycle, so no second landing is ever
+        pending on the same slot.
+        """
+        pos = slot * self.C + (
+            (int(self.headpos[slot]) + int(self.qlen[slot])) & self.cmask
+        )
+        self.ring[pos] = vid
+        self.p_slots.append(slot)
+        self.p_vids.append(vid)
+
 
 class VectorNetwork(Network):
     """The ``--engine vector`` network: SoA state, batched tick phases."""
@@ -419,11 +433,14 @@ class VectorNetwork(Network):
         self.armed_cycles = 0
         self.arms = 0
         self.disarms = 0
+        self.fallback_allocs = 0  # attempts decided by the golden Router
 
     # ------------------------------------------------------------------
-    # Structure changes (ports are only added through these two) drop
-    # the snapshot *before* the port exists, so a snapshot never has to
-    # describe ports it predates; the next tick re-arms if still busy.
+    # Structure changes drop the snapshot first, so a snapshot never has
+    # to describe structure it predates; the next tick re-arms if still
+    # busy.  Ports are only added through the two methods below, and the
+    # fault injector announces every fire/heal with soa_invalidate()
+    # before it touches in-flight flits.
     # ------------------------------------------------------------------
     def add_injection_port(self, node: int) -> int:
         self._disarm()
@@ -439,6 +456,8 @@ class VectorNetwork(Network):
             self._soa = None
             self.disarms += 1
 
+    soa_invalidate = _disarm  # the fault injector's hook (Network)
+
     # ------------------------------------------------------------------
     # Event scheduling overrides
     # ------------------------------------------------------------------
@@ -452,86 +471,21 @@ class VectorNetwork(Network):
         vid = soa.register(flit)
         slot = (node * soa.P + port) * soa.V + vc
         if cycle == self.cycle + 1:
-            # The landing position is stable until the arrival applies:
-            # pops keep headpos+qlen invariant, commits never target
-            # NI-fed slots, and one buffer feeds each slot at most one
-            # flit per cycle.
-            pos = slot * soa.C + (
-                (int(soa.headpos[slot]) + int(soa.qlen[slot])) & soa.cmask
-            )
-            soa.ring[pos] = vid
-            soa.p_slots.append(slot)
-            soa.p_vids.append(vid)
+            soa.land(slot, vid)
         else:
             soa.far.setdefault(cycle, []).append((slot, vid))
-
-    def reclaim_scheduled_flits(self, node: int, port: int) -> List[Flit]:
-        soa = self._soa
-        if soa is None:
-            return super().reclaim_scheduled_flits(node, port)
-        lo = (node * soa.P + port) * soa.V
-        hi = lo + soa.V
-        out: List[Flit] = []
-        keep_s: List[int] = []
-        keep_v: List[int] = []
-        for s, v in zip(soa.p_slots, soa.p_vids):
-            if lo <= s < hi:
-                out.append(soa.f_objs[v])
-            else:
-                keep_s.append(s)
-                keep_v.append(v)
-        soa.p_slots = keep_s
-        soa.p_vids = keep_v
-        if soa.far:
-            for cycle in sorted(soa.far):
-                events = soa.far[cycle]
-                kept = [(s, v) for s, v in events if not lo <= s < hi]
-                if len(kept) == len(events):
-                    continue
-                out.extend(
-                    soa.f_objs[v] for s, v in events if lo <= s < hi
-                )
-                if kept:
-                    soa.far[cycle] = kept
-                else:
-                    del soa.far[cycle]
-        return out
 
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    def pop_delivered(self, node: int, port: Optional[int] = None) -> Optional[Packet]:
-        if not self._delivered.get(node):
-            return None  # the common case costs one call in either state
+    def _return_eject_credits(self, eject_port, flits: int) -> None:
         soa = self._soa
         if soa is None:
-            return super().pop_delivered(node, port)
-        rotate = False
-        start = 0
-        if port is not None:
-            ports = [port]
-        else:
-            ports = self.routers[node].eject_ports
-            if len(ports) > 1:
-                rotate = True
-                start = self._pop_rr.get(node, 0)
-                ports = ports[start:] + ports[:start]
-        for k, p in enumerate(ports):
-            queue = self.receive_queues.get((node, p))
-            if queue:
-                packet, eject_port = queue.popleft()
-                oi = soa.id2oi.get(id(eject_port))
-                if oi is None:
-                    eject_port.credits[0] += packet.size
-                else:
-                    soa.credits_all[int(soa.out_base[oi])] += packet.size
-                    soa.epoch[soa.out_node[oi]] = self.cycle + 1
-                self._delivered[node] -= 1
-                self._delivered_total -= 1
-                if rotate:
-                    self._pop_rr[node] = (start + k + 1) % len(ports)
-                return packet
-        return None
+            super()._return_eject_credits(eject_port, flits)
+            return
+        oi = soa.id2oi[id(eject_port)]
+        soa.credits_all[int(soa.out_base[oi])] += flits
+        soa.epoch[soa.out_node[oi]] = self.cycle + 1
 
     # ------------------------------------------------------------------
     # Simulation
@@ -572,13 +526,7 @@ class VectorNetwork(Network):
             events = soa.far.pop(cycle, None)
             if events:
                 for slot, vid in events:
-                    pos = slot * soa.C + (
-                        (int(soa.headpos[slot]) + int(soa.qlen[slot]))
-                        & soa.cmask
-                    )
-                    soa.ring[pos] = vid
-                    soa.p_slots.append(slot)
-                    soa.p_vids.append(vid)
+                    soa.land(slot, vid)
         if soa.p_slots:
             slots = np.array(soa.p_slots, dtype=np.int64)
             vids = np.array(soa.p_vids, dtype=np.int64)
@@ -852,9 +800,10 @@ class VectorNetwork(Network):
         Mutates the SoA route/owner state and marks fresh allocations as
         ready (a new allocation always has a credit, so it requests
         immediately, exactly like the object scan).  Returns the sorted
-        port indices that need the Python scan instead: any attempt once
-        faults have fired or under VC monopolisation, filtered or
-        multi-port ejection, and classes with more than two VCs.
+        port indices left to :meth:`_scan_port` and the golden Router
+        instead: any attempt once faults have fired or under VC
+        monopolisation, filtered or multi-port ejection, and classes
+        with more than two VCs.
 
         Routers with several attempting heads are handled in rounds —
         the object scan processes them sequentially (port order, VC
@@ -892,7 +841,7 @@ class VectorNetwork(Network):
         rare = soa.cls_rare[cls].astype(bool)
         rare |= eject & soa.ej_rare[nodes].astype(bool)
         if rare.any():
-            # A rare attempt sends the whole router to the Python scan:
+            # A rare attempt sends the whole router to the port scan:
             # its claims interleave with any batched attempts there.
             bad = np.zeros(N, dtype=bool)
             bad[nodes[rare]] = True
@@ -911,8 +860,8 @@ class VectorNetwork(Network):
         else:
             py_ports = []
         if len(att) <= 4:
-            # A tiny batch is cheaper in the exact-replica Python scan
-            # than through the fixed cost of a vector round.
+            # A tiny batch is cheaper through the port scan than
+            # through the fixed cost of a vector round.
             return sorted(set(py_ports) | set((att // V).tolist()))
         if len(att) > 1:
             # Object scan order within a router: ports ascending, VC
@@ -943,7 +892,7 @@ class VectorNetwork(Network):
             if not nk:
                 return py_ports
             if nk <= 8:
-                # Short tail: hand the leftover ports to the Python
+                # Short tail: hand the leftover ports to the port
                 # scan.  It replays each port's whole rotation — already
                 # routed slots just become the port's request, already
                 # failed attempts fail identically (claims are router-
@@ -1071,8 +1020,8 @@ class VectorNetwork(Network):
         return valid, commit
 
     # ------------------------------------------------------------------
-    # Python replica of the object router's per-port scan (ports that
-    # must attempt a route/VC allocation this cycle)
+    # Per-port scan for the ports _attempt left out of the batch; its
+    # allocation attempts are decided by the golden Router itself
     # ------------------------------------------------------------------
     def _scan_port(
         self, soa: _SoA, port_idx: int, cycle: int
@@ -1080,7 +1029,6 @@ class VectorNetwork(Network):
         V = soa.V
         node = port_idx // soa.P
         port_nr = port_idx % soa.P
-        router = self.routers[node]
         qlen = soa.qlen
         route_cs = soa.route_cs
         base = port_idx * V
@@ -1092,7 +1040,7 @@ class VectorNetwork(Network):
             cs = int(route_cs[slot])
             if cs < 0:
                 if epoch > soa.fail_epoch[slot]:
-                    self._alloc(soa, router, node, port_nr, vc, slot, cycle)
+                    self._alloc(soa, node, port_nr, vc, slot, cycle)
                     cs = int(route_cs[slot])
                 if cs < 0:
                     continue
@@ -1104,189 +1052,107 @@ class VectorNetwork(Network):
         return None
 
     def _alloc(
-        self,
-        soa: _SoA,
-        router: Router,
-        node: int,
-        port_nr: int,
-        vc: int,
-        slot: int,
+        self, soa: _SoA, node: int, port_nr: int, vc: int, slot: int,
         cycle: int,
     ) -> None:
+        """One route/VC allocation attempt, decided by the object model.
+
+        Materialises what the call reads of the router (earlier claims
+        of this cycle included — the arrays are canonical), lets
+        ``Router._route_and_allocate`` decide, and imports the decision;
+        a refusal mutates nothing and is memoised in ``fail_epoch``.
+        """
         vid = int(soa.ring[slot * soa.C + (int(soa.headpos[slot]) & soa.cmask)])
         flit = soa.f_objs[vid]
         if not flit.is_head:
             return  # body at head of an unrouted VC: no attempt, no memo
-        packet = flit.packet
-        owned = soa.owned
-        credits = soa.credits_all
-        if packet.dst == node:
-            ports = (
-                router.eject_filter(packet)
-                if router.eject_filter is not None
-                else router.eject_ports
-            )
-            for eject in ports:
-                oi = soa.out_idx[(node, eject)]
-                cs = int(soa.out_base[oi])
-                if not owned[cs] and credits[cs] > 0:
-                    # Note: the object model's _allocate_eject does not
-                    # count vc_allocs (only mesh allocations do).
-                    soa.owner_code[cs] = port_nr * soa.V + vc
-                    owned[cs] = 1
-                    soa.route_cs[slot] = cs
-                    soa.route_oi[slot] = oi
-                    soa.route_dest[slot] = soa.S + oi
-                    return
+        self.fallback_allocs += 1
+        router = self.routers[node]
+        ivc = router.inputs[port_nr][vc]
+        if router.monopolize:
+            # VC borrowing looks at the head of every input VC.
+            self._materialize_inputs(soa, router)
+        else:
+            # Otherwise the call reads only its own head flit.
+            ivc.queue.clear()
+            ivc.queue.append(flit)
+            ivc.out_port = None
+        self._materialize_outputs(soa, router)
+        router._route_and_allocate(port_nr, vc, ivc, flit)
+        if ivc.out_port is None:
             soa.fail_epoch[slot] = cycle
             return
-        src = (
-            packet.inject_router
-            if packet.inject_router is not None
-            else packet.src
-        )
-        candidates = routing.route_candidates(
-            self.grid, router.routing_algorithm, node, src, packet.dst
-        )
-        allowed = router.vc_classes[packet.vc_class]
-        borrowable = self._borrowable(soa, router, node, packet.vc_class, vc)
-        exclude = (
-            port_nr
-            if port_nr < routing.NUM_MESH_PORTS and self.faults_fired
-            else -1
-        )
-        best = self._scan_outputs(
-            soa, router, node, candidates, allowed, borrowable, packet,
-            exclude,
-        )
-        if best is None and self.faults_fired:
-            usable = any(
-                p in router.neighbors
-                and p not in router.failed_outputs
-                and p != exclude
-                for p in candidates
-                if p != routing.PORT_EJECT
-            )
-            if not usable:
-                minimal = routing.minimal_ports(self.grid, node, packet.dst)
-                primary = minimal[0]
-                order = list(minimal) + [
-                    routing.turn_right(primary),
-                    routing.turn_left(primary),
-                    routing.opposite(primary),
-                ]
-                tried = set()
-                for p in order:
-                    if p in tried:
-                        continue
-                    tried.add(p)
-                    best = self._scan_outputs(
-                        soa, router, node, (p,), allowed, borrowable,
-                        packet, exclude,
-                    )
-                    if best is not None:
-                        break
-        if best is None:
-            soa.fail_epoch[slot] = cycle
-            return
-        _, out_port, out_vc, oi = best
-        cs = int(soa.out_base[oi]) + out_vc
+        cs = soa.import_route(slot, node, ivc)
         soa.owner_code[cs] = port_nr * soa.V + vc
         soa.owned[cs] = 1
-        soa.route_cs[slot] = cs
-        soa.route_oi[slot] = oi
-        soa.route_dest[slot] = int(soa.dest_base[oi]) + out_vc
-        self.stats.vc_allocs += 1
-
-    def _scan_outputs(
-        self,
-        soa: _SoA,
-        router: Router,
-        node: int,
-        ports,
-        allowed,
-        borrowable,
-        packet: Packet,
-        exclude: int,
-    ) -> Optional[Tuple[int, int, int, int]]:
-        failed = router.failed_outputs
-        neighbors = router.neighbors
-        owned = soa.owned
-        credits = soa.credits_all
-        best: Optional[Tuple[int, int, int, int]] = None
-        for out_port in ports:
-            if out_port == routing.PORT_EJECT:
-                continue
-            if out_port == exclude:
-                continue
-            if out_port not in neighbors:
-                continue
-            if failed and out_port in failed:
-                continue
-            oi = soa.out_idx[(node, out_port)]
-            b = int(soa.out_base[oi])
-            free = [
-                v for v in allowed
-                if not owned[b + v] and credits[b + v] > 0
-            ]
-            if not free and borrowable:
-                cap = self.vc_capacity
-                if cap >= packet.size:
-                    free = [
-                        v for v in borrowable
-                        if not owned[b + v] and credits[b + v] == cap
-                    ]
-            if not free:
-                continue
-            out_vc = max(free, key=lambda v: credits[b + v])
-            total = sum(int(credits[b + v]) for v in allowed)
-            if best is None or total > best[0]:
-                best = (total, out_port, out_vc, oi)
-        return best
-
-    def _borrowable(
-        self, soa: _SoA, router: Router, node: int, vc_class: int,
-        current_vc: int,
-    ):
-        if not router.monopolize or vc_class not in router.monopoly_classes:
-            return ()
-        own = router.vc_classes[vc_class]
-        if current_vc not in own:
-            return ()
-        qlen = soa.qlen
-        ring = soa.ring
-        headpos = soa.headpos
-        C = soa.C
-        cmask = soa.cmask
-        V = soa.V
-        node_base = node * soa.P * V
-        foreign = []
-        for other in range(len(router.vc_classes)):
-            if other == vc_class:
-                continue
-            for ovc in router.vc_classes[other]:
-                for p in router.input_ports:
-                    slot = node_base + p * V + ovc
-                    if qlen[slot]:
-                        vid = int(
-                            ring[slot * C + (int(headpos[slot]) & cmask)]
-                        )
-                        if soa.f_objs[vid].packet.vc_class == other:
-                            return ()
-                foreign.append(ovc)
-        return tuple(foreign)
 
     # ------------------------------------------------------------------
-    # Inspection / fault hooks
+    # Inspection / materialisation
     # ------------------------------------------------------------------
     def sync_for_inspection(self) -> None:
         if self._soa is not None:
             self._materialize()
 
-    def soa_invalidate(self) -> None:
-        soa = self._soa
-        if soa is not None:
-            soa.epoch[:] = self.cycle + 1
+    def _materialize_inputs(self, soa: _SoA, router: Router) -> None:
+        """Per-router step of :meth:`_materialize`: input VCs and counts."""
+        node = router.node
+        V = soa.V
+        P = soa.P
+        C = soa.C
+        cmask = soa.cmask
+        qlen = soa.qlen
+        headpos = soa.headpos
+        ring = soa.ring
+        f_objs = soa.f_objs
+        f_buffered = soa.f_buffered
+        node_base = node * P * V
+        count = 0
+        for p in router.input_ports:
+            port_flits = 0
+            vcs = router.inputs[p]
+            for vc in range(V):
+                slot = node_base + p * V + vc
+                ivc = vcs[vc]
+                queue = ivc.queue
+                queue.clear()
+                length = int(qlen[slot])
+                if length:
+                    h = int(headpos[slot])
+                    for k in range(length):
+                        vid = int(ring[slot * C + ((h + k) & cmask)])
+                        flit = f_objs[vid]
+                        flit.buffered_at = int(f_buffered[vid])
+                        queue.append(flit)
+                    port_flits += length
+                cs = int(soa.route_cs[slot])
+                if cs >= 0:
+                    oi = int(soa.route_oi[slot])
+                    ivc.out_port = soa.out_port_nr[oi]
+                    ivc.out_vc = cs - int(soa.out_base[oi])
+                else:
+                    ivc.out_port = None
+                    ivc.out_vc = None
+            router.port_flits[p] = port_flits
+            count += port_flits
+            router.rr_in[p] = int(soa.rr_in[node * P + p])
+        router.flit_count = count
+        router.peak_flits = int(soa.peak[node])
+
+    def _materialize_outputs(self, soa: _SoA, router: Router) -> None:
+        """Per-router step of :meth:`_materialize`: credits and owners."""
+        node = router.node
+        V = soa.V
+        for port, out in router.outputs.items():
+            oi = soa.out_idx[(node, port)]
+            b = int(soa.out_base[oi])
+            for v in range(out.num_vcs):
+                out.credits[v] = int(soa.credits_all[b + v])
+                if soa.owned[b + v]:
+                    code = int(soa.owner_code[b + v])
+                    out.owner[v] = (code // V, code % V)
+                else:
+                    out.owner[v] = None
+            out.rr = int(soa.out_rr[oi])
 
     def _materialize(self) -> None:
         """Write SoA state back onto the Router/OutputPort objects.
@@ -1299,57 +1165,10 @@ class VectorNetwork(Network):
         soa = self._soa
         V = soa.V
         P = soa.P
-        C = soa.C
-        cmask = soa.cmask
-        qlen = soa.qlen
-        headpos = soa.headpos
-        ring = soa.ring
         f_objs = soa.f_objs
-        f_buffered = soa.f_buffered
-        for node, router in enumerate(self.routers):
-            node_base = node * P * V
-            count = 0
-            for p in router.input_ports:
-                port_flits = 0
-                vcs = router.inputs[p]
-                for vc in range(V):
-                    slot = node_base + p * V + vc
-                    ivc = vcs[vc]
-                    queue = ivc.queue
-                    queue.clear()
-                    length = int(qlen[slot])
-                    if length:
-                        h = int(headpos[slot])
-                        for k in range(length):
-                            vid = int(ring[slot * C + ((h + k) & cmask)])
-                            flit = f_objs[vid]
-                            flit.buffered_at = int(f_buffered[vid])
-                            queue.append(flit)
-                        port_flits += length
-                    cs = int(soa.route_cs[slot])
-                    if cs >= 0:
-                        oi = int(soa.route_oi[slot])
-                        ivc.out_port = soa.out_port_nr[oi]
-                        ivc.out_vc = cs - int(soa.out_base[oi])
-                    else:
-                        ivc.out_port = None
-                        ivc.out_vc = None
-                router.port_flits[p] = port_flits
-                count += port_flits
-                router.rr_in[p] = int(soa.rr_in[node * P + p])
-            router.flit_count = count
-            router.peak_flits = int(soa.peak[node])
-        for oi in range(soa.num_out):
-            out = soa.out_obj[oi]
-            b = int(soa.out_base[oi])
-            for v in range(out.num_vcs):
-                out.credits[v] = int(soa.credits_all[b + v])
-                if soa.owned[b + v]:
-                    code = int(soa.owner_code[b + v])
-                    out.owner[v] = (code // V, code % V)
-                else:
-                    out.owner[v] = None
-            out.rr = int(soa.out_rr[oi])
+        for router in self.routers:
+            self._materialize_inputs(soa, router)
+            self._materialize_outputs(soa, router)
         arrivals: List[Tuple[int, int, int, Flit]] = []
         for s, v in zip(soa.p_slots, soa.p_vids):
             arrivals.append(
@@ -1370,56 +1189,19 @@ class VectorNetwork(Network):
             self.active = {r.node for r in self.routers if r.flit_count}
 
     # ------------------------------------------------------------------
-    # Telemetry (SoA-backed probes; values identical to the object ones)
+    # Telemetry reads (SoA-backed; values identical to the object ones)
     # ------------------------------------------------------------------
-    def register_telemetry(self, registry: "object", prefix: str) -> None:
-        stats = self.stats
+    def _active_nodes(self):
+        soa = self._soa
+        if soa is None:
+            return super()._active_nodes()
+        return np.flatnonzero(soa.qlen.reshape(soa.N, -1).sum(axis=1)).tolist()
 
-        def active_nodes():
-            soa = self._soa
-            if soa is None:
-                return [r.node for r in self.routers if r.flit_count]
-            counts = soa.qlen.reshape(soa.N, -1).sum(axis=1)
-            return np.flatnonzero(counts).tolist()
-
-        def peak_router_flits():
-            soa = self._soa
-            if soa is None:
-                return max((r.peak_flits for r in self.routers), default=0)
-            return int(soa.peak.max())
-
-        registry.register_series(f"{prefix}.in_flight", self.in_flight)
-        registry.register_series(
-            f"{prefix}.flits_injected", lambda: stats.flits_injected
-        )
-        registry.register_series(
-            f"{prefix}.flits_ejected", lambda: stats.flits_ejected
-        )
-        registry.register_series(
-            f"{prefix}.ni_backlog",
-            lambda: sum(ni.backlog() for ni in self.nis),
-        )
-        registry.register_series(
-            f"{prefix}.ni_buffer_flits",
-            lambda: sum(ni.buffer_occupancy() for ni in self.nis),
-        )
-        registry.register_series(
-            f"{prefix}.active_routers", lambda: len(active_nodes())
-        )
-        registry.register_residency(
-            f"{prefix}.router_active", self.grid.size, active_nodes
-        )
-        from .stats import NetworkStats
-
-        for name in NetworkStats.TELEMETRY_COUNTERS:
-            registry.register_final(
-                f"{prefix}.{name}", lambda name=name: getattr(stats, name)
-            )
-        registry.register_final(
-            f"{prefix}.peak_router_flits", peak_router_flits
-        )
-        for ni in self.nis:
-            ni.register_telemetry(registry, prefix)
+    def _peak_router_flits(self) -> int:
+        soa = self._soa
+        if soa is None:
+            return super()._peak_router_flits()
+        return int(soa.peak.max())
 
     # ------------------------------------------------------------------
     # Quiescence / introspection

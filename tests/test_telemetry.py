@@ -401,7 +401,8 @@ class TestBenchGate:
             "low_load_vector": {
                 "checksum": "aaa", "cycles_per_s": 7000.0,
                 "cycles": 3014, "seconds": 0.43,
-                "arming": {"armed_cycles": 0, "arms": 0, "disarms": 0},
+                "arming": {"armed_cycles": 0, "arms": 0, "disarms": 0,
+                           "fallback_allocs": 0, "vc_allocs": 5120},
             },
         }
         assert engine_violations(rows) == []
@@ -409,6 +410,7 @@ class TestBenchGate:
         rows["low_load_vector"]["cycles_per_s"] = 2700.0
         rows["low_load_vector"]["arming"] = {
             "armed_cycles": 3014, "arms": 1, "disarms": 0,
+            "fallback_allocs": 4800, "vc_allocs": 5120,
         }
         violations = engine_violations(rows)
         assert len(violations) == 1
@@ -416,12 +418,44 @@ class TestBenchGate:
             "low_load: vector engine ratio 0.34x is below the 0.8x floor "
             "(2700 vs 8000 cycles/s)"
         )
-        # ...and the message says why: it never left the SoA.
-        assert "armed 3014/3014 cycles (1 arms, 0 disarms)" in violations[0]
+        # ...and the message says why: it never left the SoA, where
+        # so few heads attempt per cycle that the fallback took them all.
+        assert (
+            "armed 3014/3014 cycles (1 arms, 0 disarms), "
+            "fallback 4800/5120 allocs"
+        ) in violations[0]
         assert engine_violations(rows, min_low_load_ratio=0.3) == []
         table = format_bench({"scenarios": rows})
         assert "armed 3014/3014 cycles (1 arms, 0 disarms)" in table
         assert "vector/object ratio on low_load: 0.34x (floor 0.8x)" in table
+
+    def test_fallback_share_ceiling(self):
+        from repro.harness.bench import engine_violations
+
+        def rows(fallback_allocs):
+            return {
+                "synthetic": {"checksum": "aaa", "cycles_per_s": 100.0},
+                "synthetic_vector": {
+                    "checksum": "aaa", "cycles_per_s": 400.0, "cycles": 2700,
+                    "arming": {
+                        "armed_cycles": 2657, "arms": 1, "disarms": 1,
+                        "fallback_allocs": fallback_allocs,
+                        "vc_allocs": 100_000,
+                    },
+                },
+            }
+
+        assert engine_violations(rows(5_000)) == []  # exactly at 5 %
+        violations = engine_violations(rows(5_001))
+        assert len(violations) == 1
+        assert violations[0].startswith(
+            "synthetic_vector: 5001 of 100000 allocations took the "
+            "golden-model fallback, above the 5% ceiling"
+        )
+        assert engine_violations(rows(5_001), max_fallback_share=0.06) == []
+        # Counts, not timings: the quiet pair is not held to it.
+        quiet = {"low_load_vector": rows(90_000)["synthetic_vector"]}
+        assert engine_violations(quiet) == []
 
     def test_checksum_divergence_helper(self):
         rows = {"dense": {"checksum": "a"}, "active": {"checksum": "a"}}

@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import __version__
+from . import __version__, settings
 from .core.equinox import design_equinox
 from .core.mcts import SearchConfig
 from .core.serialize import load_design, save_design
@@ -111,13 +111,15 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The run's config: flags first, then the environment, resolved
+    once here so everything keyed on it describes the actual run."""
     faults = ()
     spec = getattr(args, "faults", None)
     if spec:
         from .noc.faults import parse_faults_arg
 
         faults = parse_faults_arg(spec)
-    return ExperimentConfig(
+    return settings.resolve(ExperimentConfig(
         width=args.width,
         num_cbs=args.cbs,
         quota=args.quota,
@@ -129,7 +131,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         scheduler=getattr(args, "scheduler", ""),
         engine=getattr(args, "engine", ""),
         telemetry=getattr(args, "telemetry", 0),
-    )
+    ))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -170,7 +172,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         store = resolve_store(args.store)
     schemes = args.schemes or SCHEME_ORDER
     benchmarks = args.benchmarks or workload_tier(args.tier or "smoke")
-    results = run_suite(schemes, benchmarks, _experiment_config(args),
+    config = _experiment_config(args)
+    results = run_suite(schemes, benchmarks, config,
                         progress=True, jobs=args.jobs,
                         cell_timeout=args.cell_timeout,
                         retries=args.retries,
@@ -195,7 +198,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from .harness.experiment import config_digest
         from .telemetry import sweep_filename, sweep_records, write_jsonl
 
-        digest = config_digest(_experiment_config(args))
+        digest = config_digest(config)
         path = Path(args.telemetry_out) / sweep_filename(digest)
         write_jsonl(
             path, sweep_records(cell_records, __version__, digest)
@@ -326,13 +329,18 @@ def _cmd_sweepd_worker(args: argparse.Namespace) -> int:
 
     bus = open_submitted_bus(args.bus)
     store = resolve_store(args.store)
+    cell_timeout = args.cell_timeout
+    if cell_timeout is None:
+        cell_timeout = settings.from_env("cell_timeout")
     options = WorkerOptions(
         lease_s=args.lease,
         heartbeat_s=args.heartbeat,
-        cell_timeout=args.cell_timeout or 0.0,
+        cell_timeout=cell_timeout,
         drain=not args.oneshot,
         max_cells=args.max_cells,
-        chaos_kill_after=args.chaos_kill_after,
+        chaos_kill_after=(
+            args.chaos_kill_after or settings.from_env("chaos_kill_after")
+        ),
     )
     stats = worker_loop(
         bus, store=store, worker_id=args.name, options=options,

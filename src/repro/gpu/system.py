@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..mem.hbm import HbmTiming
-from ..noc.diagnostics import Validator, stall_dump, watchdog_cycles_from_env
+from ..noc.diagnostics import Validator, stall_dump
 from ..schemes.base import Fabric
 from ..workloads.profiles import WorkloadProfile
 from .cachebank import CacheBank
@@ -56,8 +56,7 @@ class SystemConfig:
     # Conservation-audit interval in base cycles (0 = off).  Audits are
     # read-only; enabling them must not change simulated behaviour.
     validate_interval: int = 0
-    # Stall-watchdog window in base cycles (None = REPRO_WATCHDOG_CYCLES
-    # env override, else the WATCHDOG_CYCLES default).
+    # Stall-watchdog window in base cycles (None = WATCHDOG_CYCLES).
     watchdog_cycles: Optional[int] = None
     # Optional FaultInjector (noc.faults), already bound to the fabric;
     # its on_cycle hook fires due fail/heal events at base-cycle
@@ -235,9 +234,7 @@ class System:
         banks = list(self.banks.values())
         tid = 0
         last_progress_seen = 0
-        watchdog_window = cfg.watchdog_cycles or watchdog_cycles_from_env(
-            WATCHDOG_CYCLES
-        )
+        watchdog_window = cfg.watchdog_cycles or WATCHDOG_CYCLES
         networks = [net for net, _ratio, _role in self.fabric.networks]
         validator: Optional[Validator] = None
         if cfg.validate_interval > 0:

@@ -1,15 +1,20 @@
 """Broker-agnostic work-queue bus: leases, retries, dead letters.
 
 The distributed sweep service moves cells through a small message-bus
-contract instead of handing them to a process pool directly.  Two
-backends implement the same interface:
+contract instead of handing them to a process pool directly.  One
+implementation, two paths: :class:`SqliteBus` is the lease state
+machine, written once in SQL, each operation its own short ``BEGIN
+IMMEDIATE`` transaction so workers can crash at any instruction
+without corrupting the queue.
 
-* :class:`MemoryBus` — a dict behind a lock, for in-process fleets and
-  the serial sweep path (and for tests, which inject a manual clock);
-* :class:`SqliteBus` — one SQLite file shared by any number of worker
-  *processes* on a host (or a shared filesystem), each operation its
-  own short ``BEGIN IMMEDIATE`` transaction, so workers can crash at
-  any instruction without corrupting the queue.
+* ``SqliteBus(path)`` — one SQLite file shared by any number of worker
+  *processes* on a host (or a shared filesystem);
+* :class:`MemoryBus` — the same class on a private ``":memory:"``
+  database, for in-process fleets and the serial sweep path (and for
+  tests, which inject a manual clock).  An in-process
+  put + lease + ack costs ~106 us this way (the dict it replaced took
+  ~36 us; the file bus is fsync-bound at ~4 ms), about 2 ms on a
+  27-cell serial sweep.
 
 Lifecycle of a task::
 
@@ -21,7 +26,7 @@ Lifecycle of a task::
 Failure semantics are split in two, because the two failure modes must
 not share a budget:
 
-* an explicit :meth:`~MemoryBus.nack` means *the cell itself failed*
+* an explicit :meth:`~SqliteBus.nack` means *the cell itself failed*
   (the simulation raised); it increments ``failures`` and the next
   delivery runs under the deterministic retry seed for that attempt.
   After ``retries`` failures the task is dead-lettered with its
@@ -33,7 +38,7 @@ not share a budget:
   worker would have.  A ``redelivery_limit`` guard dead-letters tasks
   that crash every worker that touches them (``crash-loop``).
 
-Live workers renew their lease with :meth:`~MemoryBus.heartbeat`; a
+Live workers renew their lease with :meth:`~SqliteBus.heartbeat`; a
 wedged-but-alive cell is therefore bounded by the per-attempt
 wall-clock timeout inside the worker, not by lease expiry.  Duplicate
 delivery (an expired lease re-leased while the original worker limps
@@ -42,9 +47,8 @@ nack, stale completions are reported as such and dropped — harmless,
 because both deliveries compute the same bytes.
 
 Results ride the bus: ``ack`` attaches the plain-JSON result record,
-and every backend JSON-round-trips it so in-memory and cross-process
-fleets observe byte-identical payloads (floats survive ``json``
-exactly).
+stored as JSON text, so in-memory and cross-process fleets observe
+byte-identical payloads (floats survive ``json`` exactly).
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ import sqlite3
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 # Task states.
 PENDING = "pending"
@@ -120,321 +125,11 @@ def _new_token() -> str:
     return uuid.uuid4().hex
 
 
-def _roundtrip(data: Optional[Dict[str, object]]) -> Optional[Dict[str, object]]:
-    """JSON round trip, so both backends hand out identical payloads."""
-    if data is None:
-        return None
-    return json.loads(json.dumps(data))
-
-
-@dataclass
-class _Task:
-    seq: int
-    task_id: str
-    payload: Dict[str, object]
-    state: str = PENDING
-    failures: int = 0
-    deliveries: int = 0
-    not_before: float = 0.0
-    token: Optional[str] = None
-    worker: Optional[str] = None
-    worker_pid: Optional[int] = None
-    deadline: Optional[float] = None
-    result: Optional[Dict[str, object]] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    stall_dump: Optional[str] = None
-    timed_out: bool = False
-    seed_used: Optional[int] = None
-    duration_s: float = 0.0
-    dead_reason: Optional[str] = None
-
-    def record(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "task_id": self.task_id,
-            "payload": _roundtrip(self.payload),
-            "state": self.state,
-            "failures": self.failures,
-            "deliveries": self.deliveries,
-            "worker": self.worker,
-            "worker_pid": self.worker_pid,
-            "result": _roundtrip(self.result),
-            "error": self.error,
-            "error_type": self.error_type,
-            "stall_dump": self.stall_dump,
-            "timed_out": self.timed_out,
-            "seed_used": self.seed_used,
-            "duration_s": self.duration_s,
-            "dead_reason": self.dead_reason,
-        }
-
-
 def _crash_loop_error(task_deliveries: int) -> str:
     return (
         f"lease expired on all {task_deliveries} deliveries; the task "
         "is presumed to crash or wedge every worker that leases it"
     )
-
-
-class MemoryBus:
-    """In-process reference backend (thread-safe, injectable clock)."""
-
-    def __init__(
-        self,
-        policy: Optional[BusPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.policy = policy or BusPolicy()
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._tasks: Dict[str, _Task] = {}
-        self._order: List[str] = []
-        self._meta: Dict[str, str] = {}
-
-    # -- producer ------------------------------------------------------
-    def put(self, task_id: str, payload: Dict[str, object]) -> bool:
-        """Enqueue a task; a duplicate ``task_id`` is a no-op (False)."""
-        with self._lock:
-            if task_id in self._tasks:
-                return False
-            self._tasks[task_id] = _Task(
-                seq=len(self._order), task_id=task_id,
-                payload=_roundtrip(payload),
-            )
-            self._order.append(task_id)
-            return True
-
-    # -- worker --------------------------------------------------------
-    def lease(
-        self,
-        worker: str,
-        lease_s: float,
-        worker_pid: Optional[int] = None,
-    ) -> Optional[Lease]:
-        """Deliver the next due task, bounded by ``lease_s`` seconds.
-
-        Expires stale leases first, so a single polling worker is
-        enough to recover a dead fleet's in-flight work.
-        """
-        now = self._clock()
-        with self._lock:
-            self._expire_locked(now)
-            for task_id in self._order:
-                task = self._tasks[task_id]
-                if task.state != PENDING or task.not_before > now:
-                    continue
-                if task.deliveries >= self.policy.max_deliveries:
-                    self._dead_letter_locked(
-                        task, REASON_CRASH_LOOP,
-                        error=_crash_loop_error(task.deliveries),
-                    )
-                    continue
-                task.state = LEASED
-                task.deliveries += 1
-                task.token = _new_token()
-                task.worker = worker
-                task.worker_pid = worker_pid
-                task.deadline = now + lease_s
-                return Lease(
-                    task_id=task.task_id,
-                    payload=_roundtrip(task.payload),
-                    token=task.token,
-                    failures=task.failures,
-                    deliveries=task.deliveries,
-                    deadline=task.deadline,
-                )
-        return None
-
-    def heartbeat(self, token: str, lease_s: float) -> bool:
-        """Renew a live lease; False means it already expired (stale)."""
-        now = self._clock()
-        with self._lock:
-            task = self._by_token(token)
-            if task is None:
-                return False
-            task.deadline = now + lease_s
-            return True
-
-    def ack(
-        self,
-        token: str,
-        result: Dict[str, object],
-        seed_used: Optional[int] = None,
-        duration_s: float = 0.0,
-    ) -> bool:
-        """Complete a leased task with its result; False if stale."""
-        with self._lock:
-            task = self._by_token(token)
-            if task is None:
-                return False
-            task.state = DONE
-            task.token = None
-            task.deadline = None
-            task.result = _roundtrip(result)
-            task.seed_used = seed_used
-            task.duration_s += duration_s
-            task.error = None
-            task.error_type = None
-            task.stall_dump = None
-            task.timed_out = False
-            return True
-
-    def nack(
-        self,
-        token: str,
-        error: str,
-        error_type: Optional[str] = None,
-        stall_dump: Optional[str] = None,
-        timed_out: bool = False,
-        seed_used: Optional[int] = None,
-        duration_s: float = 0.0,
-    ) -> str:
-        """Record a cell failure; returns retry/dead/stale."""
-        now = self._clock()
-        with self._lock:
-            task = self._by_token(token)
-            if task is None:
-                return NACK_STALE
-            task.failures += 1
-            task.token = None
-            task.deadline = None
-            task.error = error
-            task.error_type = error_type
-            task.stall_dump = stall_dump
-            task.timed_out = timed_out
-            task.seed_used = seed_used
-            task.duration_s += duration_s
-            if task.failures > self.policy.retries:
-                self._dead_letter_locked(task, REASON_RETRIES)
-                return NACK_DEAD
-            task.state = PENDING
-            task.not_before = now + self.policy.backoff_for(task.failures)
-            return NACK_RETRY
-
-    # -- supervision ---------------------------------------------------
-    def expire(self, now: Optional[float] = None) -> List[str]:
-        """Return expired leases to the queue; list the affected tasks."""
-        now = self._clock() if now is None else now
-        with self._lock:
-            return self._expire_locked(now)
-
-    def counts(self) -> Dict[str, int]:
-        with self._lock:
-            counts = {state: 0 for state in STATES}
-            for task in self._tasks.values():
-                counts[task.state] += 1
-            return counts
-
-    def all_terminal(self) -> bool:
-        counts = self.counts()
-        return counts[PENDING] == 0 and counts[LEASED] == 0
-
-    def next_due(self) -> Optional[float]:
-        """Earliest ``not_before`` among pending tasks (backoff waits)."""
-        with self._lock:
-            due = [
-                t.not_before for t in self._tasks.values()
-                if t.state == PENDING
-            ]
-            return min(due) if due else None
-
-    def records(
-        self, states: Optional[Sequence[str]] = None
-    ) -> List[Dict[str, object]]:
-        """Full task records in enqueue order (optionally filtered)."""
-        with self._lock:
-            wanted = set(states) if states is not None else None
-            return [
-                self._tasks[task_id].record()
-                for task_id in self._order
-                if wanted is None or self._tasks[task_id].state in wanted
-            ]
-
-    def record(self, task_id: str) -> Optional[Dict[str, object]]:
-        with self._lock:
-            task = self._tasks.get(task_id)
-            return task.record() if task is not None else None
-
-    def dead_letters(self) -> List[Dict[str, object]]:
-        return self.records([DEAD])
-
-    def requeue(self, task_ids: Optional[Sequence[str]] = None) -> int:
-        """Return dead-lettered tasks to the queue with a fresh budget.
-
-        Counters reset so the replay starts at attempt 0 — the same
-        deterministic seed schedule as a fresh submit.
-        """
-        with self._lock:
-            moved = 0
-            for task_id in self._order:
-                task = self._tasks[task_id]
-                if task.state != DEAD:
-                    continue
-                if task_ids is not None and task_id not in task_ids:
-                    continue
-                task.state = PENDING
-                task.failures = 0
-                task.deliveries = 0
-                task.not_before = 0.0
-                task.error = None
-                task.error_type = None
-                task.stall_dump = None
-                task.timed_out = False
-                task.dead_reason = None
-                task.duration_s = 0.0
-                moved += 1
-            return moved
-
-    # -- metadata ------------------------------------------------------
-    def set_meta(self, key: str, value: Dict[str, object]) -> None:
-        with self._lock:
-            self._meta[key] = json.dumps(value, sort_keys=True)
-
-    def get_meta(self, key: str) -> Optional[Dict[str, object]]:
-        with self._lock:
-            raw = self._meta.get(key)
-            return json.loads(raw) if raw is not None else None
-
-    # -- internals -----------------------------------------------------
-    def _by_token(self, token: str) -> Optional[_Task]:
-        if not token:
-            return None
-        for task in self._tasks.values():
-            if task.state == LEASED and task.token == token:
-                return task
-        return None
-
-    def _expire_locked(self, now: float) -> List[str]:
-        # ``now`` may be a sentinel far in the future (force-expiry of
-        # a confirmed-dead fleet); release the work immediately rather
-        # than pushing not_before out with it.
-        release = min(now, self._clock())
-        expired = []
-        for task_id in self._order:
-            task = self._tasks[task_id]
-            if (
-                task.state == LEASED
-                and task.deadline is not None
-                and task.deadline < now
-            ):
-                task.state = PENDING
-                task.token = None
-                task.deadline = None
-                task.not_before = release
-                expired.append(task_id)
-        return expired
-
-    def _dead_letter_locked(
-        self, task: _Task, reason: str, error: Optional[str] = None
-    ) -> None:
-        task.state = DEAD
-        task.token = None
-        task.deadline = None
-        task.dead_reason = reason
-        if error is not None:
-            task.error = error
-            task.error_type = task.error_type or "LeaseExpired"
 
 
 _SCHEMA = """
@@ -468,13 +163,15 @@ CREATE TABLE IF NOT EXISTS meta (
 
 
 class SqliteBus:
-    """Cross-process backend: one SQLite file, short transactions.
+    """The lease state machine: one SQLite database, short transactions.
 
-    Every operation opens its own connection and runs one ``BEGIN
-    IMMEDIATE`` transaction, so the bus tolerates workers dying at any
-    instruction (SQLite's journal rolls a torn transaction back) and
-    is safe to use from the heartbeat thread and the worker loop at
-    once.  Uses the wall clock (``time.time``), the only clock worker
+    The bus holds one connection and runs every operation as its own
+    ``BEGIN IMMEDIATE`` transaction under a lock (:meth:`_txn`), so it
+    tolerates workers dying at any instruction (SQLite's journal rolls
+    a torn transaction back) and is safe to use from the heartbeat
+    thread and the worker loop at once.  Fleet workers open the file
+    themselves; nothing uses a connection inherited across ``fork``.
+    Defaults to the wall clock (``time.time``), the only clock worker
     processes share.
     """
 
@@ -487,42 +184,49 @@ class SqliteBus:
         self.path = str(path)
         self.policy = policy or BusPolicy()
         self._clock = clock
-        with self._connect() as conn:
-            conn.executescript(_SCHEMA)
+        self._lock = threading.Lock()
+        # Autocommit mode: _txn issues BEGIN/COMMIT itself.  ``timeout``
+        # is how long an operation waits on another process's lock.
+        self._conn = sqlite3.connect(
+            self.path, timeout=30.0, isolation_level=None,
+            check_same_thread=False,
+        )
+        self._conn.row_factory = sqlite3.Row
+        self._conn.executescript(_SCHEMA)
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA busy_timeout = 30000")
-        return conn
+    @contextmanager
+    def _txn(self) -> Iterator[sqlite3.Connection]:
+        """One short write transaction on the held connection."""
+        with self._lock:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield self._conn
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+            self._conn.execute("COMMIT")
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()
 
     @staticmethod
     def _row_record(row: sqlite3.Row) -> Dict[str, object]:
-        return {
-            "seq": row["seq"],
-            "task_id": row["task_id"],
-            "payload": json.loads(row["payload"]),
-            "state": row["state"],
-            "failures": row["failures"],
-            "deliveries": row["deliveries"],
-            "worker": row["worker"],
-            "worker_pid": row["worker_pid"],
-            "result": (
-                json.loads(row["result"])
-                if row["result"] is not None else None
-            ),
-            "error": row["error"],
-            "error_type": row["error_type"],
-            "stall_dump": row["stall_dump"],
-            "timed_out": bool(row["timed_out"]),
-            "seed_used": row["seed_used"],
-            "duration_s": row["duration_s"],
-            "dead_reason": row["dead_reason"],
+        """A task row as plain data, minus the live-lease columns."""
+        record = {
+            key: row[key] for key in row.keys()
+            if key not in ("not_before", "token", "deadline")
         }
+        record["payload"] = json.loads(record["payload"])
+        if record["result"] is not None:
+            record["result"] = json.loads(record["result"])
+        record["timed_out"] = bool(record["timed_out"])
+        return record
 
     # -- producer ------------------------------------------------------
     def put(self, task_id: str, payload: Dict[str, object]) -> bool:
-        with self._connect() as conn:
+        """Enqueue a task; a duplicate ``task_id`` is a no-op (False)."""
+        with self._txn() as conn:
             cursor = conn.execute(
                 "INSERT OR IGNORE INTO tasks (task_id, payload) "
                 "VALUES (?, ?)",
@@ -537,11 +241,14 @@ class SqliteBus:
         lease_s: float,
         worker_pid: Optional[int] = None,
     ) -> Optional[Lease]:
+        """Deliver the next due task, bounded by ``lease_s`` seconds.
+
+        Expires stale leases first, so a single polling worker is
+        enough to recover a dead fleet's in-flight work.
+        """
         now = self._clock()
         worker_pid = os.getpid() if worker_pid is None else worker_pid
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
+        with self._txn() as conn:
             self._expire_in(conn, now)
             while True:
                 row = conn.execute(
@@ -550,7 +257,6 @@ class SqliteBus:
                     (PENDING, now),
                 ).fetchone()
                 if row is None:
-                    conn.commit()
                     return None
                 if row["deliveries"] >= self.policy.max_deliveries:
                     conn.execute(
@@ -574,7 +280,6 @@ class SqliteBus:
                     (LEASED, token, worker, worker_pid, deadline,
                      row["seq"]),
                 )
-                conn.commit()
                 return Lease(
                     task_id=row["task_id"],
                     payload=json.loads(row["payload"]),
@@ -583,12 +288,11 @@ class SqliteBus:
                     deliveries=row["deliveries"] + 1,
                     deadline=deadline,
                 )
-        finally:
-            conn.close()
 
     def heartbeat(self, token: str, lease_s: float) -> bool:
+        """Renew a live lease; False means it already expired (stale)."""
         now = self._clock()
-        with self._connect() as conn:
+        with self._txn() as conn:
             cursor = conn.execute(
                 "UPDATE tasks SET deadline = ? WHERE token = ? "
                 "AND state = ?",
@@ -603,7 +307,8 @@ class SqliteBus:
         seed_used: Optional[int] = None,
         duration_s: float = 0.0,
     ) -> bool:
-        with self._connect() as conn:
+        """Complete a leased task with its result; False if stale."""
+        with self._txn() as conn:
             cursor = conn.execute(
                 "UPDATE tasks SET state = ?, token = NULL, "
                 "deadline = NULL, result = ?, seed_used = ?, "
@@ -625,17 +330,15 @@ class SqliteBus:
         seed_used: Optional[int] = None,
         duration_s: float = 0.0,
     ) -> str:
+        """Record a cell failure; returns retry/dead/stale."""
         now = self._clock()
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
+        with self._txn() as conn:
             row = conn.execute(
                 "SELECT seq, failures FROM tasks WHERE token = ? "
                 "AND state = ?",
                 (token, LEASED),
             ).fetchone()
             if row is None:
-                conn.commit()
                 return NACK_STALE
             failures = row["failures"] + 1
             dead = failures > self.policy.retries
@@ -656,26 +359,19 @@ class SqliteBus:
                     row["seq"],
                 ),
             )
-            conn.commit()
             return NACK_DEAD if dead else NACK_RETRY
-        finally:
-            conn.close()
 
     # -- supervision ---------------------------------------------------
     def expire(self, now: Optional[float] = None) -> List[str]:
+        """Return expired leases to the queue; list the affected tasks."""
         now = self._clock() if now is None else now
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
-            expired = self._expire_in(conn, now)
-            conn.commit()
-            return expired
-        finally:
-            conn.close()
+        with self._txn() as conn:
+            return self._expire_in(conn, now)
 
     def _expire_in(self, conn: sqlite3.Connection, now: float) -> List[str]:
-        # As in MemoryBus: a sentinel ``now`` force-expires, but the
-        # released work becomes due immediately, not at the sentinel.
+        # ``now`` may be a sentinel far in the future (force-expiry of
+        # a confirmed-dead fleet); release the work immediately rather
+        # than pushing not_before out with it.
         release = min(now, self._clock())
         rows = conn.execute(
             "SELECT task_id FROM tasks WHERE state = ? AND "
@@ -692,7 +388,7 @@ class SqliteBus:
         return [row["task_id"] for row in rows]
 
     def counts(self) -> Dict[str, int]:
-        with self._connect() as conn:
+        with self._txn() as conn:
             counts = {state: 0 for state in STATES}
             for row in conn.execute(
                 "SELECT state, COUNT(*) AS n FROM tasks GROUP BY state"
@@ -705,33 +401,31 @@ class SqliteBus:
         return counts[PENDING] == 0 and counts[LEASED] == 0
 
     def next_due(self) -> Optional[float]:
-        with self._connect() as conn:
+        """Earliest ``not_before`` among pending tasks (backoff waits)."""
+        with self._txn() as conn:
             row = conn.execute(
                 "SELECT MIN(not_before) AS due FROM tasks "
                 "WHERE state = ?",
                 (PENDING,),
             ).fetchone()
-            return row["due"] if row and row["due"] is not None else None
+            return row["due"]
 
     def records(
         self, states: Optional[Sequence[str]] = None
     ) -> List[Dict[str, object]]:
-        with self._connect() as conn:
-            if states is None:
-                rows = conn.execute(
-                    "SELECT * FROM tasks ORDER BY seq"
-                ).fetchall()
-            else:
-                marks = ",".join("?" for _ in states)
-                rows = conn.execute(
-                    f"SELECT * FROM tasks WHERE state IN ({marks}) "
-                    "ORDER BY seq",
-                    tuple(states),
-                ).fetchall()
+        """Full task records in enqueue order (optionally filtered)."""
+        states = STATES if states is None else tuple(states)
+        marks = ",".join("?" for _ in states)
+        with self._txn() as conn:
+            rows = conn.execute(
+                f"SELECT * FROM tasks WHERE state IN ({marks}) "
+                "ORDER BY seq",
+                states,
+            ).fetchall()
             return [self._row_record(row) for row in rows]
 
     def record(self, task_id: str) -> Optional[Dict[str, object]]:
-        with self._connect() as conn:
+        with self._txn() as conn:
             row = conn.execute(
                 "SELECT * FROM tasks WHERE task_id = ?", (task_id,)
             ).fetchone()
@@ -741,40 +435,54 @@ class SqliteBus:
         return self.records([DEAD])
 
     def requeue(self, task_ids: Optional[Sequence[str]] = None) -> int:
-        conn = self._connect()
-        try:
-            conn.execute("BEGIN IMMEDIATE")
-            sql = (
-                "UPDATE tasks SET state = ?, failures = 0, "
-                "deliveries = 0, not_before = 0, error = NULL, "
-                "error_type = NULL, stall_dump = NULL, timed_out = 0, "
-                "dead_reason = NULL, duration_s = 0 WHERE state = ?"
-            )
-            params: List[object] = [PENDING, DEAD]
-            if task_ids is not None:
-                marks = ",".join("?" for _ in task_ids)
-                sql += f" AND task_id IN ({marks})"
-                params.extend(task_ids)
-            cursor = conn.execute(sql, tuple(params))
-            conn.commit()
-            return cursor.rowcount
-        finally:
-            conn.close()
+        """Return dead-lettered tasks to the queue with a fresh budget.
+
+        Counters reset so the replay starts at attempt 0 — the same
+        deterministic seed schedule as a fresh submit.
+        """
+        sql = (
+            "UPDATE tasks SET state = ?, failures = 0, "
+            "deliveries = 0, not_before = 0, error = NULL, "
+            "error_type = NULL, stall_dump = NULL, timed_out = 0, "
+            "dead_reason = NULL, duration_s = 0 WHERE state = ?"
+        )
+        params: List[object] = [PENDING, DEAD]
+        if task_ids is not None:
+            marks = ",".join("?" for _ in task_ids)
+            sql += f" AND task_id IN ({marks})"
+            params.extend(task_ids)
+        with self._txn() as conn:
+            return conn.execute(sql, params).rowcount
 
     # -- metadata ------------------------------------------------------
     def set_meta(self, key: str, value: Dict[str, object]) -> None:
-        with self._connect() as conn:
+        with self._txn() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                 (key, json.dumps(value, sort_keys=True)),
             )
 
     def get_meta(self, key: str) -> Optional[Dict[str, object]]:
-        with self._connect() as conn:
+        with self._txn() as conn:
             row = conn.execute(
                 "SELECT value FROM meta WHERE key = ?", (key,)
             ).fetchone()
             return json.loads(row["value"]) if row is not None else None
+
+
+class MemoryBus(SqliteBus):
+    """The same state machine on a private ``":memory:"`` database.
+
+    Lives and dies with the object, so it defaults to the monotonic
+    clock (tests inject a manual one).
+    """
+
+    def __init__(
+        self,
+        policy: Optional[BusPolicy] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        super().__init__(":memory:", policy=policy, clock=clock)
 
 
 def open_bus(

@@ -15,20 +15,17 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.grid import Grid
 from ..gpu.system import System, SystemConfig
-from ..noc.diagnostics import (
-    resolve_validate_interval,
-    validate_interval_from_env,
-)
-from ..noc.faults import FaultInjector, FaultPlan, FaultSpec, faults_from_env
+from ..noc.diagnostics import resolve_validate_interval
+from ..noc.faults import FaultInjector, FaultPlan, FaultSpec
 from ..noc.types import PacketType
 from ..power.area import fabric_area
 from ..power.energy import fabric_energy
 from ..schemes import get_config
 from ..schemes.base import BASE_FREQUENCY_GHZ, Fabric
+from ..settings import resolve
 from ..telemetry import (
     SCHEMA_VERSION as TELEMETRY_SCHEMA,
     TelemetryRegistry,
-    interval_from_env,
     resolve_interval,
 )
 from ..workloads import profiles
@@ -38,7 +35,13 @@ from .metrics import ExperimentResult, LatencyNs
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Harness-level knobs shared across a batch of runs."""
+    """Harness-level knobs shared across a batch of runs.
+
+    The last six fields may also come from the environment:
+    :func:`repro.settings.resolve` fills each one still at its default
+    here from its ``REPRO_*`` variable, at the harness entry points
+    and before the config is hashed or shipped.
+    """
 
     width: int = 8
     num_cbs: int = 8
@@ -49,34 +52,27 @@ class ExperimentConfig:
     mcts_iterations: int = 150
     max_cycles: int = 400000
     # Conservation-audit interval in base cycles: 0 = off, 1 = the
-    # default interval, N > 1 = every N cycles.  The REPRO_VALIDATE
-    # env var supplies a default when this is 0 (so CI can arm every
-    # worker of a sweep without threading a flag through).
+    # default interval, N > 1 = every N cycles.
     validate: int = 0
-    # Stall-watchdog window override (0 = REPRO_WATCHDOG_CYCLES env,
-    # else the model default).
+    # Stall-watchdog window override (0 = the model default).
     watchdog_cycles: int = 0
-    # Deterministic fault schedule (noc.faults.FaultSpec tuple).  Empty
-    # means the REPRO_FAULTS env var supplies a default plan (so CI can
-    # arm a whole sweep without threading a flag through); an armed but
-    # never-firing plan leaves results bit-identical.
+    # Deterministic fault schedule (noc.faults.FaultSpec tuple); an
+    # armed but never-firing plan leaves results bit-identical.
     faults: Tuple[FaultSpec, ...] = ()
     # Tick discipline: "active" (skip workless components, fast-forward
     # quiescent gaps) or "dense" (walk everything — the differential
-    # oracle).  Empty defers to REPRO_SCHEDULER, defaulting to active.
-    # Both produce bit-identical stats fingerprints.
+    # oracle).  Empty means active.  Both produce bit-identical stats
+    # fingerprints.
     scheduler: str = ""
     # Tick engine: "object" (per-object golden reference) or "vector"
-    # (struct-of-arrays batched tick, repro.noc.vector).  Empty defers
-    # to REPRO_ENGINE, defaulting to object.  Both produce bit-identical
-    # stats fingerprints (enforced by the engine-parity differential
-    # contract).
+    # (struct-of-arrays batched tick, repro.noc.vector).  Empty means
+    # object.  Both produce bit-identical stats fingerprints (enforced
+    # by the engine-parity differential contract).
     engine: str = ""
-    # Telemetry sampling interval in base cycles: 0 = off (the
-    # REPRO_TELEMETRY env var supplies a default, like REPRO_VALIDATE),
-    # 1 = the default interval, N > 1 = every N cycles.  Probes are
-    # read-only: enabling telemetry keeps stats_fingerprint
-    # bit-identical (differential-tested).
+    # Telemetry sampling interval in base cycles: 0 = off, 1 = the
+    # default interval, N > 1 = every N cycles.  Probes are read-only:
+    # enabling telemetry keeps stats_fingerprint bit-identical
+    # (differential-tested).
     telemetry: int = 0
 
 
@@ -127,6 +123,7 @@ def build_fabric(
     scheme_name: str, config: ExperimentConfig
 ) -> Fabric:
     """Instantiate a scheme's fabric at the configured size."""
+    config = resolve(config)
     scheme = get_config(scheme_name)
     grid = Grid(config.width)
     if scheme.equinox:
@@ -216,20 +213,18 @@ def run_with_fabric(
     scheme_name: Optional[str] = None,
 ) -> ExperimentResult:
     """Run a pre-built fabric (used by ablations with custom designs)."""
-    config = config or ExperimentConfig()
+    config = resolve(config or ExperimentConfig())
     profile = profiles.get(benchmark_name)
-    validate = config.validate or validate_interval_from_env()
-    fault_specs = tuple(config.faults) or faults_from_env()
     injector: Optional[FaultInjector] = None
-    if fault_specs:
+    if config.faults:
         if not fabric.supports_faults:
             raise ValueError(
                 f"scheme {scheme_name or fabric.config.name!r} does not "
                 f"support fault plans (topology "
                 f"{fabric.config.topology!r} has no detour routing)"
             )
-        injector = FaultInjector(fabric, FaultPlan(fault_specs))
-    t_interval = resolve_interval(config.telemetry) or interval_from_env()
+        injector = FaultInjector(fabric, FaultPlan(tuple(config.faults)))
+    t_interval = resolve_interval(config.telemetry)
     registry: Optional[TelemetryRegistry] = None
     if t_interval > 0:
         registry = TelemetryRegistry(interval=t_interval)
@@ -242,7 +237,7 @@ def run_with_fabric(
             cb_capacity=config.cb_capacity,
             seed=config.seed,
             max_cycles=config.max_cycles,
-            validate_interval=resolve_validate_interval(validate),
+            validate_interval=resolve_validate_interval(config.validate),
             watchdog_cycles=config.watchdog_cycles or None,
             fault_injector=injector,
             telemetry=registry,
@@ -299,7 +294,7 @@ def run_experiment(
     config: Optional[ExperimentConfig] = None,
 ) -> ExperimentResult:
     """Execute one scheme x benchmark run and reduce it to plain metrics."""
-    config = config or ExperimentConfig()
+    config = resolve(config or ExperimentConfig())
     fabric = build_fabric(scheme_name, config)
     return run_with_fabric(fabric, benchmark_name, config, scheme_name)
 

@@ -6,7 +6,9 @@ deterministic simulation, which makes the grid embarrassingly parallel:
 * :func:`expand_grid` turns a scheme x benchmark grid into an explicit
   list of :class:`SweepCell` jobs, each carrying its own fully-resolved
   :class:`~repro.harness.experiment.ExperimentConfig` (including its
-  seed), so a cell's outcome never depends on worker scheduling;
+  seed and whatever the submitter's ``REPRO_*`` environment set,
+  :func:`repro.settings.resolve`), so a cell's outcome never depends
+  on worker scheduling or on a worker's environment;
 * :func:`run_sweep` executes the cells as a thin client of the
   work-queue bus (:mod:`~repro.harness.bus`): serially the worker
   loop runs inline over an in-memory bus, for ``jobs>1`` independent
@@ -40,7 +42,6 @@ to what the dead worker would have produced.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import signal
 import tempfile
@@ -50,6 +51,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .. import settings
 from ..schemes import get_config
 from . import cache
 from .experiment import ExperimentConfig
@@ -58,9 +60,6 @@ from .experiment import ExperimentConfig
 # module, which makes ``runner.run_experiment`` the one seam tests patch.
 from .experiment import run_experiment  # noqa: F401
 from .metrics import ExperimentResult, format_table
-
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-RETRIES_ENV = "REPRO_RETRIES"
 
 
 class CellTimeout(RuntimeError):
@@ -207,7 +206,7 @@ def expand_grid(
     (decorrelated workloads); by default all cells share the base seed,
     matching the historical serial ``run_suite`` behaviour exactly.
     """
-    config = config or ExperimentConfig()
+    config = settings.resolve(config or ExperimentConfig())
     cells: List[SweepCell] = []
     for scheme in schemes:
         for benchmark in benchmarks:
@@ -319,38 +318,6 @@ def _report_progress(outcome: CellOutcome, done: int, total: int) -> None:
     )
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    # float() happily parses 'nan'/'inf': NaN defeats every <=/>=
-    # guard downstream (nan <= 0 is False, so it would reach
-    # setitimer), and infinities/negatives are never meaningful for
-    # these knobs.  Fail loudly instead of arming a broken timer.
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError(f"{name} must be finite, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {raw!r}")
-    return value
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {raw!r}")
-    return value
-
-
 # Lease bounds for the internal worker fleet: long enough that only a
 # dead worker's lease ever expires (live ones heartbeat well inside
 # it), short enough that crash recovery doesn't stall a sweep.
@@ -399,11 +366,15 @@ def run_sweep(
     from . import service
     from .bus import DEAD, DONE, BusPolicy, MemoryBus, SqliteBus
 
-    cells = list(cells)
+    # The submitter's environment is folded into each cell here, before
+    # anything is keyed or shipped; workers run the payload as given.
+    cells = [
+        replace(cell, config=settings.resolve(cell.config)) for cell in cells
+    ]
     if cell_timeout is None:
-        cell_timeout = _env_float(CELL_TIMEOUT_ENV, 0.0)
+        cell_timeout = settings.from_env("cell_timeout")
     if retries is None:
-        retries = _env_int(RETRIES_ENV, 0)
+        retries = settings.from_env("retries")
     retries = max(0, retries)
     jobs = max(1, jobs)
     store_root = getattr(store, "root", None)
@@ -508,6 +479,7 @@ def run_sweep(
                 for proc in procs:
                     if proc.is_alive():
                         proc.terminate()
+                bus.close()
     return SweepReport(
         outcomes=outcomes,
         wall_s=time.perf_counter() - start,

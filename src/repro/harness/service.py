@@ -35,6 +35,7 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import settings
 from . import store as store_mod
 from .bus import DONE, BusPolicy, Lease, SqliteBus
 from .experiment import (
@@ -48,11 +49,6 @@ from .metrics import ExperimentResult, result_from_dict, result_to_dict
 PAYLOAD_SCHEMA = 1
 MANIFEST_KEY = "manifest"
 POLICY_KEY = "policy"
-
-# Test-only chaos hook: a worker SIGKILLs itself right after taking
-# its N-th lease — mid-cell from the bus's point of view — so crash
-# recovery can be exercised deterministically (see docs/DISTRIBUTED.md).
-CHAOS_KILL_ENV = "REPRO_SWEEPD_CHAOS_KILL"
 
 DEFAULT_LEASE_S = 60.0
 DEFAULT_HEARTBEAT_S = 5.0
@@ -110,6 +106,9 @@ def submit(bus, cells: Sequence) -> List[str]:
 
     task_ids = []
     for index, cell in enumerate(cells):
+        # Shipping point: the submitter's environment goes into the
+        # payload (and the task id's digest), not the worker's.
+        cell = replace(cell, config=settings.resolve(cell.config))
         task_id = task_id_for(index, cell)
         bus.put(task_id, cell_payload(cell))
         task_ids.append(task_id)
@@ -156,7 +155,9 @@ class WorkerOptions:
     drain: bool = True
     # Stop after this many executed cells (0 = unlimited).
     max_cells: int = 0
-    # Test-only: SIGKILL self right after taking the N-th lease.
+    # Test-only chaos hook: SIGKILL self right after taking the N-th
+    # lease — mid-cell from the bus's point of view — so crash recovery
+    # can be exercised deterministically (see docs/DISTRIBUTED.md).
     chaos_kill_after: int = 0
 
 
@@ -217,6 +218,10 @@ def execute_lease(
     the info dict (traceback, exception type, stall dump, timeout
     flag).  KeyboardInterrupt/SystemExit propagate: a user abort must
     kill the worker, not be recorded as a cell failure.
+
+    The cell runs under its payload's config alone: the submitter
+    resolved the environment into it, so this worker's ``REPRO_*``
+    variables are scrubbed for the duration.
     """
     from . import runner
 
@@ -224,7 +229,7 @@ def execute_lease(
     config = attempt_config(cell, lease.failures)
     info: Dict[str, object] = {}
     try:
-        with runner._wall_clock_limit(cell_timeout):
+        with settings.hermetic_env(), runner._wall_clock_limit(cell_timeout):
             result = runner.run_experiment(
                 cell.scheme, cell.benchmark, config
             )
@@ -240,21 +245,6 @@ def execute_lease(
             "timed_out": isinstance(exc, runner.CellTimeout),
         }
         return None, info, cell, config.seed
-
-
-def _maybe_chaos_kill(leases_taken: int, options: WorkerOptions) -> None:
-    kill_after = options.chaos_kill_after
-    if not kill_after:
-        raw = os.environ.get(CHAOS_KILL_ENV, "").strip()
-        if raw:
-            try:
-                kill_after = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{CHAOS_KILL_ENV} must be an integer, got {raw!r}"
-                ) from None
-    if kill_after and leases_taken >= kill_after:
-        os.kill(os.getpid(), signal.SIGKILL)  # test-only crash injection
 
 
 def worker_loop(
@@ -286,7 +276,8 @@ def worker_loop(
             time.sleep(options.poll_s)
             continue
         leases_taken += 1
-        _maybe_chaos_kill(leases_taken, options)
+        if 0 < options.chaos_kill_after <= leases_taken:
+            os.kill(os.getpid(), signal.SIGKILL)  # test-only crash injection
         cell = cell_from_payload(lease.payload)
         start = time.perf_counter()
         if store is not None:

@@ -22,7 +22,6 @@ loop pays a single ``is None`` test per cycle.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from .network import Network
@@ -33,36 +32,6 @@ from .validation import AuditReport, NetworkAuditError, audit_network
 DEFAULT_AUDIT_INTERVAL = 512
 """Cycles between periodic audits when ``REPRO_VALIDATE=1``."""
 
-VALIDATE_ENV = "REPRO_VALIDATE"
-WATCHDOG_ENV = "REPRO_WATCHDOG_CYCLES"
-
-
-def _env_int(name: str) -> Optional[int]:
-    """``$name`` as an integer: ``None`` when unset or empty.
-
-    An unparseable value raises — ``REPRO_VALIDATE=true`` must fail the
-    run, not quietly leave every audit off.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def validate_interval_from_env(default: int = 0) -> int:
-    """Audit interval requested via ``REPRO_VALIDATE`` (0 = disabled).
-
-    ``0``/empty/unset disable validation, ``1`` enables it at
-    :data:`DEFAULT_AUDIT_INTERVAL`, any larger integer is the interval
-    itself.
-    """
-    value = _env_int(VALIDATE_ENV)
-    return default if value is None else resolve_validate_interval(value)
-
-
 def resolve_validate_interval(value: int) -> int:
     """Normalise a ``--validate``/``REPRO_VALIDATE`` value to an interval."""
     if value <= 0:
@@ -70,12 +39,6 @@ def resolve_validate_interval(value: int) -> int:
     if value == 1:
         return DEFAULT_AUDIT_INTERVAL
     return value
-
-
-def watchdog_cycles_from_env(default: int) -> int:
-    """Watchdog window override via ``REPRO_WATCHDOG_CYCLES``."""
-    value = _env_int(WATCHDOG_ENV)
-    return value if value is not None and value > 0 else default
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,6 @@ order, and an *armed but never-firing* plan leaves the run bit-identical
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -52,9 +51,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import routing
 
 FAULT_KINDS = ("eir_link", "ni_buffer", "mesh_link", "router_port")
-
-FAULTS_ENV = "REPRO_FAULTS"
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -204,14 +200,6 @@ def parse_faults_arg(value: str) -> Tuple[FaultSpec, ...]:
     if value.startswith("[") or value.startswith("{"):
         return FaultPlan.from_json(value).faults
     return FaultPlan.load(value).faults
-
-
-def faults_from_env() -> Tuple[FaultSpec, ...]:
-    """Fault specs requested via ``REPRO_FAULTS`` (empty when unset)."""
-    raw = os.environ.get(FAULTS_ENV, "").strip()
-    if not raw:
-        return ()
-    return parse_faults_arg(raw)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ workless component is exactly equivalent to visiting it.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -33,17 +32,12 @@ from .router import OutputPort, Router
 from .stats import NetworkStats
 from .types import Flit, Packet
 
-SCHEDULER_ENV = "REPRO_SCHEDULER"
 SCHEDULERS = ("dense", "active")
-
-ENGINE_ENV = "REPRO_ENGINE"
 ENGINES = ("object", "vector")
 
 
 def resolve_scheduler(value: Optional[str] = None) -> str:
-    """Normalise a scheduler choice (arg > ``REPRO_SCHEDULER`` > active)."""
-    if not value:
-        value = os.environ.get(SCHEDULER_ENV, "")
+    """Normalise a scheduler choice (``None``/empty = active)."""
     value = (value or "active").strip().lower()
     if value not in SCHEDULERS:
         raise ValueError(
@@ -53,14 +47,12 @@ def resolve_scheduler(value: Optional[str] = None) -> str:
 
 
 def resolve_engine(value: Optional[str] = None) -> str:
-    """Normalise a tick-engine choice (arg > ``REPRO_ENGINE`` > object).
+    """Normalise a tick-engine choice (``None``/empty = object).
 
     ``object`` is the golden-reference per-object simulator; ``vector``
     is the struct-of-arrays engine (:mod:`repro.noc.vector`), proven
     bit-identical by the engine-parity differential contract.
     """
-    if not value:
-        value = os.environ.get(ENGINE_ENV, "")
     value = (value or "object").strip().lower()
     if value not in ENGINES:
         raise ValueError(

@@ -22,12 +22,10 @@ from .registry import (
     DEFAULT_INTERVAL,
     NULL_TELEMETRY,
     SCHEMA_VERSION,
-    TELEMETRY_ENV,
     NullTelemetry,
     ResidencyProbe,
     SeriesSampler,
     TelemetryRegistry,
-    interval_from_env,
     resolve_interval,
 )
 
@@ -35,12 +33,10 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "NULL_TELEMETRY",
     "SCHEMA_VERSION",
-    "TELEMETRY_ENV",
     "NullTelemetry",
     "ResidencyProbe",
     "SeriesSampler",
     "TelemetryRegistry",
-    "interval_from_env",
     "resolve_interval",
     "aggregate_sweep",
     "dumps_record",

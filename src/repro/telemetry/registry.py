@@ -24,14 +24,11 @@ without the conditionals.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional
 
 SCHEMA_VERSION = 1
 """Version of the exported telemetry record layout."""
-
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 DEFAULT_INTERVAL = 100
 """Base cycles between samples when telemetry is enabled bare (``=1``)."""
@@ -52,20 +49,6 @@ def resolve_interval(value: int) -> int:
     if value == 1:
         return DEFAULT_INTERVAL
     return value
-
-
-def interval_from_env(default: int = 0) -> int:
-    """Sampling interval requested via ``REPRO_TELEMETRY`` (0 = off)."""
-    raw = os.environ.get(TELEMETRY_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{TELEMETRY_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return resolve_interval(value)
 
 
 class SeriesSampler:

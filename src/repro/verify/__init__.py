@@ -47,7 +47,6 @@ from .harness import (
     run_profile,
 )
 from .invariants import (
-    HERMETIC_ENV,
     CaseRun,
     VerifyFailure,
     check_invariants_case,
@@ -77,7 +76,6 @@ __all__ = [
     "FAILURE_EXCEPTIONS",
     "FAST",
     "FAST_WIDTHS",
-    "HERMETIC_ENV",
     "KNOWN_PROPERTIES",
     "PROFILES",
     "PROPERTY_DIFFERENTIAL",

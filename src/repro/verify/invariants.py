@@ -24,48 +24,19 @@ turns whichever exception reaches it into a shrunk replay artifact.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Iterator, List, Optional, Tuple
+from typing import ContextManager, List, Optional, Tuple
 
 from ..gpu.system import System, SystemConfig, SystemResult
 from ..harness.experiment import build_fabric
 from ..noc.faults import FaultInjector, FaultPlan
 from ..noc.validation import audit_network
 from ..schemes.base import Fabric
+from ..settings import hermetic_env
 from ..telemetry import TelemetryRegistry
 from ..workloads import profiles
 from .space import VerifyCase
-
-#: Environment knobs that would otherwise leak into a verification run
-#: (the harness resolves empty config fields from these).  Hermetic
-#: runs are non-negotiable: a property failure must replay identically
-#: on a machine with none of them set.
-HERMETIC_ENV = (
-    "REPRO_FAULTS",
-    "REPRO_VALIDATE",
-    "REPRO_WATCHDOG_CYCLES",
-    "REPRO_TELEMETRY",
-    "REPRO_SCHEDULER",
-    "REPRO_ENGINE",
-    "REPRO_CELL_TIMEOUT",
-    "REPRO_RETRIES",
-)
-
-
-@contextmanager
-def hermetic_env() -> Iterator[None]:
-    """Temporarily clear every REPRO_* knob that could perturb a run."""
-    saved = {}
-    for name in HERMETIC_ENV:
-        if name in os.environ:
-            saved[name] = os.environ.pop(name)
-    try:
-        yield
-    finally:
-        os.environ.update(saved)
-
 
 #: Arming thresholds a vector-engine case runs under, picked by ``seed
 #: % 3``: SoA armed from the first tick, forced arm/disarm round trips,

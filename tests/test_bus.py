@@ -1,10 +1,16 @@
-"""Work-queue bus contract: both backends, same behaviour.
+"""Work-queue bus contract: one implementation, both paths.
 
-Every test runs against :class:`MemoryBus` and :class:`SqliteBus`
-through one parametrized factory with a manual clock, so the two
-backends cannot drift apart on lease expiry, retry budgets, crash-loop
-guards, duplicate-delivery resolution or payload round-tripping.
+Every test runs against :class:`MemoryBus` (``":memory:"``) and a
+file-backed :class:`SqliteBus` through one parametrized factory with a
+manual clock: the same class either way, so lease expiry, retry
+budgets, crash-loop guards, duplicate-delivery resolution and payload
+round-tripping are checked on the held in-process connection and on a
+real file alike.
 """
+
+import os
+import sys
+import threading
 
 import pytest
 
@@ -84,6 +90,11 @@ class TestLifecycle:
         second = bus.lease("w2", 10.0)
         assert (first.task_id, second.task_id) == ("a", "b")
         assert bus.lease("w3", 10.0) is None  # nothing left to lease
+        # The two places the dict bus used to disagree with the SQL
+        # one: seq counts from 1, and a lease taken without a
+        # worker_pid records the caller's.
+        assert [r["seq"] for r in bus.records()] == [1, 2]
+        assert [r["worker_pid"] for r in bus.records()] == [os.getpid()] * 2
 
     def test_payload_floats_roundtrip_exactly(self, make_bus):
         bus, _clock = make_bus()
@@ -260,6 +271,75 @@ class TestRetries:
         assert bus.lease("w1", 10.0).failures == 0
         assert bus.requeue() == 1  # no filter: remaining dead letters
         assert bus.dead_letters() == []
+
+
+class TestSharedConnection:
+    def test_memory_bus_is_the_sqlite_bus(self):
+        bus = MemoryBus()
+        assert isinstance(bus, SqliteBus) and bus.path == ":memory:"
+
+    def test_heartbeat_threads_vs_worker_loops(self):
+        """The held connection is shared by every thread of a process:
+        worker loops leasing and acking while heartbeat threads renew
+        must neither interleave transactions nor lose an update."""
+        tasks, workers = 120, 6
+        bus = MemoryBus(policy=BusPolicy(retries=0))
+        for index in range(tasks):
+            bus.put(f"t{index:03d}", {"i": index})
+        acked, errors = [], []
+
+        def heartbeats(token, stop):
+            try:
+                while not stop.is_set():
+                    bus.heartbeat(token, 30.0)
+            except Exception as exc:
+                errors.append(exc)
+
+        def worker(name):
+            try:
+                while True:
+                    lease = bus.lease(name, 30.0)
+                    if lease is None:
+                        return
+                    stop = threading.Event()
+                    beat = threading.Thread(
+                        target=heartbeats, args=(lease.token, stop)
+                    )
+                    beat.start()
+                    try:
+                        bus.counts()
+                        bus.record(lease.task_id)
+                        ok = bus.ack(lease.token, {"i": lease.payload["i"]})
+                    finally:
+                        stop.set()
+                        beat.join(timeout=10.0)
+                    assert ok and not beat.is_alive()
+                    acked.append(lease.task_id)
+            except Exception as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(f"w{i}",))
+                for i in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(acked) == [f"t{i:03d}" for i in range(tasks)]
+        assert bus.counts() == {
+            "pending": 0, "leased": 0, "done": tasks, "dead": 0,
+        }
+        for record in bus.records():
+            assert record["deliveries"] == 1
+            assert record["result"] == {"i": record["payload"]["i"]}
 
 
 class TestSqliteSpecifics:

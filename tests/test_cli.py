@@ -120,6 +120,31 @@ class TestCommands:
 
         assert tables(second) == tables(first)
 
+    def test_sweep_telemetry_name_covers_the_env_fault_plan(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The artifact is named after the config that ran: a plan from
+        # REPRO_FAULTS and the same plan from --faults share a name,
+        # and neither shares the fault-free run's.
+        plan = '[{"kind": "eir_link", "at_cycle": 50}]'
+        argv = [
+            "sweep", "--schemes", "EquiNox", "--benchmarks", "gaussian",
+            "--quota", "10", "--iterations", "10", "--telemetry", "50",
+            "--telemetry-out",
+        ]
+
+        def artifact(out_dir, extra=()):
+            assert main(argv + [str(tmp_path / out_dir), *extra]) == 0
+            capsys.readouterr()
+            (path,) = (tmp_path / out_dir).iterdir()
+            return path.name
+
+        clean = artifact("clean")
+        by_flag = artifact("flag", ["--faults", plan])
+        monkeypatch.setenv("REPRO_FAULTS", plan)
+        by_env = artifact("env")
+        assert by_env == by_flag != clean
+
     def test_unparseable_validate_env_fails_the_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "true")
         with pytest.raises(ValueError, match="REPRO_VALIDATE"):

@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro import settings
 from repro.core.eir import EirDesign, make_group
 from repro.core.grid import Grid
 from repro.harness import cache
@@ -27,7 +28,6 @@ from repro.noc.faults import (
     FaultPlan,
     FaultSpec,
     eir_link_faults,
-    faults_from_env,
     parse_faults_arg,
     random_injection_faults,
 )
@@ -111,9 +111,9 @@ class TestFaultPlan:
 
     def test_faults_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", '[{"kind": "eir_link"}]')
-        assert faults_from_env() == (FaultSpec(kind="eir_link"),)
+        assert settings.from_env("faults") == (FaultSpec(kind="eir_link"),)
         monkeypatch.delenv("REPRO_FAULTS")
-        assert faults_from_env() == ()
+        assert settings.from_env("faults") == ()
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro import settings
 from repro.core import evaluation
 from repro.core.grid import Grid
 from repro.core.mcts import EirSearch, SearchConfig
@@ -43,19 +44,26 @@ def _config(scheduler, faults=()):
 class TestResolveScheduler:
     def test_default_is_active(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        assert settings.resolve(ExperimentConfig()).scheduler == ""
         assert resolve_scheduler() == "active"
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "dense")
-        assert resolve_scheduler() == "dense"
+        monkeypatch.setenv("REPRO_SCHEDULER", " Dense ")
+        assert settings.resolve(ExperimentConfig()).scheduler == "dense"
+        # Below the harness edge the variable is not consulted.
+        assert resolve_scheduler() == "active"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULER", "dense")
-        assert resolve_scheduler("active") == "active"
+        config = ExperimentConfig(scheduler="active")
+        assert settings.resolve(config) is config
 
-    def test_invalid_rejected(self):
+    def test_invalid_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown scheduler"):
             resolve_scheduler("lazy")
+        monkeypatch.setenv("REPRO_SCHEDULER", "lazy")
+        with pytest.raises(ValueError, match="REPRO_SCHEDULER unknown sched"):
+            settings.resolve(ExperimentConfig())
 
     def test_fabric_exposes_choice(self):
         fabric = build_fabric(

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import repro
+from repro import settings
 from repro.harness import cache, runner
 from repro.harness.experiment import ExperimentConfig, config_digest
 from repro.harness.runner import (
@@ -17,6 +18,7 @@ from repro.harness.runner import (
     sweep,
 )
 from repro.harness.store import DirectoryResultStore, MemoryResultStore
+from repro.noc.faults import parse_faults_arg
 
 CFG = ExperimentConfig(quota=8, mcts_iterations=10)
 GRID = dict(schemes=["EquiNox", "SeparateBase"], benchmarks=["hotspot"])
@@ -201,9 +203,15 @@ class TestRetries:
         with pytest.raises(ValueError, match="REPRO_RETRIES.*>= 0"):
             run_sweep([])
 
-    def test_env_guard_helpers(self):
-        assert runner._env_float("REPRO_NO_SUCH_VAR", 2.5) == 2.5
-        assert runner._env_int("REPRO_NO_SUCH_VAR", 4) == 4
+    def test_env_guard_helpers(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CELL_TIMEOUT", raising=False)
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        assert settings.from_env("cell_timeout") == 0.0
+        assert settings.from_env("retries") == 0
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", " 2.5 ")
+        monkeypatch.setenv("REPRO_RETRIES", "4")
+        assert settings.from_env("cell_timeout") == 2.5
+        assert settings.from_env("retries") == 4
 
 
 class TestJournal:
@@ -264,6 +272,38 @@ class TestJournal:
         sweep(**GRID, config=other, store=store)
         assert len(executed) == 2
         assert len(store) == 4
+
+    def test_env_fault_plan_is_part_of_the_key(self, executed, monkeypatch):
+        # Regression: REPRO_FAULTS used to be read below the point where
+        # a cell is keyed, so a faulted run was filed under the
+        # fault-free address and later served to a clean sweep.
+        plan = (
+            '[{"kind": "eir_link", "at_cycle": 50},'
+            ' {"kind": "eir_link", "at_cycle": 50}]'
+        )
+        config = ExperimentConfig(quota=20, mcts_iterations=10)
+        cells = [runner.SweepCell("EquiNox", "hotspot", config)]
+        store = MemoryResultStore()
+        monkeypatch.setenv("REPRO_FAULTS", plan)
+        faulted = run_sweep(cells, store=store).outcomes[0].result
+        monkeypatch.delenv("REPRO_FAULTS")
+        executed.clear()
+        clean = run_sweep(cells, store=store).outcomes[0].result
+        assert executed == [("EquiNox", "hotspot")]  # not a store hit
+        assert clean.stats_fingerprint != faulted.stats_fingerprint
+        assert clean == runner.run_experiment("EquiNox", "hotspot", config)
+        # The variable and the argument are one knob: the identical
+        # plan passed as ``faults=`` is the faulted run's store entry.
+        executed.clear()
+        explicit = ExperimentConfig(
+            quota=20, mcts_iterations=10, faults=parse_faults_arg(plan)
+        )
+        again = run_sweep(
+            [runner.SweepCell("EquiNox", "hotspot", explicit)], store=store
+        )
+        assert executed == []
+        assert again.outcomes[0].result == faulted
+        assert len(store) == 2
 
     def test_other_version_not_reused(self, tmp_path, executed, monkeypatch):
         # The journal key had no version in it; the store address does,

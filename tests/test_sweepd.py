@@ -13,6 +13,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro import settings
 from repro.harness import runner, service
 from repro.harness.bus import (
     DONE,
@@ -181,10 +182,60 @@ class TestWorkerLoop:
         (record,) = store.query(scheme="SingleBase")
         assert record["config_digest"] == config_digest(CFG)
 
+    def test_submitter_decides_not_the_worker(self, monkeypatch):
+        # Extends test_hermetic_env_blocks_leaking_knobs to the lease
+        # path: a cell runs under its payload's config, whatever the
+        # draining worker's environment says.
+        config = ExperimentConfig(quota=20, mcts_iterations=10)
+        oracle = runner.run_experiment("EquiNox", "hotspot", config)
+        bus = MemoryBus()
+        (task_id,) = service.submit(
+            bus, [runner.SweepCell("EquiNox", "hotspot", config)]
+        )  # under a clean environment
+        monkeypatch.setenv("REPRO_SCHEDULER", "dense")
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv(
+            "REPRO_FAULTS",
+            '[{"kind": "eir_link", "at_cycle": 50},'
+            ' {"kind": "eir_link", "at_cycle": 50}]',
+        )
+        leaky = runner.run_experiment("EquiNox", "hotspot", config)
+        assert leaky.stats_fingerprint != oracle.stats_fingerprint
+        store = MemoryResultStore()
+        worker_loop(bus, store=store)
+        result = bus.record(task_id)["result"]
+        assert result["stats_fingerprint"] == oracle.stats_fingerprint
+        assert result["telemetry"] is None
+        # ... and it is filed under the clean key, where it belongs.
+        (record,) = store.query(scheme="EquiNox")
+        assert record["config_digest"] == config_digest(config)
+
+    def test_worker_cli_resolves_cell_timeout(self, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        seen = []
+        monkeypatch.setattr(
+            service, "worker_loop",
+            lambda bus, **kwargs: seen.append(kwargs["options"])
+            or service.WorkerStats(),
+        )
+        argv = ["sweepd", "worker", "--bus", str(tmp_path / "bus.sqlite"),
+                "--store", "off"]
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "7.5")
+        assert main(argv) == 0
+        assert main(argv + ["--cell-timeout", "2"]) == 0  # the flag wins
+        assert [o.cell_timeout for o in seen] == [7.5, 2.0]
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "nan")
+        with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT.*finite"):
+            main(argv)
+
     def test_chaos_env_validation(self, monkeypatch):
-        monkeypatch.setenv(service.CHAOS_KILL_ENV, "not-a-number")
-        with pytest.raises(ValueError, match=service.CHAOS_KILL_ENV):
-            service._maybe_chaos_kill(0, WorkerOptions())
+        monkeypatch.setenv("REPRO_SWEEPD_CHAOS_KILL", "not-a-number")
+        with pytest.raises(ValueError, match="REPRO_SWEEPD_CHAOS_KILL "
+                                             "must be an integer"):
+            settings.from_env("chaos_kill_after")
+        monkeypatch.setenv("REPRO_SWEEPD_CHAOS_KILL", "3")
+        assert settings.from_env("chaos_kill_after") == 3
 
 
 class TestOutcomes:

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro import settings
 from repro.harness.bench import (
     checksum_divergence,
     compare_bench,
@@ -39,7 +40,6 @@ from repro.telemetry import (
     aggregate_sweep,
     dumps_record,
     experiment_filename,
-    interval_from_env,
     read_jsonl,
     resolve_interval,
     summarize_record,
@@ -61,16 +61,20 @@ class TestIntervals:
         assert resolve_interval(64) == 64
 
     def test_env_parsing(self, monkeypatch):
+        def interval():
+            config = settings.resolve(ExperimentConfig())
+            return resolve_interval(config.telemetry)
+
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert interval_from_env() == 0
+        assert interval() == 0
         monkeypatch.setenv("REPRO_TELEMETRY", "64")
-        assert interval_from_env() == 64
+        assert interval() == 64
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert interval_from_env() == DEFAULT_INTERVAL
+        assert interval() == DEFAULT_INTERVAL
         monkeypatch.setenv("REPRO_TELEMETRY", "garbage")
         with pytest.raises(ValueError, match="REPRO_TELEMETRY must be an "
                                              "integer, got 'garbage'"):
-            interval_from_env()
+            interval()
 
     def test_registry_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,9 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro import settings as repro_settings
 from repro.core.grid import Grid
+from repro.harness.experiment import ExperimentConfig
 from repro.noc import vector
 from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.noc.interface import NetworkInterface
@@ -115,12 +117,18 @@ def _networks(run, role=None):
 class TestEngineSelection:
     def test_resolve_engine_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert repro_settings.resolve(ExperimentConfig()).engine == ""
         assert resolve_engine() == "object"
         monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert resolve_engine() == "vector"
-        assert resolve_engine("object") == "object"  # explicit arg wins
+        assert repro_settings.resolve(ExperimentConfig()).engine == "vector"
+        assert resolve_engine() == "object"  # the edge reads it, not noc/
+        explicit = ExperimentConfig(engine="object")
+        assert repro_settings.resolve(explicit) is explicit  # explicit arg wins
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("warp")
+        monkeypatch.setenv("REPRO_ENGINE", "warp")
+        with pytest.raises(ValueError, match="REPRO_ENGINE unknown engine"):
+            repro_settings.resolve(ExperimentConfig())
 
     def test_network_class_dispatch(self):
         assert network_class("object") is Network

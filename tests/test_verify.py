@@ -248,26 +248,54 @@ class TestDrivers:
         )
         assert run_case(case, validate_every=0).stats_fingerprint == baseline
 
-    def test_hermetic_env_covers_every_knob_in_the_source(self):
-        # The scrub list is maintained by hand; scanning the source for
-        # REPRO_* names keeps it from drifting behind a new knob.  Only
-        # variables that cannot change a result may be left unscrubbed.
+    def test_hermetic_env_covers_every_knob_in_the_source(self, monkeypatch):
+        # The scrub is derived from the settings table, so it covers
+        # every knob exactly when (a) every REPRO_* name in the source
+        # is a table row or a location variable and (b) nothing but
+        # the table's module (and the location resolver) can read the
+        # environment at all.
+        import os
         import re
         from pathlib import Path
 
         import repro
-        from repro.verify.invariants import HERMETIC_ENV
+        from repro.settings import SETTINGS
 
-        not_knobs = {
-            "REPRO_CACHE_DIR",  # where artefacts live, not what they are
-            "REPRO_STORE_DIR",  # likewise
-            "REPRO_SWEEPD_CHAOS_KILL",  # test-only worker crash injection
-        }
-        mentioned = set()
-        for source in Path(repro.__file__).parent.rglob("*.py"):
-            mentioned.update(re.findall(r"REPRO_[A-Z_]+", source.read_text()))
-        assert mentioned >= set(HERMETIC_ENV) | not_knobs  # no dead names
-        assert mentioned - not_knobs == set(HERMETIC_ENV)
+        locations = {"REPRO_CACHE_DIR", "REPRO_STORE_DIR"}
+        knobs = {setting.env for setting in SETTINGS.values()}
+        root = Path(repro.__file__).parent
+        imports_settings = re.compile(
+            r"^\s*from \.+(settings import| import [^\n]*\bsettings\b)"
+            r"|repro\.settings", re.M,
+        )
+        mentioned, env_readers, importers = set(), set(), set()
+        for source in root.rglob("*.py"):
+            text = source.read_text()
+            relative = source.relative_to(root).as_posix()
+            mentioned.update(re.findall(r"REPRO_[A-Z_]+", text))
+            if re.search(r"os\.(environ|getenv)", text):
+                env_readers.add(relative)
+            if relative != "settings.py" and imports_settings.search(text):
+                importers.add(relative)
+        assert mentioned == knobs | locations  # no dead rows, no strays
+        assert env_readers == {"settings.py", "harness/cache.py"}
+        # Only the harness edge resolves: the model (noc, gpu, schemes,
+        # telemetry, ...) takes explicit values, and verify borrows
+        # nothing but the scrub.
+        assert "harness/experiment.py" in importers  # the regex works
+        assert all(
+            name == "cli.py" or name.startswith("harness/")
+            or name == "verify/invariants.py"
+            for name in importers
+        ), importers
+        verify_source = (root / "verify" / "invariants.py").read_text()
+        assert imports_settings.findall(verify_source) == ["settings import"]
+        assert "from ..settings import hermetic_env\n" in verify_source
+        for name in knobs:
+            monkeypatch.setenv(name, "1")
+        with hermetic_env():
+            assert not knobs & set(os.environ)
+        assert knobs <= set(os.environ)  # and restored afterwards
 
 
 class TestArtifacts:

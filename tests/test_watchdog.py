@@ -9,6 +9,7 @@ the zero-clamp property of the latency model across smoke runs.
 
 import pytest
 
+from repro import settings
 from repro.gpu.system import SimulationStall, System, SystemConfig
 from repro.harness.experiment import (
     ExperimentConfig,
@@ -21,8 +22,6 @@ from repro.core.grid import Grid
 from repro.noc.diagnostics import (
     DEFAULT_AUDIT_INTERVAL,
     resolve_validate_interval,
-    validate_interval_from_env,
-    watchdog_cycles_from_env,
 )
 from repro.workloads import profiles
 
@@ -110,20 +109,24 @@ class TestValidator:
 
 class TestEnvKnobs:
     def test_validate_interval_semantics(self, monkeypatch):
+        def interval():
+            config = settings.resolve(ExperimentConfig())
+            return resolve_validate_interval(config.validate)
+
         monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-        assert validate_interval_from_env() == 0
+        assert interval() == 0
         monkeypatch.setenv("REPRO_VALIDATE", "1")
-        assert validate_interval_from_env() == DEFAULT_AUDIT_INTERVAL
+        assert interval() == DEFAULT_AUDIT_INTERVAL
         monkeypatch.setenv("REPRO_VALIDATE", "128")
-        assert validate_interval_from_env() == 128
+        assert interval() == 128
         monkeypatch.setenv("REPRO_VALIDATE", "0")
-        assert validate_interval_from_env() == 0
+        assert interval() == 0
         # Unparseable is a loud config error: REPRO_VALIDATE=true must
         # not quietly disable every audit.
         monkeypatch.setenv("REPRO_VALIDATE", "true")
         with pytest.raises(ValueError, match="REPRO_VALIDATE must be an "
                                              "integer, got 'true'"):
-            validate_interval_from_env()
+            interval()
 
     def test_resolve_validate_interval(self):
         assert resolve_validate_interval(-3) == 0
@@ -132,16 +135,21 @@ class TestEnvKnobs:
         assert resolve_validate_interval(64) == 64
 
     def test_watchdog_env(self, monkeypatch):
+        def window(explicit=0):
+            config = ExperimentConfig(watchdog_cycles=explicit)
+            return settings.resolve(config).watchdog_cycles
+
         monkeypatch.delenv("REPRO_WATCHDOG_CYCLES", raising=False)
-        assert watchdog_cycles_from_env(999) == 999
+        assert window() == 0  # unset: System falls back to its default
         monkeypatch.setenv("REPRO_WATCHDOG_CYCLES", "1234")
-        assert watchdog_cycles_from_env(999) == 1234
+        assert window() == 1234
+        assert window(999) == 999  # explicit beats the variable
         monkeypatch.setenv("REPRO_WATCHDOG_CYCLES", "-5")
-        assert watchdog_cycles_from_env(999) == 999
+        assert window() == 0
         monkeypatch.setenv("REPRO_WATCHDOG_CYCLES", "soon")
         with pytest.raises(ValueError, match="REPRO_WATCHDOG_CYCLES must "
                                              "be an integer"):
-            watchdog_cycles_from_env(999)
+            window()
 
 
 class TestValidationDeterminism:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from . import routing
 from .network import Network
+from .router import Router
 from .tracer import PacketTracer
 from .types import Packet
 from .validation import AuditReport, NetworkAuditError, audit_network
@@ -72,6 +74,38 @@ def oldest_stuck_packet(net: Network) -> Optional[Packet]:
     return min(packets.values(), key=lambda p: (p.created, p.pid))
 
 
+def _refusals(router: Router, packet: Packet) -> List[str]:
+    """Why each output a waiting head of ``packet`` may request is refused."""
+    if packet.dst == router.node:
+        ports = (
+            router.eject_ports if router.eject_filter is None
+            else router.eject_filter(packet)
+        )
+        allowed: Sequence[int] = (0,)
+    elif router.route_override is not None:
+        port, allowed = router.route_override(router, packet)
+        ports = (port,)
+    else:
+        src = packet.src if packet.inject_router is None else packet.inject_router
+        ports = routing.route_candidates(
+            router.grid, router.routing_algorithm, router.node, src, packet.dst
+        )
+        allowed = router.vc_classes[packet.vc_class]
+    lines = []
+    for port in ports:
+        if port in router.failed_outputs:
+            why = "output failed"
+        else:
+            out = router.outputs[port]
+            why = ", ".join(
+                f"v{v} owner={out.owner[v]!r} credits={out.credits[v]}"
+                for v in allowed
+            )
+        name = routing.PORT_NAMES.get(port, "port")
+        lines.append(f"  candidate {name} out(p{port}): {why}")
+    return lines
+
+
 def locate_packet(net: Network, packet: Packet) -> List[str]:
     """Where every remaining flit of ``packet`` currently sits."""
     lines: List[str] = []
@@ -96,6 +130,9 @@ def locate_packet(net: Network, packet: Packet) -> List[str]:
                 else:
                     where += ", no output allocated"
                 lines.append(where)
+                head = ivc.queue[0]
+                if ivc.out_port is None and head.is_head and head.packet is packet:
+                    lines.extend(_refusals(router, packet))
     for cycle, events in sorted(net._arrivals.items()):
         for node, port, vc, flit in events:
             if flit.packet is packet:

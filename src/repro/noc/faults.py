@@ -519,7 +519,6 @@ class FaultInjector:
         # whose sleep decision predates the heal.
         buf.stalled = False
         target.net.wake_ni(target.ni)
-        target.net.soa_invalidate()
 
     def _fail_link(self, target: _LinkTarget) -> None:
         if target.port not in target.router.failed_outputs:

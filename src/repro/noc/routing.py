@@ -13,7 +13,8 @@ network dedicate its two VCs to the request/reply protocol classes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Sequence
 
 from ..core.grid import Grid
 
@@ -133,36 +134,64 @@ def minimal_ports(grid: Grid, cur: int, dst: int) -> List[int]:
     return out
 
 
-_ROUTE_CACHE: Dict[Tuple[int, int, str, int, bool, int], Tuple[int, ...]] = {}
-_ROUTE_CACHE_LIMIT = 1 << 20
+CANDIDATES = (
+    (PORT_E,), (PORT_W,), (PORT_S,), (PORT_N,), (PORT_EJECT,),
+    (PORT_S, PORT_E), (PORT_N, PORT_E), (PORT_W, PORT_S), (PORT_W, PORT_N),
+)
+"""Every candidate list either algorithm returns, in list order (the
+router keeps the first of equally credited ports); table bytes index it."""
+
+_CODE = {ports: code for code, ports in enumerate(CANDIDATES)}
+_SCALAR = {
+    "xy": lambda grid, cur, src, dst: xy_route(grid, cur, dst),
+    "oddeven": odd_even_routes,
+}
+
+
+@lru_cache(maxsize=None)
+def route_table(width: int, height: int, algorithm: str) -> bytes:
+    """Candidate codes for every ``(same_column, cur, dst)`` of a mesh.
+
+    One :data:`CANDIDATES` index per byte at ``(same * N + cur) * N +
+    dst``; ``same`` — does the packet's source router share ``cur``'s
+    column — is all either algorithm asks about the source.  Built on
+    first lookup and held once per process and (shape, algorithm), so
+    route state is ``2 * N * N`` bytes by topology, not by traffic, and
+    every network of that shape, on either tick path, reads one object.
+
+    Neither algorithm reads the two rows beyond the sign of their
+    difference, so the scalar function is asked only on a three-row
+    mesh (``6 * width**2`` calls) and a router's row is its column's
+    north / level / south band repeated to the real height.
+    """
+    scalar = _SCALAR.get(algorithm)
+    if scalar is None:
+        raise ValueError(f"unknown routing algorithm {algorithm!r}")
+    ref = Grid(width, 3)
+    rows = []
+    for same in (0, 1):
+        bands = []
+        for cur in range(width, 2 * width):
+            src = cur if same else width + (cur + 1) % width
+            row = bytes(
+                _CODE[tuple(scalar(ref, cur, src, dst))]
+                for dst in range(3 * width)
+            )
+            bands.append((row[:width], row[width:-width], row[-width:]))
+        rows.extend(
+            north * cy + level + south * (height - 1 - cy)
+            for cy in range(height)
+            for north, level, south in bands
+        )
+    return b"".join(rows)
 
 
 def route_candidates(
     grid: Grid, algorithm: str, cur: int, src: int, dst: int
 ) -> Sequence[int]:
-    """Dispatch to the configured routing algorithm.
-
-    Both algorithms are pure functions of the grid shape and the node
-    ids, and the router hot loop asks the same questions millions of
-    times per run, so results are memoised as immutable tuples.  The
-    only thing either algorithm asks about ``src`` is whether it shares
-    ``cur``'s column (XY ignores it altogether), so that bit — not the
-    source id — is the key: at most ``2 * N * N`` entries per grid,
-    shared by every packet and traffic pattern, where keying on ``src``
-    missed ~96 % of lookups and grew ~50k entries per traffic seed.
-    """
-    same_column = (src - cur) % grid.width == 0
-    key = (grid.width, grid.height, algorithm, cur, same_column, dst)
-    cached = _ROUTE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if algorithm == "xy":
-        out = tuple(xy_route(grid, cur, dst))
-    elif algorithm == "oddeven":
-        out = tuple(odd_even_routes(grid, cur, src, dst))
-    else:
-        raise ValueError(f"unknown routing algorithm {algorithm!r}")
-    if len(_ROUTE_CACHE) >= _ROUTE_CACHE_LIMIT:
-        _ROUTE_CACHE.clear()
-    _ROUTE_CACHE[key] = out
-    return out
+    """The configured algorithm's candidates, read from its route table."""
+    width = grid.width
+    size = width * grid.height
+    same_column = (src - cur) % width == 0
+    table = route_table(width, grid.height, algorithm)
+    return CANDIDATES[table[(same_column * size + cur) * size + dst]]

@@ -18,9 +18,8 @@ struct-of-arrays form:
 Per cycle the engine applies pending credits and arrivals with fancy
 indexing, selects the winning request of every input port with one
 vectorised rotate-min, and evaluates route/VC allocations in batch:
-route candidates are a precomputed ``[same-source-column, cur, dst]``
-table (the only thing odd-even routing asks about the source is whether
-it shares the current router's column), so the common allocation shape
+route candidates are gathered from the ``routing.route_table`` bytes the
+object path reads one at a time, so the common allocation shape
 — no fired faults, no VC monopolisation, unfiltered single eject port,
 at most one attempting head per router — reduces to gathers over the
 credit/owner arrays.  Anything else is not re-implemented here: the one
@@ -46,7 +45,7 @@ numpy calls whether it moves 5 flits or 500, so while fewer than
 is None``) and ticks through the inherited object path; it arms by
 importing live object state (the ``_SoA`` constructor) and disarms by
 materialising back once traffic falls below ``DISARM_FLITS`` (or before
-a structural change: a port added, a fault fired or healed) — the
+a structural change: a port added, a fault fired, a link healed) — the
 conversions the per-cycle audits already prove exact, so transitions
 are bit-identical (docs/VECTOR.md, "When the SoA is armed").
 """
@@ -69,7 +68,7 @@ from .types import Flit
 #: again.  Measured, not tuned per mesh: per-cycle object/SoA break-even
 #: sits at ~100-120 moves on 8- to 24-wide meshes alike; arming waits a
 #: little past it because the signal is spiky and a round trip costs
-#: 3-40 ms, and the wide gap is hysteresis against thrashing.
+#: 4-45 ms, and the wide gap is hysteresis against thrashing.
 ARM_FLITS = 144
 DISARM_FLITS = 64
 
@@ -98,66 +97,11 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _route_tables(grid, algorithm: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidate output directions for every (same-column, cur, dst).
-
-    Returns two flat ``2*N*N`` arrays (first/second candidate, ``-1``
-    for none) indexed ``same*N*N + cur*N + dst``, where ``same`` is
-    whether the packet's source router shares ``cur``'s column — the
-    only property of the source either routing function looks at.
-    Entry order matches the list order of :func:`routing.xy_route` /
-    :func:`routing.odd_even_routes`, which the strictly-greater credit
-    comparison in ``Router._scan_outputs`` depends on.
-    """
-    N = grid.size
-    W = grid.width
-    ids = np.arange(N, dtype=np.int64)
-    cx = ids % W
-    cy = ids // W
-    ex = cx[None, :] - cx[:, None]  # [cur, dst]
-    ey = cy[None, :] - cy[:, None]
-    vert = np.where(ey > 0, routing.PORT_S, routing.PORT_N)
-    none = np.full((N, N), -1, dtype=np.int64)
-    if algorithm == "xy":
-        c1 = np.where(
-            ex > 0, routing.PORT_E,
-            np.where(ex < 0, routing.PORT_W,
-                     np.where(ey > 0, routing.PORT_S,
-                              np.where(ey < 0, routing.PORT_N, -1))),
-        )
-        flat1 = np.concatenate([c1.ravel(), c1.ravel()])
-        flat2 = np.concatenate([none.ravel(), none.ravel()])
-        return flat1, flat2
-    if algorithm != "oddeven":
-        raise ValueError(f"unknown routing algorithm {algorithm!r}")
-    even_col = (cx % 2 == 0)[:, None]
-    dst_odd = (cx % 2 == 1)[None, :]
-    east = ex > 0
-    west = ex < 0
-    ey0 = ey == 0
-    ones = []
-    twos = []
-    for same in (False, True):
-        c1 = none.copy()
-        c2 = none.copy()
-        m = (ex == 0) & ~ey0
-        c1[m] = vert[m]
-        m = east & ey0
-        c1[m] = routing.PORT_E
-        m = east & ~ey0
-        mv = m & (~even_col | same)          # vertical is turn-legal
-        me = m & (dst_odd | (ex != 1))       # continuing east is legal
-        c1[mv] = vert[mv]
-        first_e = me & ~mv
-        c1[first_e] = routing.PORT_E
-        sec_e = me & mv
-        c2[sec_e] = routing.PORT_E
-        c1[west] = routing.PORT_W
-        wv = west & even_col & ~ey0
-        c2[wv] = vert[wv]
-        ones.append(c1.ravel())
-        twos.append(c2.ravel())
-    return np.concatenate(ones), np.concatenate(twos)
+#: Row 0 / row 1: first / second candidate direction (``-1``: none) of
+#: each ``routing.CANDIDATES`` entry, for gathers over route-table bytes.
+_CANDS = np.array(
+    [(*ports, -1)[:2] for ports in routing.CANDIDATES], dtype=np.int64
+).T
 
 
 class _SoA:
@@ -313,9 +257,10 @@ class _SoA:
             if len(allowed) == 2:
                 self.av1[c] = allowed[1]
         self.any_monopolize = any(r.monopolize for r in routers)
-        self.cand1, self.cand2 = _route_tables(
-            grid, routers[0].routing_algorithm
+        table = routing.route_table(
+            grid.width, grid.height, routers[0].routing_algorithm
         )
+        self.routes = np.frombuffer(table, dtype=np.uint8)
 
         # --- pending events (applied at the start of the next tick) ----
         self.p_slots: List[int] = []
@@ -439,7 +384,8 @@ class VectorNetwork(Network):
     # Structure changes drop the snapshot first, so a snapshot never has
     # to describe structure it predates; the next tick re-arms if still
     # busy.  Ports are only added through the two methods below, and the
-    # fault injector announces every fire/heal with soa_invalidate()
+    # fault injector announces every fire and every link heal (an NI
+    # buffer heal touches nothing mirrored here) with soa_invalidate()
     # before it touches in-flight flits.
     # ------------------------------------------------------------------
     def add_injection_port(self, node: int) -> int:
@@ -764,12 +710,13 @@ class VectorNetwork(Network):
     def _eval_candidate(
         self, soa: _SoA, oi: np.ndarray, v0: np.ndarray, v1: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluate one route candidate column for a batch of attempts.
+        """Evaluate route candidates ``oi`` for a batch of attempts.
 
-        Returns ``(has_free, best_vc, total_credits)`` with the object
-        model's exact choice rule: the free VC with the most credits,
-        first-of-ties in allowed order.  Entries with ``oi < 0`` read
-        garbage and must be masked by the caller.
+        ``oi`` may stack candidate rows over the attempts ``v0``/``v1``
+        describe.  Returns ``(has_free, best_vc, total_credits)`` with
+        the object model's exact choice rule: the free VC with the most
+        credits, first-of-ties in allowed order.  Entries with ``oi <
+        0`` read garbage and must be masked by the caller.
         """
         credits = soa.credits_all
         owned = soa.owned
@@ -951,28 +898,16 @@ class VectorNetwork(Network):
             W = self.grid.width
             mn = nodes[m]
             same = (src[m] % W) == (mn % W)
-            N = soa.N
-            tix = np.where(same, N * N, 0) + mn * N + dst[m]
-            c1 = soa.cand1[tix]
-            c2 = soa.cand2[tix]
-            NM = routing.NUM_MESH_PORTS
-            node_out = soa.node_out
-            base = mn * NM
-            oi1 = np.where(c1 >= 0, node_out[base + (c1 & 3)], -1)
-            oi2 = np.where(c2 >= 0, node_out[base + (c2 & 3)], -1)
-            v0 = soa.av0[cls[m]]
-            v1 = soa.av1[cls[m]]
-            # One stacked evaluation for both candidate columns.
-            has, vc, tot = self._eval_candidate(
-                soa,
-                np.concatenate((oi1, oi2)),
-                np.concatenate((v0, v0)),
-                np.concatenate((v1, v1)),
+            tix = (same * soa.N + mn) * soa.N + dst[m]
+            # Both candidate directions of every attempt in one gather,
+            # then one stacked evaluation of the two rows.
+            cand = _CANDS[:, soa.routes[tix]]
+            out = mn * routing.NUM_MESH_PORTS + (cand & 3)
+            oi = np.where(cand >= 0, soa.node_out[out], -1)
+            oi1, oi2 = oi
+            (has1, has2), (vc1, vc2), (tot1, tot2) = self._eval_candidate(
+                soa, oi, soa.av0[cls[m]], soa.av1[cls[m]]
             )
-            nm = len(oi1)
-            has1, has2 = has[:nm], has[nm:]
-            vc1, vc2 = vc[:nm], vc[nm:]
-            tot1, tot2 = tot[:nm], tot[nm:]
             # Strictly-greater total wins: the object keeps the first
             # candidate on ties.
             use2 = has2 & (~has1 | (tot2 > tot1))

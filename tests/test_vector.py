@@ -18,6 +18,7 @@ many times mid-run.  ``run_case`` picks the regime from ``seed % 3``
 """
 
 import random
+import re
 from collections import Counter, defaultdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from repro import settings as repro_settings
 from repro.core.grid import Grid
 from repro.harness.experiment import ExperimentConfig
-from repro.noc import vector
+from repro.noc import routing, vector
 from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network, network_class, resolve_engine
@@ -170,8 +171,17 @@ class TestOneAllocationPolicy:
         source = Path(vector.__file__).read_text()
         assert [w for w in policy_vocabulary if w in source] == []
         for name in ("_scan_outputs", "_borrowable", "pop_delivered",
-                     "reclaim_scheduled_flits", "register_telemetry"):
+                     "reclaim_scheduled_flits", "register_telemetry",
+                     "_route_tables"):
             assert f"def {name}" not in source
+        # Routing is data (routing.route_table): naming a mesh direction
+        # or a column parity here would be a second statement of XY or
+        # odd-even.  PORT_EJECT and NUM_MESH_PORTS are structure, not
+        # routing, and stay.
+        assert re.findall(
+            r"even_col|dst_odd|PORT_[WSN]\b|PORT_E\b", source
+        ) == []
+        assert "_ROUTE_CACHE" not in Path(routing.__file__).read_text()
 
 
 class TestSchemeParity:
@@ -408,16 +418,39 @@ class TestForcedTransitions:
         assert net.stats.flits_dropped  # 170 caught a flit on the wire
         return net, armed_when_added, armed_when_faulted
 
+    def test_ni_buffer_heal_keeps_the_soa_armed(self):
+        # A heal only clears NI-side flags and wakes the NI; the SoA
+        # mirrors router state, so it must ride through untouched.
+        heals = []
+        real_heal = FaultInjector._heal_buffer
+
+        def heal_buffer(injector, target):
+            net = target.net
+            armed = (net._soa, net.disarms)
+            assert net._soa is not None
+            real_heal(injector, target)
+            assert (net._soa, net.disarms) == armed  # the same snapshot
+            heals.append(target)
+
+        obj, _, _ = self._bursts_with_ports_added("object", (0, 0), "active")
+        with mock.patch.object(FaultInjector, "_heal_buffer", heal_buffer):
+            vec, _, _ = self._bursts_with_ports_added(
+                "vector", (0, 0), "active"
+            )
+        assert len(heals) == 1
+        assert vec.stats.fingerprint() == obj.stats.fingerprint()
+
     @pytest.mark.parametrize("scheduler", ["active", "dense"])
     @pytest.mark.parametrize(
         "thresholds, armed_when_added, transitions",
         [
-            # always armed: each port add and each fault fire/heal is a
-            # disarm + immediate re-arm
-            ((0, 0), [True, True], (7, 6)),
+            # always armed: each port add, each fault firing and the
+            # link's heal is a disarm + immediate re-arm; the NI buffer's
+            # heal changes nothing the SoA mirrors and costs no trip
+            ((0, 0), [True, True], (6, 5)),
             # the lull's two changes find it disarmed; two bursts, plus
-            # the same round trip for each of the four armed changes
-            ((8, 4), [False, True], (6, 6)),
+            # the same round trip for each of the three armed changes
+            ((8, 4), [False, True], (5, 5)),
         ],
     )
     def test_port_added_mid_run(
@@ -429,7 +462,8 @@ class TestForcedTransitions:
         )
         assert added == armed_when_added
         # The link fails in the lull like the first port add; its heal
-        # and the buffer's fire and heal all land on an armed network.
+        # and the buffer's fire and heal all land on an armed network
+        # (test_ni_buffer_heal_keeps_the_soa_armed pins the last).
         assert faulted == [armed_when_added[0], True, True, True]
         assert (vec.arms, vec.disarms) == transitions
         assert vec.stats.fingerprint() == obj.stats.fingerprint()

@@ -21,8 +21,11 @@ from repro.noc import Network, NetworkAuditError, NetworkInterface, Validator
 from repro.core.grid import Grid
 from repro.noc.diagnostics import (
     DEFAULT_AUDIT_INTERVAL,
+    network_dump,
     resolve_validate_interval,
 )
+from repro.noc.routing import PORT_E, PORT_S, PORT_W
+from repro.noc.types import Packet, PacketType, packet_flits
 from repro.workloads import profiles
 
 CFG = ExperimentConfig(quota=10, mcts_iterations=10)
@@ -55,6 +58,35 @@ class TestWatchdog:
         assert "credit leak" in err.dump
         assert "oldest stuck packet" in err.dump
         assert "router" in err.dump
+        # ... and says why its head cannot move: the one output it may
+        # request is the leaked eject port.
+        assert "no output allocated" in err.dump
+        assert "candidate EJ out(p4): v0 owner=None credits=0" in err.dump
+
+    def test_dump_names_each_refused_candidate_of_a_stuck_head(self):
+        net = Network("t", Grid(4), flit_bytes=16, vc_classes=[(0,), (1,)])
+        nis = [NetworkInterface(net, n) for n in net.grid.nodes()]
+        # (0,0) -> (2,2) under odd-even may leave south or east: fail
+        # the first, and leave the second owned and out of credits.
+        router = net.routers[0]
+        router.failed_outputs.add(PORT_S)
+        east = router.outputs[PORT_E]
+        east.owner[1] = (PORT_W, 1)
+        east.credits[1] = 0
+        ptype = PacketType.READ_REPLY
+        nis[0].enqueue(
+            Packet(1, ptype, 0, 10, packet_flits(ptype, 16), 0, vc_class=1)
+        )
+        for _ in range(20):
+            net.tick()
+        assert net.stats.packets_delivered == 0
+        dump = network_dump(net, audit=False)
+        assert "oldest stuck packet: pid 1 READ_REPLY 0->10" in dump
+        where = dump.index("no output allocated")
+        assert dump[where:].splitlines()[1:3] == [
+            f"    candidate S out(p{PORT_S}): output failed",
+            f"    candidate E out(p{PORT_E}): v1 owner=({PORT_W}, 1) credits=0",
+        ]
 
     def test_audit_catches_leak_before_watchdog(self):
         fabric, system = make_system(

@@ -53,7 +53,10 @@ DEFAULT_TOLERANCE = 0.25
 # The vector engine must beat the object engine by at least this factor
 # on the saturated ``synthetic`` scenario (wall-clock cycles/s measured
 # on the same machine in the same run, so no calibration applies).
-MIN_ENGINE_SPEEDUP = 3.0
+# Measured 1.80-1.93x (object 7.3 s, vector 3.8-4.05 s) on a host that
+# reads 1.13 at 2.96x (13.9 / 4.7 s): 1.14 halved the denominator, not
+# the SoA.  The floor stays 77 % of the measurement, as 3.0 was of 3.9.
+MIN_ENGINE_SPEEDUP = 1.4
 
 # ...and may not fall below this fraction of it on the quiet
 # ``low_load`` scenario, where the occupancy-adaptive engine should be

@@ -159,9 +159,6 @@ class InjectionBuffer:
                 self.draining = False
                 self.failed = True
 
-    def return_credit(self, vc: int) -> None:
-        self.link.credits[vc] += 1
-
 
 BASE_CORE_BYTES = 32
 """Default NI-core serialisation bandwidth per base cycle.

@@ -18,7 +18,9 @@ only armed components — routers holding flits and NIs with queued
 packets or loaded buffers — and relies on every work-creating event
 (flit arrival, NI enqueue, fault requeue) waking the affected
 component.  Round-robin pointers advance only on wins, so skipping a
-workless component is exactly equivalent to visiting it.
+workless component is exactly equivalent to visiting it.  Past
+saturation "holds flits" is every router, so the active scheduler also
+skips a router marked ``blocked`` (the rule is on ``Router.tick``).
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class Network:
         # Optional observation hooks, fired by *every* engine: on_move
         # for each committed crossbar traversal, on_deliver for each
         # sink arrival (tail or not).  Tracers attach here instead of
-        # monkey-patching _commit/_deliver so the vector engine's
+        # monkey-patching the move/_deliver code so the vector engine's
         # batched commit path can honour them too.
         self.on_move = None
         self.on_deliver = None
@@ -316,9 +318,6 @@ class Network:
     ) -> None:
         self._arrivals.setdefault(cycle, []).append((node, port, vc, flit))
 
-    def schedule_credit(self, cycle: int, port: OutputPort, vc: int) -> None:
-        self._credits.setdefault(cycle, []).append((port, vc))
-
     def reclaim_scheduled_flits(self, node: int, port: int) -> List[Flit]:
         """Remove and return flits in flight toward ``(node, port)``.
 
@@ -382,6 +381,7 @@ class Network:
     def _return_eject_credits(self, eject_port: OutputPort, flits: int) -> None:
         """Free a consumed packet's receive-buffer space (engine hook)."""
         eject_port.credits[0] += flits
+        eject_port.router.blocked = False
 
     # ------------------------------------------------------------------
     # Simulation
@@ -390,51 +390,82 @@ class Network:
         """Advance the network by one of its own clock cycles."""
         self.cycle += 1
         cycle = self.cycle
-        self.stats.cycles += 1
-
+        stats = self.stats
+        stats.cycles += 1
         active = self._active_scheduler
+        routers = self.routers
 
         for port, vc in self._credits.pop(cycle, ()):  # credit returns
             port.credits[vc] += 1
-            if port.waker is not None:
+            if port.router is not None:
+                port.router.blocked = False
+            elif port.waker is not None:
                 port.waker()
 
-        for node, port, vc, flit in self._arrivals.pop(cycle, ()):
+        landed = self._arrivals.pop(cycle, ())
+        writes = len(landed)
+        for node, port, vc, flit in landed:
             if port < 0:  # ejection sink arrival; -port-1 is the eject port
                 self._deliver(node, -port - 1, flit, cycle)
-            else:
-                self.routers[node].accept(port, vc, flit, cycle)
-                self.stats.buffer_writes += 1
-                if active:
-                    self.active.add(node)
+                writes -= 1
+                continue
+            # Router.accept in line: it was one call per landing flit.
+            router = routers[node]
+            flit.buffered_at = cycle
+            router.inputs[port][vc].queue.append(flit)
+            router.flit_count += 1
+            if router.flit_count > router.peak_flits:
+                router.peak_flits = router.flit_count
+            router.port_flits[port] += 1
+            router.blocked = False
+            if active:
+                self.active.add(node)
+        stats.buffer_writes += writes
 
         self._tick_nis(cycle)
-        if active:
-            routers = self.routers
-            finished: List[int] = []
-            for node in sorted(self.active):
-                router = routers[node]
-                moves = router.tick(cycle)
-                for in_port, in_vc, out_port, out_vc, flit in moves:
-                    self._commit(
-                        router, in_port, in_vc, out_port, out_vc, flit, cycle
-                    )
-                if router.flit_count == 0:
-                    finished.append(node)
-            for node in finished:
-                self.active.discard(node)
-            return
 
-        # Dense oracle: unconditionally walk every router.  A workless
-        # component's tick is a no-op (rr pointers advance only on
-        # wins), so this is behaviourally identical to the active path
-        # — and catches any missed wake as a fingerprint mismatch.
-        for router in self.routers:
-            moves = router.tick(cycle)
-            for in_port, in_vc, out_port, out_vc, flit in moves:
-                self._commit(
-                    router, in_port, in_vc, out_port, out_vc, flit, cycle
-                )
+        if active:
+            if not self.active:
+                return
+            # Blocked routers stay in ``active`` (they hold flits), unticked.
+            routers = [
+                routers[node] for node in sorted(self.active)
+                if not routers[node].blocked
+            ]
+        # else the dense oracle: unconditionally walk every router,
+        # never reading ``blocked``.  A workless component's tick is a
+        # no-op (rr pointers advance only on wins), so this is
+        # behaviourally identical to the active path — and catches any
+        # missed wake as a fingerprint mismatch.
+        #
+        # Every move of this tick lands next cycle: one arrival list
+        # (NIs may have started it) and one credit list, fetched once
+        # and handed to each router, and stored only if non-empty —
+        # quiescent()/idle() test the two dicts for truth.
+        arrivals = self._arrivals.get(cycle + 1, [])
+        credits = self._credits.get(cycle + 1, [])
+        before = len(arrivals)
+        ejected = 0
+        for router in routers:
+            ejected += router.tick(cycle, arrivals, credits)
+            if active and not router.flit_count:
+                self.active.discard(router.node)
+        moved = len(arrivals) - before
+        if not moved:
+            return
+        self._arrivals[cycle + 1] = arrivals
+        if credits:
+            self._credits[cycle + 1] = credits
+        stats.buffer_reads += moved
+        stats.xbar_traversals += moved
+        stats.flits_ejected += ejected
+        if self.interposer_mesh_links:
+            stats.link_hops_interposer += moved - ejected
+            # A float in the fingerprint: add the exact integer count.
+            stats.interposer_hop_length += moved - ejected
+        else:
+            stats.link_hops_onchip += moved - ejected
+        self.last_progress = cycle
 
     def _tick_nis(self, cycle: int) -> None:
         """The NI phase of a tick, shared by both engines.
@@ -460,41 +491,6 @@ class Network:
                     idle_nis.append(idx)
             for idx in idle_nis:
                 self._active_nis.discard(idx)
-
-    def _commit(
-        self,
-        router: Router,
-        in_port: int,
-        in_vc: int,
-        out_port: int,
-        out_vc: int,
-        flit: Flit,
-        cycle: int,
-    ) -> None:
-        if self.on_move is not None:
-            self.on_move(router.node, in_port, in_vc, out_port, out_vc, flit, cycle)
-        # A traversal occupies the router for at least one cycle; waits
-        # in the input buffer add on top (the Figure-4 heat metric).
-        self.stats.record_move(router.node, cycle - flit.buffered_at + 1)
-        up = self.upstream.get((router.node, in_port))
-        if up is not None:
-            self.schedule_credit(cycle + 1, up, in_vc)
-        if out_port in router.neighbors:
-            nbr, nbr_port = router.neighbors[out_port]
-            self.schedule_flit(cycle + 1, nbr, nbr_port, out_vc, flit)
-            if self.interposer_mesh_links:
-                self.stats.link_hops_interposer += 1
-                self.stats.interposer_hop_length += 1.0
-            else:
-                self.stats.link_hops_onchip += 1
-        else:  # ejection
-            eject_port_obj = router.outputs[out_port]
-            self._arrivals.setdefault(cycle + 1, []).append(
-                (router.node, -out_port - 1, 0, flit)
-            )
-            flit.packet.eject_port = eject_port_obj
-            self.stats.flits_ejected += 1
-        self.last_progress = cycle
 
     def _deliver(self, node: int, eject_port: int, flit: Flit, cycle: int) -> None:
         if self.on_deliver is not None:
@@ -563,10 +559,14 @@ class Network:
 
         Fault injection mutates ``failed_outputs`` / ``faults_fired`` /
         NI wiring directly on the objects and then pulls in-flight flits
-        back out of ``_arrivals``; the vector engine overrides this to
-        disarm, so the objects are canonical before any of that is read
-        (as before a port is added).  No-op for the object engine.
+        back out of ``_arrivals``; the vector engine extends this to
+        disarm first, so the objects are canonical before any of that
+        is read (as before a port is added).  Either change can turn a
+        refused allocation into a grant anywhere in the network, so
+        every router's sleep ends here.
         """
+        for router in self.routers:
+            router.blocked = False
 
     def in_flight(self) -> int:
         """Flits buffered in routers plus scheduled arrivals."""

@@ -39,10 +39,6 @@ class InputVC:
         self.out_port: Optional[int] = None
         self.out_vc: Optional[int] = None
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.queue)
-
 
 class OutputPort:
     """Credit and allocation state for one output (or NI-to-router) link.
@@ -53,11 +49,11 @@ class OutputPort:
     """
 
     __slots__ = ("num_vcs", "credits", "owner", "latency", "rr", "interposer",
-                 "capacity", "waker")
+                 "capacity", "waker", "router")
 
     def __init__(
         self, num_vcs: int, capacity: int, latency: int = 1,
-        interposer: bool = False,
+        interposer: bool = False, router: Optional["Router"] = None,
     ) -> None:
         self.num_vcs = num_vcs
         self.capacity = capacity
@@ -70,13 +66,12 @@ class OutputPort:
         # NI injection links use it to re-arm a credit-stalled NI under
         # the active scheduler; router-to-router ports leave it None.
         self.waker: Optional[object] = None
+        # The router a credit returning here wakes (None on an NI link).
+        self.router = router
 
     def free_vcs(self, allowed: Sequence[int]) -> List[int]:
         """VCs in ``allowed`` that are unowned and have buffer space."""
         return [v for v in allowed if self.owner[v] is None and self.credits[v] > 0]
-
-    def total_credits(self, allowed: Sequence[int]) -> int:
-        return sum(self.credits[v] for v in allowed)
 
 
 class Router:
@@ -105,6 +100,7 @@ class Router:
         "route_override",
         "failed_outputs",
         "peak_flits",
+        "blocked",
     )
 
     def __init__(
@@ -138,13 +134,13 @@ class Router:
         }
         self.outputs: Dict[int, OutputPort] = {}
         for p in range(routing.NUM_MESH_PORTS):
-            self.outputs[p] = OutputPort(num_vcs, vc_capacity)
+            self.outputs[p] = OutputPort(num_vcs, vc_capacity, router=self)
         self.eject_ports: List[int] = []
         next_port = routing.NUM_MESH_PORTS
         for _ in range(num_eject_ports):
             # Ejection modelled as a single-VC link into the node's
             # receive queue; one packet drains at a time per port.
-            self.outputs[next_port] = OutputPort(1, eject_capacity)
+            self.outputs[next_port] = OutputPort(1, eject_capacity, router=self)
             self.eject_ports.append(next_port)
             next_port += 1
         self.input_ports: List[int] = list(range(routing.NUM_MESH_PORTS))
@@ -180,6 +176,9 @@ class Router:
         # allocated to the port finishes its wormhole normally (links
         # fail at packet boundaries).
         self.failed_outputs: set = set()
+        # Sleep mark: set by a tick that raised no request, cleared by
+        # whatever could let one be raised (see tick()).
+        self.blocked = False
 
     # ------------------------------------------------------------------
     # Construction helpers (called by the network builder)
@@ -205,7 +204,8 @@ class Router:
         """Add an output-only link port (loop topologies); returns index."""
         port = 1 + max(max(self.inputs), max(self.outputs))
         self.outputs[port] = OutputPort(
-            num_vcs, capacity, latency=latency, interposer=interposer
+            num_vcs, capacity, latency=latency, interposer=interposer,
+            router=self,
         )
         self.rr_mod = max(self.rr_mod, port + 1)
         return port
@@ -213,9 +213,10 @@ class Router:
     def add_eject_port(self, capacity: int) -> int:
         """Add an extra ejection port (MultiPort / concentration)."""
         port = 1 + max(max(self.inputs), max(self.outputs))
-        self.outputs[port] = OutputPort(1, capacity)
+        self.outputs[port] = OutputPort(1, capacity, router=self)
         self.eject_ports.append(port)
         self.rr_mod = max(self.rr_mod, port + 1)
+        self.blocked = False
         return port
 
     def disconnected_mesh_ports(self) -> List[int]:
@@ -234,30 +235,39 @@ class Router:
         if self.flit_count > self.peak_flits:
             self.peak_flits = self.flit_count
         self.port_flits[port] += 1
+        self.blocked = False
 
     # ------------------------------------------------------------------
     # One cycle
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> List[Tuple[int, int, int, int, Flit]]:
-        """Arbitrate and return winning moves.
+    def tick(self, cycle: int, arrivals: List[Tuple], credits: List[Tuple]) -> int:
+        """Arbitrate, then move every winning flit; returns how many ejected.
 
-        Each move is ``(in_port, in_vc, out_port, out_vc, flit)``; the
-        network commits them (link scheduling, credits, statistics).
+        A winner leaves in one pass: popped, its upstream credit put on
+        ``credits`` and its arrival downstream (or at the ejection sink,
+        as port ``-eject - 1``) on ``arrivals`` — the network's
+        next-cycle event lists, whose growth is the network's move count.
 
-        Round-robin pointers (``rr_in`` per input port, ``out.rr`` per
-        output) advance lazily — only when an arbitration is actually
-        won — so ticking an empty router is a strict no-op and the
-        active scheduler may skip it without perturbing later
-        arbitration order.
+        Round-robin pointers advance only on wins, so a tick that raises
+        no request mutates nothing, and what it read only a flit arrival,
+        a credit returning to one of this router's outputs or a
+        structural change (eject port added, fault fired or healed, SoA
+        materialised) can write.  It marks the router ``blocked``; those
+        sites clear the mark and the active scheduler skips the router
+        until then.  The dense oracle never reads the mark, so a missed
+        wake is a fingerprint mismatch, not a hang.
         """
-        # --- Per-input-port arbitration (separable, input first) -----
-        requests: List[Tuple[int, int, int, int]] = []  # in_port, in_vc, out_port, out_vc
+        # --- Per-input-port arbitration (separable, input first); each
+        # request meets its output's arbitration as it is raised -------
         inputs = self.inputs
         outputs = self.outputs
         rr_in = self.rr_in
-        num_vcs = self.num_vcs
+        rr_mod = self.rr_mod
         port_flits = self.port_flits
         vc_orders = self._vc_orders
+        # out_port -> (in_port, in_vc, ivc) in first-request order per
+        # output, which is the arrival order downstream.
+        winners: Optional[Dict[int, Tuple[int, int, InputVC]]] = None
         for port in self.input_ports:
             if not port_flits[port]:
                 continue
@@ -266,52 +276,69 @@ class Router:
                 ivc = vcs[vc]
                 if not ivc.queue:
                     continue
-                flit = ivc.queue[0]
-                if flit.is_head and ivc.out_port is None:
-                    self._route_and_allocate(port, vc, ivc, flit)
                 if ivc.out_port is None:
-                    continue
-                out = outputs[ivc.out_port]
+                    flit = ivc.queue[0]
+                    if flit.is_head:
+                        self._route_and_allocate(port, vc, ivc, flit)
+                    if ivc.out_port is None:
+                        continue
+                out_port = ivc.out_port
+                out = outputs[out_port]
                 if out.credits[ivc.out_vc] <= 0:
                     continue
-                requests.append((port, vc, ivc.out_port, ivc.out_vc))
+                if winners is None:
+                    winners = {out_port: (port, vc, ivc)}
+                elif out_port not in winners or (
+                    (port - out.rr) % rr_mod
+                    < (winners[out_port][0] - out.rr) % rr_mod
+                ):
+                    winners[out_port] = (port, vc, ivc)
                 break
-        if not requests:
-            return requests
+        if winners is None:
+            self.blocked = True
+            return 0
 
-        # --- Per-output-port arbitration ------------------------------
-        if len(requests) == 1:
-            winners = requests
-        else:
-            by_output: Dict[int, List[Tuple[int, int, int, int]]] = {}
-            for req in requests:
-                by_output.setdefault(req[2], []).append(req)
-            winners = []
-            rr_mod = self.rr_mod
-            for out_port, reqs in by_output.items():
-                if len(reqs) == 1:
-                    winners.append(reqs[0])
-                else:
-                    rr = outputs[out_port].rr
-                    winners.append(
-                        min(reqs, key=lambda r: (r[0] - rr) % rr_mod)
-                    )
-        moves: List[Tuple[int, int, int, int, Flit]] = []
-        for in_port, in_vc, out_port, out_vc in winners:
+        # --- Switch traversal ------------------------------------------
+        node = self.node
+        network = self.network
+        neighbors = self.neighbors
+        upstream = network.upstream
+        on_move = network.on_move
+        num_vcs = self.num_vcs
+        residence = 0
+        ejected = 0
+        for out_port, (in_port, in_vc, ivc) in winners.items():
             out = outputs[out_port]
-            ivc = inputs[in_port][in_vc]
+            out_vc = ivc.out_vc
             flit = ivc.queue.popleft()
-            self.flit_count -= 1
             port_flits[in_port] -= 1
             out.credits[out_vc] -= 1
-            out.rr = (in_port + 1) % self.rr_mod
+            out.rr = (in_port + 1) % rr_mod
             rr_in[in_port] = (in_vc + 1) % num_vcs
             if flit.is_tail:
                 out.owner[out_vc] = None
                 ivc.out_port = None
                 ivc.out_vc = None
-            moves.append((in_port, in_vc, out_port, out_vc, flit))
-        return moves
+            if on_move is not None:
+                on_move(node, in_port, in_vc, out_port, out_vc, flit, cycle)
+            # A traversal occupies the router for at least one cycle; waits
+            # in the input buffer add on top (the Figure-4 heat metric).
+            residence += cycle - flit.buffered_at + 1
+            up = upstream.get((node, in_port))
+            if up is not None:
+                credits.append((up, in_vc))
+            nbr = neighbors.get(out_port)
+            if nbr is not None:
+                arrivals.append((nbr[0], nbr[1], out_vc, flit))
+            else:  # ejection
+                arrivals.append((node, -out_port - 1, 0, flit))
+                flit.packet.eject_port = out
+                ejected += 1
+        self.flit_count -= len(winners)
+        stats = network.stats
+        stats.residence_cycles[node] += residence
+        stats.residence_count[node] += len(winners)
+        return ejected
 
     # ------------------------------------------------------------------
     # Route computation + output VC allocation for a head flit
@@ -325,14 +352,8 @@ class Router:
             return
         if self.route_override is not None:
             out_port, allowed = self.route_override(self, packet)
-            best = self._scan_outputs((out_port,), allowed, (), packet)
-            if best is not None:
-                _, out_port, out_vc = best
-                out = self.outputs[out_port]
-                out.owner[out_vc] = (port, vc)
-                ivc.out_port = out_port
-                ivc.out_vc = out_vc
-                self.network.stats.vc_allocs += 1
+            self._grant(port, vc, ivc, self._scan_outputs(
+                (out_port,), allowed, (), packet))
             return
         src = packet.inject_router if packet.inject_router is not None else packet.src
         candidates = routing.route_candidates(
@@ -393,14 +414,14 @@ class Router:
                     )
                     if best is not None:
                         break
-        if best is None:
-            return
-        _, out_port, out_vc = best
-        out = self.outputs[out_port]
-        out.owner[out_vc] = (port, vc)
-        ivc.out_port = out_port
-        ivc.out_vc = out_vc
-        self.network.stats.vc_allocs += 1
+        self._grant(port, vc, ivc, best)
+
+    def _grant(self, port: int, vc: int, ivc: InputVC,
+               best: Optional[Tuple[int, int]]) -> None:
+        if best is not None:
+            ivc.out_port, ivc.out_vc = best
+            self.outputs[best[0]].owner[best[1]] = (port, vc)
+            self.network.stats.vc_allocs += 1
 
     def _scan_outputs(
         self,
@@ -409,42 +430,47 @@ class Router:
         borrowable: Sequence[int],
         packet: "object",
         exclude: int = -1,
-    ) -> Optional[Tuple[int, int, int]]:
-        """Best allocatable ``(credits, out_port, out_vc)`` among ``ports``."""
+    ) -> Optional[Tuple[int, int]]:
+        """Best allocatable ``(out_port, out_vc)`` among ``ports``.
+
+        Minimal adaptive: the port with the most own-class credits,
+        then its free VC with the most credits; first of equals twice.
+        """
         failed = self.failed_outputs
-        best: Optional[Tuple[int, int, int]] = None
+        neighbors = self.neighbors
+        outputs = self.outputs
+        best_total = best_port = best_vc = -1
         for out_port in ports:
-            if out_port == routing.PORT_EJECT:
-                continue  # dst != node here; ejection handled separately
-            if out_port == exclude:
+            if (
+                out_port == exclude
+                or out_port not in neighbors  # PORT_EJECT never is
+                or (failed and out_port in failed)
+            ):
                 continue
-            if out_port not in self.neighbors:
-                continue
-            if failed and out_port in failed:
-                continue
-            out = self.outputs[out_port]
-            free = out.free_vcs(allowed)
-            if not free and borrowable:
+            out = outputs[out_port]
+            credits = out.credits
+            owner = out.owner
+            out_vc = -1
+            most = total = 0
+            for v in allowed:
+                free = credits[v]
+                total += free
+                if free > most and owner[v] is None:
+                    most = free
+                    out_vc = v
+            if out_vc < 0 and borrowable and out.capacity >= packet.size:
                 # VC monopolisation: borrow a foreign VC, but only when
                 # its buffer is completely empty and the whole packet
                 # fits, so the borrower fully vacates its own-class
                 # resources (cut-through on the borrowed hop) and never
                 # parks behind foreign-class flits.
-                free = [
-                    v
-                    for v in out.free_vcs(borrowable)
-                    if out.credits[v] == out.capacity
-                    and out.capacity >= packet.size
-                ]
-            if not free:
-                continue
-            # Minimal adaptive: prefer the output with the most credits;
-            # within a port, the free VC with the most credits.
-            out_vc = max(free, key=lambda v: out.credits[v])
-            total = out.total_credits(allowed)
-            if best is None or total > best[0]:
-                best = (total, out_port, out_vc)
-        return best
+                for v in borrowable:
+                    if owner[v] is None and credits[v] == out.capacity:
+                        out_vc = v
+                        break
+            if out_vc >= 0 and total > best_total:
+                best_total, best_port, best_vc = total, out_port, out_vc
+        return (best_port, best_vc) if best_port >= 0 else None
 
     def _allocate_eject(self, port: int, vc: int, ivc: InputVC) -> None:
         packet = ivc.queue[0].packet
@@ -495,12 +521,6 @@ class Router:
                         return ()
                 foreign.append(ovc)
         return tuple(foreign)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def buffered_flits(self) -> int:
-        return self.flit_count
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         x, y = self.grid.coord(self.node)

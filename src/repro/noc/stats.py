@@ -112,12 +112,6 @@ class NetworkStats:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_move(self, node: int, residence: int) -> None:
-        self.buffer_reads += 1
-        self.xbar_traversals += 1
-        self.residence_cycles[node] += residence
-        self.residence_count[node] += 1
-
     def record_delivery(self, packet: Packet, non_queuing: int) -> None:
         self.packets_delivered += 1
         self.bits_delivered += packet.size * self.flit_bytes * 8

@@ -499,9 +499,10 @@ def _check_scheduler_sets(net: Network) -> List[str]:
     """Active-set completeness and minimality (active scheduler only).
 
     Between ticks the router active set must equal the set of routers
-    holding flits, and the NI active set must equal the set of NIs with
-    pending work — a missed wake here is exactly the bug class that
-    would make the active scheduler diverge from the dense oracle.
+    holding flits, the NI active set must equal the set of NIs with
+    pending work, and a router marked ``blocked`` must hold flits none
+    of which could move — a missed wake here is exactly the bug class
+    that would make the active scheduler diverge from the dense oracle.
     """
     if not net._active_scheduler:
         return []
@@ -528,5 +529,22 @@ def _check_scheduler_sets(net: Network) -> List[str]:
     if ni_stale:
         problems.append(
             f"scheduler: workless NIs left armed: {sorted(ni_stale)}"
+        )
+    # The cheap necessary condition of the sleep mark; a sleeping head
+    # that could now *allocate* is the scheduler differential's to catch.
+    for router in net.routers:
+        if not router.blocked:
+            continue
+        if not router.flit_count:
+            problems.append(
+                f"scheduler: empty router {router.node} marked blocked"
+            )
+        problems.extend(
+            f"scheduler: blocked router {router.node} holds a ready flit "
+            f"at in(p{port},v{vc})"
+            for port in router.input_ports
+            for vc, ivc in enumerate(router.inputs[port])
+            if ivc.queue and ivc.out_port is not None
+            and router.outputs[ivc.out_port].credits[ivc.out_vc] > 0
         )
     return problems

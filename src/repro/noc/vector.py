@@ -66,11 +66,14 @@ from .types import Flit
 #: Flits landing at the start of a cycle (= flits that moved in the
 #: previous one) at which the SoA arms, and below which it disarms
 #: again.  Measured, not tuned per mesh: per-cycle object/SoA break-even
-#: sits at ~100-120 moves on 8- to 24-wide meshes alike; arming waits a
+#: sits at ~160-175 moves on 16- and 24-wide meshes alike (~100-120
+#: before 1.14 taught the object path to sleep blocked routers and move
+#: a flit in one pass; 144/64 then, same ratios now); arming waits a
 #: little past it because the signal is spiky and a round trip costs
 #: 4-45 ms, and the wide gap is hysteresis against thrashing.
-ARM_FLITS = 144
-DISARM_FLITS = 64
+#: docs/VECTOR.md has the per-bin table and the threshold replay.
+ARM_FLITS = 216
+DISARM_FLITS = 96
 
 
 @contextmanager
@@ -402,7 +405,9 @@ class VectorNetwork(Network):
             self._soa = None
             self.disarms += 1
 
-    soa_invalidate = _disarm  # the fault injector's hook (Network)
+    def soa_invalidate(self) -> None:
+        self._disarm()
+        super().soa_invalidate()
 
     # ------------------------------------------------------------------
     # Event scheduling overrides
@@ -1072,6 +1077,8 @@ class VectorNetwork(Network):
             router.rr_in[p] = int(soa.rr_in[node * P + p])
         router.flit_count = count
         router.peak_flits = int(soa.peak[node])
+        # Whatever its last object-path tick concluded no longer holds.
+        router.blocked = False
 
     def _materialize_outputs(self, soa: _SoA, router: Router) -> None:
         """Per-router step of :meth:`_materialize`: credits and owners."""

@@ -128,6 +128,8 @@ class Fabric:
         # {"request", "reply", "both", "cmesh"}.
         self.networks: List[Tuple[Network, float, str]] = []
         self._ratio_acc: List[float] = []
+        # Networks a reply can arrive on: reply, both, cmesh.
+        self._reply_side: List[Network] = []
 
         data_flits = packet_flits(PacketType.READ_REPLY, config.flit_bytes)
         vc_cap = max_packet_flits or data_flits
@@ -376,6 +378,8 @@ class Fabric:
     def _add_network(self, net: Network, ratio: float, role: str) -> None:
         self.networks.append((net, ratio, role))
         self._ratio_acc.append(0.0)
+        if role != "request":
+            self._reply_side.append(net)
 
     def _next_pid(self) -> int:
         self._pid += 1
@@ -480,6 +484,14 @@ class Fabric:
 
     def pop_reply(self, pe: int) -> Optional[object]:
         """One arrived reply transaction at ``pe``, if any."""
+        # Every PE polls every cycle and nearly every poll is empty:
+        # answer those from the delivered totals, before any per-node
+        # lookup (an empty poll never moved a rotation pointer).
+        for net in self._reply_side:
+            if net._delivered_total:
+                break
+        else:
+            return None
         if self.config.da2mesh:
             start = self._da2_pop_rr.get(pe, 0)
             n = len(self.reply_subnets)
@@ -562,20 +574,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # Stats access
     # ------------------------------------------------------------------
-    def request_networks(self) -> List[Tuple[Network, float]]:
-        return [
-            (net, ratio)
-            for net, ratio, role in self.networks
-            if role in ("request", "both", "cmesh")
-        ]
-
-    def reply_networks(self) -> List[Tuple[Network, float]]:
-        return [
-            (net, ratio)
-            for net, ratio, role in self.networks
-            if role in ("reply", "both", "cmesh")
-        ]
-
     def networks_by_role(self, role: str) -> List[Network]:
         """Networks a fault role name applies to (fault injection).
 

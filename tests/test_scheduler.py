@@ -9,7 +9,10 @@ audits armed and with a firing fault plan, plus the MCTS evaluation
 memoization's equivalence to direct evaluation.
 """
 
+import dataclasses
+import inspect
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,9 +26,15 @@ from repro.harness.experiment import (
     ExperimentConfig,
     build_fabric,
     run_experiment,
+    run_with_fabric,
 )
-from repro.noc.faults import FaultSpec
-from repro.noc.network import resolve_scheduler
+from repro.noc import vector
+from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.noc.interface import NetworkInterface
+from repro.noc.network import Network, network_class, resolve_scheduler
+from repro.noc.router import Router
+from repro.noc.types import Packet, PacketType, packet_flits
+from repro.noc.vector import VectorNetwork
 from repro.schemes import SCHEME_ORDER, get_spec
 from repro.workloads import profiles
 from repro.workloads.synthetic import run_uniform
@@ -157,6 +166,218 @@ class TestSyntheticDifferential:
             prints[sched] = (result.network.stats.fingerprint(),
                              result.received, result.cycles)
         assert prints["active"] == prints["dense"]
+
+
+# ----------------------------------------------------------------------
+# The router sleep rule: a tick that raised no request marks the router
+# blocked, the active scheduler skips it, and six sites end the sleep
+# ----------------------------------------------------------------------
+def _saturate(scheduler, engine="object", rate=0.3, pop_every=1, faults=(),
+              add_eject_at=None, flip_every=0):
+    """Saturate an 8x8 mesh for 80 cycles, then drain (bounded).
+
+    ``pop_every`` > 1 makes the sinks slow, so ejection credits run out
+    and only a pop returns them; ``add_eject_at`` widens every router's
+    ejection mid-run; ``flip_every`` alternates a vector network
+    between the object path and the SoA every that many cycles.
+    Returns ``(fingerprint, cycles, drained)``.
+    """
+    grid = Grid(8)
+    net = network_class(engine)(
+        "sleep", grid, flit_bytes=16, vc_classes=[(0,), (1,)],
+        scheduler=scheduler,
+    )
+    nodes = list(grid.nodes())
+    nis = {node: NetworkInterface(net, node) for node in nodes}
+    injector = FaultInjector(
+        SimpleNamespace(networks_by_role=lambda role: [net]),
+        FaultPlan(tuple(faults)), strict=True,
+    )
+    rng = random.Random(7)
+    pid = 0
+    with vector.arming(10 ** 9, 10 ** 9):
+        for cycle in range(80 + 1500):
+            injector.on_cycle(cycle)
+            if cycle == add_eject_at:
+                for node in nodes:
+                    net.add_eject_port(node)
+            if flip_every and cycle % flip_every == 0:
+                regime = 0 if (cycle // flip_every) % 2 else 10 ** 9
+                vector.ARM_FLITS = vector.DISARM_FLITS = regime
+            if cycle < 80:
+                for src in nodes:
+                    if rng.random() >= rate:
+                        continue
+                    dst = rng.choice(nodes)
+                    if dst == src:
+                        continue
+                    pid += 1
+                    ptype = (PacketType.READ_REPLY if pid % 2
+                             else PacketType.READ_REQUEST)
+                    nis[src].enqueue(Packet(
+                        pid, ptype, src, dst, packet_flits(ptype, 16), 0,
+                        vc_class=1 if ptype.is_reply else 0,
+                    ))
+            elif net.idle():
+                break
+            net.tick()
+            if cycle % pop_every == 0:
+                for node in nodes:
+                    while net.pop_delivered(node) is not None:
+                        pass
+    if flip_every:
+        assert net.arms >= 10 and net.disarms >= 10
+    return net.stats.fingerprint(), net.cycle, net.idle()
+
+
+def _without(monkeypatch, owner, name, line):
+    """Patch ``owner.name`` with a copy that lacks one source line."""
+    func = getattr(owner, name)
+    source = "if 1:\n" + inspect.getsource(func)
+    assert source.count(line) == 1, (owner, name, line)
+    scope = {}
+    exec(
+        compile(source.replace(line, line.replace(line.strip(), "pass")),
+                inspect.getsourcefile(func), "exec"),
+        func.__globals__, scope,
+    )
+    monkeypatch.setattr(owner, name, scope[name])
+
+
+_LINK_FAULT = (FaultSpec(kind="mesh_link", node=27, peer=28, at_cycle=40,
+                         heal_cycle=100),)
+#: wake site -> (class, method, the one line that wakes, the saturated
+#: run in which forgetting it shows).
+_WAKES = {
+    "arrival": (
+        Network, "tick", "\n            router.blocked = False\n", {}),
+    "link_credit": (
+        Network, "tick",
+        "\n                port.router.blocked = False\n", {}),
+    "eject_credit": (
+        Network, "_return_eject_credits",
+        "\n        eject_port.router.blocked = False\n",
+        dict(pop_every=16)),
+    "materialise": (
+        VectorNetwork, "_materialize_inputs",
+        "\n        router.blocked = False\n",
+        dict(engine="vector", flip_every=3)),
+    "fault": (
+        Network, "soa_invalidate",
+        "\n            router.blocked = False\n",
+        # Half the load: detours around a dead link give up the turn
+        # model, and at 0.3 they deadlock under either scheduler.
+        dict(rate=0.15, faults=_LINK_FAULT)),
+    "port_added": (
+        Router, "add_eject_port", "\n        self.blocked = False\n",
+        dict(pop_every=16, add_eject_at=60)),
+}
+
+
+class TestRouterSleep:
+    @pytest.mark.parametrize("site", sorted(_WAKES))
+    def test_no_wake_site_is_decorative(self, site, monkeypatch):
+        """Delete one wake and the schedulers (or engines) must part.
+
+        The dense oracle never reads the mark, so it is the reference
+        for the mutant too: the active run either sleeps through work
+        (different fingerprint) or never drains.
+        """
+        owner, name, line, scenario = _WAKES[site]
+        oracle = {k: v for k, v in scenario.items()
+                  if k not in ("engine", "flip_every")}
+        dense = _saturate("dense", **oracle)
+        assert dense[2]  # the reference run drained
+        assert _saturate("active", **scenario) == dense
+        _without(monkeypatch, owner, name, line)
+        assert _saturate("dense", **oracle) == dense
+        assert _saturate("active", **scenario) != dense
+
+    def test_work_that_cannot_move_a_flit_is_not_done(self):
+        """Exact counts on ``fabric_saturated``'s object half, no clock.
+
+        Before the sleep rule this run made 302,054 arbitration passes
+        and 641,141 allocation attempts for the same 356,958 moves.
+        """
+        calls = {"tick": 0, "alloc": 0}
+        real_tick, real_alloc = Router.tick, Router._route_and_allocate
+
+        def tick(router, *args):
+            calls["tick"] += 1
+            return real_tick(router, *args)
+
+        def alloc(router, *args):
+            calls["alloc"] += 1
+            return real_alloc(router, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Router, "tick", tick)
+            patch.setattr(Router, "_route_and_allocate", alloc)
+            result = run_uniform(Grid(24), 0.08, cycles=150, seed=1)
+        assert result.sent == result.received == 6920
+        assert result.network.stats.buffer_reads == 356958
+        assert calls["tick"] <= 235_000
+        assert calls["alloc"] <= 440_000
+
+
+class TestSaturatedDifferential:
+    """Dense vs active and object vs vector where routers do block."""
+
+    @pytest.mark.parametrize("routing", ["xy", "oddeven"])
+    def test_saturated_12x12_checksums_match(self, routing):
+        prints = {}
+        for scheduler, engine in (("dense", "object"), ("active", "object"),
+                                  ("dense", "vector"), ("active", "vector")):
+            result = run_uniform(
+                Grid(12), 0.12, cycles=150, seed=1, scheduler=scheduler,
+                engine=engine, routing_algorithm=routing,
+            )
+            net = result.network
+            if engine == "vector":
+                # Shipped thresholds: both paths and both transitions.
+                assert net.arms and net.disarms
+                assert 0 < net.armed_cycles < result.cycles
+            prints[scheduler, engine] = (
+                net.stats.fingerprint(), result.received, result.cycles
+            )
+        assert len(set(prints.values())) == 1, prints
+
+    @pytest.mark.parametrize(
+        "scheme, overrides",
+        [
+            ("VC-Mono", {}),
+            ("ring_router", dict(width=6, num_cbs=5)),
+            ("EquiNox", dict(faults=(
+                FaultSpec(kind="mesh_link", node=27, peer=28, net="reply",
+                          at_cycle=60, heal_cycle=300),
+            ))),
+        ],
+    )
+    def test_saturated_cells_match(self, scheme, overrides):
+        config = ExperimentConfig(quota=12, mcts_iterations=10, validate=16,
+                                  **overrides)
+        runs = [("dense", "object"), ("active", "object")]
+        if "vector" in get_spec(scheme).engines:
+            runs.append(("active", "vector"))
+        prints = set()
+        for scheduler, engine in runs:
+            cell = dataclasses.replace(config, scheduler=scheduler,
+                                       engine=engine)
+            fabric = build_fabric(scheme, cell)
+            # Thresholds an 8x8 cell crosses, so the vector twin arms
+            # and disarms instead of being the object path throughout.
+            with vector.arming(24, 12):
+                result = run_with_fabric(fabric, "hotspot", cell, scheme)
+            nets = [net for net, _ratio, _role in fabric.networks]
+            if engine == "vector":
+                for net in nets:
+                    assert net.arms and net.disarms
+                    assert 0 < net.armed_cycles < net.stats.cycles
+            if cell.faults:
+                assert fabric.reply_net.faults_fired
+            prints.add((result.stats_fingerprint, result.cycles,
+                        result.instructions))
+        assert len(prints) == 1, prints
 
 
 # ----------------------------------------------------------------------

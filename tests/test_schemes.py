@@ -1,8 +1,14 @@
 """Tests for scheme configs and the fabric builder."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.harness.experiment import ExperimentConfig, build_fabric
+from repro.harness.experiment import (
+    ExperimentConfig,
+    build_fabric,
+    run_with_fabric,
+)
 from repro.noc import PacketType
 from repro.noc.interface import EquiNoxInterface, MultiPortInterface
 from repro.schemes import SCHEME_ORDER, SchemeConfig, get_config, get_spec
@@ -188,6 +194,38 @@ class TestFabricTraffic:
                     for ni in fabric.reply_nis[cb]]
         assert sum(backlogs) == 8
         assert max(backlogs) == 1
+
+    @pytest.mark.parametrize("scheme", ["DA2Mesh", "Interposer-CMesh"])
+    def test_empty_reply_polls_are_answered_without_a_lookup(self, scheme):
+        """``pop_reply`` answers None from the delivered totals alone.
+
+        An empty poll never moved ``_da2_pop_rr`` / ``_pop_rr``, so
+        skipping the per-node scan cannot move a rotation or a
+        fingerprint: the same cell with the early-out defeated (a
+        stand-in network that always claims a delivery) must agree.
+        """
+        runs = []
+        for defeat in (False, True):
+            fabric = build_fabric(scheme, self.cfg)
+            assert len(fabric._reply_side) == (8 if scheme == "DA2Mesh" else 2)
+            if defeat:
+                fabric._reply_side = [SimpleNamespace(_delivered_total=1)]
+            polls = []
+            for net, _ratio, _role in fabric.networks:
+                real = net.pop_delivered
+                net.pop_delivered = (
+                    lambda *a, real=real, **kw:
+                    polls.append(1) or real(*a, **kw)
+                )
+            result = run_with_fabric(fabric, "hotspot", self.cfg, scheme)
+            rotation = (
+                fabric._da2_pop_rr,
+                [net._pop_rr for net, _ratio, _role in fabric.networks],
+            )
+            runs.append((result.stats_fingerprint, result.cycles, rotation,
+                         len(polls)))
+        assert runs[0][:3] == runs[1][:3]
+        assert runs[0][3] < 0.6 * runs[1][3]  # CB request polls included
 
     def test_reply_backlog_reporting(self):
         fabric = build_fabric("SeparateBase", self.cfg)

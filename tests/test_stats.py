@@ -78,15 +78,16 @@ class TestNetworkStats:
 
     def test_heatmap_masks_untouched_routers(self):
         stats = NetworkStats(4, 16)
-        stats.record_move(2, 7)
+        stats.residence_cycles[2] += 7
+        stats.residence_count[2] += 1
         heat = stats.heatmap()
         assert heat[2] == 7.0
         assert heat[0] == 0.0
 
     def test_heatmap_variance(self):
         stats = NetworkStats(4, 16)
-        for node in range(4):
-            stats.record_move(node, 3)
+        stats.residence_cycles += 3
+        stats.residence_count += 1
         assert stats.heatmap_variance() == 0.0
 
     def test_merge_accumulates(self):
@@ -94,8 +95,8 @@ class TestNetworkStats:
         b = NetworkStats(16, 2)
         a.buffer_writes = 5
         b.buffer_writes = 7
-        a.record_move(3, 2)
-        b.record_move(3, 4)
+        a.residence_cycles[3], a.residence_count[3] = 2, 1
+        b.residence_cycles[3], b.residence_count[3] = 4, 1
         b.record_delivery(packet(), 10)
         a.merge(b)
         assert a.buffer_writes == 12

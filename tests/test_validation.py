@@ -188,6 +188,37 @@ class TestConservationAudit:
             "NI 3" in p and "link owner" in p for p in problems
         )
 
+    def test_blocked_mark_on_an_empty_router_detected(self):
+        net, _ = make_net()
+        net.routers[6].blocked = True
+        assert any(
+            "empty router 6 marked blocked" in p
+            for p in check_invariants(net)
+        )
+        # The dense oracle never reads the mark; nor does its audit.
+        dense, _ = make_net(scheduler="dense")
+        dense.routers[6].blocked = True
+        assert check_invariants(dense) == []
+
+    def test_blocked_mark_over_a_ready_flit_detected(self):
+        net, _ = make_net()
+        router = net.routers[5]
+        packet = Packet(1, PacketType.READ_REPLY, 4, 7, 5, 0, vc_class=1)
+        for flit in packet.make_flits():
+            router.accept(1, 1, flit, 1)
+        net.active.add(5)
+        net.tick()
+        # Mid-packet: the head left, and the four flits behind it hold
+        # its route and a downstream credit, so the router may not
+        # sleep (and did not mark itself).
+        assert router.flit_count == 4 and not router.blocked
+        assert not any("blocked" in p for p in check_invariants(net))
+        router.blocked = True
+        assert any(
+            "blocked router 5 holds a ready flit at in(p1,v1)" in p
+            for p in check_invariants(net)
+        )
+
 
 class TestInvariantsUnderLoad:
     """The checker holds at every cycle of a random run."""

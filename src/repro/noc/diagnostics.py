@@ -55,10 +55,9 @@ def _in_flight_packets(net: Network) -> Dict[int, Packet]:
                 for flit in ivc.queue:
                     if flit.packet.delivered is None:
                         packets[flit.packet.pid] = flit.packet
-    for events in net._arrivals.values():
-        for _node, _port, _vc, flit in events:
-            if flit.packet.delivered is None:
-                packets[flit.packet.pid] = flit.packet
+    for _node, _port, _vc, flit in net._arrivals:
+        if flit.packet.delivered is None:
+            packets[flit.packet.pid] = flit.packet
     for ni in net.nis:
         for buf in ni.buffers:
             for flit in buf.flits:
@@ -133,13 +132,12 @@ def locate_packet(net: Network, packet: Packet) -> List[str]:
                 head = ivc.queue[0]
                 if ivc.out_port is None and head.is_head and head.packet is packet:
                     lines.extend(_refusals(router, packet))
-    for cycle, events in sorted(net._arrivals.items()):
-        for node, port, vc, flit in events:
-            if flit.packet is packet:
-                lines.append(
-                    f"on link to router {node} p{port}v{vc} "
-                    f"(arrives cycle {cycle})"
-                )
+    for node, port, vc, flit in net._arrivals:
+        if flit.packet is packet:
+            lines.append(
+                f"on link to router {node} p{port}v{vc} "
+                f"(arrives cycle {net.cycle + 1})"
+            )
     for ni in net.nis:
         for idx, buf in enumerate(ni.buffers):
             count = sum(1 for flit in buf.flits if flit.packet is packet)

@@ -46,7 +46,7 @@ class InjectionBuffer:
         self.target_node = target_node
         self.target_port = network.add_injection_port(target_node)
         self.link = OutputPort(
-            network.num_vcs, network.vc_capacity, latency=1, interposer=interposer
+            network.num_vcs, network.vc_capacity, interposer=interposer
         )
         self.flits: Deque[Flit] = deque()
         self.cur_vc: Optional[int] = None
@@ -132,11 +132,7 @@ class InjectionBuffer:
         self.flits.popleft()
         self.link.credits[self.cur_vc] -= 1
         self.network.schedule_flit(
-            cycle + self.link.latency,
-            self.target_node,
-            self.target_port,
-            self.cur_vc,
-            flit,
+            self.target_node, self.target_port, self.cur_vc, flit
         )
         self.flits_sent += 1
         stats = self.network.stats

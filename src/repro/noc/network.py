@@ -7,9 +7,12 @@ networks (request/reply, CMesh overlay, DA2Mesh subnets) coexist in one
 system and are ticked by the fabric at their own clock ratios.
 
 Event model: router arbitration is processed per-router within a cycle,
-but every effect (flit arrival downstream, credit return upstream) is
-scheduled at least one cycle in the future, so intra-cycle processing
-order cannot leak between routers.
+but every effect (flit arrival downstream, credit return upstream)
+lands exactly one cycle later, so intra-cycle processing order cannot
+leak between routers.  That link latency is a constant, not a
+parameter — the zero-load model in ``_deliver`` (``hops + size + 2``)
+assumes it — so the pending events are two plain lists, ``_arrivals``
+and ``_credits``, holding what the *next* tick applies.
 
 Scheduling: two tick disciplines produce bit-identical behaviour.  The
 *dense* scheduler walks every router and NI each cycle (the
@@ -21,6 +24,13 @@ component.  Round-robin pointers advance only on wins, so skipping a
 workless component is exactly equivalent to visiting it.  Past
 saturation "holds flits" is every router, so the active scheduler also
 skips a router marked ``blocked`` (the rule is on ``Router.tick``).
+
+Engines: an ``engine = "vector"`` network is *adaptive*: while enough
+flits move per cycle it holds a struct-of-arrays snapshot in ``_soa``
+(:mod:`repro.noc.vector`) and ticks through that object's batched
+phases; each site below where the representations differ is one ``if
+self._soa is not None`` branch.  An ``engine = "object"`` network never
+arms and stays the oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +74,7 @@ def resolve_engine(value: Optional[str] = None) -> str:
 
 
 def network_class(engine: Optional[str] = None):
-    """The :class:`Network` subclass implementing ``engine``."""
+    """The :class:`Network` class whose ``engine`` attribute is ``engine``."""
     if resolve_engine(engine) == "vector":
         from .vector import VectorNetwork
 
@@ -95,6 +105,24 @@ class Network:
         loops: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
         self.name = name
+        # The SoA held while armed, and the module that builds it and
+        # names the arming thresholds (None: an object network).
+        self._soa = None
+        self._vector = None
+        if self.engine == "vector":
+            if loops is not None:
+                raise ValueError(
+                    "loop topologies are only implemented by the object "
+                    f"engine (got {self.engine!r})"
+                )
+            from . import vector
+
+            self._vector = vector
+        # Arming observability; deliberately outside stats.snapshot().
+        self.armed_cycles = 0
+        self.arms = 0
+        self.disarms = 0
+        self.fallback_allocs = 0  # attempts decided by the golden Router
         self.scheduler = resolve_scheduler(scheduler)
         self._active_scheduler = self.scheduler == "active"
         self.grid = grid
@@ -152,8 +180,10 @@ class Network:
         for router in self.routers:
             for port, (nbr, nbr_port) in router.neighbors.items():
                 self.upstream[(nbr, nbr_port)] = router.outputs[port]
-        self._arrivals: Dict[int, List[Tuple]] = {}
-        self._credits: Dict[int, List[Tuple[OutputPort, int]]] = {}
+        # What the next tick applies: (node, port, vc, flit) landings
+        # (port < 0: ejection sink) and (OutputPort, vc) credit returns.
+        self._arrivals: List[Tuple] = []
+        self._credits: List[Tuple[OutputPort, int]] = []
         # Active-set state: router nodes holding flits, and the
         # registration indices of NIs with pending work.  Maintained
         # only under the active scheduler; the dense scheduler walks
@@ -218,10 +248,21 @@ class Network:
             self.loop_ports.append(ports)
 
     # ------------------------------------------------------------------
-    # Configuration helpers
+    # Configuration helpers.  A structure change drops the SoA first, so
+    # a snapshot never has to describe structure it predates; the next
+    # tick re-arms if still busy.  Ports are only added through the two
+    # methods below; the fault injector announces itself through
+    # soa_invalidate().
     # ------------------------------------------------------------------
+    def _disarm(self) -> None:
+        if self._soa is not None:
+            self._soa.materialize(self)
+            self._soa = None
+            self.disarms += 1
+
     def add_injection_port(self, node: int) -> int:
         """Add an NI-facing input port to ``node``'s router."""
+        self._disarm()
         return self.routers[node].add_input_port()
 
     def add_eject_port(self, node: int, capacity: Optional[int] = None) -> int:
@@ -235,6 +276,7 @@ class Network:
         """
         if capacity is None:
             capacity = self.eject_capacity
+        self._disarm()
         return self.routers[node].add_eject_port(capacity)
 
     def register_ni(self, ni: "object") -> None:
@@ -298,9 +340,10 @@ class Network:
         for ni in self.nis:
             ni.register_telemetry(registry, prefix)
 
-    # The two telemetry reads of per-router buffer state, which an
-    # engine keeping that state elsewhere overrides.
+    # The two telemetry reads of per-router buffer state.
     def _active_nodes(self):
+        if self._soa is not None:
+            return self._soa.occupied_nodes()
         if self._active_scheduler:
             return self.active
         # Dense oracle: the equivalent ground truth is the set of
@@ -308,15 +351,19 @@ class Network:
         return [r.node for r in self.routers if r.flit_count]
 
     def _peak_router_flits(self) -> int:
+        if self._soa is not None:
+            return int(self._soa.peak.max())
         return max((r.peak_flits for r in self.routers), default=0)
 
     # ------------------------------------------------------------------
-    # Event scheduling (used by routers and NIs)
+    # Event scheduling (NIs; routers append to the lists they are handed)
     # ------------------------------------------------------------------
-    def schedule_flit(
-        self, cycle: int, node: int, port: int, vc: int, flit: Flit
-    ) -> None:
-        self._arrivals.setdefault(cycle, []).append((node, port, vc, flit))
+    def schedule_flit(self, node: int, port: int, vc: int, flit: Flit) -> None:
+        """Put ``flit`` on the link into ``(node, port, vc)``: lands next tick."""
+        if self._soa is not None:
+            self._soa.schedule(node, port, vc, flit)
+        else:
+            self._arrivals.append((node, port, vc, flit))
 
     def reclaim_scheduled_flits(self, node: int, port: int) -> List[Flit]:
         """Remove and return flits in flight toward ``(node, port)``.
@@ -326,19 +373,12 @@ class Network:
         restore them upstream and account for them in the dropped-flit
         ledger (keeping the conservation audits balanced).
         """
-        reclaimed: List[Flit] = []
-        for cycle in sorted(self._arrivals):
-            events = self._arrivals[cycle]
-            kept = [ev for ev in events if ev[0] != node or ev[1] != port]
-            if len(kept) == len(events):
-                continue
-            reclaimed.extend(
-                ev[3] for ev in events if ev[0] == node and ev[1] == port
-            )
-            if kept:
-                self._arrivals[cycle] = kept
-            else:
-                del self._arrivals[cycle]
+        events = self._arrivals
+        reclaimed = [ev[3] for ev in events if ev[0] == node and ev[1] == port]
+        if reclaimed:
+            self._arrivals = [
+                ev for ev in events if ev[0] != node or ev[1] != port
+            ]
         return reclaimed
 
     # ------------------------------------------------------------------
@@ -366,7 +406,14 @@ class Network:
             queue = self.receive_queues.get((node, p))
             if queue:
                 packet, eject_port = queue.popleft()
-                self._return_eject_credits(eject_port, packet.size)
+                # Free the consumed packet's receive-buffer space.
+                if self._soa is not None:
+                    self._soa.return_eject_credits(
+                        eject_port, packet.size, self.cycle
+                    )
+                else:
+                    eject_port.credits[0] += packet.size
+                    eject_port.router.blocked = False
                 self._delivered[node] -= 1
                 self._delivered_total -= 1
                 if rotate:
@@ -378,31 +425,49 @@ class Network:
                 return packet
         return None
 
-    def _return_eject_credits(self, eject_port: OutputPort, flits: int) -> None:
-        """Free a consumed packet's receive-buffer space (engine hook)."""
-        eject_port.credits[0] += flits
-        eject_port.router.blocked = False
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        """Advance the network by one of its own clock cycles."""
+        """Advance the network by one of its own clock cycles.
+
+        An adaptive network first picks the path by the flits about to
+        land (``vector.ARM_FLITS``/``DISARM_FLITS``, read every tick).
+        """
+        vector = self._vector
+        if vector is not None:
+            if self._soa is not None:
+                if self._scheduled() < vector.DISARM_FLITS:
+                    self._disarm()
+            elif len(self._arrivals) >= vector.ARM_FLITS:
+                self._soa = vector._SoA(self)
+                self.arms += 1
+        soa = self._soa
         self.cycle += 1
         cycle = self.cycle
         stats = self.stats
         stats.cycles += 1
+        if soa is not None:
+            self.armed_cycles += 1
+            soa.tick(self, cycle)
+            return
         active = self._active_scheduler
         routers = self.routers
 
-        for port, vc in self._credits.pop(cycle, ()):  # credit returns
+        # Take this cycle's events; an empty list is reused as is.
+        credits = self._credits
+        if credits:
+            self._credits = []
+        landed = self._arrivals
+        if landed:
+            self._arrivals = []
+        for port, vc in credits:  # credit returns
             port.credits[vc] += 1
             if port.router is not None:
                 port.router.blocked = False
             elif port.waker is not None:
                 port.waker()
 
-        landed = self._arrivals.pop(cycle, ())
         writes = len(landed)
         for node, port, vc, flit in landed:
             if port < 0:  # ejection sink arrival; -port-1 is the eject port
@@ -438,12 +503,10 @@ class Network:
         # behaviourally identical to the active path — and catches any
         # missed wake as a fingerprint mismatch.
         #
-        # Every move of this tick lands next cycle: one arrival list
-        # (NIs may have started it) and one credit list, fetched once
-        # and handed to each router, and stored only if non-empty —
-        # quiescent()/idle() test the two dicts for truth.
-        arrivals = self._arrivals.get(cycle + 1, [])
-        credits = self._credits.get(cycle + 1, [])
+        # Every move of this tick lands next cycle, on the two lists
+        # (NIs may have started ``arrivals``) each router is handed.
+        arrivals = self._arrivals
+        credits = self._credits
         before = len(arrivals)
         ejected = 0
         for router in routers:
@@ -453,9 +516,6 @@ class Network:
         moved = len(arrivals) - before
         if not moved:
             return
-        self._arrivals[cycle + 1] = arrivals
-        if credits:
-            self._credits[cycle + 1] = credits
         stats.buffer_reads += moved
         stats.xbar_traversals += moved
         stats.flits_ejected += ejected
@@ -468,7 +528,7 @@ class Network:
         self.last_progress = cycle
 
     def _tick_nis(self, cycle: int) -> None:
-        """The NI phase of a tick, shared by both engines.
+        """The NI phase of a tick, shared by both tick paths.
 
         All effects (flit onto a link, core reservation) are local to
         the NI or scheduled >= 1 cycle ahead, and an NI only gains work
@@ -534,13 +594,9 @@ class Network:
         delivered-but-unpopped packets also block quiescence, because a
         tick (or an external pop) could still change state.
         """
-        if self._arrivals or self._credits or self._delivered_total:
-            return False
-        if self._active_scheduler:
-            return not self.active and not self._active_nis
-        return self.in_flight() == 0 and all(
-            not ni.has_work() for ni in self.nis
-        )
+        soa = self._soa
+        credits = self._credits if soa is None else soa.p_cs or soa.p_obj_credits
+        return not (credits or self._delivered_total) and self.idle()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -548,49 +604,58 @@ class Network:
     def sync_for_inspection(self) -> None:
         """Make router/NI *objects* reflect canonical simulator state.
 
-        The object engine is always in sync, so this is a no-op; the
-        vector engine overrides it to materialise its struct-of-arrays
-        state back onto the Router/OutputPort objects.  Auditors and
-        dump tools call this before reading object state directly.
+        Auditors and dump tools call this before reading object state
+        directly; an armed network carries on from its arrays.
         """
+        if self._soa is not None:
+            self._soa.materialize(self)
 
     def soa_invalidate(self) -> None:
-        """Notify the engine that a fault is changing structure.
+        """Announce that a fault is changing structure.
 
-        Fault injection mutates ``failed_outputs`` / ``faults_fired`` /
-        NI wiring directly on the objects and then pulls in-flight flits
-        back out of ``_arrivals``; the vector engine extends this to
-        disarm first, so the objects are canonical before any of that
-        is read (as before a port is added).  Either change can turn a
-        refused allocation into a grant anywhere in the network, so
-        every router's sleep ends here.
+        Fault injection (every fire, every link heal; not an NI-buffer
+        heal, which touches nothing the SoA mirrors) mutates
+        ``failed_outputs`` / ``faults_fired`` / NI wiring directly on
+        the objects and then pulls in-flight flits back out of
+        ``_arrivals``, so the objects must be canonical first.  Either
+        change can turn a refused allocation into a grant anywhere in
+        the network, so every router's sleep ends here.
         """
+        self._disarm()
         for router in self.routers:
             router.blocked = False
 
-    def in_flight(self) -> int:
-        """Flits buffered in routers plus scheduled arrivals."""
+    # The one definition of busy: three reads, each answered by the
+    # representation that is canonical right now.  The active sets obey
+    # the audited invariants: every buffered flit's router is in
+    # ``active`` and the armed NIs are exactly those with work.
+    def _buffered(self) -> int:
+        """Flits in router input buffers."""
+        if self._soa is not None:
+            return self._soa.buffered_total
         if self._active_scheduler:
             routers = self.routers
-            buffered = sum(routers[n].flit_count for n in self.active)
-        else:
-            buffered = sum(r.flit_count for r in self.routers)
-        scheduled = sum(len(v) for v in self._arrivals.values())
-        return buffered + scheduled
+            return sum(routers[n].flit_count for n in self.active)
+        return sum(r.flit_count for r in self.routers)
+
+    def _scheduled(self) -> int:
+        """Flits on a link or on their way into an ejection sink."""
+        soa = self._soa
+        if soa is not None:
+            return len(soa.p_slots) + len(soa.p_sink)
+        return len(self._arrivals)
+
+    def _ni_work(self) -> bool:
+        """Whether ticking some NI could have an effect."""
+        if self._active_scheduler:
+            return bool(self._active_nis)
+        return any(ni.has_work() for ni in self.nis)
+
+    def in_flight(self) -> int:
+        """Flits buffered in routers plus scheduled arrivals."""
+        return self._buffered() + self._scheduled()
 
     def idle(self) -> bool:
-        """No flits anywhere and no NI has pending work."""
-        if self._active_scheduler:
-            # Active-set invariants: every buffered flit's router is in
-            # ``active`` and every NI with work is armed (NI.idle() is
-            # exactly not-has_work()).  Pending arrivals land in
-            # ``_arrivals``; pending credits don't count here (matching
-            # the dense computation below).
-            return (
-                not self.active
-                and not self._active_nis
-                and not self._arrivals
-            )
-        if self.in_flight():
-            return False
-        return all(ni.idle() for ni in self.nis)
+        """No flits anywhere and no NI has pending work (pending credit
+        returns do not count; :meth:`quiescent` adds them)."""
+        return not (self._scheduled() or self._ni_work() or self._buffered())

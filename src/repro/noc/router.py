@@ -48,18 +48,17 @@ class OutputPort:
     or an NI buffer id) holding the VC for the packet in flight.
     """
 
-    __slots__ = ("num_vcs", "credits", "owner", "latency", "rr", "interposer",
+    __slots__ = ("num_vcs", "credits", "owner", "rr", "interposer",
                  "capacity", "waker", "router")
 
     def __init__(
-        self, num_vcs: int, capacity: int, latency: int = 1,
-        interposer: bool = False, router: Optional["Router"] = None,
+        self, num_vcs: int, capacity: int, interposer: bool = False,
+        router: Optional["Router"] = None,
     ) -> None:
         self.num_vcs = num_vcs
         self.capacity = capacity
         self.credits: List[int] = [capacity] * num_vcs
         self.owner: List[Optional[object]] = [None] * num_vcs
-        self.latency = latency
         self.rr = 0  # output-side round-robin pointer
         self.interposer = interposer
         # Optional callback fired when a credit returns to this port.
@@ -198,14 +197,12 @@ class Router:
         return port
 
     def add_output_port(
-        self, num_vcs: int, capacity: int, latency: int = 1,
-        interposer: bool = False,
+        self, num_vcs: int, capacity: int, interposer: bool = False
     ) -> int:
         """Add an output-only link port (loop topologies); returns index."""
         port = 1 + max(max(self.inputs), max(self.outputs))
         self.outputs[port] = OutputPort(
-            num_vcs, capacity, latency=latency, interposer=interposer,
-            router=self,
+            num_vcs, capacity, interposer=interposer, router=self
         )
         self.rr_mod = max(self.rr_mod, port + 1)
         return port

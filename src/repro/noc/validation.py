@@ -115,15 +115,14 @@ def _take_census(net: Network) -> _Census:
                     census.in_network[flit.packet.pid] += 1
                     census.packets[flit.packet.pid] = flit.packet
                     census.buffered += 1
-    for events in net._arrivals.values():
-        for _node, port, _vc, flit in events:
-            census.packets[flit.packet.pid] = flit.packet
-            if port < 0:
-                census.to_sink[flit.packet.pid] += 1
-                census.sink_flits += 1
-            else:
-                census.in_network[flit.packet.pid] += 1
-                census.link_flits += 1
+    for _node, port, _vc, flit in net._arrivals:
+        census.packets[flit.packet.pid] = flit.packet
+        if port < 0:
+            census.to_sink[flit.packet.pid] += 1
+            census.sink_flits += 1
+        else:
+            census.in_network[flit.packet.pid] += 1
+            census.link_flits += 1
     for ni in net.nis:
         census.source_backlog += len(ni.source_queue)
         for buf in ni.buffers:
@@ -302,19 +301,17 @@ def _check_ownership(net: Network, router: Router) -> List[str]:
 def _scheduled_flits_by_dest(net: Network) -> Counter:
     """(node, port, vc) -> flits in flight toward that input VC."""
     counts: Counter = Counter()
-    for events in net._arrivals.values():
-        for node, port, vc, _flit in events:
-            if port >= 0:
-                counts[(node, port, vc)] += 1
+    for node, port, vc, _flit in net._arrivals:
+        if port >= 0:
+            counts[(node, port, vc)] += 1
     return counts
 
 
 def _scheduled_credits_by_link(net: Network) -> Counter:
     """(id(OutputPort), vc) -> credit returns in flight to that link."""
     counts: Counter = Counter()
-    for events in net._credits.values():
-        for port, vc in events:
-            counts[(id(port), vc)] += 1
+    for port, vc in net._credits:
+        counts[(id(port), vc)] += 1
     return counts
 
 

@@ -1,8 +1,10 @@
 """Struct-of-arrays tick engine, bit-identical to the object model.
 
-:class:`VectorNetwork` replaces the per-object router tick with batched
-numpy phases over flat arrays.  All router state lives in
-struct-of-arrays form:
+A :class:`_SoA` is the object an armed :class:`~repro.noc.network.Network`
+holds in ``_soa``: it replaces the per-object router tick with batched
+numpy phases over flat arrays (``self`` is the arrays, ``net`` the
+network they stand for).  All router state lives in struct-of-arrays
+form:
 
 * every input VC is a *slot* ``(node * P + port) * V + vc`` where ``P``
   is the network-wide input-port stride and ``V`` the VC count; a slot
@@ -35,19 +37,23 @@ release, delivered-packet pop) bumps the affected router's epoch.
 
 The object model stays the golden reference: the engine-parity
 differential property pins ``stats_fingerprint`` equality across the
-verify config space, and :meth:`sync_for_inspection` materialises the
-SoA back onto the Router/OutputPort objects so the conservation audits
-and diagnostics read the same state they would under the object engine.
+verify config space, and ``Network.sync_for_inspection`` materialises
+the SoA back onto the Router/OutputPort objects so the conservation
+audits and diagnostics read the same state they would on an object
+network.
 
-The SoA is *occupancy-adaptive*: a batched tick costs the same ~100
-numpy calls whether it moves 5 flits or 500, so while fewer than
-``ARM_FLITS`` flits move per cycle the network stays disarmed (``_soa
-is None``) and ticks through the inherited object path; it arms by
-importing live object state (the ``_SoA`` constructor) and disarms by
-materialising back once traffic falls below ``DISARM_FLITS`` (or before
-a structural change: a port added, a fault fired, a link healed) — the
-conversions the per-cycle audits already prove exact, so transitions
-are bit-identical (docs/VECTOR.md, "When the SoA is armed").
+The SoA is *occupancy-adaptive* — a batched tick costs the same ~100
+numpy calls whether it moves 5 flits or 500 — and ``Network.tick`` does
+the arming: an ``engine = "vector"`` network (:class:`VectorNetwork` is
+only that attribute) ticks the object path (``_soa is None``) while
+fewer than ``ARM_FLITS`` flits move per cycle; it arms by importing live
+object state (the ``_SoA`` constructor) and disarms by materialising
+back below ``DISARM_FLITS`` (or before a structural change: a port
+added, a fault fired, a link healed) — the conversions the per-cycle
+audits already prove exact, so transitions are bit-identical
+(docs/VECTOR.md, "When the SoA is armed").  Every event lands one cycle
+after it is raised, so besides router state only the network's two
+next-cycle lists cross the seam.
 """
 
 from __future__ import annotations
@@ -110,13 +116,13 @@ _CANDS = np.array(
 class _SoA:
     """Flat-array snapshot of one network, imported from object state.
 
-    Construction reads whatever the Router/OutputPort/event-dict objects
-    currently hold, so arming an empty network, arming mid-run and
-    re-arming after a structural change (ports added mid-run, after a
-    materialise) share one code path.
+    Construction reads whatever the Router/OutputPort objects and the
+    two event lists currently hold, so arming an empty network, arming
+    mid-run and re-arming after a structural change (ports added
+    mid-run, after a materialise) share one code path.
     """
 
-    def __init__(self, net: "VectorNetwork") -> None:
+    def __init__(self, net: Network) -> None:
         grid = net.grid
         routers = net.routers
         N = grid.size
@@ -271,7 +277,6 @@ class _SoA:
         self.p_sink: List[Tuple[int, int, Flit]] = []
         self.p_cs: List[int] = []
         self.p_obj_credits: List[Tuple[object, int]] = []
-        self.far: Dict[int, List[Tuple[int, int]]] = {}
 
         # --- import current object state -------------------------------
         for node, router in enumerate(routers):
@@ -293,25 +298,17 @@ class _SoA:
         # which rewrite the winner ports' V entries.
         self.arangeV = np.arange(V, dtype=np.int64)
         self.key = (self.slot_vc - np.repeat(self.rr_in, V)) % V
-        next_cycle = net.cycle + 1
-        for cycle in sorted(net._arrivals):
-            for node, port, vc, flit in net._arrivals[cycle]:
-                if port < 0:
-                    self.p_sink.append((node, -port - 1, flit))
-                    continue
-                slot = (node * P + port) * V + vc
-                vid = self.register(flit)
-                if cycle == next_cycle:
-                    self.land(slot, vid)
-                else:
-                    self.far.setdefault(cycle, []).append((slot, vid))
-        for cycle in sorted(net._credits):
-            for obj, vc in net._credits[cycle]:
-                oi = self.id2oi.get(id(obj))
-                if oi is not None:
-                    self.p_cs.append(out_base[oi] + vc)
-                else:
-                    self.p_obj_credits.append((obj, vc))
+        for node, port, vc, flit in net._arrivals:
+            if port < 0:
+                self.p_sink.append((node, -port - 1, flit))
+            else:
+                self.schedule(node, port, vc, flit)
+        for obj, vc in net._credits:
+            oi = self.id2oi.get(id(obj))
+            if oi is not None:
+                self.p_cs.append(out_base[oi] + vc)
+            else:
+                self.p_obj_credits.append((obj, vc))
 
     # ------------------------------------------------------------------
     def register(self, flit: Flit) -> int:
@@ -352,8 +349,8 @@ class _SoA:
         self.route_dest[slot] = self.S + oi if db < 0 else db + ivc.out_vc
         return cs
 
-    def land(self, slot: int, vid: int) -> None:
-        """Queue flit ``vid`` to arrive in ``slot`` at the next tick.
+    def schedule(self, node: int, port: int, vc: int, flit: Flit) -> None:
+        """Queue ``flit`` to arrive in ``(node, port, vc)`` at the next tick.
 
         The flit is written into the ring now and counted in ``qlen``
         when the arrival applies.  Its position is stable until then:
@@ -361,6 +358,8 @@ class _SoA:
         slot at most one flit per cycle, so no second landing is ever
         pending on the same slot.
         """
+        slot = (node * self.P + port) * self.V + vc
+        vid = self.register(flit)
         pos = slot * self.C + (
             (int(self.headpos[slot]) + int(self.qlen[slot])) & self.cmask
         )
@@ -368,157 +367,65 @@ class _SoA:
         self.p_slots.append(slot)
         self.p_vids.append(vid)
 
-
-class VectorNetwork(Network):
-    """The ``--engine vector`` network: SoA state, batched tick phases."""
-
-    engine = "vector"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._soa: Optional[_SoA] = None
-        # Arming observability; deliberately outside stats.snapshot().
-        self.armed_cycles = 0
-        self.arms = 0
-        self.disarms = 0
-        self.fallback_allocs = 0  # attempts decided by the golden Router
-
-    # ------------------------------------------------------------------
-    # Structure changes drop the snapshot first, so a snapshot never has
-    # to describe structure it predates; the next tick re-arms if still
-    # busy.  Ports are only added through the two methods below, and the
-    # fault injector announces every fire and every link heal (an NI
-    # buffer heal touches nothing mirrored here) with soa_invalidate()
-    # before it touches in-flight flits.
-    # ------------------------------------------------------------------
-    def add_injection_port(self, node: int) -> int:
-        self._disarm()
-        return super().add_injection_port(node)
-
-    def add_eject_port(self, node: int, capacity: Optional[int] = None) -> int:
-        self._disarm()
-        return super().add_eject_port(node, capacity)
-
-    def _disarm(self) -> None:
-        if self._soa is not None:
-            self._materialize()
-            self._soa = None
-            self.disarms += 1
-
-    def soa_invalidate(self) -> None:
-        self._disarm()
-        super().soa_invalidate()
-
-    # ------------------------------------------------------------------
-    # Event scheduling overrides
-    # ------------------------------------------------------------------
-    def schedule_flit(
-        self, cycle: int, node: int, port: int, vc: int, flit: Flit
-    ) -> None:
-        soa = self._soa
-        if soa is None:
-            super().schedule_flit(cycle, node, port, vc, flit)
-            return
-        vid = soa.register(flit)
-        slot = (node * soa.P + port) * soa.V + vc
-        if cycle == self.cycle + 1:
-            soa.land(slot, vid)
-        else:
-            soa.far.setdefault(cycle, []).append((slot, vid))
-
-    # ------------------------------------------------------------------
-    # Receive side
-    # ------------------------------------------------------------------
-    def _return_eject_credits(self, eject_port, flits: int) -> None:
-        soa = self._soa
-        if soa is None:
-            super()._return_eject_credits(eject_port, flits)
-            return
-        oi = soa.id2oi[id(eject_port)]
-        soa.credits_all[int(soa.out_base[oi])] += flits
-        soa.epoch[soa.out_node[oi]] = self.cycle + 1
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
-    def tick(self) -> None:
-        soa = self._soa
-        if soa is None:
-            if len(self._arrivals.get(self.cycle + 1, ())) < ARM_FLITS:
-                super().tick()
-                return
-            soa = self._soa = _SoA(self)
-            self.arms += 1
-        elif len(soa.p_slots) + len(soa.p_sink) < DISARM_FLITS:
-            self._disarm()
-            super().tick()
-            return
-        self.armed_cycles += 1
-        self.cycle += 1
-        cycle = self.cycle
-        stats = self.stats
-        stats.cycles += 1
+    def tick(self, net: Network, cycle: int) -> None:
+        """One armed cycle; ``Network.tick`` has advanced the clock."""
+        stats = net.stats
 
         # --- pending credit returns ------------------------------------
-        if soa.p_cs:
-            cs = np.array(soa.p_cs, dtype=np.int64)
-            soa.credits_all[cs] += 1  # distinct winners -> distinct slots
-            soa.epoch[soa.cs_node[cs]] = cycle
-            soa.p_cs = []
-        if soa.p_obj_credits:
-            for obj, vc in soa.p_obj_credits:
+        if self.p_cs:
+            cs = np.array(self.p_cs, dtype=np.int64)
+            self.credits_all[cs] += 1  # distinct winners -> distinct slots
+            self.epoch[self.cs_node[cs]] = cycle
+            self.p_cs = []
+        if self.p_obj_credits:
+            for obj, vc in self.p_obj_credits:
                 obj.credits[vc] += 1
                 if obj.waker is not None:
                     obj.waker()
-            soa.p_obj_credits = []
+            self.p_obj_credits = []
 
         # --- pending arrivals ------------------------------------------
-        if soa.far:
-            events = soa.far.pop(cycle, None)
-            if events:
-                for slot, vid in events:
-                    soa.land(slot, vid)
-        if soa.p_slots:
-            slots = np.array(soa.p_slots, dtype=np.int64)
-            vids = np.array(soa.p_vids, dtype=np.int64)
-            soa.p_slots = []
-            soa.p_vids = []
-            prev = soa.qlen[slots]
-            soa.qlen[slots] = prev + 1
-            soa.f_buffered[vids] = cycle
+        if self.p_slots:
+            slots = np.array(self.p_slots, dtype=np.int64)
+            vids = np.array(self.p_vids, dtype=np.int64)
+            self.p_slots = []
+            self.p_vids = []
+            prev = self.qlen[slots]
+            self.qlen[slots] = prev + 1
+            self.f_buffered[vids] = cycle
             # Only a previously empty slot gained a new front flit (a
             # fresh head that must attempt); an arrival behind an
             # existing front changes nothing an allocation reads —
             # outcomes depend solely on this router's output
             # owner/credit state — so its fail memo stays valid.
-            soa.fail_epoch[slots[prev == 0]] = -1
+            self.fail_epoch[slots[prev == 0]] = -1
             stats.buffer_writes += len(slots)
-            soa.buffered_total += len(slots)
-            counts = soa.qlen.reshape(soa.N, -1).sum(axis=1)
-            np.maximum(soa.peak, counts, out=soa.peak)
-        if soa.p_sink:
-            sink = soa.p_sink
-            soa.p_sink = []
+            self.buffered_total += len(slots)
+            counts = self.qlen.reshape(self.N, -1).sum(axis=1)
+            np.maximum(self.peak, counts, out=self.peak)
+        if self.p_sink:
+            sink = self.p_sink
+            self.p_sink = []
             for node, eject_port, flit in sink:
-                self._deliver(node, eject_port, flit, cycle)
+                net._deliver(node, eject_port, flit, cycle)
 
-        self._tick_nis(cycle)
-        if not soa.buffered_total:
+        net._tick_nis(cycle)
+        if not self.buffered_total:
             return
 
         # --- request selection -----------------------------------------
-        V = soa.V
-        occ = soa.qlen > 0
-        routed = soa.route_cs >= 0
+        V = self.V
+        occ = self.qlen > 0
+        routed = self.route_cs >= 0
         ready = occ & routed
-        ready &= soa.credits_all[np.where(routed, soa.route_cs, 0)] > 0
+        ready &= self.credits_all[np.where(routed, self.route_cs, 0)] > 0
         attempt = occ & ~routed
         any_att = attempt.any()
         if any_att:
-            attempt &= soa.epoch[soa.slot_node] > soa.fail_epoch
+            attempt &= self.epoch[self.slot_node] > self.fail_epoch
         elif not ready.any():
             return
-        key = soa.key
+        key = self.key
         # Per-port minimum rotation key over ready slots.  Fresh
         # allocations update it in place inside _attempt, so the winner
         # selection below reuses it without a second full-size pass.
@@ -530,10 +437,10 @@ class VectorNetwork(Network):
                 # Only head flits attempt; a body at the front of an
                 # unrouted VC is skipped by the rotation like an empty
                 # slot.
-                hv = soa.ring[
-                    att_idx * soa.C + (soa.headpos[att_idx] & soa.cmask)
+                hv = self.ring[
+                    att_idx * self.C + (self.headpos[att_idx] & self.cmask)
                 ]
-                is_h = soa.f_head[hv].astype(bool)
+                is_h = self.f_head[hv].astype(bool)
                 if not is_h.all():
                     att_idx = att_idx[is_h]
                     hv = hv[is_h]
@@ -545,7 +452,7 @@ class VectorNetwork(Network):
                 att_idx = att_idx[reach]
                 hv = hv[reach]
             if len(att_idx):
-                scan_ports = self._attempt(soa, att_idx, hv, key, ready,
+                scan_ports = self._attempt(net, att_idx, hv, key, ready,
                                            pm, cycle)
         vec_mask = pm < V
         if scan_ports:
@@ -558,9 +465,9 @@ class VectorNetwork(Network):
                 ready.reshape(-1, V)[vp], key.reshape(-1, V)[vp], V
             )
             v_slot = vp * V + keyed_sub.argmin(axis=1)
-            v_oi = soa.route_oi[v_slot]
-            v_cs = soa.route_cs[v_slot]
-            v_dest = soa.route_dest[v_slot]
+            v_oi = self.route_oi[v_slot]
+            v_cs = self.route_cs[v_slot]
+            v_dest = self.route_dest[v_slot]
         else:
             v_slot = v_oi = v_cs = v_dest = np.empty(0, dtype=np.int64)
         if scan_ports:
@@ -569,7 +476,7 @@ class VectorNetwork(Network):
             s_cs: List[int] = []
             s_dest: List[int] = []
             for p in scan_ports:
-                r = self._scan_port(soa, p, cycle)
+                r = self._scan_port(net, p, cycle)
                 if r is not None:
                     s_slot.append(r[0])
                     s_oi.append(r[1])
@@ -601,13 +508,13 @@ class VectorNetwork(Network):
                 np.concatenate(([True], so[1:] != so[:-1]))
             )
             akey = (
-                (v_slot // V) % soa.P - soa.out_rr[v_oi]
-            ) % soa.rr_mod_out[v_oi]
+                (v_slot // V) % self.P - self.out_rr[v_oi]
+            ) % self.rr_mod_out[v_oi]
             # Input ports are distinct per output, so keys never tie and
             # the packed min recovers the unique winner index (nrq is
             # bounded by the port count, which is at most S).
-            comb = akey * soa.S + np.arange(nrq, dtype=np.int64)
-            w_idx = np.minimum.reduceat(comb[order], starts) % soa.S
+            comb = akey * self.S + np.arange(nrq, dtype=np.int64)
+            w_idx = np.minimum.reduceat(comb[order], starts) % self.S
             # The object engine emits winners in first-appearance order
             # of their output in the request list (dict insertion
             # order); a stable sort's group starts give exactly that.
@@ -617,54 +524,54 @@ class VectorNetwork(Network):
             w_cs = v_cs[w_idx]
             w_dest = v_dest[w_idx]
         n = len(w_slot)
-        heads = soa.headpos[w_slot]
-        vids = soa.ring[w_slot * soa.C + (heads & soa.cmask)]
-        soa.headpos[w_slot] = heads + 1
-        soa.qlen[w_slot] -= 1
-        soa.buffered_total -= n
-        soa.credits_all[w_cs] -= 1
+        heads = self.headpos[w_slot]
+        vids = self.ring[w_slot * self.C + (heads & self.cmask)]
+        self.headpos[w_slot] = heads + 1
+        self.qlen[w_slot] -= 1
+        self.buffered_total -= n
+        self.credits_all[w_cs] -= 1
         w_port = w_slot // V
         newrr = (w_slot % V + 1) % V
-        soa.rr_in[w_port] = newrr
+        self.rr_in[w_port] = newrr
         # Winner ports are unique (one request per input port per
         # cycle), so the incremental rotation-key rewrite is exact.
-        soa.key[(w_port[:, None] * V + soa.arangeV).ravel()] = (
-            (soa.arangeV - newrr[:, None]) % V
+        self.key[(w_port[:, None] * V + self.arangeV).ravel()] = (
+            (self.arangeV - newrr[:, None]) % V
         ).ravel()
-        soa.out_rr[w_oi] = (w_port % soa.P + 1) % soa.rr_mod_out[w_oi]
-        nodes_w = soa.slot_node[w_slot]
-        if soa.any_monopolize:
+        self.out_rr[w_oi] = (w_port % self.P + 1) % self.rr_mod_out[w_oi]
+        nodes_w = self.slot_node[w_slot]
+        if self.any_monopolize:
             # VC monopolisation reads foreign-VC queue occupancy, which
             # any move changes, so keep the broad invalidation there.
-            soa.epoch[nodes_w] = cycle + 1
+            self.epoch[nodes_w] = cycle + 1
         stats.buffer_reads += n
         stats.xbar_traversals += n
-        residence = cycle - soa.f_buffered[vids] + 1
+        residence = cycle - self.f_buffered[vids] + 1
         np.add.at(stats.residence_cycles, nodes_w, residence)
         np.add.at(stats.residence_count, nodes_w, 1)
-        tails = soa.f_tail[vids].astype(bool)
+        tails = self.f_tail[vids].astype(bool)
         if tails.any():
             t_slot = w_slot[tails]
-            soa.route_cs[t_slot] = -1
-            soa.route_oi[t_slot] = -1
-            soa.route_dest[t_slot] = -1
-            soa.fail_epoch[t_slot] = -1
+            self.route_cs[t_slot] = -1
+            self.route_oi[t_slot] = -1
+            self.route_dest[t_slot] = -1
+            self.fail_epoch[t_slot] = -1
             t_cs = w_cs[tails]
-            soa.owned[t_cs] = 0
+            self.owned[t_cs] = 0
             # A tail traversal releases an output VC of its own router:
             # the only commit-side event that can turn a failed
             # allocation into a success there.  Non-tail moves only
             # consume credits, so they leave fail memos valid.
-            soa.epoch[soa.slot_node[t_slot]] = cycle + 1
-        ucs = soa.up_cs[w_slot]
+            self.epoch[self.slot_node[t_slot]] = cycle + 1
+        ucs = self.up_cs[w_slot]
         has_up = ucs >= 0
-        soa.p_cs.extend(ucs[has_up].tolist())
+        self.p_cs.extend(ucs[has_up].tolist())
         if not has_up.all():
             for s in w_slot[~has_up].tolist():
-                pair = soa.up_obj[s]
+                pair = self.up_obj[s]
                 if pair is not None:
-                    soa.p_obj_credits.append(pair)
-        is_ej = w_dest >= soa.S
+                    self.p_obj_credits.append(pair)
+        is_ej = w_dest >= self.S
         if is_ej.any():
             mesh = ~is_ej
             mesh_d = w_dest[mesh]
@@ -673,39 +580,39 @@ class VectorNetwork(Network):
             ej_vids = vids[is_ej].tolist()
             stats.flits_ejected += len(ej_oi)
             for oi, vid in zip(ej_oi, ej_vids):
-                flit = soa.f_objs[vid]
-                flit.packet.eject_port = soa.out_obj[oi]
-                soa.p_sink.append(
-                    (soa.out_node[oi], soa.out_port_nr[oi], flit)
+                flit = self.f_objs[vid]
+                flit.packet.eject_port = self.out_obj[oi]
+                self.p_sink.append(
+                    (self.out_node[oi], self.out_port_nr[oi], flit)
                 )
         else:
             mesh_d = w_dest
             mesh_v = vids
         nm = len(mesh_d)
         if nm:
-            pos = mesh_d * soa.C + (
-                (soa.headpos[mesh_d] + soa.qlen[mesh_d]) & soa.cmask
+            pos = mesh_d * self.C + (
+                (self.headpos[mesh_d] + self.qlen[mesh_d]) & self.cmask
             )
-            soa.ring[pos] = mesh_v
-            soa.p_slots.extend(mesh_d.tolist())
-            soa.p_vids.extend(mesh_v.tolist())
-            if self.interposer_mesh_links:
+            self.ring[pos] = mesh_v
+            self.p_slots.extend(mesh_d.tolist())
+            self.p_vids.extend(mesh_v.tolist())
+            if net.interposer_mesh_links:
                 stats.link_hops_interposer += nm
                 stats.interposer_hop_length += float(nm)
             else:
                 stats.link_hops_onchip += nm
-        self.last_progress = cycle
-        if self.on_move is not None:
+        net.last_progress = cycle
+        if net.on_move is not None:
             for i in range(n):
                 slot = int(w_slot[i])
                 oi = int(w_oi[i])
-                self.on_move(
+                net.on_move(
                     int(nodes_w[i]),
-                    (slot // V) % soa.P,
+                    (slot // V) % self.P,
                     slot % V,
-                    soa.out_port_nr[oi],
-                    int(w_cs[i]) - int(soa.out_base[oi]),
-                    soa.f_objs[int(vids[i])],
+                    self.out_port_nr[oi],
+                    int(w_cs[i]) - int(self.out_base[oi]),
+                    self.f_objs[int(vids[i])],
                     cycle,
                 )
 
@@ -713,7 +620,7 @@ class VectorNetwork(Network):
     # Batched route/VC allocation for the common shape
     # ------------------------------------------------------------------
     def _eval_candidate(
-        self, soa: _SoA, oi: np.ndarray, v0: np.ndarray, v1: np.ndarray
+        self, oi: np.ndarray, v0: np.ndarray, v1: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Evaluate route candidates ``oi`` for a batch of attempts.
 
@@ -723,9 +630,9 @@ class VectorNetwork(Network):
         credits, first-of-ties in allowed order.  Entries with ``oi <
         0`` read garbage and must be masked by the caller.
         """
-        credits = soa.credits_all
-        owned = soa.owned
-        b = soa.out_base[np.where(oi >= 0, oi, 0)]
+        credits = self.credits_all
+        owned = self.owned
+        b = self.out_base[np.where(oi >= 0, oi, 0)]
         cs0 = b + v0
         cr0 = credits[cs0]
         f0 = (owned[cs0] == 0) & (cr0 > 0)
@@ -739,7 +646,7 @@ class VectorNetwork(Network):
 
     def _attempt(
         self,
-        soa: _SoA,
+        net: Network,
         att: np.ndarray,
         hv: np.ndarray,
         key: np.ndarray,
@@ -766,15 +673,15 @@ class VectorNetwork(Network):
         successful port, and re-evaluates survivors against the updated
         claims.
         """
-        V = soa.V
-        if self.faults_fired or soa.any_monopolize:
+        V = self.V
+        if net.faults_fired or self.any_monopolize:
             return sorted(set((att // V).tolist()))
-        N = soa.N
-        P = soa.P
+        N = self.N
+        P = self.P
         nodes = att // (P * V)
-        dst = soa.f_dst[hv]
-        cls = soa.f_cls[hv]
-        src = soa.f_src[hv]
+        dst = self.f_dst[hv]
+        cls = self.f_cls[hv]
+        src = self.f_src[hv]
         miss = src < 0
         if miss.any():
             # Routing source = inject_router, which the NI assigns only
@@ -782,16 +689,16 @@ class VectorNetwork(Network):
             # at registration time.  Fill lazily at first attempt;
             # re-injection after a fault registers a fresh flit id, so
             # an interned source can never go stale.
-            f_objs = soa.f_objs
-            f_src = soa.f_src
+            f_objs = self.f_objs
+            f_src = self.f_src
             for vid in hv[miss].tolist():
                 pkt = f_objs[vid].packet
                 s = pkt.inject_router
                 f_src[vid] = pkt.src if s is None else s
-            src = soa.f_src[hv]
+            src = self.f_src[hv]
         eject = dst == nodes
-        rare = soa.cls_rare[cls].astype(bool)
-        rare |= eject & soa.ej_rare[nodes].astype(bool)
+        rare = self.cls_rare[cls].astype(bool)
+        rare |= eject & self.ej_rare[nodes].astype(bool)
         if rare.any():
             # A rare attempt sends the whole router to the port scan:
             # its claims interleave with any batched attempts there.
@@ -828,8 +735,7 @@ class VectorNetwork(Network):
             eject = eject[order]
         while True:
             valid, commit = self._attempt_round(
-                soa, att, nodes, dst, cls, src, eject,
-                key, ready, pm, cycle,
+                net, att, nodes, dst, cls, src, eject, key, ready, pm, cycle,
             )
             if valid.all():
                 return py_ports
@@ -861,7 +767,7 @@ class VectorNetwork(Network):
 
     def _attempt_round(
         self,
-        soa: _SoA,
+        net: Network,
         att: np.ndarray,
         nodes: np.ndarray,
         dst: np.ndarray,
@@ -891,27 +797,27 @@ class VectorNetwork(Network):
         e = np.flatnonzero(eject)
         if len(e):
             en = nodes[e]
-            ecs = soa.ej_cs[en]
+            ecs = self.ej_cs[en]
             # The object's _allocate_eject does not count vc_allocs.
-            ok[e] = (soa.owned[ecs] == 0) & (soa.credits_all[ecs] > 0)
-            eoi = soa.ej_oi[en]
+            ok[e] = (self.owned[ecs] == 0) & (self.credits_all[ecs] > 0)
+            eoi = self.ej_oi[en]
             sel_oi[e] = eoi
             sel_cs[e] = ecs
-            sel_dest[e] = soa.S + eoi
+            sel_dest[e] = self.S + eoi
         if len(e) < na:
             m = np.flatnonzero(~eject)
-            W = self.grid.width
+            W = net.grid.width
             mn = nodes[m]
             same = (src[m] % W) == (mn % W)
-            tix = (same * soa.N + mn) * soa.N + dst[m]
+            tix = (same * self.N + mn) * self.N + dst[m]
             # Both candidate directions of every attempt in one gather,
             # then one stacked evaluation of the two rows.
-            cand = _CANDS[:, soa.routes[tix]]
+            cand = _CANDS[:, self.routes[tix]]
             out = mn * routing.NUM_MESH_PORTS + (cand & 3)
-            oi = np.where(cand >= 0, soa.node_out[out], -1)
+            oi = np.where(cand >= 0, self.node_out[out], -1)
             oi1, oi2 = oi
             (has1, has2), (vc1, vc2), (tot1, tot2) = self._eval_candidate(
-                soa, oi, soa.av0[cls[m]], soa.av1[cls[m]]
+                oi, self.av0[cls[m]], self.av1[cls[m]]
             )
             # Strictly-greater total wins: the object keeps the first
             # candidate on ties.
@@ -921,8 +827,8 @@ class VectorNetwork(Network):
             svc = np.where(use2, vc2, vc1)
             ok[m] = mok
             sel_oi[m] = soi
-            sel_cs[m] = soa.out_base[soi] + svc
-            sel_dest[m] = soa.dest_base[soi] + svc
+            sel_cs[m] = self.out_base[soi] + svc
+            sel_dest[m] = self.dest_base[soi] + svc
         # Longest valid prefix per router: attempts preceded by no
         # same-router success this round.  excl is non-decreasing, so
         # spreading the group-start value with a running max recovers
@@ -938,14 +844,14 @@ class VectorNetwork(Network):
         commit = valid & ok
         w = np.flatnonzero(commit)
         if len(w):
-            V = soa.V
+            V = self.V
             ws = att[w]
             wcs = sel_cs[w]
-            soa.route_cs[ws] = wcs
-            soa.route_oi[ws] = sel_oi[w]
-            soa.route_dest[ws] = sel_dest[w]
-            soa.owned[wcs] = 1
-            soa.owner_code[wcs] = (ws // V) % soa.P * V + ws % V
+            self.route_cs[ws] = wcs
+            self.route_oi[ws] = sel_oi[w]
+            self.route_dest[ws] = sel_dest[w]
+            self.owned[wcs] = 1
+            self.owner_code[wcs] = (ws // V) % self.P * V + ws % V
             ready[ws] = True
             # The reach pre-filter guaranteed key[ws] < pm at its port,
             # and a port allocates at most once per cycle, so the fresh
@@ -953,10 +859,10 @@ class VectorNetwork(Network):
             pm[ws // V] = key[ws]
             # The object counts a VC allocation per successful mesh
             # grant (never for ejects).
-            self.stats.vc_allocs += int((~eject[w]).sum())
+            net.stats.vc_allocs += int((~eject[w]).sum())
         failn = valid & ~ok
         if failn.any():
-            soa.fail_epoch[att[failn]] = cycle
+            self.fail_epoch[att[failn]] = cycle
         return valid, commit
 
     # ------------------------------------------------------------------
@@ -964,35 +870,35 @@ class VectorNetwork(Network):
     # allocation attempts are decided by the golden Router itself
     # ------------------------------------------------------------------
     def _scan_port(
-        self, soa: _SoA, port_idx: int, cycle: int
+        self, net: Network, port_idx: int, cycle: int
     ) -> Optional[Tuple[int, int, int, int]]:
-        V = soa.V
-        node = port_idx // soa.P
-        port_nr = port_idx % soa.P
-        qlen = soa.qlen
-        route_cs = soa.route_cs
+        V = self.V
+        node = port_idx // self.P
+        port_nr = port_idx % self.P
+        qlen = self.qlen
+        route_cs = self.route_cs
         base = port_idx * V
-        epoch = int(soa.epoch[node])
-        for vc in soa.vc_orders[int(soa.rr_in[port_idx])]:
+        epoch = int(self.epoch[node])
+        for vc in self.vc_orders[int(self.rr_in[port_idx])]:
             slot = base + vc
             if not qlen[slot]:
                 continue
             cs = int(route_cs[slot])
             if cs < 0:
-                if epoch > soa.fail_epoch[slot]:
-                    self._alloc(soa, node, port_nr, vc, slot, cycle)
+                if epoch > self.fail_epoch[slot]:
+                    self._alloc(net, node, port_nr, vc, slot, cycle)
                     cs = int(route_cs[slot])
                 if cs < 0:
                     continue
-            if soa.credits_all[cs] <= 0:
+            if self.credits_all[cs] <= 0:
                 continue
             return (
-                slot, int(soa.route_oi[slot]), cs, int(soa.route_dest[slot])
+                slot, int(self.route_oi[slot]), cs, int(self.route_dest[slot])
             )
         return None
 
     def _alloc(
-        self, soa: _SoA, node: int, port_nr: int, vc: int, slot: int,
+        self, net: Network, node: int, port_nr: int, vc: int, slot: int,
         cycle: int,
     ) -> None:
         """One route/VC allocation attempt, decided by the object model.
@@ -1002,49 +908,42 @@ class VectorNetwork(Network):
         ``Router._route_and_allocate`` decide, and imports the decision;
         a refusal mutates nothing and is memoised in ``fail_epoch``.
         """
-        vid = int(soa.ring[slot * soa.C + (int(soa.headpos[slot]) & soa.cmask)])
-        flit = soa.f_objs[vid]
+        vid = int(self.ring[slot * self.C + (int(self.headpos[slot]) & self.cmask)])
+        flit = self.f_objs[vid]
         if not flit.is_head:
             return  # body at head of an unrouted VC: no attempt, no memo
-        self.fallback_allocs += 1
-        router = self.routers[node]
+        net.fallback_allocs += 1
+        router = net.routers[node]
         ivc = router.inputs[port_nr][vc]
         if router.monopolize:
             # VC borrowing looks at the head of every input VC.
-            self._materialize_inputs(soa, router)
+            self.materialize_inputs(router)
         else:
             # Otherwise the call reads only its own head flit.
             ivc.queue.clear()
             ivc.queue.append(flit)
             ivc.out_port = None
-        self._materialize_outputs(soa, router)
+        self.materialize_outputs(router)
         router._route_and_allocate(port_nr, vc, ivc, flit)
         if ivc.out_port is None:
-            soa.fail_epoch[slot] = cycle
+            self.fail_epoch[slot] = cycle
             return
-        cs = soa.import_route(slot, node, ivc)
-        soa.owner_code[cs] = port_nr * soa.V + vc
-        soa.owned[cs] = 1
+        cs = self.import_route(slot, node, ivc)
+        self.owner_code[cs] = port_nr * self.V + vc
+        self.owned[cs] = 1
 
-    # ------------------------------------------------------------------
-    # Inspection / materialisation
-    # ------------------------------------------------------------------
-    def sync_for_inspection(self) -> None:
-        if self._soa is not None:
-            self._materialize()
-
-    def _materialize_inputs(self, soa: _SoA, router: Router) -> None:
-        """Per-router step of :meth:`_materialize`: input VCs and counts."""
+    def materialize_inputs(self, router: Router) -> None:
+        """Per-router step of :meth:`materialize`: input VCs and counts."""
         node = router.node
-        V = soa.V
-        P = soa.P
-        C = soa.C
-        cmask = soa.cmask
-        qlen = soa.qlen
-        headpos = soa.headpos
-        ring = soa.ring
-        f_objs = soa.f_objs
-        f_buffered = soa.f_buffered
+        V = self.V
+        P = self.P
+        C = self.C
+        cmask = self.cmask
+        qlen = self.qlen
+        headpos = self.headpos
+        ring = self.ring
+        f_objs = self.f_objs
+        f_buffered = self.f_buffered
         node_base = node * P * V
         count = 0
         for p in router.input_ports:
@@ -1064,126 +963,77 @@ class VectorNetwork(Network):
                         flit.buffered_at = int(f_buffered[vid])
                         queue.append(flit)
                     port_flits += length
-                cs = int(soa.route_cs[slot])
+                cs = int(self.route_cs[slot])
                 if cs >= 0:
-                    oi = int(soa.route_oi[slot])
-                    ivc.out_port = soa.out_port_nr[oi]
-                    ivc.out_vc = cs - int(soa.out_base[oi])
+                    oi = int(self.route_oi[slot])
+                    ivc.out_port = self.out_port_nr[oi]
+                    ivc.out_vc = cs - int(self.out_base[oi])
                 else:
                     ivc.out_port = None
                     ivc.out_vc = None
             router.port_flits[p] = port_flits
             count += port_flits
-            router.rr_in[p] = int(soa.rr_in[node * P + p])
+            router.rr_in[p] = int(self.rr_in[node * P + p])
         router.flit_count = count
-        router.peak_flits = int(soa.peak[node])
+        router.peak_flits = int(self.peak[node])
         # Whatever its last object-path tick concluded no longer holds.
         router.blocked = False
 
-    def _materialize_outputs(self, soa: _SoA, router: Router) -> None:
-        """Per-router step of :meth:`_materialize`: credits and owners."""
+    def materialize_outputs(self, router: Router) -> None:
+        """Per-router step of :meth:`materialize`: credits and owners."""
         node = router.node
-        V = soa.V
+        V = self.V
         for port, out in router.outputs.items():
-            oi = soa.out_idx[(node, port)]
-            b = int(soa.out_base[oi])
+            oi = self.out_idx[(node, port)]
+            b = int(self.out_base[oi])
             for v in range(out.num_vcs):
-                out.credits[v] = int(soa.credits_all[b + v])
-                if soa.owned[b + v]:
-                    code = int(soa.owner_code[b + v])
+                out.credits[v] = int(self.credits_all[b + v])
+                if self.owned[b + v]:
+                    code = int(self.owner_code[b + v])
                     out.owner[v] = (code // V, code % V)
                 else:
                     out.owner[v] = None
-            out.rr = int(soa.out_rr[oi])
+            out.rr = int(self.out_rr[oi])
 
-    def _materialize(self) -> None:
+    def materialize(self, net: Network) -> None:
         """Write SoA state back onto the Router/OutputPort objects.
 
-        Read-only with respect to the SoA: the arrays stay canonical and
-        simulation continues from them; the objects (and the event-dict
-        mirrors ``_arrivals``/``_credits``) become a consistent snapshot
-        for auditors, dump tools and tests.
+        Read-only with respect to the SoA: an armed network carries on
+        from the arrays; the objects (and the event-list mirrors
+        ``_arrivals``/``_credits``) become a consistent snapshot for
+        auditors, dump tools and tests, or what a disarm resumes from.
         """
-        soa = self._soa
-        V = soa.V
-        P = soa.P
-        f_objs = soa.f_objs
-        for router in self.routers:
-            self._materialize_inputs(soa, router)
-            self._materialize_outputs(soa, router)
+        V = self.V
+        P = self.P
+        f_objs = self.f_objs
+        for router in net.routers:
+            self.materialize_inputs(router)
+            self.materialize_outputs(router)
         arrivals: List[Tuple[int, int, int, Flit]] = []
-        for s, v in zip(soa.p_slots, soa.p_vids):
+        for s, v in zip(self.p_slots, self.p_vids):
             arrivals.append(
                 (s // (P * V), (s // V) % P, s % V, f_objs[v])
             )
-        for node, eject_port, flit in soa.p_sink:
+        for node, eject_port, flit in self.p_sink:
             arrivals.append((node, -eject_port - 1, 0, flit))
-        self._arrivals = {self.cycle + 1: arrivals} if arrivals else {}
-        for cycle in sorted(soa.far):
-            self._arrivals.setdefault(cycle, []).extend(
-                (s // (P * V), (s // V) % P, s % V, f_objs[v])
-                for s, v in soa.far[cycle]
-            )
-        credits = [soa.cs_pair[cs] for cs in soa.p_cs]
-        credits.extend(soa.p_obj_credits)
-        self._credits = {self.cycle + 1: credits} if credits else {}
-        if self._active_scheduler:
-            self.active = {r.node for r in self.routers if r.flit_count}
+        net._arrivals = arrivals
+        net._credits = [self.cs_pair[cs] for cs in self.p_cs]
+        net._credits.extend(self.p_obj_credits)
+        if net._active_scheduler:
+            net.active = {r.node for r in net.routers if r.flit_count}
 
-    # ------------------------------------------------------------------
-    # Telemetry reads (SoA-backed; values identical to the object ones)
-    # ------------------------------------------------------------------
-    def _active_nodes(self):
-        soa = self._soa
-        if soa is None:
-            return super()._active_nodes()
-        return np.flatnonzero(soa.qlen.reshape(soa.N, -1).sum(axis=1)).tolist()
+    def occupied_nodes(self) -> List[int]:
+        """Nodes whose router holds a flit (the active set's ground truth)."""
+        return np.flatnonzero(self.qlen.reshape(self.N, -1).sum(axis=1)).tolist()
 
-    def _peak_router_flits(self) -> int:
-        soa = self._soa
-        if soa is None:
-            return super()._peak_router_flits()
-        return int(soa.peak.max())
+    def return_eject_credits(self, eject_port, flits: int, cycle: int) -> None:
+        """Free ``flits`` of receive-buffer space behind ``eject_port``."""
+        oi = self.id2oi[id(eject_port)]
+        self.credits_all[int(self.out_base[oi])] += flits
+        self.epoch[self.out_node[oi]] = cycle + 1
 
-    # ------------------------------------------------------------------
-    # Quiescence / introspection
-    # ------------------------------------------------------------------
-    def in_flight(self) -> int:
-        soa = self._soa
-        if soa is None:
-            return super().in_flight()
-        scheduled = len(soa.p_slots) + len(soa.p_sink)
-        if soa.far:
-            scheduled += sum(len(v) for v in soa.far.values())
-        return soa.buffered_total + scheduled
 
-    def quiescent(self) -> bool:
-        soa = self._soa
-        if soa is None:
-            return super().quiescent()
-        if (
-            soa.p_slots or soa.p_sink or soa.far or soa.p_cs
-            or soa.p_obj_credits or self._delivered_total
-        ):
-            return False
-        if self._active_scheduler:
-            return soa.buffered_total == 0 and not self._active_nis
-        return soa.buffered_total == 0 and all(
-            not ni.has_work() for ni in self.nis
-        )
+class VectorNetwork(Network):
+    """The ``--engine vector`` network: a :class:`Network` that arms."""
 
-    def idle(self) -> bool:
-        soa = self._soa
-        if soa is None:
-            return super().idle()
-        if self._active_scheduler:
-            return (
-                soa.buffered_total == 0
-                and not self._active_nis
-                and not soa.p_slots
-                and not soa.p_sink
-                and not soa.far
-            )
-        if self.in_flight():
-            return False
-        return all(ni.idle() for ni in self.nis)
+    engine = "vector"

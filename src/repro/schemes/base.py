@@ -134,91 +134,51 @@ class Fabric:
         data_flits = packet_flits(PacketType.READ_REPLY, config.flit_bytes)
         vc_cap = max_packet_flits or data_flits
 
+        def mesh(name: str, role: str, vc_classes,
+                 flit_bytes: int = config.flit_bytes,
+                 vc_capacity: int = vc_cap, clock_ratio: float = 1.0,
+                 **kw) -> Network:
+            """Build one network of this fabric and register it."""
+            net = NetCls(
+                name, grid, flit_bytes, num_vcs=config.num_vcs,
+                vc_capacity=vc_capacity, routing_algorithm=config.routing,
+                vc_classes=vc_classes, clock_ratio=clock_ratio,
+                scheduler=self.scheduler, **kw,
+            )
+            self._add_network(net, clock_ratio, role)
+            return net
+
+        all_vcs = [tuple(range(config.num_vcs))]
         # --- Loop topologies (ring / routerless) -------------------------
-        # Two separate loop-wired networks.  The VC pair implements the
-        # loop dateline, not a traffic-class partition, so packets are
-        # all class 0 and vc_classes pins injection to VC 0 (the
-        # dateline's precondition); routers pick the dateline VC via
-        # route_override.
+        # Two separate loop-wired networks (object engine only: Network
+        # refuses loops otherwise).  The VC pair implements the loop
+        # dateline, not a traffic-class partition, so packets are all
+        # class 0 and vc_classes pins injection to VC 0 (the dateline's
+        # precondition); routers pick the dateline VC via route_override.
         self.loop_states: Dict[str, LoopState] = {}
         if config.topology != "mesh":
-            if self.engine != "object":
-                raise ValueError(
-                    f"topology {config.topology!r} is only implemented by "
-                    f"the object engine (got {self.engine!r})"
-                )
             make_loops = (
                 ring_loops if config.topology == "ring" else routerless_loops
             )
-            self.request_net = NetCls(
-                "request",
-                grid,
-                config.flit_bytes,
-                num_vcs=config.num_vcs,
-                vc_capacity=vc_cap,
-                routing_algorithm=config.routing,
-                vc_classes=[(0,)],
-                scheduler=self.scheduler,
-                loops=make_loops(grid),
+            self.request_net = mesh(
+                "request", "request", [(0,)], loops=make_loops(grid)
             )
-            self._add_network(self.request_net, 1.0, "request")
-            self.reply_net = NetCls(
-                "reply",
-                grid,
-                config.flit_bytes,
-                num_vcs=config.num_vcs,
-                vc_capacity=vc_cap,
-                routing_algorithm=config.routing,
-                vc_classes=[(0,)],
-                scheduler=self.scheduler,
-                loops=make_loops(grid),
+            self.reply_net = mesh(
+                "reply", "reply", [(0,)], loops=make_loops(grid)
             )
-            self._add_network(self.reply_net, 1.0, "reply")
             self.loop_states["request"] = LoopState(self.request_net)
             self.loop_states["reply"] = LoopState(self.reply_net)
         elif config.network_type == "single":
-            vc_classes = [(0,), (1,)]
-            net = NetCls(
-                "single",
-                grid,
-                config.flit_bytes,
-                num_vcs=config.num_vcs,
-                vc_capacity=vc_cap,
-                routing_algorithm=config.routing,
-                vc_classes=vc_classes,
+            self.request_net = self.reply_net = mesh(
+                "single", "both", [(0,), (1,)],
                 monopolize=config.monopolize,
                 monopolize_injection=config.monopolize_injection,
-                scheduler=self.scheduler,
             )
-            self.request_net = net
-            self.reply_net = net
-            self._add_network(net, 1.0, "both")
         else:
-            self.request_net = NetCls(
-                "request",
-                grid,
-                config.flit_bytes,
-                num_vcs=config.num_vcs,
-                vc_capacity=vc_cap,
-                routing_algorithm=config.routing,
-                vc_classes=[tuple(range(config.num_vcs))],
-                scheduler=self.scheduler,
+            self.request_net = mesh("request", "request", all_vcs)
+            self.reply_net = (
+                None if config.da2mesh else mesh("reply", "reply", all_vcs)
             )
-            self._add_network(self.request_net, 1.0, "request")
-            if not config.da2mesh:
-                self.reply_net = NetCls(
-                    "reply",
-                    grid,
-                    config.flit_bytes,
-                    num_vcs=config.num_vcs,
-                    vc_capacity=vc_cap,
-                    routing_algorithm=config.routing,
-                    vc_classes=[tuple(range(config.num_vcs))],
-                    scheduler=self.scheduler,
-                )
-                self._add_network(self.reply_net, 1.0, "reply")
-            else:
-                self.reply_net = None
 
         # --- DA2Mesh reply subnets --------------------------------------
         self.reply_subnets: List[Network] = []
@@ -232,20 +192,12 @@ class Fabric:
             )
             narrow_eject = 2 * packet_flits(PacketType.READ_REPLY, narrow_bytes)
             for i in range(config.da2mesh_subnets):
-                subnet = NetCls(
-                    f"reply-sub{i}",
-                    grid,
-                    narrow_bytes,
-                    num_vcs=config.num_vcs,
-                    vc_capacity=narrow_cap,
-                    routing_algorithm=config.routing,
-                    vc_classes=[tuple(range(config.num_vcs))],
+                self.reply_subnets.append(mesh(
+                    f"reply-sub{i}", "reply", all_vcs,
+                    flit_bytes=narrow_bytes, vc_capacity=narrow_cap,
                     clock_ratio=config.da2mesh_clock_ratio,
                     eject_capacity=narrow_eject,
-                    scheduler=self.scheduler,
-                )
-                self.reply_subnets.append(subnet)
-                self._add_network(subnet, config.da2mesh_clock_ratio, "reply")
+                ))
         self._da2_rr: Dict[int, int] = {cb: 0 for cb in placement}
         self._da2_pop_rr: Dict[int, int] = {}
 

@@ -34,7 +34,7 @@ from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network, network_class, resolve_scheduler
 from repro.noc.router import Router
 from repro.noc.types import Packet, PacketType, packet_flits
-from repro.noc.vector import VectorNetwork
+from repro.noc.vector import _SoA
 from repro.schemes import SCHEME_ORDER, get_spec
 from repro.workloads import profiles
 from repro.workloads.synthetic import run_uniform
@@ -255,11 +255,11 @@ _WAKES = {
         Network, "tick",
         "\n                port.router.blocked = False\n", {}),
     "eject_credit": (
-        Network, "_return_eject_credits",
-        "\n        eject_port.router.blocked = False\n",
+        Network, "pop_delivered",
+        "\n                    eject_port.router.blocked = False\n",
         dict(pop_every=16)),
     "materialise": (
-        VectorNetwork, "_materialize_inputs",
+        _SoA, "materialize_inputs",
         "\n        router.blocked = False\n",
         dict(engine="vector", flip_every=3)),
     "fault": (

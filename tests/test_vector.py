@@ -17,6 +17,7 @@ many times mid-run.  ``run_case`` picks the regime from ``seed % 3``
 (:data:`repro.verify.invariants.ARMING_REGIMES`).
 """
 
+import inspect
 import random
 import re
 from collections import Counter, defaultdict
@@ -33,6 +34,7 @@ from repro.harness.experiment import ExperimentConfig
 from repro.noc import routing, vector
 from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.noc.interface import NetworkInterface
+from repro.noc.loops import LoopInterface, LoopState, ring_loops
 from repro.noc.network import Network, network_class, resolve_engine
 from repro.noc.router import Router
 from repro.noc.types import Packet, PacketType, packet_flits
@@ -467,6 +469,120 @@ class TestForcedTransitions:
         assert faulted == [armed_when_added[0], True, True, True]
         assert (vec.arms, vec.disarms) == transitions
         assert vec.stats.fingerprint() == obj.stats.fingerprint()
+
+
+class TestSeam:
+    """The one seam between ``Network`` and the SoA it holds."""
+
+    @pytest.mark.parametrize("scheduler", ["active", "dense"])
+    def test_busy_surface_agrees_every_cycle(self, scheduler):
+        """One definition of busy, whichever representation answers.
+
+        A saturated 8x8 with slow sinks, an object network and an
+        always-armed one in lockstep: every read ``Network`` answers
+        from the SoA while armed must equal the object network's, on
+        every cycle, across a mid-run port add and a link fault.
+        """
+        grid = Grid(8)
+        nodes = list(grid.nodes())
+        nets, nis, injectors = [], [], []
+        for engine in ("object", "vector"):
+            net = network_class(engine)(
+                "seam", grid, flit_bytes=16, vc_classes=[(0,), (1,)],
+                scheduler=scheduler,
+            )
+            nets.append(net)
+            nis.append({n: NetworkInterface(net, n) for n in nodes})
+            injectors.append(FaultInjector(
+                SimpleNamespace(networks_by_role=lambda role, net=net: [net]),
+                FaultPlan((FaultSpec(kind="mesh_link", node=27, peer=28,
+                                     at_cycle=40, heal_cycle=100),)),
+                strict=True,
+            ))
+
+        def surface(net):
+            return (net.in_flight(), net.idle(), net.quiescent(),
+                    sorted(net._active_nodes()), net._peak_router_flits())
+
+        rng = random.Random(7)
+        pid = busy = 0
+        with vector.arming(0, 0):
+            for cycle in range(80 + 1500):
+                packets = []
+                if cycle < 80:
+                    for src in nodes:
+                        dst = rng.choice(nodes)
+                        if rng.random() < 0.3 and dst != src:
+                            pid += 1
+                            packets.append((pid, src, dst))
+                elif nets[0].quiescent():
+                    break
+                for net, ni, injector in zip(nets, nis, injectors):
+                    injector.on_cycle(cycle)
+                    if cycle == 60:
+                        for node in nodes:
+                            net.add_eject_port(node)
+                    for p, src, dst in packets:
+                        ptype = (PacketType.READ_REPLY if p % 2
+                                 else PacketType.READ_REQUEST)
+                        ni[src].enqueue(Packet(
+                            p, ptype, src, dst, packet_flits(ptype, 16), 0,
+                            vc_class=1 if ptype.is_reply else 0,
+                        ))
+                    net.tick()
+                    if cycle % 16 == 0:
+                        for node in nodes:
+                            while net.pop_delivered(node) is not None:
+                                pass
+                assert surface(nets[0]) == surface(nets[1]), cycle
+                busy += nets[1]._soa is not None
+        obj, vec = nets
+        assert obj.quiescent() and vec.quiescent()
+        assert obj.stats.packets_delivered == pid > 1500
+        assert vec.stats.fingerprint() == obj.stats.fingerprint()
+        # Every tick ran armed: a structure change re-arms on the next.
+        assert busy == vec.armed_cycles == vec.cycle > 400
+        assert vec.disarms >= 3  # the port adds, the fault, its heal
+        assert (obj.arms, obj.armed_cycles) == (0, 0)  # the oracle never arms
+
+    def test_the_override_layer_is_gone(self):
+        own = set(vars(VectorNetwork)) - {"__module__", "__doc__"}
+        assert own == {"engine"}
+        assert "super()" not in inspect.getsource(vector)
+        assert "cycle" not in inspect.signature(Network.schedule_flit).parameters
+
+    def test_loop_wired_network_refuses_the_adaptive_engine(self):
+        """Armed, a loop network would diverge silently: the SoA has no
+        rows for loop ports.  The refusal lives where the decision is."""
+        grid = Grid(4)
+        with pytest.raises(ValueError, match="object engine"):
+            network_class("vector")(
+                "ring", grid, 16, vc_classes=[(0,)], loops=ring_loops(grid)
+            )
+        runs = set()
+        for scheduler in ("active", "dense"):
+            net = Network("ring", grid, 16, vc_classes=[(0,)],
+                          scheduler=scheduler, loops=ring_loops(grid))
+            state = LoopState(net)
+            nis = {n: LoopInterface(net, n, state) for n in grid.nodes()}
+            pid = 0
+            for src in grid.nodes():
+                for dst in grid.nodes():
+                    if src != dst:  # all pairs: 240 packets
+                        pid += 1
+                        ptype = (PacketType.READ_REPLY if pid % 2
+                                 else PacketType.READ_REQUEST)
+                        nis[src].enqueue(Packet(
+                            pid, ptype, src, dst, packet_flits(ptype, 16), 0
+                        ))
+            while not net.idle() and net.cycle < 3000:
+                net.tick()
+                for node in grid.nodes():
+                    while net.pop_delivered(node) is not None:
+                        pass
+            assert net.idle() and net.stats.packets_delivered == 240
+            runs.add((net.stats.fingerprint()[:10], net.cycle))
+        assert runs == {("b054bfe7b7", 227)}
 
 
 class TestVerifyIntegration:

@@ -209,37 +209,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .harness.bench import (
-        compare_bench,
-        format_bench,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
+    from .harness import bench
 
-    data = run_bench(
-        scenarios=args.scenarios or None,
-        repeat=args.repeat,
-        scheduler=args.scheduler,
-        engine=args.engine,
-    )
+    # Usage errors exit 2 before any scenario runs; exit 1 is reserved
+    # for "the gate found a violation".
+    unknown = sorted(set(args.scenarios or ()) - set(bench.SCENARIOS))
+    if unknown:
+        print(f"error: unknown bench scenario(s) {', '.join(unknown)}; "
+              f"known: {', '.join(sorted(bench.SCENARIOS))}",
+              file=sys.stderr)
+        return 2
     baseline = None
     if args.baseline:
-        baseline = load_bench(args.baseline)
-    print(format_bench(data, baseline))
-    path = write_bench(args.output, data)
+        try:
+            baseline = bench.load_bench(args.baseline)
+        except (ValueError, OSError) as exc:
+            print(f"error: cannot gate against {args.baseline}: {exc}",
+                  file=sys.stderr)
+            return 2
+    data = bench.run_bench(args.scenarios or None, args.repeat)
+    print(bench.format_bench(data))
+    path = bench.write_bench(args.output, data)
     print(f"bench results written to {path}")
     if baseline is not None:
-        violations = compare_bench(data, baseline,
-                                   tolerance=args.tolerance)
+        violations = bench.compare_bench(data, baseline)
         if violations:
             print(f"\nbench gate FAILED vs {args.baseline}:",
                   file=sys.stderr)
             for violation in violations:
                 print(f"  {violation}", file=sys.stderr)
             return 1
-        print(f"bench gate passed vs {args.baseline} "
-              f"(tolerance {args.tolerance:.0%})")
+        print(f"bench gate passed vs {args.baseline}")
     return 0
 
 
@@ -607,19 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
     d_query.set_defaults(func=_cmd_sweepd_query)
 
     p_bench = sub.add_parser(
-        "bench", help="run the perf scenarios; gate against a baseline"
+        "bench", help="run the checksum scenarios; gate against a baseline"
     )
     p_bench.add_argument("--repeat", type=int, default=3,
                          help="take the best of N runs (default 3)")
-    p_bench.add_argument("--scheduler", choices=["dense", "active"],
-                         default="active",
-                         help="tick discipline to benchmark "
-                              "(default active)")
-    p_bench.add_argument("--engine", choices=["object", "vector"],
-                         default=None,
-                         help="force one tick engine for every scenario "
-                              "(default: each scenario's own — the "
-                              "*_vector twins run vectorised)")
     p_bench.add_argument("--scenarios", nargs="*", metavar="NAME",
                          help="subset of scenarios to run "
                               "(default: all)")
@@ -628,12 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default BENCH.json)")
     p_bench.add_argument("--baseline", metavar="PATH",
                          help="gate against this BENCH.json: exit 1 on "
-                              "any checksum change or a cycles/s drop "
-                              "past --tolerance")
-    p_bench.add_argument("--tolerance", type=float, default=0.25,
-                         metavar="FRAC",
-                         help="allowed fractional cycles/s regression "
-                              "(default 0.25)")
+                              "any checksum change or a failed same-run "
+                              "engine check, 2 if it cannot be read")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_fig = sub.add_parser("figure", help="regenerate a light paper figure")

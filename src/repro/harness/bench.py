@@ -1,38 +1,30 @@
-"""Performance scenarios and the ``BENCH.json`` regression gate.
+"""Behaviour checksums and same-run engine gates (``repro bench``).
 
-Scenarios bracket the simulator's tick hot path:
+Scenarios bracket the simulator's tick hot path (:data:`SCENARIOS`):
 
 * ``synthetic`` — uniform random traffic on a saturated 24x24 network,
-  dominated by the allocation/traversal loop.  This is the scenario the
-  vector engine is gated on: ``synthetic_vector`` runs the identical
-  configuration under ``--engine vector`` and must reproduce the object
+  dominated by the allocation/traversal loop; ``synthetic_vector``
+  runs it under the vector engine, which must reproduce the object
   engine's checksum bit-for-bit while clearing a minimum speedup;
-* ``low_load`` — uniform traffic on a 16x16 network at a 0.2% injection
-  rate, the mostly-idle regime the active-set scheduler exists for
-  (also paired with ``low_load_vector``);
+* ``low_load`` — a 16x16 network at a 0.2% injection rate, the
+  mostly-idle regime the active-set scheduler exists for (twin:
+  ``low_load_vector``);
 * ``system`` — one full (scheme, benchmark) cell through the GPU model,
   the shape every harness sweep repeats hundreds of times;
-* ``ring_router`` / ``routerless`` — full-system cells on the loop
-  topologies, so checksum or cycles/s regressions in the independent
-  baseline schemes fail the gate like the mesh ones (object engine
-  only — the loop schemes have no vector twin by design).
+* ``ring_router`` / ``routerless`` — full-system cells on the two loop
+  baselines (object engine only), on a 6x6 mesh: the serpentine ring's
+  average hop count grows with the square of the width, so 6x6 already
+  costs about what ``system`` does.
 
-Each scenario reports wall-clock throughput (cycles/s, best of
-``repeat`` runs) *and* a behaviour checksum over the simulated
-statistics.  ``compare_bench`` turns a current/baseline pair into a
-list of violations: a checksum change is always fatal (simulated
-behaviour drifted), a throughput drop is fatal past the tolerance, an
-object<->vector checksum divergence between paired scenarios is fatal
-(the engine-parity contract broke), a vector speedup below
-``MIN_ENGINE_SPEEDUP`` on ``synthetic`` is fatal (the vector engine
-stopped paying for itself), ``low_load_vector`` below
-``MIN_LOW_LOAD_RATIO`` of ``low_load`` is fatal (the vector engine
-stopped staying out of the way of a quiet mesh), and more than
-``MAX_FALLBACK_SHARE`` of ``synthetic_vector``'s allocations going
-through the per-router golden-model fallback is fatal (the traffic
-assumption the engine's design rests on stopped holding).  ``repro
-bench`` wires this into CI as the bench-gate job against the committed
-``BENCH_BASELINE.json``.
+Each scenario reports a behaviour checksum over the simulated
+statistics and its best-of-``repeat`` wall-clock time.  ``compare_bench``
+gates a run against a baseline on checksums — a changed or missing one
+means simulated behaviour drifted — plus the same-run engine checks of
+:func:`engine_violations`, whose ratios come from one run on one
+machine.  The baseline's timings are informational and never read:
+comparing speed across commits is the repository benchmark's job
+(``bench/``, paired runs on one host).  ``repro bench`` wires this into
+CI as the bench-gate job against the committed ``BENCH_BASELINE.json``.
 """
 
 from __future__ import annotations
@@ -47,12 +39,15 @@ from .. import __version__
 from ..core.grid import Grid
 from ..workloads.synthetic import run_uniform
 
-BENCH_SCHEMA = 3
-DEFAULT_TOLERANCE = 0.25
+BENCH_SCHEMA = 4
+
+# Baseline schemas the gate reads: 4 only dropped top-level fields, so a
+# schema-3 baseline's rows carry the same checksums and gate the same.
+GATE_SCHEMAS = (3, BENCH_SCHEMA)
 
 # The vector engine must beat the object engine by at least this factor
 # on the saturated ``synthetic`` scenario (wall-clock cycles/s measured
-# on the same machine in the same run, so no calibration applies).
+# on the same machine in the same run, so machine speed cancels out).
 # Measured 1.80-1.93x (object 7.3 s, vector 3.8-4.05 s) on a host that
 # reads 1.13 at 2.96x (13.9 / 4.7 s): 1.14 halved the denominator, not
 # the SoA.  The floor stays 77 % of the measurement, as 3.0 was of 3.9.
@@ -78,17 +73,35 @@ ENGINE_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("low_load_vector", "low_load"),
 )
 
+# name -> (engine, kind, arguments), all under the active scheduler: a
+# ``uniform`` row runs ``run_uniform`` on (mesh width, injection rate,
+# injection cycles), a ``system`` row one (scheme, benchmark,
+# ExperimentConfig kwargs) cell.
+SCENARIOS: Dict[str, Tuple[str, str, tuple]] = {
+    "synthetic": ("object", "uniform", (24, 0.08, 500)),
+    "synthetic_vector": ("vector", "uniform", (24, 0.08, 500)),
+    "low_load": ("object", "uniform", (16, 0.002, 3000)),
+    "low_load_vector": ("vector", "uniform", (16, 0.002, 3000)),
+    "system": ("object", "system", (
+        "SeparateBase", "kmeans", {"quota": 40, "mcts_iterations": 40},
+    )),
+    "ring_router": ("object", "system", (
+        "ring_router", "kmeans", {"width": 6, "num_cbs": 5, "quota": 24},
+    )),
+    "routerless": ("object", "system", (
+        "routerless", "kmeans", {"width": 6, "num_cbs": 5, "quota": 24},
+    )),
+}
+
 _CALIBRATION_LOOPS = 2_000_000
 
 
 def calibrate(repeat: int = 3) -> float:
     """Wall-clock seconds for a fixed pure-Python loop (best of N).
 
-    A machine-speed yardstick recorded alongside the scenario timings:
-    the gate scales the baseline's cycles/s by the calibration ratio,
-    so a run on a slower (or busier) machine is compared against what
-    the baseline machine would have scored at that speed, not against
-    its absolute numbers.
+    A machine-speed yardstick: the repository benchmark (``bench/``)
+    records it as ``host.calibration_s`` next to every run, so two runs
+    can be told apart by host speed.  Nothing here gates on it.
     """
     best = None
     for _ in range(repeat):
@@ -119,25 +132,48 @@ def _network_checksum(result) -> str:
     ).hexdigest()[:10]
 
 
-def _uniform_row(
-    repeat: int,
-    scheduler: str,
-    engine: str,
-    width: int,
-    rate: float,
-    cycles: int,
-) -> Dict[str, object]:
-    best, result = _time_best(repeat, lambda: run_uniform(
-        Grid(width), injection_rate=rate, cycles=cycles, seed=1,
-        scheduler=scheduler, engine=engine,
-    ))
+def arming_note(row: Dict[str, object]) -> str:
+    """How a vector row spent its cycles: never armed, armed, thrashing."""
+    arming = row.get("arming")
+    if not arming:
+        return ""
+    return (
+        f"  armed {arming['armed_cycles']}/{row['cycles']} cycles "
+        f"({arming['arms']} arms, {arming['disarms']} disarms), "
+        f"fallback {arming['fallback_allocs']}/{arming['vc_allocs']} allocs"
+    )
+
+
+def run_scenario(name: str, repeat: int = 3) -> Dict[str, object]:
+    """Run one named scenario of :data:`SCENARIOS`; returns its row."""
+    engine, kind, args = SCENARIOS[name]
+    if kind == "uniform":
+        width, rate, cycles = args
+        best, result = _time_best(repeat, lambda: run_uniform(
+            Grid(width), injection_rate=rate, cycles=cycles, seed=1,
+            scheduler="active", engine=engine,
+        ))
+        checksum = _network_checksum(result)
+        received = result.received
+    else:
+        from .experiment import ExperimentConfig, run_experiment
+
+        scheme, benchmark, kwargs = args
+        config = ExperimentConfig(scheduler="active", engine=engine,
+                                  **kwargs)
+        best, result = _time_best(
+            repeat, lambda: run_experiment(scheme, benchmark, config)
+        )
+        checksum = (f"{result.cycles}/{result.instructions}/"
+                    f"{result.stats_fingerprint[:10]}")
+        received = result.instructions
     row = {
         "engine": engine,
         "cycles": result.cycles,
         "seconds": best,
         "cycles_per_s": result.cycles / best,
-        "checksum": _network_checksum(result),
-        "received": result.received,
+        "checksum": checksum,
+        "received": received,
     }
     if engine == "vector":
         net = result.network
@@ -151,163 +187,16 @@ def _uniform_row(
     return row
 
 
-def arming_note(row: Dict[str, object]) -> str:
-    """How a vector row spent its cycles: never armed, armed, thrashing."""
-    arming = row.get("arming")
-    if not arming:
-        return ""
-    return (
-        f"  armed {arming['armed_cycles']}/{row['cycles']} cycles "
-        f"({arming['arms']} arms, {arming['disarms']} disarms), "
-        f"fallback {arming['fallback_allocs']}/{arming['vc_allocs']} allocs"
-    )
-
-
-def _scenario_synthetic(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
-    """Saturated uniform traffic: the allocation/traversal hot loop."""
-    return _uniform_row(repeat, scheduler, engine,
-                        width=24, rate=0.08, cycles=500)
-
-
-def _scenario_synthetic_vector(
-    repeat: int, scheduler: str, engine: str = "vector"
-) -> Dict[str, object]:
-    """``synthetic`` under the struct-of-arrays engine."""
-    return _scenario_synthetic(repeat, scheduler, engine)
-
-
-def _scenario_low_load(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
-    """Sparse traffic on a big mesh: mostly-idle routers and NIs."""
-    return _uniform_row(repeat, scheduler, engine,
-                        width=16, rate=0.002, cycles=3000)
-
-
-def _scenario_low_load_vector(
-    repeat: int, scheduler: str, engine: str = "vector"
-) -> Dict[str, object]:
-    """``low_load`` under the struct-of-arrays engine."""
-    return _scenario_low_load(repeat, scheduler, engine)
-
-
-def _system_row(
-    repeat: int,
-    scheduler: str,
-    engine: str,
-    scheme: str,
-    benchmark: str,
-    **config_kwargs,
-) -> Dict[str, object]:
-    """One full (scheme, benchmark) cell through the GPU model."""
-    from .experiment import ExperimentConfig, run_experiment
-
-    config = ExperimentConfig(scheduler=scheduler, engine=engine,
-                              **config_kwargs)
-    best, result = _time_best(
-        repeat, lambda: run_experiment(scheme, benchmark, config)
-    )
-    return {
-        "engine": engine,
-        "cycles": result.cycles,
-        "seconds": best,
-        "cycles_per_s": result.cycles / best,
-        "checksum": f"{result.cycles}/{result.instructions}/"
-                    f"{result.stats_fingerprint[:10]}",
-        "received": result.instructions,
-    }
-
-
-def _scenario_system(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
-    """One full-system experiment cell (SeparateBase x kmeans)."""
-    return _system_row(repeat, scheduler, engine, "SeparateBase",
-                       "kmeans", quota=40, mcts_iterations=40)
-
-
-def _scenario_ring_router(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
-    """Full-system cell on the counter-rotating-ring baseline.
-
-    A smaller mesh than ``system``: the serpentine ring's average hop
-    count grows with the square of the width, so a 6x6 cell already
-    exercises the loop hot path at comparable wall-clock cost.  The
-    engine is pinned to object — loop topologies have no vector twin,
-    so a forced ``--engine vector`` run keeps these cells meaningful
-    instead of crashing.
-    """
-    return _system_row(repeat, scheduler, "object", "ring_router",
-                       "kmeans", width=6, num_cbs=5, quota=24)
-
-
-def _scenario_routerless(
-    repeat: int, scheduler: str, engine: str = "object"
-) -> Dict[str, object]:
-    """Full-system cell on the routerless loop baseline (object-only)."""
-    return _system_row(repeat, scheduler, "object", "routerless",
-                       "kmeans", width=6, num_cbs=5, quota=24)
-
-
-SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
-    "synthetic": _scenario_synthetic,
-    "synthetic_vector": _scenario_synthetic_vector,
-    "low_load": _scenario_low_load,
-    "low_load_vector": _scenario_low_load_vector,
-    "system": _scenario_system,
-    "ring_router": _scenario_ring_router,
-    "routerless": _scenario_routerless,
-}
-
-
-def run_scenario(
-    name: str,
-    repeat: int = 3,
-    scheduler: str = "active",
-    engine: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run one named scenario under one scheduler (and engine)."""
-    try:
-        fn = SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown bench scenario {name!r}; "
-            f"known: {sorted(SCENARIOS)}"
-        ) from None
-    if engine is not None:
-        return fn(repeat, scheduler, engine)
-    return fn(repeat, scheduler)
-
-
 def run_bench(
-    scenarios: Optional[Iterable[str]] = None,
-    repeat: int = 3,
-    scheduler: str = "active",
-    engine: Optional[str] = None,
+    scenarios: Optional[Iterable[str]] = None, repeat: int = 3
 ) -> Dict[str, object]:
-    """Run the scenario suite; returns the BENCH.json payload.
-
-    ``engine`` of ``None`` keeps each scenario's own engine (the
-    ``*_vector`` twins run vectorised, everything else object) — the
-    shape the gate's cross-engine checks expect.  Forcing one engine
-    for every scenario is a measurement convenience; gating a forced
-    run would trip the vector-speedup floor at 1.0x.
-    """
+    """Run the scenario suite (default: all); returns the BENCH payload."""
     names = list(scenarios) if scenarios is not None else list(SCENARIOS)
     return {
         "schema": BENCH_SCHEMA,
         "version": __version__,
-        "scheduler": scheduler,
-        "engine": engine or "",
         "repeat": repeat,
-        "calibration_s": calibrate(),
-        "scenarios": {
-            name: run_scenario(name, repeat, scheduler, engine)
-            for name in names
-        },
+        "scenarios": {name: run_scenario(name, repeat) for name in names},
     }
 
 
@@ -319,8 +208,41 @@ def write_bench(path, data: Dict[str, object]) -> Path:
     return path
 
 
+def _gate_rows(baseline: object) -> Optional[Dict[str, Dict[str, object]]]:
+    """The baseline's scenario rows, if non-empty and all checksummed."""
+    rows = baseline.get("scenarios") if isinstance(baseline, dict) else None
+    if isinstance(rows, dict) and rows and all(
+        isinstance(row, dict) and "checksum" in row for row in rows.values()
+    ):
+        return rows
+    return None
+
+
+def _baseline_problems(baseline: object) -> List[str]:
+    """Why ``baseline`` cannot gate a run (empty when it can)."""
+    problems = []
+    schema = baseline.get("schema") if isinstance(baseline, dict) else None
+    if schema not in GATE_SCHEMAS:
+        problems.append(
+            f"schema {schema!r} does not match the gate's schema "
+            f"{BENCH_SCHEMA} (refresh BENCH_BASELINE)"
+        )
+    if _gate_rows(baseline) is None:
+        problems.append(
+            "no scenarios to compare against (empty or malformed "
+            "baseline — the gate cannot pass vacuously)"
+        )
+    return problems
+
+
 def load_bench(path) -> Dict[str, object]:
-    return json.loads(Path(path).read_text())
+    """Read a BENCH payload the gate can use; raises ``OSError`` if the
+    file cannot be read, ``ValueError`` if it is not JSON or cannot gate."""
+    data = json.loads(Path(path).read_text())
+    problems = _baseline_problems(data)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return data
 
 
 def _vector_ratio(
@@ -348,19 +270,15 @@ def engine_violations(
     * On ``synthetic`` the vector engine must clear ``min_speedup``
       over the object engine, and on ``low_load`` it must hold
       ``min_low_load_ratio`` of it.  Both figures of a ratio come from
-      the same run on the same machine, so no calibration scaling
-      applies.
+      the same run on the same machine, so machine speed cancels out.
     * ``synthetic_vector`` may put at most ``max_fallback_share`` of
       its allocations through the golden-model fallback — two counts
       from one run, so no machine enters into it at all.
     """
     violations: List[str] = []
     for vec_name, obj_name in ENGINE_PAIRS:
-        vec = rows.get(vec_name)
-        obj = rows.get(obj_name)
-        if vec is None or obj is None:
-            continue
-        if vec["checksum"] != obj["checksum"]:
+        vec, obj = rows.get(vec_name), rows.get(obj_name)
+        if vec and obj and vec["checksum"] != obj["checksum"]:
             violations.append(
                 f"{obj_name}: object/vector checksum divergence "
                 f"{obj['checksum']} != {vec['checksum']} "
@@ -394,116 +312,56 @@ def engine_violations(
 
 
 def compare_bench(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float = DEFAULT_TOLERANCE,
+    current: Dict[str, object], baseline: Dict[str, object]
 ) -> List[str]:
     """Gate a current run against a baseline; returns violations.
 
-    * A baseline without a usable ``scenarios`` mapping, or whose
-      ``schema`` does not match :data:`BENCH_SCHEMA`, is itself a
-      violation — an empty or stale baseline must never let the gate
-      pass vacuously.
-    * Any checksum change is a violation — simulated behaviour drifted,
-      no tolerance applies.
-    * A cycles/s figure below ``expected * (1 - tolerance)`` is a
-      violation, where ``expected`` is the baseline figure scaled by
-      the machines' calibration ratio (when both records carry a
-      nonzero ``calibration_s``) — so a slower or busier machine is
-      held to what the baseline box would have scored at that speed,
-      not to its absolute numbers.  When either record lacks the
-      calibration figure the comparison runs *uncalibrated* and each
-      throughput violation says so explicitly.
+    * A baseline whose ``schema`` is not in :data:`GATE_SCHEMAS`, or
+      without a non-empty ``scenarios`` mapping of checksummed rows, is
+      itself a violation — the gate must never pass vacuously.
+    * Any checksum change is a violation — simulated behaviour drifted.
     * A scenario present in the baseline but missing from the current
       run is a violation (silent coverage loss).
     * Cross-engine checks (:func:`engine_violations`) run on the
-      current rows: object/vector checksum divergence and a vector
-      speedup below the floor are violations.
+      current rows.
 
-    Speedups and new scenarios never fail the gate.
+    The baseline's timings are never read, and new scenarios never
+    fail the gate.
     """
-    violations: List[str] = []
-    base_schema = baseline.get("schema")
-    if base_schema != BENCH_SCHEMA:
-        violations.append(
-            f"baseline: schema {base_schema!r} does not match the "
-            f"gate's schema {BENCH_SCHEMA} (refresh BENCH_BASELINE)"
-        )
-    base_rows = baseline.get("scenarios")
-    if not isinstance(base_rows, dict) or not base_rows:
-        violations.append(
-            "baseline: no scenarios to compare against (empty or "
-            "malformed baseline — the gate cannot pass vacuously)"
-        )
-        base_rows = {}
-    scale = 1.0
-    base_cal = baseline.get("calibration_s")
-    cur_cal = current.get("calibration_s")
-    calibrated = bool(base_cal) and bool(cur_cal)
-    if calibrated:
-        scale = base_cal / cur_cal
+    violations = [
+        f"baseline: {problem}" for problem in _baseline_problems(baseline)
+    ]
+    base_rows = _gate_rows(baseline) or {}
     cur_rows = current.get("scenarios", {})
-    for name in sorted(base_rows):
-        base = base_rows[name]
+    for name, base in sorted(base_rows.items()):
         cur = cur_rows.get(name)
         if cur is None:
             violations.append(f"{name}: missing from current run")
-            continue
-        if cur["checksum"] != base["checksum"]:
+        elif cur["checksum"] != base["checksum"]:
             violations.append(
                 f"{name}: checksum changed "
                 f"{base['checksum']} -> {cur['checksum']} "
                 f"(simulated behaviour drifted)"
             )
-        expected = base["cycles_per_s"] * scale
-        floor = expected * (1.0 - tolerance)
-        if cur["cycles_per_s"] < floor:
-            ratio = cur["cycles_per_s"] / expected
-            if calibrated:
-                detail = (
-                    f"the speed-adjusted baseline {expected:.0f} "
-                    f"(floor {floor:.0f}, tolerance {tolerance:.0%}, "
-                    f"machine-speed scale {scale:.2f})"
-                )
-            else:
-                detail = (
-                    f"the baseline {expected:.0f} compared "
-                    f"UNCALIBRATED — calibration_s missing from "
-                    f"{'baseline' if not base_cal else 'current'} "
-                    f"record (floor {floor:.0f}, tolerance "
-                    f"{tolerance:.0%})"
-                )
-            violations.append(
-                f"{name}: {cur['cycles_per_s']:.0f} cycles/s is "
-                f"{ratio:.2f}x {detail}"
-            )
     violations.extend(engine_violations(cur_rows))
     return violations
 
 
-def format_bench(
-    data: Dict[str, object],
-    baseline: Optional[Dict[str, object]] = None,
-) -> str:
-    """Plain-text table of a BENCH payload (optionally vs a baseline)."""
+def format_bench(data: Dict[str, object]) -> str:
+    """Plain-text table of a BENCH payload."""
     lines = [
-        f"bench — scheduler {data.get('scheduler')}, "
-        f"repeat {data.get('repeat')}, version {data.get('version')}"
+        f"bench — repeat {data.get('repeat')}, "
+        f"version {data.get('version')}"
     ]
-    base_rows = (baseline or {}).get("scenarios", {})
     rows = data.get("scenarios", {})
     for name, row in sorted(rows.items()):
-        line = (
+        lines.append(
             f"{name:<18} {row['cycles']:>8} cycles  "
             f"{row['seconds']:.3f} s  "
             f"{row['cycles_per_s']:>10.0f} cycles/s  "
             f"checksum {row['checksum']}"
+            f"{arming_note(row)}"
         )
-        base = base_rows.get(name)
-        if base:
-            ratio = row["cycles_per_s"] / base["cycles_per_s"]
-            line += f"  ({ratio:.2f}x baseline)"
-        lines.append(line + arming_note(row))
     for name, floor, what in (
         ("synthetic", MIN_ENGINE_SPEEDUP, "speedup"),
         ("low_load", MIN_LOW_LOAD_RATIO, "ratio"),
@@ -515,15 +373,3 @@ def format_bench(
                 f"(floor {floor:.1f}x)"
             )
     return "\n".join(lines)
-
-
-def checksum_divergence(
-    rows: Dict[str, Dict[str, object]]
-) -> Optional[Tuple[str, str]]:
-    """Checksum pair if two scheduler runs of one scenario diverge."""
-    if len(rows) != 2:
-        return None
-    a, b = rows.values()
-    if a["checksum"] != b["checksum"]:
-        return a["checksum"], b["checksum"]
-    return None

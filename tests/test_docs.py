@@ -1,13 +1,19 @@
-"""Doc drift: DESIGN.md's module tree must match ``src/repro/``.
+"""Doc drift: prose that restates the code must agree with it.
 
-The tree in "System inventory" once listed a ``noc/link.py`` that never
-existed and missed whole packages; this keeps it honest in both
-directions.  Packages are named by their directory line, so
-``__init__.py`` files are not listed.
+* DESIGN.md's module tree must match ``src/repro/``.  The tree in
+  "System inventory" once listed a ``noc/link.py`` that never existed
+  and missed whole packages; this keeps it honest in both directions.
+  Packages are named by their directory line, so ``__init__.py`` files
+  are not listed.
+* The bench-gate figures quoted in README and docs/VECTOR.md must be the
+  gate's constants (CI once quoted "3x" two releases after the floor
+  became 1.4).
 """
 
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -42,3 +48,28 @@ def test_design_tree_matches_the_source_tree():
     }
     assert set(named) - actual == set(), "DESIGN.md names missing files"
     assert actual - set(named) == set(), "modules missing from DESIGN.md"
+
+
+def _paragraph(path, start):
+    """The blank-line-delimited paragraph of ``path`` opening with
+    ``start``."""
+    text = (ROOT / path).read_text()
+    return text.split("\n" + start, 1)[1].split("\n\n", 1)[0]
+
+
+@pytest.mark.parametrize("path, start", [
+    ("README.md", "CI's `bench-gate` job"),
+    ("docs/VECTOR.md", "3. **CI bench gate**"),
+], ids=["README", "VECTOR"])
+def test_quoted_bench_gate_figures_are_the_constants(path, start):
+    from repro.harness.bench import (
+        MAX_FALLBACK_SHARE,
+        MIN_ENGINE_SPEEDUP,
+        MIN_LOW_LOAD_RATIO,
+    )
+
+    text = _paragraph(path, start)
+    ratios = {float(x) for x in re.findall(r"(\d+(?:\.\d+)?)×", text)}
+    shares = {float(x) for x in re.findall(r"(\d+(?:\.\d+)?) ?%", text)}
+    assert ratios == {MIN_ENGINE_SPEEDUP, MIN_LOW_LOAD_RATIO}, text
+    assert shares == {round(MAX_FALLBACK_SHARE * 100, 6)}, text

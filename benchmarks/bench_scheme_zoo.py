@@ -6,7 +6,9 @@ benchmark produces the Figure-4-style comparison the paper never ran —
 every scheme in the zoo (the EquiNox ablation ladder *plus* the
 independent ring-router and routerless baselines) on the same large
 mesh, reported as mean packet latency, delivered throughput and the
-per-EIR injection balance from the telemetry probes:
+per-EIR injection balance from the telemetry probes, plus, for the loop
+schemes, the max and mean number of loops through one node (the number
+Lin et al. price a routerless design by), read from the loop table:
 
     PYTHONPATH=src python benchmarks/bench_scheme_zoo.py
         [--width 32] [--schemes ...] [--tier mesh32 | --benchmarks ...]
@@ -26,10 +28,27 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+from repro.core.grid import Grid
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.metrics import format_table
-from repro.schemes import SCHEME_ORDER
+from repro.noc.loops import LOOP_SETS
+from repro.noc.routing import LoopTable
+from repro.schemes import SCHEME_ORDER, get_config
 from repro.workloads import tier as workload_tier
+
+
+def loops_per_node(scheme: str, width: int):
+    """``(max, mean)`` loops through one node, or None on a mesh."""
+    make = LOOP_SETS.get(get_config(scheme).topology)
+    if make is None:
+        return None
+    grid = Grid(width)
+    table = LoopTable(grid.size, make(grid))
+    pos = np.frombuffer(table.pos, dtype=np.intc)
+    counts = (pos.reshape(len(table.loops), grid.size) >= 0).sum(axis=0)
+    return int(counts.max()), float(counts.mean())
 
 
 def run_cell(
@@ -68,6 +87,9 @@ def run_cell(
         "stats_fingerprint": result.stats_fingerprint,
         "wall_seconds": round(wall, 3),
     }
+    loops = loops_per_node(scheme, args.width)
+    if loops is not None:
+        row["loops_per_node_max"], row["loops_per_node_mean"] = loops
     if result.telemetry is not None:
         from repro.telemetry.export import summarize_record
 
@@ -143,13 +165,15 @@ def main() -> int:
                 r["latency_ns"],
                 r["throughput_flits_per_cycle"],
                 r.get("eir_balance", float("nan")),
+                float(r.get("loops_per_node_max", "nan")),
             )
             for r in cells
         ]
         print(f"\n{benchmark} ({args.width}x{args.width}, "
               f"quota {args.quota})")
         print(format_table(
-            ("Scheme", "Cycles", "Latency(ns)", "Flits/cyc", "EIRbal"),
+            ("Scheme", "Cycles", "Latency(ns)", "Flits/cyc", "EIRbal",
+             "Loops/node"),
             table,
         ))
     for entry in skipped:

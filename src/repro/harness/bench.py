@@ -12,7 +12,7 @@ Scenarios bracket the simulator's tick hot path (:data:`SCENARIOS`):
 * ``system`` — one full (scheme, benchmark) cell through the GPU model,
   the shape every harness sweep repeats hundreds of times;
 * ``ring_router`` / ``routerless`` — full-system cells on the two loop
-  baselines (object engine only), on a 6x6 mesh: the serpentine ring's
+  baselines (on the object engine), on a 6x6 mesh: the serpentine ring's
   average hop count grows with the square of the width, so 6x6 already
   costs about what ``system`` does.
 

@@ -81,9 +81,11 @@ def _refusals(router: Router, packet: Packet) -> List[str]:
             else router.eject_filter(packet)
         )
         allowed: Sequence[int] = (0,)
-    elif router.route_override is not None:
-        port, allowed = router.route_override(router, packet)
-        ports = (port,)
+    elif packet.lane is not None:
+        port, vc = router.network.loop_table.route(
+            packet.lane, packet.inject_router, router.node
+        )
+        ports, allowed = (port,), (vc,)
     else:
         src = packet.src if packet.inject_router is None else packet.inject_router
         ports = routing.route_candidates(

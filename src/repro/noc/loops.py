@@ -19,8 +19,9 @@ Two independent baselines ride on the same machinery:
 Both map onto the simulator as a :class:`~repro.noc.network.Network`
 constructed with ``loops=...``: each directed loop hop is its own
 point-to-point link (an output-only port upstream, an input-only port
-downstream), the mesh ports stay unwired, and every router gets a
-``route_override`` from the shared :class:`LoopState`.
+downstream), the mesh ports stay unwired, and the network's
+:class:`~repro.noc.routing.LoopTable` is the routing function both tick
+engines read, as the mesh route table is for a mesh.
 
 Deadlock freedom — the dateline argument
 ----------------------------------------
@@ -35,23 +36,24 @@ edge (that would require ``L`` hops), VC1 is entered exactly once at
 the wrap and never returns to VC0 — so the channel dependency graph is
 acyclic and the loop cannot deadlock.  Ejection drains unconditionally
 (the GPU model pops every delivered packet), closing the argument.
+``tests/test_routing.py::TestDeadlockFreedom`` checks it on the graph
+built from the table, for every construction here up to 16x16.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.grid import Grid
-from .interface import BASE_CORE_BYTES, NetworkInterface, SerializationCore
-from .network import Network
+from .interface import NetworkInterface
 from .types import Packet
 
 __all__ = [
     "serpentine_order",
     "ring_loops",
     "routerless_loops",
+    "LOOP_SETS",
     "verify_loop_cover",
-    "LoopState",
     "LoopInterface",
 ]
 
@@ -141,6 +143,10 @@ def routerless_loops(grid: Grid) -> List[Tuple[int, ...]]:
     return loops
 
 
+LOOP_SETS = {"ring": ring_loops, "routerless": routerless_loops}
+"""The loop construction of each ``SchemeConfig.topology`` but ``mesh``."""
+
+
 def verify_loop_cover(grid: Grid, loops: Sequence[Sequence[int]]) -> None:
     """Raise if some (src, dst) pair is on no common loop (test support)."""
     membership: List[set] = [set() for _ in range(grid.size)]
@@ -157,126 +163,22 @@ def verify_loop_cover(grid: Grid, loops: Sequence[Sequence[int]]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Routing state shared by a loop network's routers and NIs
-# ----------------------------------------------------------------------
-class LoopState:
-    """Per-network loop routing: lane selection, forwarding, datelines.
-
-    Constructing it on a loop-wired network installs ``route_override``
-    on every router, the along-loop ``hop_fn`` for the zero-load
-    latency model, and the positional VC legality check the audits use
-    in place of the class-partition check.
-    """
-
-    def __init__(self, network: Network) -> None:
-        if network.loops is None:
-            raise ValueError("LoopState requires a network wired with loops")
-        if network.num_vcs < 2:
-            raise ValueError("loop datelines need at least 2 VCs")
-        self.network = network
-        self.loops = network.loops
-        # pos[lane][node] -> index of node within lane
-        self.pos: List[Dict[int, int]] = [
-            {node: i for i, node in enumerate(lane)} for lane in self.loops
-        ]
-        # out_port[lane][node] -> forwarding port of node along lane
-        self.out_port: List[Dict[int, int]] = [
-            dict(zip(lane, ports))
-            for lane, ports in zip(self.loops, network.loop_ports)
-        ]
-        # Lazy (src, dst) -> minimal-forward-distance lanes.  Lazy
-        # because precomputing all pairs over ~1000 loops at 32x32 costs
-        # ~1e8 operations; a workload only ever touches a sliver.
-        self._candidates: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        # One rotation pointer per candidate set (cf. EquiNoxInterface):
-        # a global pointer would bias lane choice whenever candidate
-        # sets differ across destinations.
-        self._rr: Dict[Tuple[int, ...], int] = {}
-        for router in network.routers:
-            router.route_override = self.route_override
-        network.hop_fn = self.hop_fn
-        network.loop_vc_fn = self.expected_vc
-
-    def distance(self, lane: int, src: int, dst: int) -> int:
-        """Forward hop count from ``src`` to ``dst`` along ``lane``."""
-        pos = self.pos[lane]
-        return (pos[dst] - pos[src]) % len(self.loops[lane])
-
-    def candidates(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Lanes through both nodes at minimal forward distance."""
-        key = (src, dst)
-        cached = self._candidates.get(key)
-        if cached is not None:
-            return cached
-        best: Optional[int] = None
-        chosen: List[int] = []
-        for lane, pos in enumerate(self.pos):
-            if src not in pos or dst not in pos:
-                continue
-            d = self.distance(lane, src, dst)
-            if best is None or d < best:
-                best, chosen = d, [lane]
-            elif d == best:
-                chosen.append(lane)
-        if not chosen:
-            raise ValueError(f"no loop covers {src}->{dst}")
-        result = tuple(chosen)
-        self._candidates[key] = result
-        return result
-
-    def select_lane(self, src: int, dst: int) -> int:
-        """Wire selection: a minimal lane, rotating over equal choices."""
-        cands = self.candidates(src, dst)
-        if len(cands) == 1:
-            return cands[0]
-        start = self._rr.get(cands, 0)
-        self._rr[cands] = (start + 1) % len(cands)
-        return cands[start]
-
-    # -- hooks installed on the network --------------------------------
-    def route_override(self, router: "object", packet: Packet) -> Tuple[int, Tuple[int, ...]]:
-        """The lane's single forward port and its dateline VC class."""
-        lane = packet.lane
-        pos = self.pos[lane]
-        node = router.node
-        nxt = (pos[node] + 1) % len(self.loops[lane])
-        allowed = (1,) if nxt < pos[packet.inject_router] else (0,)
-        return self.out_port[lane][node], allowed
-
-    def hop_fn(self, packet: Packet, inject: int, node: int) -> int:
-        return self.distance(packet.lane, inject, node)
-
-    def expected_vc(self, packet: Packet, node: int) -> int:
-        """Dateline VC a flit of ``packet`` must occupy buffered at ``node``."""
-        pos = self.pos[packet.lane]
-        return 1 if pos[node] < pos[packet.inject_router] else 0
-
-
-# ----------------------------------------------------------------------
 # Injection side
 # ----------------------------------------------------------------------
 class LoopInterface(NetworkInterface):
     """NI for loop topologies: wire selection happens at injection.
 
     One local buffer, exactly like the base NI; the only addition is
-    stamping ``packet.lane`` (the selected loop) before the packet
-    enters the buffer, since downstream forwarding has no route
-    computation to fall back on.
+    stamping ``packet.lane`` (a minimal lane of the network's
+    :class:`~repro.noc.routing.LoopTable`, rotating over equal choices)
+    before the packet enters the buffer.  Downstream, every router and
+    the SoA read the lane's forward port and dateline VC from the table.
     """
 
-    __slots__ = ("state",)
-
-    def __init__(
-        self,
-        network: Network,
-        node: int,
-        state: LoopState,
-        core: Optional[SerializationCore] = None,
-        core_bytes: int = BASE_CORE_BYTES,
-    ) -> None:
-        self.state = state
-        super().__init__(network, node, core, core_bytes)
+    __slots__ = ()
 
     def _load(self, buf, packet: Packet, cycle: int) -> None:
-        packet.lane = self.state.select_lane(self.node, packet.dst)
+        packet.lane = self.network.loop_table.select_lane(
+            self.node, packet.dst
+        )
         super()._load(buf, packet, cycle)

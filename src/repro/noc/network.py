@@ -110,11 +110,6 @@ class Network:
         self._soa = None
         self._vector = None
         if self.engine == "vector":
-            if loops is not None:
-                raise ValueError(
-                    "loop topologies are only implemented by the object "
-                    f"engine (got {self.engine!r})"
-                )
             from . import vector
 
             self._vector = vector
@@ -161,20 +156,11 @@ class Network:
         # Loop topologies (ring/routerless) replace the mesh links with
         # precomputed unidirectional loops; each loop hop is its own
         # point-to-point link.  Wiring must precede the upstream map.
-        self.loops: Optional[List[Tuple[int, ...]]] = None
-        self.loop_ports: List[List[int]] = []
+        self.loop_table: Optional[routing.LoopTable] = None
         if loops is None:
             self._wire_mesh()
         else:
             self._wire_loops(loops)
-        # Optional hook replacing the mesh hop count in the zero-load
-        # latency model: called as hook(packet, inject, node).  Loop
-        # topologies supply the along-loop distance.
-        self.hop_fn = None
-        # Optional hook giving the dateline VC a buffered flit must
-        # occupy at a node (loop topologies); the audit uses it instead
-        # of the class-partition check, which loops do not obey.
-        self.loop_vc_fn = None
         # (node, in_port) -> upstream OutputPort, for credit return.
         self.upstream: Dict[Tuple[int, int], OutputPort] = {}
         for router in self.routers:
@@ -228,24 +214,25 @@ class Network:
     def _wire_loops(self, loops: Sequence[Sequence[int]]) -> None:
         """Wire precomputed unidirectional loops instead of mesh links.
 
-        ``loop_ports[lane][i]`` is the output port that ``loops[lane][i]``
-        uses to forward along ``lane``; the mesh ports 0..3 stay unwired
-        (and therefore always empty), so the tick loop skips them for free.
+        Builds the :class:`~repro.noc.routing.LoopTable` both tick paths
+        route by, its ``out`` column being the port each loop hop gets
+        here; the mesh ports 0..3 stay unwired (and therefore always
+        empty), so the tick loop skips them for free.
         """
-        self.loops = [tuple(lane) for lane in loops]
-        self.loop_ports = []
-        for lane in self.loops:
-            ports: List[int] = []
-            length = len(lane)
-            for i, node in enumerate(lane):
-                nxt = lane[(i + 1) % length]
+        if self.num_vcs < 2:
+            raise ValueError("loop datelines need at least 2 VCs")
+        table = routing.LoopTable(self.grid.size, loops)
+        for lane, members in enumerate(table.loops):
+            base = lane * table.nodes
+            for i, node in enumerate(members):
+                nxt = members[(i + 1) % len(members)]
                 out_port = self.routers[node].add_output_port(
                     self.num_vcs, self.vc_capacity
                 )
                 in_port = self.routers[nxt].add_input_port()
                 self.routers[node].connect(out_port, nxt, in_port)
-                ports.append(out_port)
-            self.loop_ports.append(ports)
+                table.out[base + node] = out_port
+        self.loop_table = table
 
     # ------------------------------------------------------------------
     # Configuration helpers.  A structure change drops the SoA first, so
@@ -565,10 +552,10 @@ class Network:
         self._delivered[node] = self._delivered.get(node, 0) + 1
         self._delivered_total += 1
         inject = packet.inject_router if packet.inject_router is not None else packet.src
-        if self.hop_fn is not None:
-            hops = self.hop_fn(packet, inject, node)
-        else:
+        if packet.lane is None:
             hops = self.grid.hops(inject, node)
+        else:
+            hops = self.loop_table.hops(packet.lane, inject, node)
         # Zero-load pipeline: 1 cycle NI link + 1 cycle per hop + 1 cycle
         # eject arbitration + 1 cycle to the sink + (size-1) serialisation.
         non_queuing = hops + packet.size + 2

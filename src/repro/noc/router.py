@@ -96,7 +96,6 @@ class Router:
         "monopolize",
         "monopoly_classes",
         "eject_filter",
-        "route_override",
         "failed_outputs",
         "peak_flits",
         "blocked",
@@ -164,12 +163,6 @@ class Router:
         # Optional hook restricting which eject ports a packet may use
         # (concentrated meshes dedicate one port per attached tile).
         self.eject_filter = None
-        # Optional hook replacing mesh route computation entirely:
-        # called as hook(router, packet) -> (out_port, allowed_vcs).
-        # Loop topologies (ring/routerless) use it — a packet on a
-        # unidirectional loop has exactly one forward port, and its
-        # legal VCs come from the loop's dateline, not vc_classes.
-        self.route_override = None
         # Output ports currently failed by fault injection.  Failure is
         # fail-stop for *new* allocations only: a packet already
         # allocated to the port finishes its wormhole normally (links
@@ -347,10 +340,14 @@ class Router:
         if packet.dst == self.node:
             self._allocate_eject(port, vc, ivc)
             return
-        if self.route_override is not None:
-            out_port, allowed = self.route_override(self, packet)
+        if packet.lane is not None:
+            # A loop lane has one forward port per node, and the VC is
+            # its dateline's, not a class's (routing.LoopTable).
+            out_port, out_vc = self.network.loop_table.route(
+                packet.lane, packet.inject_router, self.node
+            )
             self._grant(port, vc, ivc, self._scan_outputs(
-                (out_port,), allowed, (), packet))
+                (out_port,), (out_vc,), (), packet))
             return
         src = packet.inject_router if packet.inject_router is not None else packet.src
         candidates = routing.route_candidates(

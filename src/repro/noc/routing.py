@@ -1,4 +1,4 @@
-"""Routing functions: XY dimension-order and odd-even minimal adaptive.
+"""Routing: XY dimension-order, odd-even minimal adaptive, and loop lanes.
 
 Output ports use the direction constants below; routing functions return
 the set of *productive, turn-legal* output ports for a packet at some
@@ -9,12 +9,16 @@ The odd-even turn model (Chiu, 2000) restricts where turns may happen
 based on column parity, which keeps the channel dependency graph acyclic
 without consuming virtual channels — that is what lets the single
 network dedicate its two VCs to the request/reply protocol classes.
+
+Both are data on both tick paths: :func:`route_table` for meshes, and
+:class:`LoopTable` for the loop topologies of :mod:`repro.noc.loops`.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.grid import Grid
 
@@ -195,3 +199,87 @@ def route_candidates(
     same_column = (src - cur) % width == 0
     table = route_table(width, grid.height, algorithm)
     return CANDIDATES[table[(same_column * size + cur) * size + dst]]
+
+
+class LoopTable:
+    """Loop routing as data: flat columns indexed ``lane * nodes + node``.
+
+    ``pos`` is the node's position on the lane (-1 off it), ``nxt`` the
+    position it forwards to and ``out`` its forwarding output port (filled
+    by ``Network._wire_loops``); ``length[lane]`` is the lane's node
+    count.  The columns are ``array``s, so the golden router indexes them
+    like lists and the SoA takes ``np.frombuffer`` views of the same
+    memory.  A packet rides the lane stamped at injection (``packet.lane``)
+    and its hop into position ``j`` uses VC 1 iff ``j`` is below the
+    injection position: the dateline of :mod:`repro.noc.loops`.
+    """
+
+    __slots__ = ("nodes", "loops", "length", "pos", "nxt", "out",
+                 "_candidates", "_rr")
+
+    def __init__(self, nodes: int, loops: Sequence[Sequence[int]]) -> None:
+        self.nodes = nodes
+        self.loops = [tuple(lane) for lane in loops]
+        size = len(self.loops) * nodes
+        self.length = array("i", map(len, self.loops))
+        self.pos = array("i", [-1]) * size
+        self.nxt = array("i", [-1]) * size
+        self.out = array("i", [-1]) * size
+        for lane, members in enumerate(self.loops):
+            base = lane * nodes
+            for i, node in enumerate(members):
+                self.pos[base + node] = i
+                self.nxt[base + node] = (i + 1) % len(members)
+        # Lazy (src, dst) -> minimal-forward-distance lanes: precomputing
+        # all pairs over ~1000 loops at 32x32 costs ~1e8 operations, and
+        # a workload touches a sliver.  One rotation pointer per candidate
+        # set (cf. EquiNoxInterface): a global one would bias lane choice
+        # whenever candidate sets differ across destinations.
+        self._candidates: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._rr: Dict[Tuple[int, ...], int] = {}
+
+    def hops(self, lane: int, src: int, dst: int) -> int:
+        """Forward hop count from ``src`` to ``dst`` along ``lane``."""
+        base = lane * self.nodes
+        gap = self.pos[base + dst] - self.pos[base + src]
+        return gap % self.length[lane]
+
+    def vc(self, lane: int, inject: int, pos: int) -> int:
+        """Dateline VC of the hop into position ``pos`` of ``lane``."""
+        return 1 if pos < self.pos[lane * self.nodes + inject] else 0
+
+    def route(self, lane: int, inject: int, node: int) -> Tuple[int, int]:
+        """``node``'s forward port along ``lane``, and that hop's VC."""
+        at = lane * self.nodes + node
+        return self.out[at], self.vc(lane, inject, self.nxt[at])
+
+    def candidates(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Lanes through both nodes at minimal forward distance."""
+        key = (src, dst)
+        cached = self._candidates.get(key)
+        if cached is not None:
+            return cached
+        pos, nodes = self.pos, self.nodes
+        best = None
+        chosen: List[int] = []
+        for lane in range(len(self.loops)):
+            if pos[lane * nodes + src] < 0 or pos[lane * nodes + dst] < 0:
+                continue
+            d = self.hops(lane, src, dst)
+            if best is None or d < best:
+                best, chosen = d, [lane]
+            elif d == best:
+                chosen.append(lane)
+        if not chosen:
+            raise ValueError(f"no loop covers {src}->{dst}")
+        self._candidates[key] = result = tuple(chosen)
+        return result
+
+    def select_lane(self, src: int, dst: int) -> int:
+        """Wire selection: a minimal lane, rotating over equal choices."""
+        cands = self.candidates(src, dst)
+        if len(cands) == 1:
+            return cands[0]
+        start = self._rr.get(cands, 0)
+        self._rr[cands] = (start + 1) % len(cands)
+        return cands[start]

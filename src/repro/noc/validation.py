@@ -209,18 +209,23 @@ def _check_router(net: Network, router: Router,
             # all buffered flits were forwarded while the packet's tail
             # is still in flight on the upstream link.
             if strict_classes and not router.monopolize:
-                if net.loops is not None:
+                table = net.loop_table
+                if table is not None:
                     # Loop topologies: VC legality is positional (the
                     # dateline), not class-based.
-                    expected_vc = net.loop_vc_fn
                     for flit in ivc.queue:
-                        if expected_vc is None or flit.packet.lane is None:
+                        packet = flit.packet
+                        lane = packet.lane
+                        if lane is None:
                             continue
-                        want = expected_vc(flit.packet, router.node)
+                        want = table.vc(
+                            lane, packet.inject_router,
+                            table.pos[lane * table.nodes + router.node],
+                        )
                         if vc != want:
                             problems.append(
                                 f"router {router.node} in(p{port},v{vc}): "
-                                f"flit of lane {flit.packet.lane} off its "
+                                f"flit of lane {lane} off its "
                                 f"dateline VC {want}"
                             )
                 else:

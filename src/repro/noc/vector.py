@@ -20,19 +20,20 @@ form:
 Per cycle the engine applies pending credits and arrivals with fancy
 indexing, selects the winning request of every input port with one
 vectorised rotate-min, and evaluates route/VC allocations in batch:
-route candidates are gathered from the ``routing.route_table`` bytes the
-object path reads one at a time, so the common allocation shape
-— no fired faults, no VC monopolisation, unfiltered single eject port,
-at most one attempting head per router — reduces to gathers over the
-credit/owner arrays.  Anything else is not re-implemented here: the one
-affected router is materialised onto its :class:`Router` object, the
-golden ``Router._route_and_allocate`` decides, and the decision is
-imported back into the arrays — so every allocation rule (VC borrowing,
-eject filters, fault detours, route overrides) lives in ``router.py``
-alone.  A per-node ``epoch`` vs per-slot ``fail_epoch`` comparison skips
-retries that cannot succeed: a failed allocation mutates nothing in the
-object model, so eliding one is bit-identical, and every event that
-could change an allocation's outcome (arrival, pop, credit return, owner
+route candidates are gathered from the ``routing.route_table`` bytes
+(on a loop network, the ``routing.LoopTable`` columns) the object path
+reads one at a time, so the common allocation shape — no fired faults,
+no VC monopolisation, unfiltered single eject port, at most one
+attempting head per router — reduces to gathers over the credit/owner
+arrays.  Anything else is not re-implemented here: the one affected
+router is materialised onto its :class:`Router` object, the golden
+``Router._route_and_allocate`` decides, and the decision is imported
+back into the arrays — so every allocation rule (VC borrowing, eject
+filters, fault detours) lives in ``router.py`` alone.  A per-node
+``epoch`` vs per-slot ``fail_epoch`` comparison skips retries that
+cannot succeed: a failed allocation mutates nothing in the object
+model, so eliding one is bit-identical, and every event that could
+change an allocation's outcome (arrival, pop, credit return, owner
 release, delivered-packet pop) bumps the affected router's epoch.
 
 The object model stays the golden reference: the engine-parity
@@ -147,8 +148,10 @@ class _SoA:
         self.f_cls = np.zeros(self.f_cap, dtype=np.int64)
         # Routing source (inject_router): assigned by the NI *after* the
         # head flit is scheduled, so it is filled lazily at the first
-        # allocation attempt rather than at registration.
+        # allocation attempt rather than at registration; the loop lane
+        # (-1 on a mesh) with it.
         self.f_src = np.full(self.f_cap, -1, dtype=np.int64)
+        self.f_lane = np.full(self.f_cap, -1, dtype=np.int64)
         self.f_n = 0
 
         # --- input slots -----------------------------------------------
@@ -270,6 +273,18 @@ class _SoA:
             grid.width, grid.height, routers[0].routing_algorithm
         )
         self.routes = np.frombuffer(table, dtype=np.uint8)
+        # Loop rows: views of the network's LoopTable columns, and each
+        # (lane, node)'s forwarding port as an output index.
+        loops = net.loop_table
+        self.loop_oi = None
+        if loops is not None:
+            self.loop_pos = np.frombuffer(loops.pos, dtype=np.intc)
+            self.loop_nxt = np.frombuffer(loops.nxt, dtype=np.intc)
+            out = np.frombuffer(loops.out, dtype=np.intc)
+            port_oi = np.full((N, max(out_port_nr) + 1), -1, dtype=np.int64)
+            port_oi[out_node, out_port_nr] = np.arange(len(out_obj))
+            node = np.arange(len(out)) % N
+            self.loop_oi = np.where(out >= 0, port_oi[node, out], -1)
 
         # --- pending events (applied at the start of the next tick) ----
         self.p_slots: List[int] = []
@@ -322,7 +337,7 @@ class _SoA:
             head = np.zeros(self.f_cap, dtype=np.uint8)
             head[:i] = self.f_head
             self.f_head = head
-            for name in ("f_buffered", "f_dst", "f_cls", "f_src"):
+            for name in ("f_buffered", "f_dst", "f_cls", "f_src", "f_lane"):
                 old = getattr(self, name)
                 buf = np.full(self.f_cap, -1, dtype=np.int64)
                 buf[:i] = old
@@ -679,24 +694,29 @@ class _SoA:
         N = self.N
         P = self.P
         nodes = att // (P * V)
-        dst = self.f_dst[hv]
-        cls = self.f_cls[hv]
-        src = self.f_src[hv]
-        miss = src < 0
+        miss = self.f_src[hv] < 0
         if miss.any():
             # Routing source = inject_router, which the NI assigns only
             # after scheduling the head flit — so it cannot be interned
-            # at registration time.  Fill lazily at first attempt;
-            # re-injection after a fault registers a fresh flit id, so
-            # an interned source can never go stale.
+            # at registration time.  Fill lazily at first attempt, the
+            # loop lane with it; re-injection after a fault registers a
+            # fresh flit id, so an interned source can never go stale.
             f_objs = self.f_objs
             f_src = self.f_src
+            f_lane = self.f_lane
             for vid in hv[miss].tolist():
                 pkt = f_objs[vid].packet
                 s = pkt.inject_router
                 f_src[vid] = pkt.src if s is None else s
-            src = self.f_src[hv]
+                if pkt.lane is not None:
+                    f_lane[vid] = pkt.lane
+        dst = self.f_dst[hv]
+        cls = self.f_cls[hv]
         eject = dst == nodes
+        # One row per attempt column (the order _attempt_round unpacks),
+        # so each filter below is a single take.
+        cols = np.stack((att, nodes, dst, cls, self.f_src[hv], eject,
+                         self.f_lane[hv]))
         rare = self.cls_rare[cls].astype(bool)
         rare |= eject & self.ej_rare[nodes].astype(bool)
         if rare.any():
@@ -706,43 +726,30 @@ class _SoA:
             bad[nodes[rare]] = True
             py = bad[nodes]
             py_ports = sorted(set((att[py] // V).tolist()))
-            keep = ~py
-            att = att[keep]
-            hv = hv[keep]
-            nodes = nodes[keep]
-            dst = dst[keep]
-            cls = cls[keep]
-            src = src[keep]
-            eject = eject[keep]
-            if not len(att):
+            cols = cols[:, ~py]
+            if not cols.shape[1]:
                 return py_ports
         else:
             py_ports = []
+        att = cols[0]
         if len(att) <= 4:
             # A tiny batch is cheaper through the port scan than
             # through the fixed cost of a vector round.
             return sorted(set(py_ports) | set((att // V).tolist()))
-        if len(att) > 1:
-            # Object scan order within a router: ports ascending, VC
-            # rotation within a port.  att is slot-sorted (ports already
-            # ascend), so only the in-port VC order needs fixing.
-            order = np.argsort((att // V) * V + key[att], kind="stable")
-            att = att[order]
-            nodes = nodes[order]
-            dst = dst[order]
-            cls = cls[order]
-            src = src[order]
-            eject = eject[order]
+        # Object scan order within a router: ports ascending, VC
+        # rotation within a port.  att is slot-sorted (ports already
+        # ascend), so only the in-port VC order needs fixing.
+        cols = cols[:, np.argsort((att // V) * V + key[att], kind="stable")]
         while True:
             valid, commit = self._attempt_round(
-                net, att, nodes, dst, cls, src, eject, key, ready, pm, cycle,
+                net, cols, key, ready, pm, cycle
             )
             if valid.all():
                 return py_ports
             # Survivors: attempts after their router's first success —
             # minus every attempt on a port whose scan just allocated
             # (the object scan breaks at the success).
-            port_g = att // V
+            port_g = cols[0] // V
             done = np.zeros(N * P, dtype=bool)
             done[port_g[commit]] = True
             keep = ~valid & ~done[port_g]
@@ -756,24 +763,14 @@ class _SoA:
                 # failed attempts fail identically (claims are router-
                 # local and this cycle's are committed) — so the replay
                 # is bit-identical, only slower per attempt.
-                tail = set((att[keep] // V).tolist())
+                tail = set(port_g[keep].tolist())
                 return sorted(set(py_ports) | tail)
-            att = att[keep]
-            nodes = nodes[keep]
-            dst = dst[keep]
-            cls = cls[keep]
-            src = src[keep]
-            eject = eject[keep]
+            cols = cols[:, keep]
 
     def _attempt_round(
         self,
         net: Network,
-        att: np.ndarray,
-        nodes: np.ndarray,
-        dst: np.ndarray,
-        cls: np.ndarray,
-        src: np.ndarray,
-        eject: np.ndarray,
+        cols: np.ndarray,
         key: np.ndarray,
         ready: np.ndarray,
         pm: np.ndarray,
@@ -787,8 +784,10 @@ class _SoA:
         state.  That longest valid prefix per router is committed (the
         success) or memoised (the failures) in one batch; only attempts
         after a success need re-evaluation.  Returns ``(valid, commit)``
-        masks over ``att``.
+        masks over the attempts, the columns of ``cols``.
         """
+        att, nodes, dst, cls, src, eject, lane = cols
+        eject = eject.astype(bool)
         na = len(att)
         ok = np.zeros(na, dtype=bool)
         sel_oi = np.zeros(na, dtype=np.int64)
@@ -804,8 +803,19 @@ class _SoA:
             sel_oi[e] = eoi
             sel_cs[e] = ecs
             sel_dest[e] = self.S + eoi
-        if len(e) < na:
-            m = np.flatnonzero(~eject)
+        m = np.flatnonzero(~eject)
+        if len(m) and self.loop_oi is not None:
+            # A loop lane: one forward port per (lane, node), and the
+            # dateline VC, both read from the network's LoopTable.
+            at = lane[m] * self.N + nodes[m]
+            soi = self.loop_oi[at]
+            dateline = self.loop_nxt[at] < self.loop_pos[
+                lane[m] * self.N + src[m]
+            ]
+            mok, svc, _ = self._eval_candidate(
+                soi, dateline.astype(np.int64), np.full(len(m), -1)
+            )
+        elif len(m):
             W = net.grid.width
             mn = nodes[m]
             same = (src[m] % W) == (mn % W)
@@ -825,6 +835,7 @@ class _SoA:
             mok = has1 | has2
             soi = np.where(use2, oi2, oi1)
             svc = np.where(use2, vc2, vc1)
+        if len(m):
             ok[m] = mok
             sel_oi[m] = soi
             sel_cs[m] = self.out_base[soi] + svc

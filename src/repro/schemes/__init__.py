@@ -4,14 +4,14 @@ The seven paper schemes (section 5, Figure-9 order) plus two
 independent loop-topology baselines from the literature: ``ring_router``
 (Wu's ring-router NoC) and ``routerless`` (Lin's routerless NoC).
 Each entry is a :class:`SchemeSpec` carrying the config factory and the
-scheme's capabilities — which tick engines implement it and whether
-fault plans may target it — consumed by the harness and the verify
-campaign.
+scheme's one capability flag — whether fault plans may target it —
+consumed by the harness and the verify campaign.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, ClassVar, Dict, List, Tuple
 
+from ..noc.network import ENGINES
 from . import (
     da2mesh,
     equinox,
@@ -35,8 +35,9 @@ class SchemeSpec:
     # Whether fault plans may target this scheme (loop topologies have
     # no detour routing, so a severed loop strands its lanes).
     supports_faults: bool = True
-    # Tick engines implementing this scheme; the first is the default.
-    engines: Tuple[str, ...] = ("object", "vector")
+    # Every scheme runs on every tick engine: not a field, only the one
+    # tuple for readers that still ask a spec (bench/wl_sweep.py).
+    engines: ClassVar[Tuple[str, ...]] = ENGINES
 
 
 SCHEMES: Dict[str, SchemeSpec] = {
@@ -49,18 +50,8 @@ SCHEMES: Dict[str, SchemeSpec] = {
         SchemeSpec("DA2Mesh", da2mesh.config),
         SchemeSpec("MultiPort", multiport.config),
         SchemeSpec("EquiNox", equinox.config),
-        SchemeSpec(
-            "ring_router",
-            ring_router.config,
-            supports_faults=False,
-            engines=("object",),
-        ),
-        SchemeSpec(
-            "routerless",
-            routerless.config,
-            supports_faults=False,
-            engines=("object",),
-        ),
+        SchemeSpec("ring_router", ring_router.config, supports_faults=False),
+        SchemeSpec("routerless", routerless.config, supports_faults=False),
     )
 }
 """Spec per scheme, keyed by name: the paper's seven in Figure-9 order,

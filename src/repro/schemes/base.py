@@ -22,12 +22,7 @@ from ..noc.interface import (
     MultiPortInterface,
     NetworkInterface,
 )
-from ..noc.loops import (
-    LoopInterface,
-    LoopState,
-    ring_loops,
-    routerless_loops,
-)
+from ..noc.loops import LOOP_SETS, LoopInterface
 from ..noc.network import Network, network_class, resolve_engine, resolve_scheduler
 from ..noc.topology import CmeshEnvelope, CmeshMap, build_cmesh
 from ..noc.types import Packet, PacketType, packet_flits
@@ -150,24 +145,19 @@ class Fabric:
 
         all_vcs = [tuple(range(config.num_vcs))]
         # --- Loop topologies (ring / routerless) -------------------------
-        # Two separate loop-wired networks (object engine only: Network
-        # refuses loops otherwise).  The VC pair implements the loop
-        # dateline, not a traffic-class partition, so packets are all
-        # class 0 and vc_classes pins injection to VC 0 (the dateline's
-        # precondition); routers pick the dateline VC via route_override.
-        self.loop_states: Dict[str, LoopState] = {}
+        # Two separate loop-wired networks.  The VC pair implements the
+        # loop dateline, not a traffic-class partition, so packets are
+        # all class 0 and vc_classes pins injection to VC 0 (the
+        # dateline's precondition); each network's LoopTable gives every
+        # later hop its dateline VC.
         if config.topology != "mesh":
-            make_loops = (
-                ring_loops if config.topology == "ring" else routerless_loops
-            )
+            make_loops = LOOP_SETS[config.topology]
             self.request_net = mesh(
                 "request", "request", [(0,)], loops=make_loops(grid)
             )
             self.reply_net = mesh(
                 "reply", "reply", [(0,)], loops=make_loops(grid)
             )
-            self.loop_states["request"] = LoopState(self.request_net)
-            self.loop_states["reply"] = LoopState(self.reply_net)
         elif config.network_type == "single":
             self.request_net = self.reply_net = mesh(
                 "single", "both", [(0,), (1,)],
@@ -262,16 +252,10 @@ class Fabric:
             # Loop NIs stamp the selected lane (wire selection) at
             # injection; everything downstream is lane-following.
             self.request_nis: Dict[int, NetworkInterface] = {
-                pe: LoopInterface(
-                    self.request_net, pe, self.loop_states["request"]
-                )
-                for pe in self.pes
+                pe: LoopInterface(self.request_net, pe) for pe in self.pes
             }
             self.reply_nis: Dict[int, object] = {
-                cb: LoopInterface(
-                    self.reply_net, cb, self.loop_states["reply"]
-                )
-                for cb in placement
+                cb: LoopInterface(self.reply_net, cb) for cb in placement
             }
             self._pop_toggle = {}
             return

@@ -138,11 +138,6 @@ def check_engine_parity_case(case: VerifyCase) -> str:
     pure-knob baseline.  Returns the fingerprint both engines agree on.
     """
     base_run = run_case(case, validate_every=0)
-    if len(get_spec(case.scheme).engines) < 2:
-        # Object-only schemes have no counterpart engine: the parity
-        # property holds vacuously, but the base run still exercised
-        # the case (liveness, accounting, watchdog).
-        return base_run.stats_fingerprint
     twin = engine_counterpart(case)
     twin_run = run_case(twin, validate_every=0)
     if twin_run.stats_fingerprint != base_run.stats_fingerprint:

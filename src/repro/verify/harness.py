@@ -59,14 +59,6 @@ class VerifyProfile:
     # 0 keeps the VerifyCase default cycle bound.
     max_cycles: int = 0
 
-    @property
-    def total_examples(self) -> int:
-        return (
-            self.invariant_examples
-            + self.differential_examples
-            + self.engine_examples
-        )
-
 
 FAST = VerifyProfile(
     name="fast",

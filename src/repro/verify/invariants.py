@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, List, Optional, Tuple
+from typing import ContextManager, List, Optional
 
 from ..gpu.system import System, SystemConfig, SystemResult
 from ..harness.experiment import build_fabric
@@ -213,12 +213,3 @@ def check_invariants_case(
     if problems:
         raise VerifyFailure(case, problems)
     return run
-
-
-def deliveries_bounded(run: CaseRun) -> Tuple[int, int]:
-    """(worst round-trip cycles, completed transactions) for reporting."""
-    worst = 0
-    for t in run.result.transactions:
-        if t.completed is not None:
-            worst = max(worst, t.round_trip)
-    return worst, run.transactions_completed

@@ -25,6 +25,7 @@ from typing import Dict, Tuple
 
 from ..harness.experiment import ExperimentConfig
 from ..noc.faults import FaultSpec
+from ..noc.network import ENGINES
 from ..schemes import SCHEME_ORDER, get_spec
 from ..workloads.profiles import BY_NAME
 
@@ -73,11 +74,6 @@ class VerifyCase:
             raise ValueError(
                 f"scheme {self.scheme!r} does not support fault plans"
             )
-        if self.engine not in spec.engines:
-            raise ValueError(
-                f"scheme {self.scheme!r} is not implemented by the "
-                f"{self.engine!r} engine (supported: {spec.engines})"
-            )
         if self.benchmark not in BY_NAME:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if self.width < 3:
@@ -92,7 +88,7 @@ class VerifyCase:
             raise ValueError("quota must be >= 1")
         if self.scheduler not in ("active", "dense"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
-        if self.engine not in ("object", "vector"):
+        if self.engine not in ENGINES:  # replayed artifacts are outside input
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.telemetry < 0:
             raise ValueError("telemetry interval must be >= 0")

@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 from hypothesis import strategies as st
 
 from ..noc.faults import FaultSpec
+from ..noc.network import ENGINES
 from ..schemes import SCHEME_ORDER, get_spec
 from ..workloads import profiles
 from .space import VerifyCase
@@ -174,9 +175,7 @@ def _cases(
         quota=draw(st.integers(2, 10)),
         seed=(draw(st.integers(0, 2**16 - 1)) + base_seed) % 2**20,
         scheduler=draw(st.sampled_from(["active", "dense"])),
-        # Only engines that actually implement the scheme (loop
-        # topologies are object-only).
-        engine=draw(st.sampled_from(list(spec.engines))),
+        engine=draw(st.sampled_from(ENGINES)),
         telemetry=draw(st.sampled_from([0, 0, 1, 3])),
         **kwargs,
     )

@@ -82,7 +82,3 @@ class RequestGenerator:
             row_hit=row_hit,
             dependent=dependent,
         )
-
-    def roll_hit(self) -> bool:
-        """Whether a request hits in the L2 bank (evaluated at the CB)."""
-        return self._rng.random() < self.profile.l2_hit_rate

@@ -11,7 +11,10 @@ from repro.noc import (
     Packet,
     PacketType,
     packet_flits,
+    vector,
 )
+from repro.noc.loops import LoopInterface, ring_loops, routerless_loops
+from repro.noc.network import ENGINES, network_class
 
 
 def make_net(width=4, **kwargs):
@@ -226,3 +229,50 @@ class TestHeatmap:
         heat = net.stats.heatmap()
         assert heat.shape == (64,)
         assert heat.sum() > 0
+
+
+class TestLoopZeroLoad:
+    """The zero-load model on loop lanes, with hops read from the table.
+
+    ``_deliver`` books ``hops + size + 2`` as a packet's non-queuing
+    latency, where ``hops`` is the forward distance along its lane
+    (``LoopTable.hops``), not the mesh distance.  A lone packet must
+    take exactly that long — every ordered pair, both packet sizes, on
+    both engines (the SoA armed throughout) — and be booked with no
+    queuing and no clamp.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("make", [ring_loops, routerless_loops],
+                             ids=["ring", "routerless"])
+    def test_lone_packets_meet_the_model(self, make, engine):
+        grid = Grid(6)
+        net = network_class(engine)(
+            "loop", grid, 16, vc_classes=[(0,)], loops=make(grid)
+        )
+        nis = {n: LoopInterface(net, n) for n in grid.nodes()}
+        table = net.loop_table
+        wrong = []
+        pid = 0
+        with vector.arming(0, 0):
+            for src in grid.nodes():
+                for dst in grid.nodes():
+                    for ptype in (PacketType.READ_REQUEST,
+                                  PacketType.READ_REPLY):
+                        if src == dst:
+                            continue
+                        pid += 1
+                        packet = send(net, nis, pid, src, dst, ptype)
+                        while net.pop_delivered(dst) is None:
+                            net.tick()
+                        hops = table.hops(packet.lane, src, dst)
+                        if packet.latency != hops + packet.size + 2:
+                            wrong.append((src, dst, ptype, packet.latency))
+                        while not net.quiescent():
+                            net.tick()
+        assert wrong == []
+        assert net.stats.packets_delivered == pid == 2 * 36 * 35
+        for acc in net.stats.latency.values():
+            assert (acc.queuing, acc.clamped) == (0, 0)
+        if engine == "vector":
+            assert (net.arms, net.disarms) == (1, 0)

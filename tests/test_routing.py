@@ -1,10 +1,12 @@
-"""Unit tests for XY and odd-even routing."""
+"""Unit tests for XY and odd-even routing, and the loop route table."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.grid import Grid
 from repro.noc import routing
+from repro.noc.loops import ring_loops, routerless_loops, verify_loop_cover
+from repro.noc.network import Network
 from repro.noc.routing import (
     PORT_E,
     PORT_EJECT,
@@ -233,7 +235,9 @@ class TestDeadlockFreedom:
     every destination, every candidate at every hop — must be acyclic
     (Dally and Seitz), every path minimal, and Chiu's two turn rules
     hold as stated in the odd-even paper rather than as coded in
-    ``odd_even_routes``.
+    ``odd_even_routes``.  The loop topologies get the same oracle from
+    their ``LoopTable``: the graph is acyclic under the dateline rank of
+    ``repro.noc.loops``, and every loop set covers every pair.
     """
 
     @staticmethod
@@ -334,3 +338,67 @@ class TestDeadlockFreedom:
             held in vertical and requested not in vertical
             for _column, held, requested in turns
         )
+
+    @staticmethod
+    def loop_walk(net, dateline=True):
+        """``(edges, rank)`` over every path a loop network's table permits.
+
+        A channel is ``(node, out port, vc)``: the link into the next
+        position of a lane, read from the ``out``/``nxt`` columns.  A
+        packet injected at any node of a lane holds each channel it has
+        crossed while requesting the next, for up to ``length - 1`` hops,
+        on the dateline VC (VC 0 throughout with ``dateline`` off).  The
+        rank is the loops module's: ``(VC0, j) -> j``, ``(VC1, j) -> L +
+        j`` for the channel into position ``j``.
+        """
+        table = net.loop_table
+        size = table.nodes
+        edges, rank = {}, {}
+        for lane, members in enumerate(table.loops):
+            length = table.length[lane]
+            for inject in members:
+                node, held = inject, None
+                for _ in range(length - 1):
+                    at = lane * size + node
+                    port, j = table.out[at], table.nxt[at]
+                    nxt = net.routers[node].neighbors[port][0]
+                    assert table.pos[lane * size + nxt] == j
+                    vc = table.vc(lane, inject, j) if dateline else 0
+                    channel = (node, port, vc)
+                    rank[channel] = vc * length + j
+                    if held is not None:
+                        edges.setdefault(held, set()).add(channel)
+                    node, held = nxt, channel
+        return edges, rank
+
+    @pytest.mark.parametrize("width", range(4, 17))
+    @pytest.mark.parametrize("make", [ring_loops, routerless_loops],
+                             ids=["ring", "routerless"])
+    def test_loop_dependency_graph_is_acyclic(self, make, width):
+        grid = Grid(width)
+        net = Network("loops", grid, 16, vc_classes=[(0,)],
+                      loops=make(grid))
+        edges, rank = self.loop_walk(net)
+        assert edges and not self.cyclic(edges)
+        # Every dependency climbs the dateline rank (the docstring's
+        # argument, not just its conclusion), within the 2 VCs.
+        assert all(
+            rank[nxt] > rank[held]
+            for held, successors in edges.items() for nxt in successors
+        )
+        assert {vc for _node, _port, vc in rank} == {0, 1}
+        # Non-vacuous: without the dateline every loop closes a cycle.
+        assert self.cyclic(self.loop_walk(net, dateline=False)[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 16), st.integers(2, 16))
+    def test_loop_sets_cover_every_pair(self, width, height):
+        grid = Grid(width, height)
+        for make in (ring_loops, routerless_loops):
+            loops = make(grid)
+            verify_loop_cover(grid, loops)
+            # Non-vacuous: drop the lanes through node 0 and its pairs
+            # are on no common loop.
+            rest = [lane for lane in loops if 0 not in lane]
+            with pytest.raises(AssertionError, match="no loop covers"):
+                verify_loop_cover(grid, rest)

@@ -356,9 +356,8 @@ class TestSaturatedDifferential:
     def test_saturated_cells_match(self, scheme, overrides):
         config = ExperimentConfig(quota=12, mcts_iterations=10, validate=16,
                                   **overrides)
-        runs = [("dense", "object"), ("active", "object")]
-        if "vector" in get_spec(scheme).engines:
-            runs.append(("active", "vector"))
+        runs = [("dense", "object"), ("active", "object"),
+                ("active", "vector")]
         prints = set()
         for scheduler, engine in runs:
             cell = dataclasses.replace(config, scheduler=scheduler,

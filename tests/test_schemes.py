@@ -1,5 +1,7 @@
 """Tests for scheme configs and the fabric builder."""
 
+import dataclasses
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +13,14 @@ from repro.harness.experiment import (
 )
 from repro.noc import PacketType
 from repro.noc.interface import EquiNoxInterface, MultiPortInterface
-from repro.schemes import SCHEME_ORDER, SchemeConfig, get_config, get_spec
+from repro.noc.network import ENGINES
+from repro.schemes import (
+    SCHEME_ORDER,
+    SchemeConfig,
+    SchemeSpec,
+    get_config,
+    get_spec,
+)
 
 LOOP_SCHEMES = ["ring_router", "routerless"]
 
@@ -53,12 +62,11 @@ class TestConfigs:
     def test_capability_flags(self):
         for name in SCHEME_ORDER:
             spec = get_spec(name)
-            if name in LOOP_SCHEMES:
-                assert not spec.supports_faults
-                assert spec.engines == ("object",)
-            else:
-                assert spec.supports_faults
-                assert spec.engines == ("object", "vector")
+            assert spec.supports_faults == (name not in LOOP_SCHEMES)
+            # Every scheme runs on every engine: not a per-scheme field.
+            assert spec.engines is ENGINES
+        fields = {f.name for f in dataclasses.fields(SchemeSpec)}
+        assert fields == {"name", "factory", "supports_faults"}
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ValueError):
@@ -254,15 +262,26 @@ class TestLoopSchemes:
         assert fabric.config.topology in ("ring", "routerless")
         assert len(fabric.networks) == 2
         for net, _ratio, _role in fabric.networks:
-            assert net.loops
-            # Every loop hop is a wired point-to-point link.
-            for lane, ports in zip(net.loops, net.loop_ports):
-                length = len(lane)
-                for i, node in enumerate(lane):
-                    nxt = lane[(i + 1) % length]
-                    assert net.routers[node].neighbors[ports[i]][0] == nxt
+            table = net.loop_table
+            size = net.grid.size
+            assert table.loops and table.nodes == size
+            for lane, members in enumerate(table.loops):
+                assert table.length[lane] == len(members)
+                for i, node in enumerate(members):
+                    at = lane * size + node
+                    nxt = members[(i + 1) % len(members)]
+                    assert table.pos[at] == i
+                    assert members[table.nxt[at]] == nxt
+                    # Every loop hop is a wired point-to-point link.
+                    router = net.routers[node]
+                    assert router.neighbors[table.out[at]][0] == nxt
+                # Off the lane every column reads -1.
+                for node in set(range(size)) - set(members):
+                    at = lane * size + node
+                    assert table.pos[at] == table.nxt[at] == -1
+                    assert table.out[at] == -1
             # Every (src, dst) pair shares at least one loop.
-            verify_loop_cover(net.grid, net.loops)
+            verify_loop_cover(net.grid, table.loops)
             # The mesh ports stay unwired on a loop topology.
             for router in net.routers:
                 assert all(p not in router.neighbors for p in range(4))
@@ -272,16 +291,17 @@ class TestLoopSchemes:
     def test_ring_is_two_counter_rotating_rings(self):
         fabric = build_fabric("ring_router", self.cfg)
         net = fabric.request_net
-        assert len(net.loops) == 2
-        assert set(net.loops[0]) == set(range(net.grid.size))
-        assert net.loops[1] == tuple(reversed(net.loops[0]))
+        loops = net.loop_table.loops
+        assert len(loops) == 2
+        assert set(loops[0]) == set(range(net.grid.size))
+        assert loops[1] == tuple(reversed(loops[0]))
 
     def test_routerless_loops_are_rectangle_perimeters(self):
         fabric = build_fabric("routerless", self.cfg)
         net = fabric.request_net
-        assert len(net.loops) > 2
+        assert len(net.loop_table.loops) > 2
         grid = net.grid
-        for lane in net.loops:
+        for lane in net.loop_table.loops:
             xs = [grid.coord(n)[0] for n in lane]
             ys = [grid.coord(n)[1] for n in lane]
             w = max(xs) - min(xs) + 1
@@ -298,13 +318,14 @@ class TestLoopSchemes:
         for _ in range(5):
             fabric.tick()
         assert pkt.lane is not None
-        lane = fabric.request_net.loops[pkt.lane]
-        assert pe in lane and cb in lane
+        table = fabric.request_net.loop_table
+        assert pe in table.loops[pkt.lane] and cb in table.loops[pkt.lane]
         # Wire selection picked a minimal-forward-distance lane.
-        state = fabric.loop_states["request"]
-        dist = state.distance(pkt.lane, pe, cb)
-        assert dist == min(
-            state.distance(i, pe, cb) for i in state.candidates(pe, cb)
+        size = table.nodes
+        assert table.hops(pkt.lane, pe, cb) == min(
+            table.hops(lane, pe, cb) for lane in range(len(table.loops))
+            if table.pos[lane * size + pe] >= 0
+            and table.pos[lane * size + cb] >= 0
         )
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
@@ -347,7 +368,7 @@ class TestLoopSchemes:
             run_experiment(scheme, "kmeans", cfg)
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
-    def test_verify_case_rejects_faults_and_vector_engine(self, scheme):
+    def test_verify_case_rejects_faults_not_engines(self, scheme):
         from repro.noc.faults import FaultSpec
         from repro.verify.space import VerifyCase
 
@@ -355,7 +376,8 @@ class TestLoopSchemes:
             scheme=scheme, benchmark="kmeans", width=4, num_cbs=3,
             quota=4, seed=0,
         )
-        VerifyCase(**base)  # valid: object engine, no faults
+        for engine in ENGINES:
+            VerifyCase(engine=engine, **base)  # valid: no faults
         with pytest.raises(ValueError, match="fault"):
             VerifyCase(
                 faults=(
@@ -365,16 +387,39 @@ class TestLoopSchemes:
                 ),
                 **base,
             )
-        with pytest.raises(ValueError, match="engine"):
-            VerifyCase(engine="vector", **base)
+        # A replayed artifact is outside input: its engine is checked.
+        with pytest.raises(ValueError, match="unknown engine"):
+            VerifyCase(engine="warp", **base)
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
-    def test_vector_engine_rejected_by_fabric(self, scheme):
-        cfg = ExperimentConfig(
-            width=4, num_cbs=3, quota=4, engine="vector"
+    def test_vector_engine_matches_object(self, scheme):
+        from repro.noc import vector
+
+        cfg = ExperimentConfig(width=4, num_cbs=3, quota=4)
+        runs = []
+        for engine in ENGINES:
+            cell = dataclasses.replace(cfg, engine=engine)
+            fabric = build_fabric(scheme, cell)
+            with vector.arming(0, 0):
+                result = run_with_fabric(fabric, "kmeans", cell, scheme)
+            for net, _ratio, _role in fabric.networks:
+                armed = (net.arms, net.disarms, net.armed_cycles > 0)
+                assert armed == ((1, 0, True) if engine == "vector"
+                                 else (0, 0, False))
+            runs.append((result.stats_fingerprint, result.cycles))
+        assert runs[0] == runs[1]
+
+    def test_loop_routing_is_the_table_alone(self):
+        """The three hooks and the engine refusal are gone from src/."""
+        import repro
+
+        source = "\n".join(
+            path.read_text()
+            for path in Path(repro.__file__).parent.rglob("*.py")
         )
-        with pytest.raises(ValueError, match="object engine"):
-            build_fabric(scheme, cfg)
+        for gone in ("route_override", "hop_fn", "loop_vc_fn", "LoopState",
+                     "loop_states", "only implemented by the object"):
+            assert gone not in source, gone
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
     def test_scheduler_differential(self, scheme):

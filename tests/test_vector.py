@@ -4,9 +4,9 @@ The struct-of-arrays engine (:mod:`repro.noc.vector`) is a performance
 path, never a semantic fork: for any configuration — every scheme,
 either scheduler, telemetry on or off, fault plans that actually fire —
 its ``stats_fingerprint`` must be bit-identical to the per-object
-golden model.  These tests pin that contract directly for all seven
-compared schemes and the synthetic drivers; the fuzzed side lives in
-the verify campaign's dedicated engine-parity property
+golden model.  These tests pin that contract directly for all nine
+schemes, loop-wired networks and the synthetic drivers; the fuzzed side
+lives in the verify campaign's dedicated engine-parity property
 (:func:`repro.verify.check_engine_parity_case`).
 
 The SoA is occupancy-adaptive and these meshes are far too small to
@@ -21,6 +21,7 @@ import inspect
 import random
 import re
 from collections import Counter, defaultdict
+from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -34,7 +35,7 @@ from repro.harness.experiment import ExperimentConfig
 from repro.noc import routing, vector
 from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.noc.interface import NetworkInterface
-from repro.noc.loops import LoopInterface, LoopState, ring_loops
+from repro.noc.loops import LoopInterface, ring_loops
 from repro.noc.network import Network, network_class, resolve_engine
 from repro.noc.router import Router
 from repro.noc.types import Packet, PacketType, packet_flits
@@ -57,14 +58,9 @@ from repro.workloads.synthetic import run_uniform
 QUICK = dict(benchmark="backprop", width=4, num_cbs=3, quota=3, seed=6)
 # seed % 3 == 1: the forced arm/disarm regime.
 THRASH = dict(QUICK, seed=7)
-# Loop topologies are object-only and reject fault plans, so the
-# firing-faults parity tests range over the fault-capable mesh schemes
-# (the loop baselines get their own rails in
-# test_schemes.py::TestLoopSchemes).
-VECTOR_SCHEMES = [
-    s for s in SCHEME_ORDER
-    if "vector" in get_spec(s).engines and get_spec(s).supports_faults
-]
+# Loop topologies reject fault plans, so the firing-faults parity tests
+# range over the fault-capable mesh schemes; the rest take every scheme.
+FAULT_SCHEMES = [s for s in SCHEME_ORDER if get_spec(s).supports_faults]
 
 #: A plan that demonstrably fires inside every QUICK-sized run: a
 #: transient mesh-link fault plus an NI-buffer fault, both healing well
@@ -193,7 +189,7 @@ class TestSchemeParity:
         assert 0 < disarm <= arm < 8
         assert ARMING_REGIMES[2] is None  # the shipped constants
 
-    @pytest.mark.parametrize("scheme", VECTOR_SCHEMES)
+    @pytest.mark.parametrize("scheme", FAULT_SCHEMES)
     def test_firing_faults_bit_identical(self, scheme):
         # The strongest form of the contract: a fault plan that
         # actually fires mid-run (not merely armed) must perturb both
@@ -300,19 +296,22 @@ class TestForcedTransitions:
         assert (vector.ARM_FLITS, vector.DISARM_FLITS) == shipped
 
     @pytest.mark.parametrize("scheduler", ["active", "dense"])
-    @pytest.mark.parametrize("scheme", VECTOR_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
     def test_thrashing_scheme_cells_bit_identical(self, scheme, scheduler):
-        # Everything at once: a fault plan that fires, per-cycle
-        # telemetry probes and per-cycle audits, all reading a network
-        # that keeps switching representation underneath them.
+        # Everything at once: a fault plan that fires (where the scheme
+        # takes one), per-cycle telemetry probes and per-cycle audits,
+        # all reading a network that keeps switching representation
+        # underneath them.
+        faults = FIRING_PLAN if scheme in FAULT_SCHEMES else ()
         case = VerifyCase(
-            scheme=scheme, scheduler=scheduler, faults=FIRING_PLAN,
+            scheme=scheme, scheduler=scheduler, faults=faults,
             telemetry=1, **THRASH,
         )
         base = run_case(case, validate_every=0)
         twin = run_case(engine_counterpart(case), validate_every=1)
         assert twin.stats_fingerprint == base.stats_fingerprint
-        assert twin.injector.applied > 0
+        assert bool(faults) == (twin.injector is not None
+                                and twin.injector.applied > 0)
         nets = _networks(twin)
         assert sum(n.arms for n in nets) >= 2
         assert sum(n.disarms for n in nets) >= 2
@@ -551,37 +550,47 @@ class TestSeam:
         assert "super()" not in inspect.getsource(vector)
         assert "cycle" not in inspect.signature(Network.schedule_flit).parameters
 
-    def test_loop_wired_network_refuses_the_adaptive_engine(self):
-        """Armed, a loop network would diverge silently: the SoA has no
-        rows for loop ports.  The refusal lives where the decision is."""
+    def test_loop_wired_network_runs_on_either_engine(self):
+        """A loop network is an ordinary network: the SoA routes its
+        lanes from the same LoopTable, armed throughout or thrashing."""
         grid = Grid(4)
-        with pytest.raises(ValueError, match="object engine"):
-            network_class("vector")(
-                "ring", grid, 16, vc_classes=[(0,)], loops=ring_loops(grid)
-            )
         runs = set()
-        for scheduler in ("active", "dense"):
-            net = Network("ring", grid, 16, vc_classes=[(0,)],
-                          scheduler=scheduler, loops=ring_loops(grid))
-            state = LoopState(net)
-            nis = {n: LoopInterface(net, n, state) for n in grid.nodes()}
-            pid = 0
-            for src in grid.nodes():
-                for dst in grid.nodes():
-                    if src != dst:  # all pairs: 240 packets
-                        pid += 1
-                        ptype = (PacketType.READ_REPLY if pid % 2
-                                 else PacketType.READ_REQUEST)
-                        nis[src].enqueue(Packet(
-                            pid, ptype, src, dst, packet_flits(ptype, 16), 0
-                        ))
-            while not net.idle() and net.cycle < 3000:
-                net.tick()
-                for node in grid.nodes():
-                    while net.pop_delivered(node) is not None:
-                        pass
-            assert net.idle() and net.stats.packets_delivered == 240
-            runs.add((net.stats.fingerprint()[:10], net.cycle))
+        for engine, regime in (("object", None), ("vector", (0, 0)),
+                               ("vector", (3, 2))):
+            for scheduler in ("active", "dense"):
+                net = network_class(engine)(
+                    "ring", grid, 16, vc_classes=[(0,)],
+                    scheduler=scheduler, loops=ring_loops(grid),
+                )
+                nis = {n: LoopInterface(net, n) for n in grid.nodes()}
+                pid = 0
+                for src in grid.nodes():
+                    for dst in grid.nodes():
+                        if src != dst:  # all pairs: 240 packets
+                            pid += 1
+                            ptype = (PacketType.READ_REPLY if pid % 2
+                                     else PacketType.READ_REQUEST)
+                            nis[src].enqueue(Packet(
+                                pid, ptype, src, dst,
+                                packet_flits(ptype, 16), 0,
+                            ))
+                with vector.arming(*regime) if regime else nullcontext():
+                    while not net.idle() and net.cycle < 3000:
+                        net.tick()
+                        for node in grid.nodes():
+                            while net.pop_delivered(node) is not None:
+                                pass
+                assert net.idle() and net.stats.packets_delivered == 240
+                if regime == (0, 0):
+                    assert (net.arms, net.disarms) == (1, 0)
+                    assert net.armed_cycles == net.cycle
+                    # The SoA views the table's memory; it copies none.
+                    table, soa = net.loop_table, net._soa
+                    assert soa.loop_pos.base.obj is table.pos
+                    assert soa.loop_nxt.base.obj is table.nxt
+                elif regime:
+                    assert net.arms and net.disarms
+                runs.add((net.stats.fingerprint()[:10], net.cycle))
         assert runs == {("b054bfe7b7", 227)}
 
 
@@ -600,8 +609,6 @@ class TestVerifyIntegration:
         )
         @given(case=cases(widths=(4,), with_faults=False))
         def sample(case):
-            if "vector" not in get_spec(case.scheme).engines:
-                return
             regime = case.seed % 3
             if regime in seen:
                 return

@@ -24,6 +24,7 @@ from repro.noc.diagnostics import (
     network_dump,
     resolve_validate_interval,
 )
+from repro.noc.loops import LoopInterface, ring_loops
 from repro.noc.routing import PORT_E, PORT_S, PORT_W
 from repro.noc.types import Packet, PacketType, packet_flits
 from repro.workloads import profiles
@@ -87,6 +88,29 @@ class TestWatchdog:
             f"    candidate S out(p{PORT_S}): output failed",
             f"    candidate E out(p{PORT_E}): v1 owner=({PORT_W}, 1) credits=0",
         ]
+
+    def test_dump_reads_a_stuck_loop_head_s_refusal_from_the_table(self):
+        grid = Grid(4)
+        net = Network("ring", grid, flit_bytes=16, vc_classes=[(0,)],
+                      loops=ring_loops(grid))
+        ni = LoopInterface(net, 0)
+        # 0 -> 2 is two hops forward on lane 0 (14 on the reverse ring):
+        # hold its forward port's dateline VC at the injection node.
+        port, vc = net.loop_table.route(0, 0, 0)
+        out = net.routers[0].outputs[port]
+        out.owner[vc] = (9, 0)
+        out.credits[vc] = 0
+        ptype = PacketType.READ_REQUEST
+        packet = Packet(1, ptype, 0, 2, packet_flits(ptype, 16), 0)
+        ni.enqueue(packet)
+        for _ in range(20):
+            net.tick()
+        assert packet.lane == 0 and net.stats.packets_delivered == 0
+        dump = network_dump(net, audit=False)
+        where = dump.index("no output allocated")
+        assert dump[where:].splitlines()[1] == (
+            f"    candidate port out(p{port}): v{vc} owner=(9, 0) credits=0"
+        )
 
     def test_audit_catches_leak_before_watchdog(self):
         fabric, system = make_system(

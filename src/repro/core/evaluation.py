@@ -22,9 +22,9 @@ UCB backpropagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ..physical import interposer
+from ..physical import geometry, interposer
 from .eir import EirDesign, EirGroup, shortest_path_eirs
 from .grid import Grid
 
@@ -155,46 +155,50 @@ def evaluate(
     )
 
 
-class _Fragment:
-    """One CB's exact traffic contribution under one EIR group.
+class _Fragment(NamedTuple):
+    """One CB's exact contribution to every metric under one EIR group.
 
-    ``points`` are the injection points to pre-register, ``adds`` the
-    ordered ``(injection_point, share)`` additions the CB performs in
-    :func:`injection_loads`, and ``hops`` its per-destination effective
-    hop values from :func:`average_hops`, all in PE-destination order.
-    Storing the addition *sequence* rather than pre-summed totals keeps
-    the replayed floating-point arithmetic identical to the direct
-    functions, operation for operation.
+    ``points`` are the CB's injection points (local router first).  An
+    injection point belongs to exactly one CB, so its load in
+    :func:`injection_loads` is summed from this CB's shares alone and in
+    this CB's order: ``max_load``, the largest of them, is exact.
+    ``hops`` stays a per-destination sequence (PE order) because
+    :func:`average_hops` adds every CB's values into one running total,
+    and replaying them keeps that float-addition order.  ``link_length``
+    is the integer hop length of the CB's links, ``segments`` their RDL
+    wires, ``crossings`` the conflicts among those wires and ``box`` the
+    ``(x0, x1, y0, y1)`` bounds of all of them.  ``index`` names the
+    fragment in the evaluator's pairwise crossing memo.
     """
 
-    __slots__ = ("points", "adds", "hops")
-
-    def __init__(
-        self,
-        points: Tuple[int, ...],
-        adds: List[Tuple[int, float]],
-        hops: List[float],
-    ) -> None:
-        self.points = points
-        self.adds = adds
-        self.hops = hops
+    index: int
+    points: Tuple[int, ...]
+    max_load: float
+    hops: List[float]
+    link_length: int
+    segments: Tuple[geometry.Segment, ...]
+    crossings: int
+    box: Tuple[int, int, int, int]
 
 
 class IncrementalEvaluator:
-    """Memoizing evaluator that reuses per-CB traffic fragments.
+    """Memoizing evaluator that reuses per-CB fragments across designs.
 
-    A CB's contribution to :func:`injection_loads` and
-    :func:`average_hops` depends only on its *own* EIR group
-    (:func:`~repro.core.eir.shortest_path_eirs` never consults other
-    groups), so successive MCTS rollouts — which typically differ from
-    an already-seen design in a single CB's group — recompute one
-    fragment instead of the whole O(CBs x PEs) traffic model.
-    Fragments are keyed by the canonical ``(cb, group.eirs)`` tuple and
-    replayed in placement order, preserving the exact float-addition
-    sequence, so results are bit-identical to :func:`evaluate` and the
-    search commits the same design either way.  Crossing count and link
-    length remain per-design (crossings are a pairwise property of the
-    complete link set) but are cheap by comparison.
+    A CB's contribution to :func:`injection_loads`,
+    :func:`average_hops` and the link length depends only on its *own*
+    EIR group (:func:`~repro.core.eir.shortest_path_eirs` never consults
+    other groups), and a design's crossing count is the sum of its
+    groups' internal conflicts plus one count per pair of groups.
+    Successive MCTS rollouts — which typically differ from an
+    already-seen design in a single CB's group — therefore recompute one
+    fragment and a few group pairs instead of the whole O(CBs x PEs)
+    traffic model and the O(links^2) wire plan.  Fragments are keyed by
+    the canonical ``(cb, group.eirs)`` tuple, pairs by the two
+    fragments' indices in placement order; the hop values are replayed
+    in placement order, preserving the exact float-addition sequence, so
+    results are bit-identical to :func:`evaluate` and the search commits
+    the same design either way.  Both memos live as long as the
+    evaluator, i.e. one search.
     """
 
     def __init__(
@@ -206,71 +210,104 @@ class IncrementalEvaluator:
         self.grid = grid
         self.placement = tuple(placement)
         self.weights = weights
-        cb_set = set(self.placement)
-        self._pes = [n for n in grid.nodes() if n not in cb_set]
+        self._cbs = frozenset(self.placement)
+        self._pe_xy = [
+            grid.coord(n) for n in grid.nodes() if n not in self._cbs
+        ]
         self._baseline_hops = _baseline_avg_hops(grid, self.placement)
         self._fragments: Dict[Tuple[int, tuple], _Fragment] = {}
+        self._pair_crossings: Dict[Tuple[int, int], int] = {}
 
     def _fragment(self, group: EirGroup) -> _Fragment:
         key = (group.cb, group.eirs)
         frag = self._fragments.get(key)
         if frag is None:
-            frag = self._compute_fragment(group)
+            frag = self._compute_fragment(group, len(self._fragments))
             self._fragments[key] = frag
         return frag
 
-    def _compute_fragment(self, group: EirGroup) -> _Fragment:
+    def _compute_fragment(self, group: EirGroup, index: int) -> _Fragment:
         grid = self.grid
         cb = group.cb
         nodes = group.nodes
-        adds: List[Tuple[int, float]] = []
+        points = (cb,) + nodes
+        cx, cy = grid.coord(cb)
+        eir_xy = [grid.coord(node) for node in nodes]
+        to_eir = [abs(cx - ex) + abs(cy - ey) for ex, ey in eir_xy]
+        loads = dict.fromkeys(points, 0.0)
         hops_list: List[float] = []
-        for dst in self._pes:
-            base = grid.hops(cb, dst)
+        # grid.hops inlined on coordinates (integers, so exact); the float
+        # operations mirror injection_loads and average_hops one for one.
+        for x, y in self._pe_xy:
+            base = abs(cx - x) + abs(cy - y)
+            far = [abs(ex - x) + abs(ey - y) for ex, ey in eir_xy]
             choices = [
-                node for node in nodes
-                if grid.hops(cb, node) + grid.hops(node, dst) == base
+                k for k, near in enumerate(to_eir) if near + far[k] == base
             ]
             if choices:
-                hops = sum(1 + grid.hops(e, dst) for e in choices) / len(
-                    choices
-                )
+                hops = sum(1 + far[k] for k in choices) / len(choices)
+                loaded = [nodes[k] for k in choices]
             else:
                 hops = 1 + base - 1  # local injection
+                loaded = [cb]
             hops_list.append(hops)
-            loaded = choices if choices else [cb]
             share = 1.0 / len(loaded)
             for inj in loaded:
-                adds.append((inj, share))
-        return _Fragment((cb,) + nodes, adds, hops_list)
+                loads[inj] += share
+        segments = tuple(
+            interposer.link_segment(grid, cb, node) for node in nodes
+        )
+        xs = [cx] + [ex for ex, _ in eir_xy]
+        ys = [cy] + [ey for _, ey in eir_xy]
+        return _Fragment(
+            index, points, max(loads.values()), hops_list, sum(to_eir),
+            segments, geometry.count_crossings(segments),
+            (min(xs), max(xs), min(ys), max(ys)),
+        )
+
+    def _crossings_between(self, a: _Fragment, b: _Fragment) -> int:
+        key = (a.index, b.index)
+        count = self._pair_crossings.get(key)
+        if count is None:
+            # Wires inside disjoint boxes cannot touch.
+            ax0, ax1, ay0, ay1 = a.box
+            bx0, bx1, by0, by1 = b.box
+            disjoint = ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0
+            count = 0 if disjoint else sum(
+                1 for s in a.segments for t in b.segments
+                if geometry.segments_cross(s, t)
+            )
+            self._pair_crossings[key] = count
+        return count
 
     def evaluate(self, groups: Sequence[EirGroup]) -> EvalResult:
         """Evaluate a complete design given as one group per CB."""
+        # EirDesign's checks, which the memoised loads rely on.
         by_cb = {g.cb: g for g in groups}
-        loads: Dict[int, float] = {}
+        if len(by_cb) != len(groups) or by_cb.keys() != self._cbs:
+            raise ValueError("groups must cover exactly the placed CBs")
+        frags = [self._fragment(by_cb[cb]) for cb in self.placement]
+        points = [p for frag in frags for p in frag.points]
+        if len(set(points)) != len(points):
+            raise ValueError("an EIR may not be shared or sit on a CB")
         total = 0.0
         pairs = 0
-        for cb in self.placement:
-            frag = self._fragment(by_cb[cb])
-            for inj in frag.points:
-                loads.setdefault(inj, 0.0)
-            for inj, share in frag.adds:
-                loads[inj] += share
+        crossings = 0
+        for i, frag in enumerate(frags):
             for hops in frag.hops:
                 total += hops
             pairs += len(frag.hops)
-        design = EirDesign(
-            grid=self.grid, placement=self.placement, groups=tuple(groups)
-        )
-        plan = interposer.plan_for_design(design)
+            crossings += frag.crossings
+            for other in frags[i + 1:]:
+                crossings += self._crossings_between(frag, other)
         raw = {
-            "max_load": max(loads.values()) if loads else 0.0,
+            "max_load": max((f.max_load for f in frags), default=0.0),
             "avg_hops": total / pairs if pairs else 0.0,
-            "crossings": float(plan.num_crossings),
-            "link_length": float(design.total_link_length()),
+            "crossings": float(crossings),
+            "link_length": float(sum(f.link_length for f in frags)),
         }
         return _finalize(
-            self.grid, self.placement, len(design.links()), raw,
+            self.grid, self.placement, len(points) - len(frags), raw,
             self._baseline_hops, self.weights,
         )
 

@@ -13,9 +13,34 @@ never drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 Coord = Tuple[int, int]
+
+_NEIGHBOR_STEPS: Tuple[Coord, ...] = ((0, -1), (0, 1), (1, 0), (-1, 0))
+
+
+# Per-shape lookup tables, held once per process and shape outside
+# :class:`Grid`, so a grid's fields, equality, hash and pickles stay its
+# two integers.
+@lru_cache(maxsize=None)
+def _coords(width: int, height: int) -> Tuple[Coord, ...]:
+    """Every node's ``(x, y)``, by node id."""
+    return tuple((n % width, n // width) for n in range(width * height))
+
+
+@lru_cache(maxsize=None)
+def _neighbors(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every node's mesh neighbours (N, S, E, W order), by node id."""
+    return tuple(
+        tuple(
+            (y + dy) * width + x + dx
+            for dx, dy in _NEIGHBOR_STEPS
+            if 0 <= x + dx < width and 0 <= y + dy < height
+        )
+        for x, y in _coords(width, height)
+    )
 
 
 @dataclass(frozen=True)
@@ -55,9 +80,13 @@ class Grid:
 
     def coord(self, node: int) -> Coord:
         """Return the ``(x, y)`` coordinate of ``node``."""
-        if not 0 <= node < self.size:
-            raise ValueError(f"node {node} outside {self.width}x{self.height} grid")
-        return node % self.width, node // self.width
+        coords = _coords(self.width, self.height)
+        if not 0 <= node < len(coords):
+            raise self._outside(node)
+        return coords[node]
+
+    def _outside(self, node: int) -> ValueError:
+        return ValueError(f"node {node} outside {self.width}x{self.height} grid")
 
     def contains(self, x: int, y: int) -> bool:
         """Whether ``(x, y)`` lies inside the grid."""
@@ -76,18 +105,19 @@ class Grid:
     # ------------------------------------------------------------------
     def hops(self, a: int, b: int) -> int:
         """Manhattan (minimal mesh hop) distance between two nodes."""
-        ax, ay = self.coord(a)
-        bx, by = self.coord(b)
+        coords = _coords(self.width, self.height)
+        size = len(coords)
+        if not (0 <= a < size and 0 <= b < size):
+            raise self._outside(b if 0 <= a < size else a)
+        (ax, ay), (bx, by) = coords[a], coords[b]
         return abs(ax - bx) + abs(ay - by)
 
     def neighbors(self, node: int) -> List[int]:
         """The up-to-four mesh neighbours of ``node`` (N, S, E, W order)."""
-        x, y = self.coord(node)
-        out = []
-        for dx, dy in ((0, -1), (0, 1), (1, 0), (-1, 0)):
-            if self.contains(x + dx, y + dy):
-                out.append(self.node(x + dx, y + dy))
-        return out
+        table = _neighbors(self.width, self.height)
+        if not 0 <= node < len(table):
+            raise self._outside(node)
+        return list(table[node])
 
     def diagonal_neighbors(self, node: int) -> List[int]:
         """The up-to-four diagonal neighbours of ``node``."""

@@ -103,23 +103,21 @@ def node_penalty(m: int) -> int:
 
 def placement_penalty(grid: Grid, placement: Sequence[int]) -> int:
     """Total penalty score of a CB placement (lower is better)."""
-    overlaps = overlap_tiles(grid, placement)
-    total = 0
-    for node in grid.nodes():
-        m = sum(1 for nb in grid.neighbors(node) if nb in overlaps)
-        total += node_penalty(m)
-    return total
+    return sum(penalty_map(grid, placement).values())
 
 
 def penalty_map(grid: Grid, placement: Sequence[int]) -> Dict[int, int]:
-    """Per-node penalty contributions (useful for visual inspection)."""
-    overlaps = overlap_tiles(grid, placement)
-    out: Dict[int, int] = {}
-    for node in grid.nodes():
-        m = sum(1 for nb in grid.neighbors(node) if nb in overlaps)
-        if m:
-            out[node] = node_penalty(m)
-    return out
+    """Per-node penalty contributions (useful for visual inspection).
+
+    Only a neighbour of an overlap tile can have ``m > 0``, and adjacency
+    is symmetric, so ``m`` is counted from the overlaps outward instead
+    of scanning every node's neighbourhood.  Keys are in node order.
+    """
+    m: Dict[int, int] = {}
+    for tile in overlap_tiles(grid, placement):
+        for node in grid.neighbors(tile):
+            m[node] = m.get(node, 0) + 1
+    return {node: node_penalty(m[node]) for node in sorted(m)}
 
 
 def rank_placements(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import evaluation
 from ..eir import (
@@ -33,6 +33,7 @@ from ..eir import (
     MIN_EIR_DISTANCE,
     EirDesign,
     EirGroup,
+    candidate_positions,
     enumerate_groups,
     make_group,
 )
@@ -89,6 +90,8 @@ class EirSearch:
         self.config = config or SearchConfig()
         self._rng = random.Random(self.config.seed)
         self._eval_cache: Dict[Tuple[EirGroup, ...], evaluation.EvalResult] = {}
+        self._cb_candidates: Dict[int, FrozenSet[int]] = {}
+        self._actions: Dict[Tuple[int, FrozenSet[int]], Tuple[EirGroup, ...]] = {}
         self._evaluator = evaluation.IncrementalEvaluator(
             grid, self.placement, self.config.weights
         )
@@ -100,26 +103,46 @@ class EirSearch:
     # ------------------------------------------------------------------
     # Action model
     # ------------------------------------------------------------------
-    def _taken(self, state: Sequence[EirGroup]) -> frozenset:
-        return frozenset(n for g in state for n in g.nodes)
+    def _candidates(self, cb: int) -> FrozenSet[int]:
+        """Every node ``enumerate_groups`` may place an EIR of ``cb`` on."""
+        cands = self._cb_candidates.get(cb)
+        if cands is None:
+            per_dir = candidate_positions(
+                self.grid, self.placement, cb,
+                min_distance=self.config.min_distance,
+                max_distance=self.config.max_distance,
+            )
+            cands = frozenset(n for nodes in per_dir.values() for n in nodes)
+            self._cb_candidates[cb] = cands
+        return cands
 
-    def actions(self, state: Sequence[EirGroup]) -> List[EirGroup]:
-        """Legal EIR groups for the next undecided CB."""
+    def actions(self, state: Sequence[EirGroup]) -> Sequence[EirGroup]:
+        """Legal EIR groups for the next undecided CB.
+
+        ``enumerate_groups`` reads ``taken`` only through its own
+        candidates, so the groups are memoised on ``(depth, taken &
+        candidates)``: a few hundred distinct keys serve the thousands
+        of calls rollouts make.  The memo lives as long as the search.
+        """
         depth = len(state)
         if depth >= len(self.placement):
-            return []
+            return ()
         cb = self.placement[depth]
-        groups = enumerate_groups(
-            self.grid,
-            self.placement,
-            cb,
-            taken=self._taken(state),
-            min_distance=self.config.min_distance,
-            max_distance=self.config.max_distance,
-            require_full=self.config.require_full_groups,
-        )
-        if not groups:
-            groups = [make_group(cb, {})]
+        cands = self._candidates(cb)
+        taken = frozenset(n for g in state for n in g.nodes if n in cands)
+        key = (depth, taken)
+        groups = self._actions.get(key)
+        if groups is None:
+            groups = tuple(enumerate_groups(
+                self.grid,
+                self.placement,
+                cb,
+                taken=taken,
+                min_distance=self.config.min_distance,
+                max_distance=self.config.max_distance,
+                require_full=self.config.require_full_groups,
+            )) or (make_group(cb, {}),)
+            self._actions[key] = groups
         return groups
 
     def is_terminal(self, state: Sequence[EirGroup]) -> bool:

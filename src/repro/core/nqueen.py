@@ -12,6 +12,8 @@ distinct-column constraints structurally.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .grid import Grid
@@ -161,17 +163,26 @@ def prune_to_k(
     deleted and the scoring policy picks the best subset (paper §6.8).
     Each yielded placement is a tuple of ``(col, row)`` coordinates.
     All subsets are yielded when few enough, otherwise a deterministic
-    random sample of ``max_subsets``.
+    random sample of ``max_subsets``.  The sample is of *row* subsets
+    and depends only on ``(n, k, seed, max_subsets)``, so every solution
+    of one board is pruned by the same rows.  That is deliberate:
+    drawing per solution would move the placements Figure 12 uses.
     """
     n = len(cols)
     if k > n:
         raise ValueError("cannot prune to more queens than present")
-    from itertools import combinations
+    for rows in _row_subsets(n, k, seed, max_subsets):
+        yield tuple((cols[r], r) for r in rows)
 
+
+@lru_cache(maxsize=64)
+def _row_subsets(
+    n: int, k: int, seed: int, max_subsets: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """The row subsets :func:`prune_to_k` keeps, drawn once per argument set."""
     all_subsets = list(combinations(range(n), k))
     rng = random.Random(seed)
     if len(all_subsets) > max_subsets:
         rng.shuffle(all_subsets)
         all_subsets = all_subsets[:max_subsets]
-    for rows in all_subsets:
-        yield tuple((cols[r], r) for r in rows)
+    return tuple(all_subsets)

@@ -1,9 +1,11 @@
 """JSON (de)serialisation of EquiNox designs.
 
-An MCTS run for a 16x16 network is minutes of work; persisting the
+The design flow for a 16x16 network at the paper's budget (150 MCTS
+iterations per level) takes a few seconds of search; persisting the
 resulting design lets the scalability benchmarks and downstream users
-re-instantiate it instantly.  The format is plain JSON with explicit
-versioning, holding everything needed to rebuild the
+re-instantiate it in milliseconds, and lets a saved design be diffed
+byte for byte.  The format is plain JSON with explicit versioning,
+holding everything needed to rebuild the
 :class:`~repro.core.equinox.EquiNoxDesign` (the search trace is not
 kept — only the committed design and its scores).
 """

@@ -63,15 +63,17 @@ class RdlPlan:
         )
 
 
+def link_segment(grid: Grid, src: int, dst: int) -> geometry.Segment:
+    """The straight RDL wire between two tile centres."""
+    return geometry.Segment(
+        a=tuple(map(float, grid.coord(src))),
+        b=tuple(map(float, grid.coord(dst))),
+    )
+
+
 def plan_links(grid: Grid, links: Sequence[Tuple[int, int]]) -> RdlPlan:
     """Route ``links`` as straight RDL wires and assign layers."""
-    segments = tuple(
-        geometry.Segment(
-            a=tuple(map(float, grid.coord(src))),
-            b=tuple(map(float, grid.coord(dst))),
-        )
-        for src, dst in links
-    )
+    segments = tuple(link_segment(grid, src, dst) for src, dst in links)
     crossings = tuple(geometry.crossing_pairs(segments))
     layer_of = _greedy_layers(len(links), crossings)
     return RdlPlan(

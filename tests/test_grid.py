@@ -1,5 +1,7 @@
 """Unit tests for the grid coordinate helpers."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +111,44 @@ class TestDistances:
     def test_ring_negative_radius(self):
         with pytest.raises(ValueError):
             Grid(4).ring(0, -1)
+
+
+class TestTables:
+    """The per-shape tables against the arithmetic they replaced."""
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_tables_match_arithmetic(self, width, height, data):
+        grid = Grid(width, height)
+        a = data.draw(st.integers(0, grid.size - 1), label="a")
+        b = data.draw(st.integers(0, grid.size - 1), label="b")
+        ax, ay = a % width, a // width
+        bx, by = b % width, b // width
+        assert grid.coord(a) == (ax, ay)
+        assert grid.hops(a, b) == abs(ax - bx) + abs(ay - by)
+        assert grid.neighbors(a) == [
+            (ay + dy) * width + ax + dx
+            for dx, dy in ((0, -1), (0, 1), (1, 0), (-1, 0))
+            if 0 <= ax + dx < width and 0 <= ay + dy < height
+        ]
+
+    def test_negative_and_overflow_nodes_rejected(self):
+        grid = Grid(3)
+        for call in (
+            lambda: grid.coord(-1),
+            lambda: grid.neighbors(-1),
+            lambda: grid.neighbors(9),
+            lambda: grid.hops(-1, 0),
+            lambda: grid.hops(0, 9),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_grid_value_unchanged_by_tables(self):
+        grid = Grid(5, 3)
+        grid.hops(0, 14)  # builds the tables
+        assert vars(grid) == {"width": 5, "height": 3}
+        assert pickle.loads(pickle.dumps(grid)) == grid
+        assert hash(grid) == hash(Grid(5, 3))
 
 
 class TestAlignment:

@@ -122,6 +122,38 @@ class TestPenalty:
         )
 
 
+def brute_force_penalties(grid, placement):
+    """Every node's penalty by scanning its own neighbourhood."""
+    overlaps = hotzone.overlap_tiles(grid, placement)
+    out = {}
+    for node in grid.nodes():
+        m = sum(1 for nb in grid.neighbors(node) if nb in overlaps)
+        out[node] = hotzone.node_penalty(m)
+    return out
+
+
+class TestPenaltyFromOverlaps:
+    """The overlap-outward count against the per-node scan it replaced."""
+
+    @given(st.data())
+    def test_matches_per_node_scan(self, data):
+        width = data.draw(st.integers(3, 12), label="width")
+        height = data.draw(st.integers(3, 12), label="height")
+        grid = Grid(width, height)
+        placement = tuple(data.draw(st.lists(
+            st.integers(0, grid.size - 1), min_size=1, max_size=grid.size // 2,
+            unique=True,
+        ), label="placement"))
+        expected = brute_force_penalties(grid, placement)
+        assert hotzone.placement_penalty(grid, placement) == sum(
+            expected.values()
+        )
+        # Same entries, in node order, zeros left out.
+        assert list(hotzone.penalty_map(grid, placement).items()) == [
+            (node, p) for node, p in expected.items() if p
+        ]
+
+
 class TestRanking:
     def test_rank_sorted_ascending(self):
         grid = Grid(8)

@@ -1,11 +1,14 @@
 """Unit tests for the MCTS EIR search."""
 
+import functools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import placement
-from repro.core.eir import make_group
+from repro.core.eir import enumerate_groups, make_group
 from repro.core.grid import Grid
 from repro.core.mcts import (
     EirSearch,
@@ -166,3 +169,47 @@ class TestRandomSearch:
         rand = random_search(grid, nodes, samples=mcts.designs_evaluated,
                              config=SearchConfig(seed=0))
         assert mcts.evaluation.score <= rand.evaluation.score * 1.10
+
+
+@functools.lru_cache(maxsize=None)
+def _placement(kind, width, num_cbs):
+    if kind == "nqueen":
+        return placement.nqueen_best(Grid(width), num_cbs).nodes
+    return placement.knight_move(Grid(width), num_cbs).nodes
+
+
+class TestActionMemo:
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_memoised_actions_equal_enumerate_groups(self, data):
+        kind, width, num_cbs = data.draw(st.sampled_from(
+            [("nqueen", 6, 4), ("nqueen", 8, 8), ("knight", 8, 10)]
+        ))
+        require_full = data.draw(st.booleans())
+        grid = Grid(width)
+        nodes = _placement(kind, width, num_cbs)
+        search = EirSearch(
+            grid, nodes, SearchConfig(require_full_groups=require_full)
+        )
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        with_taken = 0
+        # Many partial states through one search, so later lookups are
+        # served by entries that earlier, different states created.
+        for _ in range(12):
+            depth = rng.randrange(1, len(nodes))
+            state, taken = [], set()
+            for cb in nodes[:depth]:
+                options = enumerate_groups(
+                    grid, nodes, cb, taken=frozenset(taken)
+                )
+                group = rng.choice([g for g in options if g.nodes] or options)
+                state.append(group)
+                taken.update(group.nodes)
+            cb = nodes[depth]
+            expected = enumerate_groups(
+                grid, nodes, cb, taken=frozenset(taken),
+                require_full=require_full,
+            ) or [make_group(cb, {})]
+            assert list(search.actions(state)) == expected
+            with_taken += bool(taken)
+        assert with_taken

@@ -1,5 +1,8 @@
 """Unit tests for the N-Queen solvers."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,3 +125,31 @@ class TestPruning:
         cols = nqueen.solve_all(8)[0]
         subsets = list(nqueen.prune_to_k(cols, 4, max_subsets=10))
         assert len(subsets) == 10
+
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(4, 12), data=st.data(), seed=st.integers(0, 2**16),
+        max_subsets=st.integers(1, 600),
+    )
+    def test_sample_matches_per_call_shuffle(self, n, data, seed, max_subsets):
+        # The draw as it was made before it was memoised: a fresh
+        # Random(seed) shuffling the full subset list on every call.
+        k = data.draw(st.integers(1, n), label="k")
+        cols = tuple(data.draw(st.permutations(range(n)), label="cols"))
+        subsets = list(combinations(range(n), k))
+        if len(subsets) > max_subsets:
+            random.Random(seed).shuffle(subsets)
+            subsets = subsets[:max_subsets]
+        expected = [tuple((cols[r], r) for r in rows) for rows in subsets]
+        for _ in range(2):  # the second call is served by the memo
+            assert list(
+                nqueen.prune_to_k(cols, k, seed=seed, max_subsets=max_subsets)
+            ) == expected
+
+    def test_every_solution_pruned_by_the_same_rows(self):
+        rows = {
+            tuple(tuple(y for _, y in p)
+                  for p in nqueen.prune_to_k(cols, 8, max_subsets=32))
+            for cols in nqueen.sample_solutions(16, 4)
+        }
+        assert len(rows) == 1

@@ -5,8 +5,7 @@ quiescent gaps) must be *bit-identical* to the dense oracle (walk every
 NI and router every cycle): same stats fingerprints, same cycle counts,
 same stall counters, same audit outcomes, same watchdog trip cycle.
 These tests pin that contract across all schemes, with conservation
-audits armed and with a firing fault plan, plus the MCTS evaluation
-memoization's equivalence to direct evaluation.
+audits armed and with a firing fault plan.
 """
 
 import dataclasses
@@ -17,10 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import settings
-from repro.core import evaluation
 from repro.core.grid import Grid
-from repro.core.mcts import EirSearch, SearchConfig
-from repro.core.placement import nqueen_best
 from repro.gpu.system import SimulationStall, System, SystemConfig
 from repro.harness.experiment import (
     ExperimentConfig,
@@ -377,57 +373,3 @@ class TestSaturatedDifferential:
             prints.add((result.stats_fingerprint, result.cycles,
                         result.instructions))
         assert len(prints) == 1, prints
-
-
-# ----------------------------------------------------------------------
-# MCTS evaluation memoization
-# ----------------------------------------------------------------------
-class TestIncrementalEvaluation:
-    def test_incremental_matches_direct_bit_for_bit(self):
-        grid = Grid(8)
-        placement = nqueen_best(grid, 8).nodes
-        search = EirSearch(grid, placement,
-                           SearchConfig(iterations_per_level=5, seed=3))
-        incremental = evaluation.IncrementalEvaluator(grid, placement)
-        for _ in range(20):
-            state = search.rollout(())
-            inc = incremental.evaluate(state)
-            direct = evaluation.evaluate(search._design(state))
-            assert inc.score == direct.score
-            assert inc.raw == direct.raw
-            assert inc.normalized == direct.normalized
-
-    def test_search_reports_nonzero_hit_rate(self):
-        grid = Grid(8)
-        placement = nqueen_best(grid, 8).nodes
-        result = EirSearch(
-            grid, placement, SearchConfig(iterations_per_level=40, seed=0)
-        ).run()
-        assert result.eval_cache_lookups > 0
-        assert result.eval_cache_hits > 0
-        assert 0.0 < result.eval_cache_hit_rate < 1.0
-        assert (result.designs_evaluated
-                == result.eval_cache_lookups - result.eval_cache_hits)
-
-    def test_fragment_reuse_across_designs(self):
-        grid = Grid(8)
-        placement = nqueen_best(grid, 8).nodes
-        search = EirSearch(grid, placement,
-                           SearchConfig(iterations_per_level=5, seed=11))
-        incremental = evaluation.IncrementalEvaluator(grid, placement)
-        rng = random.Random(5)
-        base = list(search.rollout(()))
-        incremental.evaluate(base)
-        fragments_after_first = len(incremental._fragments)
-        # Replace one CB's group; only that CB's fragment is new.
-        depth = rng.randrange(len(base))
-        options = [g for g in search.actions(base[:depth])
-                   if g != base[depth]]
-        if options:
-            mutated = base[:depth] + [rng.choice(options)]
-            while not search.is_terminal(mutated):
-                mutated.append(search.rollout(tuple(mutated))[len(mutated)])
-            incremental.evaluate(mutated)
-            grown = len(incremental._fragments) - fragments_after_first
-            assert grown >= 1  # new fragments only for changed groups
-            assert grown <= len(placement) - depth

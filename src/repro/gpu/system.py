@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..mem.hbm import HbmTiming
-from ..noc.diagnostics import Validator, stall_dump
+from ..noc.diagnostics import audit_networks, stall_dump
 from ..schemes.base import Fabric
 from ..workloads.profiles import WorkloadProfile
 from .cachebank import CacheBank
@@ -186,7 +186,6 @@ class System:
         pes: List[ProcessingElement],
         banks: List[CacheBank],
         injector: Optional[object],
-        validator: Optional[Validator],
         last_progress_seen: int,
         watchdog_window: int,
         max_cycles: int,
@@ -221,8 +220,9 @@ class System:
             ev = injector.next_event_cycle()
             if ev is not None and ev < nxt:
                 nxt = ev
-        if validator is not None:
-            audit = cycle + validator.interval - cycle % validator.interval
+        interval = self.config.validate_interval
+        if interval > 0:
+            audit = cycle + interval - cycle % interval
             if audit < nxt:
                 nxt = audit
         return nxt - cycle - 1
@@ -236,9 +236,7 @@ class System:
         last_progress_seen = 0
         watchdog_window = cfg.watchdog_cycles or WATCHDOG_CYCLES
         networks = [net for net, _ratio, _role in self.fabric.networks]
-        validator: Optional[Validator] = None
-        if cfg.validate_interval > 0:
-            validator = Validator(networks, interval=cfg.validate_interval)
+        validate_interval = cfg.validate_interval
         injector = cfg.fault_injector
         fast_forward = self.fabric.scheduler == "active"
         telemetry = self.telemetry
@@ -276,8 +274,8 @@ class System:
             if telemetry is not None and cycle % t_interval == 0:
                 telemetry.sample(cycle)
             # 4. Periodic conservation audit (validation mode only).
-            if validator is not None:
-                validator.on_cycle(cycle)
+            if validate_interval > 0 and cycle % validate_interval == 0:
+                audit_networks(networks)
             # 5. Termination and watchdog.
             if all(pe.done for pe in pes):
                 break
@@ -288,15 +286,11 @@ class System:
                 if not any(
                     not bank.memory.idle() for bank in banks
                 ):
-                    dump = (
-                        validator.dump() if validator is not None
-                        else stall_dump(networks)
-                    )
                     raise SimulationStall(
                         f"no network progress since base cycle "
                         f"{last_progress_seen} (watchdog window "
                         f"{watchdog_window})",
-                        dump=dump,
+                        dump=stall_dump(networks),
                     )
                 last_progress_seen = cycle  # memory still working; extend
             # 6. Quiescence fast-forward (active scheduler): when the
@@ -305,8 +299,8 @@ class System:
             #    provable no-op — jump the clock instead of spinning.
             if fast_forward:
                 skip = self._skippable_cycles(
-                    cycle, pes, banks, injector, validator,
-                    last_progress_seen, watchdog_window, cfg.max_cycles,
+                    cycle, pes, banks, injector, last_progress_seen,
+                    watchdog_window, cfg.max_cycles,
                 )
                 if skip > 0:
                     self.cycle += skip

@@ -7,7 +7,7 @@ from .interface import (
     NetworkInterface,
 )
 from .diagnostics import (
-    Validator,
+    audit_networks,
     network_dump,
     oldest_stuck_packet,
     stall_dump,
@@ -16,7 +16,6 @@ from .network import Network
 from .router import Router
 from .stats import NetworkStats
 from .topology import CmeshEnvelope, CmeshMap, build_cmesh, build_mesh
-from .tracer import HopEvent, PacketTracer
 from .validation import (
     AuditReport,
     NetworkAuditError,
@@ -51,12 +50,10 @@ __all__ = [
     "PacketType",
     "packet_bytes",
     "packet_flits",
-    "HopEvent",
-    "PacketTracer",
     "AuditReport",
     "NetworkAuditError",
-    "Validator",
     "assert_healthy",
+    "audit_networks",
     "audit_network",
     "check_invariants",
     "network_dump",

@@ -1,4 +1,4 @@
-"""Stall diagnostics: structured dumps and the periodic validator.
+"""Stall diagnostics: structured dumps and the periodic audit.
 
 When a simulation hangs, the worst possible outcome is a 400k-cycle
 timeout with no explanation.  This module turns a hang into a located
@@ -6,30 +6,27 @@ report:
 
 * :func:`network_dump` renders one network's live state — per-router
   occupancy, VC allocations and owners, oldest-flit age, NI backlogs,
-  the conservation-audit report, and the oldest stuck packet's current
-  position (plus its full event trace when a tracer is attached);
+  the conservation-audit report, and where each flit of the oldest
+  stuck packet sits (and since which cycle);
 * :func:`stall_dump` does that for every network of a fabric;
-* :class:`Validator` is the harness-side driver: armed via
-  ``REPRO_VALIDATE`` / ``--validate``, it audits every network every
-  ``interval`` cycles (raising :class:`NetworkAuditError` on the first
-  violation) and keeps an auto-attached :class:`PacketTracer` per
-  network, pruned of delivered packets so only in-flight history is
-  retained for the watchdog dump.
+* :func:`audit_networks` is the periodic audit the system run loop
+  calls every ``validate_interval`` cycles when ``REPRO_VALIDATE`` /
+  ``--validate`` arms it, raising :class:`NetworkAuditError` (with the
+  full dump attached) on the first violation.
 
-Nothing here runs when validation is disabled: the simulator's hot
-loop pays a single ``is None`` test per cycle.
+Everything here only reads network state, so validated and
+unvalidated runs stay bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import routing
 from .network import Network
 from .router import Router
-from .tracer import PacketTracer
 from .types import Packet
-from .validation import AuditReport, NetworkAuditError, audit_network
+from .validation import NetworkAuditError, _take_census, audit_network
 
 DEFAULT_AUDIT_INTERVAL = 512
 """Cycles between periodic audits when ``REPRO_VALIDATE=1``."""
@@ -46,31 +43,14 @@ def resolve_validate_interval(value: int) -> int:
 # ----------------------------------------------------------------------
 # Locating stuck traffic
 # ----------------------------------------------------------------------
-def _in_flight_packets(net: Network) -> Dict[int, Packet]:
-    """Every undelivered packet with at least one flit in the network."""
-    packets: Dict[int, Packet] = {}
-    for router in net.routers:
-        for port in router.input_ports:
-            for ivc in router.inputs[port]:
-                for flit in ivc.queue:
-                    if flit.packet.delivered is None:
-                        packets[flit.packet.pid] = flit.packet
-    for _node, _port, _vc, flit in net._arrivals:
-        if flit.packet.delivered is None:
-            packets[flit.packet.pid] = flit.packet
-    for ni in net.nis:
-        for buf in ni.buffers:
-            for flit in buf.flits:
-                packets[flit.packet.pid] = flit.packet
-    return packets
-
-
 def oldest_stuck_packet(net: Network) -> Optional[Packet]:
     """The in-flight packet that has been waiting longest (by creation)."""
-    packets = _in_flight_packets(net)
+    packets = [
+        p for p in _take_census(net).packets.values() if p.delivered is None
+    ]
     if not packets:
         return None
-    return min(packets.values(), key=lambda p: (p.created, p.pid))
+    return min(packets, key=lambda p: (p.created, p.pid))
 
 
 def _refusals(router: Router, packet: Packet) -> List[str]:
@@ -113,14 +93,12 @@ def locate_packet(net: Network, packet: Packet) -> List[str]:
     for router in net.routers:
         for port in router.input_ports:
             for vc, ivc in enumerate(router.inputs[port]):
-                count = sum(
-                    1 for flit in ivc.queue if flit.packet is packet
-                )
-                if not count:
+                mine = [flit for flit in ivc.queue if flit.packet is packet]
+                if not mine:
                     continue
                 where = (
                     f"router {router.node} in(p{port},v{vc}): "
-                    f"{count} flit(s)"
+                    f"{len(mine)} flit(s) since cycle {mine[0].buffered_at}"
                 )
                 if ivc.out_port is not None:
                     out = router.outputs[ivc.out_port]
@@ -158,7 +136,6 @@ def locate_packet(net: Network, packet: Packet) -> List[str]:
 # ----------------------------------------------------------------------
 def network_dump(
     net: Network,
-    tracer: Optional[PacketTracer] = None,
     max_routers: int = 16,
     audit: bool = True,
 ) -> str:
@@ -246,84 +223,22 @@ def network_dump(
         )
         for line in locate_packet(net, stuck):
             lines.append(f"  {line}")
-        if tracer is not None:
-            lines.append(tracer.format_trace(stuck.pid))
     return "\n".join(lines)
 
 
-def stall_dump(
-    networks: Sequence[Network],
-    tracers: Optional[Dict[int, PacketTracer]] = None,
-    max_routers: int = 16,
-) -> str:
+def stall_dump(networks: Sequence[Network], max_routers: int = 16) -> str:
     """Diagnostic dump of every network in a fabric (watchdog report)."""
-    tracers = tracers or {}
-    parts = []
-    for net in networks:
-        parts.append(
-            network_dump(
-                net,
-                tracer=tracers.get(id(net)),
-                max_routers=max_routers,
-            )
-        )
-    return "\n".join(parts)
+    return "\n".join(
+        network_dump(net, max_routers=max_routers) for net in networks
+    )
 
 
-# ----------------------------------------------------------------------
-# The periodic validator
-# ----------------------------------------------------------------------
-class Validator:
-    """Periodic conservation audits plus an auto-attached tracer.
+def audit_networks(networks: Sequence[Network]) -> None:
+    """Audit every network now; raise on any violation.
 
-    Created by the system run loop when validation is enabled.  Every
-    ``interval`` calls to :meth:`on_cycle`, it audits each network and
-    raises :class:`NetworkAuditError` (with the full diagnostic dump
-    attached) on the first violation.  With ``trace=True`` each network
-    also carries a :class:`PacketTracer` whose delivered packets are
-    pruned at every audit, so a later watchdog dump can show the full
-    history of the oldest stuck packet.
-
-    Audits are read-only: enabling validation must leave the simulated
-    behaviour (and the stats fingerprint) bit-identical.
+    The raised :class:`NetworkAuditError` carries every network's report
+    and the full :func:`stall_dump`.
     """
-
-    def __init__(
-        self,
-        networks: Sequence[Network],
-        interval: int = DEFAULT_AUDIT_INTERVAL,
-        trace: bool = True,
-        max_trace_packets: int = 65536,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("audit interval must be positive")
-        self.networks = list(networks)
-        self.interval = interval
-        self.audits = 0
-        self.tracers: Dict[int, PacketTracer] = {}
-        if trace:
-            for net in self.networks:
-                self.tracers[id(net)] = PacketTracer(
-                    net, max_packets=max_trace_packets
-                )
-
-    # ------------------------------------------------------------------
-    def on_cycle(self, cycle: int) -> None:
-        """Hook called once per harness cycle; audits every interval."""
-        if cycle % self.interval:
-            return
-        self.audit()
-
-    def audit(self) -> List[AuditReport]:
-        """Audit every network now; raise on any violation."""
-        self.audits += 1
-        reports = [audit_network(net) for net in self.networks]
-        for tracer in self.tracers.values():
-            tracer.prune_delivered()
-        if any(not r.ok for r in reports):
-            raise NetworkAuditError(reports, dump=self.dump())
-        return reports
-
-    def dump(self) -> str:
-        """The full diagnostic dump (used by the watchdog on a stall)."""
-        return stall_dump(self.networks, self.tracers)
+    reports = [audit_network(net) for net in networks]
+    if any(not r.ok for r in reports):
+        raise NetworkAuditError(reports, dump=stall_dump(networks))

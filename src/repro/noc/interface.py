@@ -143,9 +143,6 @@ class InjectionBuffer:
         if flit.is_head:
             packet.injected = cycle
             packet.inject_router = self.target_node
-            hook = self.network.on_inject
-            if hook is not None:
-                hook(self, flit, cycle)
         if flit.is_tail:
             self.link.owner[self.cur_vc] = None
             self.cur_vc = None

@@ -190,17 +190,6 @@ class Network:
         self._delivered: Dict[int, int] = {}
         self._delivered_total = 0
         self.last_progress = 0  # cycle of the most recent committed move
-        # Optional injection hook: called as hook(buffer, flit, cycle)
-        # when an NI buffer sends a head flit.  Tracers attach here; the
-        # disabled path costs one attribute test per head flit.
-        self.on_inject = None
-        # Optional observation hooks, fired by *every* engine: on_move
-        # for each committed crossbar traversal, on_deliver for each
-        # sink arrival (tail or not).  Tracers attach here instead of
-        # monkey-patching the move/_deliver code so the vector engine's
-        # batched commit path can honour them too.
-        self.on_move = None
-        self.on_deliver = None
 
     def _wire_mesh(self) -> None:
         for node in self.grid.nodes():
@@ -540,8 +529,6 @@ class Network:
                 self._active_nis.discard(idx)
 
     def _deliver(self, node: int, eject_port: int, flit: Flit, cycle: int) -> None:
-        if self.on_deliver is not None:
-            self.on_deliver(node, eject_port, flit, cycle)
         if not flit.is_tail:
             return
         packet = flit.packet

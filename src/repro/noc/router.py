@@ -293,7 +293,6 @@ class Router:
         network = self.network
         neighbors = self.neighbors
         upstream = network.upstream
-        on_move = network.on_move
         num_vcs = self.num_vcs
         residence = 0
         ejected = 0
@@ -309,8 +308,6 @@ class Router:
                 out.owner[out_vc] = None
                 ivc.out_port = None
                 ivc.out_vc = None
-            if on_move is not None:
-                on_move(node, in_port, in_vc, out_port, out_vc, flit, cycle)
             # A traversal occupies the router for at least one cycle; waits
             # in the input buffer add on top (the Figure-4 heat metric).
             residence += cycle - flit.buffered_at + 1

@@ -617,19 +617,6 @@ class _SoA:
             else:
                 stats.link_hops_onchip += nm
         net.last_progress = cycle
-        if net.on_move is not None:
-            for i in range(n):
-                slot = int(w_slot[i])
-                oi = int(w_oi[i])
-                net.on_move(
-                    int(nodes_w[i]),
-                    (slot // V) % self.P,
-                    slot % V,
-                    self.out_port_nr[oi],
-                    int(w_cs[i]) - int(self.out_base[oi]),
-                    self.f_objs[int(vids[i])],
-                    cycle,
-                )
 
     # ------------------------------------------------------------------
     # Batched route/VC allocation for the common shape

@@ -105,8 +105,8 @@ def run_case(
 ) -> CaseRun:
     """Run one case with audits every ``validate_every`` base cycles.
 
-    Unlike the sweep harness this passes the audit interval to the
-    validator *raw* (1 really means every cycle), runs hermetically
+    Unlike the sweep harness this passes the audit interval to
+    ``System`` *raw* (1 really means every cycle), runs hermetically
     with respect to ``REPRO_*`` env knobs, and keeps the live fabric
     for post-run inspection.  ``NetworkAuditError`` and
     ``SimulationStall`` propagate to the caller.

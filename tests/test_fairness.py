@@ -54,19 +54,25 @@ class TestOutputArbitrationModulus:
         assert hi - lo == 16  # the aliasing distance of the old modulus
         pid = 0
         winners = []
-        net.on_move = lambda _node, in_port, *_rest: winners.append(in_port)
+        contenders = ((lo, 0), (hi, 1))
         for cycle in range(1, 13):
             # Keep a multi-flit packet streaming at each port (input VC
             # 0 at lo, input VC 1 at hi, so both hold an output VC and
             # contend in switch allocation every cycle).
-            for port, vc in ((lo, 0), (hi, 1)):
+            for port, vc in contenders:
                 ivc = router.inputs[port][vc]
                 if not ivc.queue:
                     pid += 1
                     packet = Packet(pid, PacketType.READ_REPLY, 0, 1, 4, 0)
                     for flit in packet.make_flits():
                         router.accept(port, vc, flit, cycle)
+            before = [len(router.inputs[p][v].queue) for p, v in contenders]
             router.tick(cycle, [], [])  # lone router: events discarded
+            # The cycle's winner is whichever input VC lost a flit.
+            winners.extend(
+                port for (port, vc), n in zip(contenders, before)
+                if len(router.inputs[port][vc].queue) < n
+            )
         assert winners.count(lo) >= 4
         assert winners.count(hi) >= 4
 

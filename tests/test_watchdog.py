@@ -17,7 +17,14 @@ from repro.harness.experiment import (
     run_experiment,
     run_with_fabric,
 )
-from repro.noc import Network, NetworkAuditError, NetworkInterface, Validator
+from repro.gpu import system as system_mod
+from repro.noc import (
+    Network,
+    NetworkAuditError,
+    NetworkInterface,
+    audit_networks,
+    vector,
+)
 from repro.core.grid import Grid
 from repro.noc.diagnostics import (
     DEFAULT_AUDIT_INTERVAL,
@@ -83,6 +90,14 @@ class TestWatchdog:
         assert net.stats.packets_delivered == 0
         dump = network_dump(net, audit=False)
         assert "oldest stuck packet: pid 1 READ_REPLY 0->10" in dump
+        # The router line says how long the head has waited there.
+        head = next(
+            flit for port in router.input_ports
+            for ivc in router.inputs[port] for flit in ivc.queue
+        )
+        assert head.is_head and head.packet.pid == 1
+        assert head.buffered_at > 0
+        assert f"flit(s) since cycle {head.buffered_at}," in dump
         where = dump.index("no output allocated")
         assert dump[where:].splitlines()[1:3] == [
             f"    candidate S out(p{PORT_S}): output failed",
@@ -132,35 +147,40 @@ class TestWatchdog:
         assert result.cycles > 0
 
 
-class TestValidator:
-    def make_net(self):
-        net = Network("t", Grid(4), flit_bytes=16, vc_classes=[(0,), (1,)])
-        for n in net.grid.nodes():
-            NetworkInterface(net, n)
-        return net
-
-    def test_rejects_non_positive_interval(self):
-        with pytest.raises(ValueError):
-            Validator([self.make_net()], interval=0)
-
-    def test_on_cycle_audits_on_interval_only(self):
-        v = Validator([self.make_net()], interval=10, trace=False)
-        for cycle in range(1, 10):
-            v.on_cycle(cycle)
-        assert v.audits == 0
-        v.on_cycle(10)
-        assert v.audits == 1
-
-    def test_audit_raises_with_reports_and_dump(self):
-        net = self.make_net()
-        v = Validator([net], interval=10)
-        net.routers[2].outputs[0].credits[0] = -1
+class TestAuditNetworks:
+    def test_raises_with_reports_and_dump(self):
+        nets = []
+        for name in ("a", "b"):
+            net = Network(name, Grid(4), flit_bytes=16,
+                          vc_classes=[(0,), (1,)])
+            for n in net.grid.nodes():
+                NetworkInterface(net, n)
+            nets.append(net)
+        audit_networks(nets)  # healthy: no raise
+        nets[1].routers[2].outputs[0].credits[0] = -1
         with pytest.raises(NetworkAuditError) as exc_info:
-            v.audit()
+            audit_networks(nets)
         err = exc_info.value
-        assert len(err.reports) == 1
+        assert [r.ok for r in err.reports] == [True, False]
         assert "negative credits" in str(err)
-        assert "audit[" in err.dump
+        assert "=== network 'a'" in err.dump
+        assert "=== network 'b'" in err.dump
+
+    def test_system_audits_exactly_on_interval_multiples(self, monkeypatch):
+        cycles = []
+        real = system_mod.audit_networks
+
+        def counting(networks):
+            cycles.append(system.cycle)
+            real(networks)
+
+        monkeypatch.setattr(system_mod, "audit_networks", counting)
+        _fabric, system = make_system(bench="bfs", validate_interval=10)
+        result = system.run()
+        # Quiescence fast-forward lands on every audit cycle it would
+        # otherwise skip, so every multiple of 10 is audited.
+        assert system.fast_forwarded_cycles > 0
+        assert cycles == list(range(10, result.cycles + 1, 10))
 
 
 class TestEnvKnobs:
@@ -209,12 +229,25 @@ class TestEnvKnobs:
 
 
 class TestValidationDeterminism:
-    def test_validate_env_leaves_fingerprint_identical(self, monkeypatch):
+    @pytest.mark.parametrize("engine", ["object", "vector"])
+    def test_validate_env_leaves_fingerprint_identical(
+        self, monkeypatch, engine
+    ):
         """Audits are read-only: REPRO_VALIDATE must not perturb runs."""
+        def run():
+            fabric = build_fabric("SeparateBase", CFG)
+            result = run_with_fabric(fabric, "kmeans", CFG, "SeparateBase")
+            armed = sum(net.armed_cycles for net, _r, _role in fabric.networks)
+            assert (armed > 0) == (engine == "vector")
+            return result
+
         monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-        base = run_experiment("SeparateBase", "kmeans", CFG)
-        monkeypatch.setenv("REPRO_VALIDATE", "64")
-        validated = run_experiment("SeparateBase", "kmeans", CFG)
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        # Always armed, so the vector engine ticks its arrays.
+        with vector.arming(0, 0):
+            base = run()
+            monkeypatch.setenv("REPRO_VALIDATE", "64")
+            validated = run()
         assert validated.stats_fingerprint == base.stats_fingerprint
         assert validated.cycles == base.cycles
 

@@ -18,6 +18,13 @@
 * the original structural checks: buffer overflow, ``flit_count``
   drift, and flits parked in VCs their class does not permit.
 
+One audit is a census (where every flit and packet is) plus one walk
+per router over its input VCs and outputs, which does the structural,
+ownership and credit range checks together.  Link conservation tallies
+in-flight flits and returning credits once per link, ejection accounting
+groups the census packets by ejection port once, and a problem's label
+is formatted only when it is reported.
+
 ``check_invariants`` keeps the original list-of-strings interface; the
 simulator never calls any of this on the hot path.  Tests, bring-up
 scripts, and the periodic validation mode (``REPRO_VALIDATE``) do.
@@ -28,12 +35,10 @@ inside a tick (e.g. a router hook) reports false violations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .network import Network
-from .router import Router
 from .types import Packet
 
 
@@ -91,9 +96,7 @@ class _Census:
 
     # pid -> flits in NI buffers, router input queues or link arrivals
     # (everything upstream of an ejection commit).
-    in_network: Counter = field(default_factory=Counter)
-    # pid -> flits committed to an ejection port, en route to the sink.
-    to_sink: Counter = field(default_factory=Counter)
+    in_network: Dict[int, int] = field(default_factory=dict)
     packets: Dict[int, Packet] = field(default_factory=dict)
     buffered: int = 0          # flits in router input VCs
     link_flits: int = 0        # flits scheduled on router/NI links
@@ -102,33 +105,41 @@ class _Census:
     source_backlog: int = 0    # packets in NI source queues
     receive_queued: int = 0    # delivered packets awaiting pop
 
-    def seen(self, pid: int) -> bool:
-        return pid in self.packets
-
 
 def _take_census(net: Network) -> _Census:
     census = _Census()
+    in_network = census.in_network
+    packets = census.packets
     for router in net.routers:
+        inputs = router.inputs
         for port in router.input_ports:
-            for ivc in router.inputs[port]:
-                for flit in ivc.queue:
-                    census.in_network[flit.packet.pid] += 1
-                    census.packets[flit.packet.pid] = flit.packet
-                    census.buffered += 1
+            for ivc in inputs[port]:
+                queue = ivc.queue
+                if not queue:
+                    continue
+                census.buffered += len(queue)
+                for flit in queue:
+                    packet = flit.packet
+                    pid = packet.pid
+                    in_network[pid] = in_network.get(pid, 0) + 1
+                    packets[pid] = packet
     for _node, port, _vc, flit in net._arrivals:
-        census.packets[flit.packet.pid] = flit.packet
+        packet = flit.packet
+        pid = packet.pid
+        packets[pid] = packet
         if port < 0:
-            census.to_sink[flit.packet.pid] += 1
             census.sink_flits += 1
         else:
-            census.in_network[flit.packet.pid] += 1
+            in_network[pid] = in_network.get(pid, 0) + 1
             census.link_flits += 1
     for ni in net.nis:
         census.source_backlog += len(ni.source_queue)
         for buf in ni.buffers:
             for flit in buf.flits:
-                census.in_network[flit.packet.pid] += 1
-                census.packets[flit.packet.pid] = flit.packet
+                packet = flit.packet
+                pid = packet.pid
+                in_network[pid] = in_network.get(pid, 0) + 1
+                packets[pid] = packet
                 census.ni_flits += 1
     for queue in net.receive_queues.values():
         census.receive_queued += len(queue)
@@ -142,11 +153,8 @@ def audit_network(net: Network, strict_classes: bool = True) -> AuditReport:
     """Full conservation audit of one network (empty problems = healthy)."""
     net.sync_for_inspection()
     census = _take_census(net)
-    problems: List[str] = []
-    for router in net.routers:
-        problems.extend(_check_router(net, router, strict_classes))
-        problems.extend(_check_ownership(net, router))
-    problems.extend(_check_credits(net, census))
+    problems = _walk_routers(net, strict_classes)
+    problems.extend(_check_links(net))
     problems.extend(_check_eject_conservation(net, census))
     problems.extend(_check_ni_buffers(net))
     problems.extend(_check_flit_conservation(net, census))
@@ -189,187 +197,188 @@ def assert_healthy(net: Network, strict_classes: bool = True) -> None:
 
 
 # ----------------------------------------------------------------------
-# Structural checks (per router)
+# The router walk: structure, ownership and credit ranges
 # ----------------------------------------------------------------------
-def _check_router(net: Network, router: Router,
-                  strict_classes: bool) -> List[str]:
-    problems = []
-    counted = 0
-    for port in router.input_ports:
-        port_counted = 0
-        for vc, ivc in enumerate(router.inputs[port]):
-            counted += len(ivc.queue)
-            port_counted += len(ivc.queue)
-            if len(ivc.queue) > net.vc_capacity:
-                problems.append(
-                    f"router {router.node} in(p{port},v{vc}) holds "
-                    f"{len(ivc.queue)} flits > capacity {net.vc_capacity}"
-                )
-            # NOTE: an empty queue with a route assigned is legitimate —
-            # all buffered flits were forwarded while the packet's tail
-            # is still in flight on the upstream link.
-            if strict_classes and not router.monopolize:
-                table = net.loop_table
-                if table is not None:
-                    # Loop topologies: VC legality is positional (the
-                    # dateline), not class-based.
-                    for flit in ivc.queue:
-                        packet = flit.packet
-                        lane = packet.lane
-                        if lane is None:
-                            continue
-                        want = table.vc(
-                            lane, packet.inject_router,
-                            table.pos[lane * table.nodes + router.node],
+def _walk_routers(net: Network, strict_classes: bool) -> List[str]:
+    """One pass over every router's input VCs and outputs.
+
+    Returns each router's structural problems followed by that router's
+    ownership problems, router by router, then the credit range
+    problems of every output (ejection ports included).  Labels are
+    formatted only for a violation.
+    """
+    problems: List[str] = []
+    ranges: List[str] = []
+    capacity = net.vc_capacity
+    table = net.loop_table
+    classes = net.vc_classes
+    for router in net.routers:
+        node = router.node
+        inputs = router.inputs
+        outputs = router.outputs
+        port_flits = router.port_flits
+        check_classes = strict_classes and not router.monopolize
+        owned: List[str] = []
+        counted = 0
+        for port in router.input_ports:
+            port_counted = 0
+            for vc, ivc in enumerate(inputs[port]):
+                queue = ivc.queue
+                if queue:
+                    port_counted += len(queue)
+                    if len(queue) > capacity:
+                        problems.append(
+                            f"router {node} in(p{port},v{vc}) holds "
+                            f"{len(queue)} flits > capacity {capacity}"
                         )
-                        if vc != want:
-                            problems.append(
-                                f"router {router.node} in(p{port},v{vc}): "
-                                f"flit of lane {lane} off its "
-                                f"dateline VC {want}"
+                    if check_classes and table is not None:
+                        # Loop topologies: VC legality is positional
+                        # (the dateline), not class-based.
+                        for flit in queue:
+                            lane = flit.packet.lane
+                            if lane is None:
+                                continue
+                            want = table.vc(
+                                lane, flit.packet.inject_router,
+                                table.pos[lane * table.nodes + node],
                             )
-                else:
-                    for flit in ivc.queue:
-                        allowed = net.vc_classes[flit.packet.vc_class]
-                        if vc not in allowed:
-                            problems.append(
-                                f"router {router.node} in(p{port},v{vc}): "
-                                f"flit of class {flit.packet.vc_class} in "
-                                f"foreign VC"
-                            )
-        if port_counted != router.port_flits.get(port, 0):
+                            if vc != want:
+                                problems.append(
+                                    f"router {node} in(p{port},v{vc}): flit of "
+                                    f"lane {lane} off its dateline VC {want}"
+                                )
+                    elif check_classes:
+                        for flit in queue:
+                            if vc not in classes[flit.packet.vc_class]:
+                                problems.append(
+                                    f"router {node} in(p{port},v{vc}): flit of "
+                                    f"class {flit.packet.vc_class} in foreign VC"
+                                )
+                # An empty queue with a route assigned is legitimate: all
+                # buffered flits were forwarded while the packet's tail is
+                # still in flight on the upstream link.
+                out_port, out_vc = ivc.out_port, ivc.out_vc
+                if out_port is None:
+                    continue
+                out = outputs.get(out_port)
+                if out_vc is None:
+                    owned.append(
+                        f"router {node} in(p{port},v{vc}) routed to "
+                        f"p{out_port} with no output VC"
+                    )
+                elif out is None:
+                    owned.append(
+                        f"router {node} in(p{port},v{vc}) routed to "
+                        f"missing output p{out_port}"
+                    )
+                elif out.owner[out_vc] != (port, vc):
+                    owned.append(
+                        f"router {node} in(p{port},v{vc}) claims "
+                        f"out(p{out_port},v{out_vc}) but owner is "
+                        f"{out.owner[out_vc]!r}"
+                    )
+            counted += port_counted
+            if port_counted != port_flits.get(port, 0):
+                problems.append(
+                    f"router {node} port_flits[p{port}] "
+                    f"{port_flits.get(port, 0)} != buffered {port_counted}"
+                )
+        if counted != router.flit_count:
             problems.append(
-                f"router {router.node} port_flits[p{port}] "
-                f"{router.port_flits.get(port, 0)} != buffered {port_counted}"
+                f"router {node} flit_count {router.flit_count} != "
+                f"buffered {counted}"
             )
-    if counted != router.flit_count:
-        problems.append(
-            f"router {router.node} flit_count {router.flit_count} != "
-            f"buffered {counted}"
-        )
-    return problems
-
-
-def _check_ownership(net: Network, router: Router) -> List[str]:
-    """Output-VC owners and input-VC allocations must point at each other."""
-    problems = []
-    for port in router.input_ports:
-        for vc, ivc in enumerate(router.inputs[port]):
-            if ivc.out_port is None:
-                continue
-            if ivc.out_vc is None:
-                problems.append(
-                    f"router {router.node} in(p{port},v{vc}) routed to "
-                    f"p{ivc.out_port} with no output VC"
-                )
-                continue
-            out = router.outputs.get(ivc.out_port)
-            if out is None:
-                problems.append(
-                    f"router {router.node} in(p{port},v{vc}) routed to "
-                    f"missing output p{ivc.out_port}"
-                )
-            elif out.owner[ivc.out_vc] != (port, vc):
-                problems.append(
-                    f"router {router.node} in(p{port},v{vc}) claims "
-                    f"out(p{ivc.out_port},v{ivc.out_vc}) but owner is "
-                    f"{out.owner[ivc.out_vc]!r}"
-                )
-    for out_port, out in router.outputs.items():
-        for vc in range(out.num_vcs):
-            owner = out.owner[vc]
-            if owner is None:
-                continue
-            if (
-                not isinstance(owner, tuple)
-                or len(owner) != 2
-                or owner[0] not in router.inputs
-            ):
-                problems.append(
-                    f"router {router.node} out(p{out_port},v{vc}) has "
-                    f"foreign owner {owner!r}"
-                )
-                continue
-            ivc = router.inputs[owner[0]][owner[1]]
-            if ivc.out_port != out_port or ivc.out_vc != vc:
-                problems.append(
-                    f"router {router.node} out(p{out_port},v{vc}) owned by "
-                    f"in(p{owner[0]},v{owner[1]}) which is allocated to "
-                    f"(p{ivc.out_port},v{ivc.out_vc})"
-                )
+        for out_port, out in outputs.items():
+            owners, credits, limit = out.owner, out.credits, out.capacity
+            for vc in range(out.num_vcs):
+                owner = owners[vc]
+                if owner is not None and (
+                    not isinstance(owner, tuple)
+                    or len(owner) != 2
+                    or owner[0] not in inputs
+                ):
+                    owned.append(
+                        f"router {node} out(p{out_port},v{vc}) has "
+                        f"foreign owner {owner!r}"
+                    )
+                elif owner is not None:
+                    ivc = inputs[owner[0]][owner[1]]
+                    if ivc.out_port != out_port or ivc.out_vc != vc:
+                        owned.append(
+                            f"router {node} out(p{out_port},v{vc}) owned by "
+                            f"in(p{owner[0]},v{owner[1]}) which is allocated "
+                            f"to (p{ivc.out_port},v{ivc.out_vc})"
+                        )
+                held = credits[vc]
+                if held < 0:
+                    ranges.append(
+                        f"router {node} out(p{out_port},v{vc}) "
+                        f"negative credits {held}"
+                    )
+                if held > limit:
+                    ranges.append(
+                        f"router {node} out(p{out_port},v{vc}) "
+                        f"credits {held} exceed capacity {limit}"
+                    )
+        problems.extend(owned)
+    problems.extend(ranges)
     return problems
 
 
 # ----------------------------------------------------------------------
-# Credit checks (every link, including NI injection links)
+# Credit conservation (every link, including NI injection links)
 # ----------------------------------------------------------------------
-def _scheduled_flits_by_dest(net: Network) -> Counter:
-    """(node, port, vc) -> flits in flight toward that input VC."""
-    counts: Counter = Counter()
+def _check_links(net: Network) -> List[str]:
+    """``capacity == credits + buffered + in-flight + returning`` per VC.
+
+    Covers every credit link in the upstream map: router-to-router mesh
+    links and the NI injection links.  In-flight flits and returning
+    credits are tallied once per link; a label is formatted only for a
+    VC that violates.
+    """
+    arriving: Dict[tuple, Dict[int, int]] = {}
     for node, port, vc, _flit in net._arrivals:
         if port >= 0:
-            counts[(node, port, vc)] += 1
-    return counts
-
-
-def _scheduled_credits_by_link(net: Network) -> Counter:
-    """(id(OutputPort), vc) -> credit returns in flight to that link."""
-    counts: Counter = Counter()
-    for port, vc in net._credits:
-        counts[(id(port), vc)] += 1
-    return counts
-
-
-def _check_credits(net: Network, census: _Census) -> List[str]:
-    problems = []
-    flits_en_route = _scheduled_flits_by_dest(net)
-    credits_en_route = _scheduled_credits_by_link(net)
-
-    # Range checks on every output port, ejection ports included.
-    for router in net.routers:
-        for port_idx, out in router.outputs.items():
-            for vc in range(out.num_vcs):
-                credits = out.credits[vc]
-                if credits < 0:
-                    problems.append(
-                        f"router {router.node} out(p{port_idx},v{vc}) "
-                        f"negative credits {credits}"
-                    )
-                if credits > out.capacity:
-                    problems.append(
-                        f"router {router.node} out(p{port_idx},v{vc}) "
-                        f"credits {credits} exceed capacity {out.capacity}"
-                    )
-
-    # Range + full conservation over every credit link in the upstream
-    # map: router-to-router mesh links and the NI injection links the
-    # original checker never audited.
-    for (node, port), link in net.upstream.items():
-        downstream = net.routers[node].inputs.get(port)
+            tally = arriving.setdefault((node, port), {})
+            tally[vc] = tally.get(vc, 0) + 1
+    returning: Dict[int, Dict[int, int]] = {}
+    for link, vc in net._credits:
+        tally = returning.setdefault(id(link), {})
+        tally[vc] = tally.get(vc, 0) + 1
+    problems: List[str] = []
+    routers = net.routers
+    for key, link in net.upstream.items():
+        node, port = key
+        downstream = routers[node].inputs.get(port)
         if downstream is None:
             problems.append(
                 f"upstream link targets missing input p{port} of router {node}"
             )
             continue
+        capacity = link.capacity
+        credits = link.credits
+        flits = arriving.get(key)
+        back = returning.get(id(link))
         for vc in range(link.num_vcs):
-            credits = link.credits[vc]
-            label = f"link into router {node} in(p{port},v{vc})"
-            if credits < 0:
-                problems.append(f"{label}: negative credits {credits}")
-            if credits > link.capacity:
-                problems.append(
-                    f"{label}: credits {credits} exceed capacity "
-                    f"{link.capacity}"
-                )
+            held = credits[vc]
             occupancy = len(downstream[vc].queue)
-            in_flight = flits_en_route.get((node, port, vc), 0)
-            returning = credits_en_route.get((id(link), vc), 0)
-            accounted = credits + occupancy + in_flight + returning
-            if accounted != link.capacity:
+            in_flight = flits.get(vc, 0) if flits else 0
+            returns = back.get(vc, 0) if back else 0
+            accounted = held + occupancy + in_flight + returns
+            if accounted == capacity and 0 <= held <= capacity:
+                continue
+            label = f"link into router {node} in(p{port},v{vc})"
+            if held < 0:
+                problems.append(f"{label}: negative credits {held}")
+            if held > capacity:
                 problems.append(
-                    f"{label}: credit leak — credits {credits} + buffered "
+                    f"{label}: credits {held} exceed capacity {capacity}"
+                )
+            if accounted != capacity:
+                problems.append(
+                    f"{label}: credit leak — credits {held} + buffered "
                     f"{occupancy} + in-flight {in_flight} + returning "
-                    f"{returning} = {accounted} != capacity {link.capacity}"
+                    f"{returns} = {accounted} != capacity {capacity}"
                 )
     return problems
 
@@ -383,24 +392,29 @@ def _check_eject_conservation(net: Network, census: _Census) -> List[str]:
     upstream of the ejection commit (in NI buffers, router queues or on
     links) — this covers partially-ejected wormhole packets exactly.
     """
+    # Packets committed to an ejection port but not yet fully in its
+    # receive queue (known by a surviving flit), grouped by port once.
+    committed: Dict[int, List[tuple]] = {}
+    in_network = census.in_network
+    for pid, packet in census.packets.items():
+        if packet.delivered is None and packet.eject_port is not None:
+            committed.setdefault(id(packet.eject_port), []).append(
+                (pid, packet.size - in_network.get(pid, 0))
+            )
     problems = []
     for router in net.routers:
         for eject in router.eject_ports:
             out = router.outputs[eject]
-            consumed = 0
-            seen: set = set()
             queue = net.receive_queues.get((router.node, eject), ())
+            consumed = 0
             for packet, _link in queue:
                 consumed += packet.size
-                seen.add(packet.pid)
-            # Packets committed to this ejection port but not yet fully
-            # in the receive queue (identifiable from any surviving flit).
-            for pid, packet in census.packets.items():
-                if pid in seen or packet.delivered is not None:
-                    continue
-                if packet.eject_port is not out:
-                    continue
-                consumed += packet.size - census.in_network.get(pid, 0)
+            pending = committed.get(id(out))
+            if pending:
+                seen = {packet.pid for packet, _link in queue}
+                for pid, slots in pending:
+                    if pid not in seen:
+                        consumed += slots
             accounted = out.credits[0] + consumed
             if accounted != out.capacity:
                 problems.append(
@@ -416,34 +430,31 @@ def _check_ni_buffers(net: Network) -> List[str]:
     problems = []
     for ni in net.nis:
         for idx, buf in enumerate(ni.buffers):
-            label = f"NI {ni.node} buffer {idx} (-> router {buf.target_node})"
-            if buf.failed and (buf.flits or buf.cur_vc is not None):
-                problems.append(
-                    f"{label}: quarantined but holds "
-                    f"{len(buf.flits)} flit(s), cur_vc {buf.cur_vc}"
+            flits, cur_vc, owners = buf.flits, buf.cur_vc, buf.link.owner
+            found = []
+            if buf.failed and (flits or cur_vc is not None):
+                found.append(
+                    f"quarantined but holds {len(flits)} flit(s), cur_vc {cur_vc}"
                 )
-            if buf.draining and buf.cur_vc is None:
-                problems.append(f"{label}: draining without a held VC")
-            pids = {flit.packet.pid for flit in buf.flits}
-            if len(pids) > 1:
-                problems.append(f"{label}: flits of {len(pids)} packets")
-            if buf.flits and len(buf.flits) > buf.flits[0].packet.size:
-                problems.append(
-                    f"{label}: {len(buf.flits)} flits exceed packet size "
-                    f"{buf.flits[0].packet.size}"
+            if buf.draining and cur_vc is None:
+                found.append("draining without a held VC")
+            packets = len({flit.packet.pid for flit in flits})
+            if packets > 1:
+                found.append(f"flits of {packets} packets")
+            if flits and len(flits) > flits[0].packet.size:
+                found.append(
+                    f"{len(flits)} flits exceed packet size {flits[0].packet.size}"
                 )
-            if buf.cur_vc is not None:
-                if buf.link.owner[buf.cur_vc] is not buf:
-                    problems.append(
-                        f"{label}: holds v{buf.cur_vc} but link owner is "
-                        f"{buf.link.owner[buf.cur_vc]!r}"
-                    )
-            for vc in range(buf.link.num_vcs):
-                if buf.link.owner[vc] is buf and buf.cur_vc != vc:
-                    problems.append(
-                        f"{label}: link v{vc} owned by buffer whose "
-                        f"cur_vc is {buf.cur_vc}"
-                    )
+            if cur_vc is not None and owners[cur_vc] is not buf:
+                found.append(f"holds v{cur_vc} but link owner is {owners[cur_vc]!r}")
+            found.extend(
+                f"link v{vc} owned by buffer whose cur_vc is {cur_vc}"
+                for vc in range(buf.link.num_vcs)
+                if owners[vc] is buf and cur_vc != vc
+            )
+            if found:
+                label = f"NI {ni.node} buffer {idx} (-> router {buf.target_node})"
+                problems.extend(f"{label}: {text}" for text in found)
     return problems
 
 

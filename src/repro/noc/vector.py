@@ -179,8 +179,14 @@ class _SoA:
         credits: List[int] = []
         self.out_idx: Dict[Tuple[int, int], int] = {}
         self.id2oi: Dict[int, int] = {}
+        # Node n owns outputs node_oi[n]:node_oi[n + 1], and the credit
+        # slots node_cs[n]:node_cs[n + 1]: one contiguous range each.
+        node_oi: List[int] = []
+        node_cs: List[int] = []
         base = 0
         for node, router in enumerate(routers):
+            node_oi.append(len(out_obj))
+            node_cs.append(base)
             for port in sorted(router.outputs):
                 out = router.outputs[port]
                 oi = len(out_obj)
@@ -201,6 +207,8 @@ class _SoA:
                     owner.append(out.owner[v])
                     credits.append(out.credits[v])
                 base += out.num_vcs
+        self.node_oi = node_oi + [len(out_obj)]
+        self.node_cs = node_cs + [base]
         self.out_obj = out_obj
         self.out_node = out_node
         self.out_port_nr = out_port_nr
@@ -933,45 +941,50 @@ class _SoA:
     def materialize_inputs(self, router: Router) -> None:
         """Per-router step of :meth:`materialize`: input VCs and counts."""
         node = router.node
-        V = self.V
-        P = self.P
-        C = self.C
-        cmask = self.cmask
-        qlen = self.qlen
-        headpos = self.headpos
-        ring = self.ring
-        f_objs = self.f_objs
-        f_buffered = self.f_buffered
-        node_base = node * P * V
+        V, P, C, cmask = self.V, self.P, self.C, self.cmask
+        # The router's slots are one contiguous range: read each array
+        # once, as a list slice, and index plain lists.
+        lo = node * P * V
+        hi = lo + P * V
+        qlen = self.qlen[lo:hi].tolist()
+        route_cs = self.route_cs[lo:hi].tolist()
+        route_oi = self.route_oi[lo:hi].tolist()
+        headpos = self.headpos[lo:hi].tolist() if any(qlen) else None
+        oi0 = self.node_oi[node]
+        bases = self.out_base[oi0:self.node_oi[node + 1]].tolist()
+        rr_in = self.rr_in[node * P:node * P + P].tolist()
+        out_port_nr, f_objs, f_buffered = (
+            self.out_port_nr, self.f_objs, self.f_buffered
+        )
         count = 0
         for p in router.input_ports:
             port_flits = 0
             vcs = router.inputs[p]
             for vc in range(V):
-                slot = node_base + p * V + vc
+                i = p * V + vc
                 ivc = vcs[vc]
                 queue = ivc.queue
                 queue.clear()
-                length = int(qlen[slot])
+                length = qlen[i]
                 if length:
-                    h = int(headpos[slot])
+                    h = headpos[i]
+                    ring = self.ring[(lo + i) * C:(lo + i + 1) * C].tolist()
                     for k in range(length):
-                        vid = int(ring[slot * C + ((h + k) & cmask)])
+                        vid = ring[(h + k) & cmask]
                         flit = f_objs[vid]
                         flit.buffered_at = int(f_buffered[vid])
                         queue.append(flit)
                     port_flits += length
-                cs = int(self.route_cs[slot])
+                cs = route_cs[i]
                 if cs >= 0:
-                    oi = int(self.route_oi[slot])
-                    ivc.out_port = self.out_port_nr[oi]
-                    ivc.out_vc = cs - int(self.out_base[oi])
+                    oi = route_oi[i]
+                    ivc.out_port = out_port_nr[oi]
+                    ivc.out_vc = cs - bases[oi - oi0]
                 else:
-                    ivc.out_port = None
-                    ivc.out_vc = None
+                    ivc.out_port = ivc.out_vc = None
             router.port_flits[p] = port_flits
             count += port_flits
-            router.rr_in[p] = int(self.rr_in[node * P + p])
+            router.rr_in[p] = rr_in[p]
         router.flit_count = count
         router.peak_flits = int(self.peak[node])
         # Whatever its last object-path tick concluded no longer holds.
@@ -981,17 +994,24 @@ class _SoA:
         """Per-router step of :meth:`materialize`: credits and owners."""
         node = router.node
         V = self.V
-        for port, out in router.outputs.items():
-            oi = self.out_idx[(node, port)]
-            b = int(self.out_base[oi])
+        oi0, oi1 = self.node_oi[node], self.node_oi[node + 1]
+        b, end = self.node_cs[node], self.node_cs[node + 1]
+        credits = self.credits_all[b:end].tolist()
+        owned = self.owned[b:end].tolist()
+        codes = self.owner_code[b:end].tolist()
+        rrs = self.out_rr[oi0:oi1].tolist()
+        k = 0
+        for out, rr in zip(self.out_obj[oi0:oi1], rrs):
+            owner = out.owner
             for v in range(out.num_vcs):
-                out.credits[v] = int(self.credits_all[b + v])
-                if self.owned[b + v]:
-                    code = int(self.owner_code[b + v])
-                    out.owner[v] = (code // V, code % V)
+                out.credits[v] = credits[k]
+                if owned[k]:
+                    code = codes[k]
+                    owner[v] = (code // V, code % V)
                 else:
-                    out.owner[v] = None
-            out.rr = int(self.out_rr[oi])
+                    owner[v] = None
+                k += 1
+            out.rr = rr
 
     def materialize(self, net: Network) -> None:
         """Write SoA state back onto the Router/OutputPort objects.

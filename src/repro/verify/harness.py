@@ -24,6 +24,7 @@ the replay artifact.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -101,6 +102,8 @@ class PropertyOutcome:
 
     prop: str
     examples: int = 0
+    # Wall-clock seconds the property took, shrinking included.
+    seconds: float = 0.0
     failure: Optional[VerifyCase] = None
     error: str = ""
     artifact_path: Optional[Path] = None
@@ -139,7 +142,10 @@ class VerifyReport:
         ]
         for outcome in self.outcomes:
             status = "ok" if outcome.ok else "FAIL"
-            line = f"  [{status}] {outcome.prop}: {outcome.examples} cases"
+            line = (
+                f"  [{status}] {outcome.prop}: {outcome.examples} cases "
+                f"in {outcome.seconds:.1f} s"
+            )
             if outcome.artifact_path is not None:
                 line += f" -> {outcome.artifact_path}"
             lines.append(line)
@@ -254,7 +260,9 @@ def run_profile(
     ]
     for prop, check, strategy, budget in plan:
         log(f"verify: {prop} ({budget} examples, profile={profile.name})")
+        start = time.perf_counter()
         outcome = _drive(prop, check, strategy, budget, log)
+        outcome.seconds = time.perf_counter() - start
         if outcome.failure is not None and artifact_dir is not None:
             outcome.artifact_path = artifact_mod.write_failure(
                 artifact_dir, prop, outcome.failure, outcome.error

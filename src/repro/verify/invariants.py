@@ -14,6 +14,10 @@ contract:
 * **delivery accounting** — at the end every network is idle, every
   injected flit is ejected or in the ``flits_dropped`` fault ledger,
   and every created packet is delivered;
+* **zero-load model** — no packet's latency ever fell below the
+  ``hops + size + 2`` model ``Network._deliver`` splits it with
+  (``LatencyAccumulator.clamped`` is zero), so the queuing /
+  non-queuing split of Figure 10 is unbiased;
 * **fault inertness** — if the case's plan never actually fired, the
   fault ledgers must be exactly zero.
 
@@ -190,6 +194,12 @@ def end_state_problems(run: CaseRun) -> List[str]:
                 f"net.{net.name}: packet accounting — created "
                 f"{stats.packets_created} != delivered "
                 f"{stats.packets_delivered}"
+            )
+        clamped = sum(acc.clamped for acc in stats.latency.values())
+        if clamped:
+            problems.append(
+                f"net.{net.name}: zero-load model — {clamped} packet(s) "
+                f"delivered faster than hops + size + 2 (latency clamped)"
             )
         if not run.fired and (stats.flits_dropped or stats.packets_recovered):
             problems.append(

@@ -8,6 +8,7 @@ simulator regression.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +41,7 @@ from repro.verify import (
     write_failure,
 )
 from repro.verify.harness import _drive
+from repro.verify.invariants import end_state_problems
 from repro.verify.strategies import cases
 
 QUICK = dict(scheme="SingleBase", benchmark="backprop", width=4,
@@ -175,6 +177,19 @@ class TestDrivers:
         run = check_invariants_case(VerifyCase(**QUICK))
         assert run.transactions_completed == run.transactions_total
         assert run.result.cycles < run.case.max_cycles
+
+    def test_latency_clamp_breaks_the_end_state_contract(self):
+        # A clamp means the zero-load model hops + size + 2 overestimated
+        # a real path; fabricate one on a clean run.
+        run = run_case(VerifyCase(**QUICK))
+        assert end_state_problems(run) == []
+        net = run.fabric.networks[0][0]
+        next(iter(net.stats.latency.values())).clamped = 2
+        problems = end_state_problems(run)
+        assert problems == [
+            f"net.{net.name}: zero-load model — 2 packet(s) delivered "
+            f"faster than hops + size + 2 (latency clamped)"
+        ]
 
     def test_liveness_violation_raises(self):
         # max_cycles far below what the workload needs: the bounded
@@ -517,3 +532,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "all passed" in out
+        # Each property's line names its wall time.
+        for prop, examples in (
+            ("invariants", 3), ("differential", 2), ("engine-parity", 2)
+        ):
+            assert re.search(
+                rf"\[ok\] {prop}: {examples} cases in \d+\.\d s$", out, re.M
+            ), out

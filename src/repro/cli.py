@@ -208,41 +208,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .harness import bench
-
-    # Usage errors exit 2 before any scenario runs; exit 1 is reserved
-    # for "the gate found a violation".
-    unknown = sorted(set(args.scenarios or ()) - set(bench.SCENARIOS))
-    if unknown:
-        print(f"error: unknown bench scenario(s) {', '.join(unknown)}; "
-              f"known: {', '.join(sorted(bench.SCENARIOS))}",
-              file=sys.stderr)
-        return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = bench.load_bench(args.baseline)
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot gate against {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-    data = bench.run_bench(args.scenarios or None, args.repeat)
-    print(bench.format_bench(data))
-    path = bench.write_bench(args.output, data)
-    print(f"bench results written to {path}")
-    if baseline is not None:
-        violations = bench.compare_bench(data, baseline)
-        if violations:
-            print(f"\nbench gate FAILED vs {args.baseline}:",
-                  file=sys.stderr)
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-            return 1
-        print(f"bench gate passed vs {args.baseline}")
-    return 0
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     from .harness import figures
 
@@ -605,23 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "16x16)")
     d_query.add_argument("--json", action="store_true")
     d_query.set_defaults(func=_cmd_sweepd_query)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the checksum scenarios; gate against a baseline"
-    )
-    p_bench.add_argument("--repeat", type=int, default=3,
-                         help="take the best of N runs (default 3)")
-    p_bench.add_argument("--scenarios", nargs="*", metavar="NAME",
-                         help="subset of scenarios to run "
-                              "(default: all)")
-    p_bench.add_argument("--output", default="BENCH.json",
-                         help="where to write the results "
-                              "(default BENCH.json)")
-    p_bench.add_argument("--baseline", metavar="PATH",
-                         help="gate against this BENCH.json: exit 1 on "
-                              "any checksum change or a failed same-run "
-                              "engine check, 2 if it cannot be read")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_fig = sub.add_parser("figure", help="regenerate a light paper figure")
     _add_common(p_fig)

@@ -149,13 +149,9 @@ def build_fabric(
 
 def _latency_ns(fabric: Fabric) -> LatencyNs:
     """Aggregate request/reply latency over the fabric's networks, in ns."""
-    sums = {
-        "request_queuing": 0.0,
-        "request_non_queuing": 0.0,
-        "reply_queuing": 0.0,
-        "reply_non_queuing": 0.0,
-    }
     counts = {"request": 0, "reply": 0}
+    parts = ("queuing", "non_queuing")
+    sums = {f"{label}_{part}": 0.0 for label in counts for part in parts}
     req_types = (PacketType.READ_REQUEST, PacketType.WRITE_REQUEST)
     rep_types = (PacketType.READ_REPLY, PacketType.WRITE_REPLY)
     for net, ratio, _role in fabric.networks:
@@ -168,22 +164,13 @@ def _latency_ns(fabric: Fabric) -> LatencyNs:
                 counts[label] += acc.count
                 sums[f"{label}_queuing"] += acc.queuing * ns_per_cycle
                 sums[f"{label}_non_queuing"] += acc.non_queuing * ns_per_cycle
-    return LatencyNs(
-        request_queuing=(
-            sums["request_queuing"] / counts["request"] if counts["request"] else 0.0
-        ),
-        request_non_queuing=(
-            sums["request_non_queuing"] / counts["request"]
-            if counts["request"]
-            else 0.0
-        ),
-        reply_queuing=(
-            sums["reply_queuing"] / counts["reply"] if counts["reply"] else 0.0
-        ),
-        reply_non_queuing=(
-            sums["reply_non_queuing"] / counts["reply"] if counts["reply"] else 0.0
-        ),
-    )
+    return LatencyNs(**{
+        f"{label}_{part}": (
+            sums[f"{label}_{part}"] / counts[label] if counts[label] else 0.0
+        )
+        for label in counts
+        for part in parts
+    })
 
 
 def _reply_bits_fraction(fabric: Fabric) -> float:

@@ -118,19 +118,33 @@ class SweepReport:
     wall_s: float
     jobs: int
 
+    def _keyed(self) -> List[CellOutcome]:
+        """``outcomes``, once each ``(scheme, benchmark)`` key is known
+        to name one of them: two outcomes on one key (say two widths)
+        raise instead of the mappings silently keeping the last."""
+        seen: Dict[Tuple[str, str], ExperimentConfig] = {}
+        for o in self.outcomes:
+            if o.cell.key in seen:
+                raise ValueError(
+                    f"{o.cell.label} ran twice, under {seen[o.cell.key]} "
+                    f"and {o.cell.config}: read .outcomes instead"
+                )
+            seen[o.cell.key] = o.cell.config
+        return self.outcomes
+
     def results(self) -> Dict[Tuple[str, str], ExperimentResult]:
         """Successful cells as the classic ``run_suite`` mapping."""
-        return {o.cell.key: o.result for o in self.outcomes if o.ok}
+        return {o.cell.key: o.result for o in self._keyed() if o.ok}
 
     def errors(self) -> Dict[Tuple[str, str], str]:
         """Failed cells and their captured tracebacks."""
-        return {o.cell.key: o.error for o in self.outcomes if not o.ok}
+        return {o.cell.key: o.error for o in self._keyed() if not o.ok}
 
     def stall_dumps(self) -> Dict[Tuple[str, str], str]:
         """Failed cells whose exception carried a diagnostic dump."""
         return {
             o.cell.key: o.stall_dump
-            for o in self.outcomes
+            for o in self._keyed()
             if o.stall_dump is not None
         }
 
@@ -174,7 +188,8 @@ class SweepReport:
             for o in ranked[:slowest]
         ]
         lines = [
-            f"{len(self.outcomes)} cells, {len(self.errors())} failed, "
+            f"{len(self.outcomes)} cells, "
+            f"{sum(not o.ok for o in self.outcomes)} failed, "
             f"jobs={self.jobs}: {self.cell_seconds:.1f}s of work in "
             f"{self.wall_s:.1f}s wall ({self.speedup:.2f}x)",
             format_table(("Cell", "Seconds", "Status"), rows),

@@ -54,6 +54,14 @@ class TestParser:
             build_parser().parse_args(["sweep"] + flag)
         assert exc_info.value.code == 2
 
+    def test_bench_is_an_unknown_command(self, capsys):
+        # The checksum command's guarantees moved to the golden cell
+        # table (tests/test_golden_cells.py) and bench/.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--baseline", "x.json"])
+        assert exc_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -5,15 +5,14 @@
   and missed whole packages; this keeps it honest in both directions.
   Packages are named by their directory line, so ``__init__.py`` files
   are not listed.
-* The bench-gate figures quoted in README and docs/VECTOR.md must be the
-  gate's constants (CI once quoted "3x" two releases after the floor
-  became 1.4).
+* Nothing outside the history files describes the retired checksum
+  command, its baseline or its CI job, and README's row count of the
+  golden cell table is the table's.
 """
 
+import json
 import re
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -50,26 +49,35 @@ def test_design_tree_matches_the_source_tree():
     assert actual - set(named) == set(), "modules missing from DESIGN.md"
 
 
-def _paragraph(path, start):
-    """The blank-line-delimited paragraph of ``path`` opening with
-    ``start``."""
-    text = (ROOT / path).read_text()
-    return text.split("\n" + start, 1)[1].split("\n\n", 1)[0]
+# Where the project describes itself.  CHANGES.md and ROADMAP.md keep
+# history, and bench/ changes only with the benchmark itself.
+DESCRIBED = (
+    "README.md", "DESIGN.md", "EXPERIMENTS.md", "pyproject.toml",
+    ".gitignore", ".github", "docs", "src", "tests", "examples",
+    "benchmarks", "results",
+)
+RETIRED = re.compile(r"repro bench\b|BENCH_BASELINE|bench-gate")
 
 
-@pytest.mark.parametrize("path, start", [
-    ("README.md", "CI's `bench-gate` job"),
-    ("docs/VECTOR.md", "3. **CI bench gate**"),
-], ids=["README", "VECTOR"])
-def test_quoted_bench_gate_figures_are_the_constants(path, start):
-    from repro.harness.bench import (
-        MAX_FALLBACK_SHARE,
-        MIN_ENGINE_SPEEDUP,
-        MIN_LOW_LOAD_RATIO,
-    )
+def test_nothing_describes_the_retired_bench_gate():
+    """The checksum command, its baseline file and its CI job are gone;
+    the golden cell table (tests/test_golden_cells.py) replaced them."""
+    mentions = []
+    for name in DESCRIBED:
+        top = ROOT / name
+        for path in [top] if top.is_file() else sorted(top.rglob("*")):
+            if not path.is_file() or path == Path(__file__).resolve() \
+                    or "__pycache__" in path.parts:
+                continue
+            text = path.read_text(errors="ignore")
+            mentions += [f"{path.relative_to(ROOT)}: {match.group()}"
+                         for match in RETIRED.finditer(text)]
+    assert mentions == []
 
-    text = _paragraph(path, start)
-    ratios = {float(x) for x in re.findall(r"(\d+(?:\.\d+)?)×", text)}
-    shares = {float(x) for x in re.findall(r"(\d+(?:\.\d+)?) ?%", text)}
-    assert ratios == {MIN_ENGINE_SPEEDUP, MIN_LOW_LOAD_RATIO}, text
-    assert shares == {round(MAX_FALLBACK_SHARE * 100, 6)}, text
+
+def test_readme_quotes_the_golden_row_count():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Golden cells\n", 1)[1].split("\n## ", 1)[0]
+    quoted = {int(n) for n in re.findall(r"(\d+) rows\b", section)}
+    table = json.loads((ROOT / "results" / "golden_cells.json").read_text())
+    assert quoted == {len(table) - 1}  # every key but "schema" is a row

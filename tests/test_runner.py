@@ -15,7 +15,9 @@ from repro.harness import cache
 from repro.harness.experiment import ExperimentConfig, run_suite
 from repro.harness.metrics import ExperimentResult, LatencyNs
 from repro.harness.runner import (
+    CellOutcome,
     SweepCell,
+    SweepReport,
     cell_seed,
     expand_grid,
     run_sweep,
@@ -156,6 +158,38 @@ class TestRunSweep:
         assert suite[key].stats_fingerprint == (
             report.results()[key].stats_fingerprint
         )
+
+
+class TestMixedConfigReport:
+    """Two outcomes on one ``(scheme, benchmark)`` key, built by hand."""
+
+    @staticmethod
+    def _report():
+        def outcome(width, error):
+            result = None if error else ExperimentResult(
+                scheme="EquiNox", benchmark="kmeans", width=width,
+                cycles=1, instructions=1, energy_nj=1.0, area_mm2=1.0,
+                latency=LatencyNs(), reply_bits_fraction=0.5,
+                pe_stall_cycles=0, cb_stall_cycles=0,
+                stats_fingerprint="ab",
+            )
+            cell = SweepCell("EquiNox", "kmeans",
+                             ExperimentConfig(width=width))
+            return CellOutcome(cell, result, error, 1.0, 1,
+                               stall_dump=error and "dump")
+        return SweepReport([outcome(12, None), outcome(16, "boom"),
+                            outcome(16, "bang")], wall_s=3.0, jobs=1)
+
+    @pytest.mark.parametrize("accessor",
+                             ["results", "errors", "stall_dumps"])
+    def test_keyed_accessors_refuse_to_collapse(self, accessor):
+        with pytest.raises(ValueError) as info:
+            getattr(self._report(), accessor)()
+        assert "width=12" in str(info.value)
+        assert "width=16" in str(info.value)
+
+    def test_summary_counts_every_failed_outcome(self):
+        assert "3 cells, 2 failed" in self._report().summary()
 
 
 class TestDeterminism:

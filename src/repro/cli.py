@@ -65,13 +65,6 @@ def _add_validation(parser: argparse.ArgumentParser) -> None:
              "REPRO_FAULTS",
     )
     parser.add_argument(
-        "--scheduler", choices=["dense", "active"], default="",
-        help="tick discipline: 'active' skips workless components and "
-             "fast-forwards quiescent gaps, 'dense' walks everything "
-             "(the differential oracle); default = REPRO_SCHEDULER env "
-             "or active — both are bit-identical",
-    )
-    parser.add_argument(
         "--engine", choices=["object", "vector"], default="",
         help="tick engine: 'object' is the per-object golden "
              "reference, 'vector' the struct-of-arrays batched engine; "
@@ -128,7 +121,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         validate=getattr(args, "validate", 0),
         watchdog_cycles=getattr(args, "watchdog_cycles", 0),
         faults=faults,
-        scheduler=getattr(args, "scheduler", ""),
         engine=getattr(args, "engine", ""),
         telemetry=getattr(args, "telemetry", 0),
     ))

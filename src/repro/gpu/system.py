@@ -134,12 +134,9 @@ class System:
         # Base cycles skipped by quiescence fast-forward (active
         # scheduler only; 0 under the dense oracle by construction).
         self.fast_forwarded_cycles = 0
-        telemetry = cfg.telemetry
-        if telemetry is not None and not telemetry.enabled:
-            telemetry = None  # NullTelemetry: nothing to sample
-        self.telemetry = telemetry
-        if telemetry is not None:
-            self._register_telemetry(telemetry)
+        self.telemetry = cfg.telemetry
+        if self.telemetry is not None:
+            self._register_telemetry(self.telemetry)
 
     # ------------------------------------------------------------------
     def _register_telemetry(self, registry: "object") -> None:

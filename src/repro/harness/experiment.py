@@ -37,7 +37,7 @@ from .metrics import ExperimentResult, LatencyNs
 class ExperimentConfig:
     """Harness-level knobs shared across a batch of runs.
 
-    The last six fields may also come from the environment:
+    The last five fields may also come from the environment:
     :func:`repro.settings.resolve` fills each one still at its default
     here from its ``REPRO_*`` variable, at the harness entry points
     and before the config is hashed or shipped.
@@ -59,11 +59,6 @@ class ExperimentConfig:
     # Deterministic fault schedule (noc.faults.FaultSpec tuple); an
     # armed but never-firing plan leaves results bit-identical.
     faults: Tuple[FaultSpec, ...] = ()
-    # Tick discipline: "active" (skip workless components, fast-forward
-    # quiescent gaps) or "dense" (walk everything — the differential
-    # oracle).  Empty means active.  Both produce bit-identical stats
-    # fingerprints.
-    scheduler: str = ""
     # Tick engine: "object" (per-object golden reference) or "vector"
     # (struct-of-arrays batched tick, repro.noc.vector).  Empty means
     # object.  Both produce bit-identical stats fingerprints (enforced
@@ -120,9 +115,16 @@ def config_from_dict(data: Dict[str, object]) -> ExperimentConfig:
 
 
 def build_fabric(
-    scheme_name: str, config: ExperimentConfig
+    scheme_name: str,
+    config: ExperimentConfig,
+    scheduler: Optional[str] = None,
 ) -> Fabric:
-    """Instantiate a scheme's fabric at the configured size."""
+    """Instantiate a scheme's fabric at the configured size.
+
+    ``scheduler`` is not a user option: every run ticks with the active
+    scheduler, and ``"dense"`` is the differential oracle that
+    ``repro.verify`` and the tests build.
+    """
     config = resolve(config)
     scheme = get_config(scheme_name)
     grid = Grid(config.width)
@@ -135,14 +137,13 @@ def build_fabric(
         )
         return Fabric(
             scheme, grid, design.placement.nodes, equinox_design=design,
-            scheduler=config.scheduler or None,
-            engine=config.engine or None,
+            scheduler=scheduler, engine=config.engine or None,
         )
     placement = cache.placement(
         scheme.placement_name, config.width, config.num_cbs
     )
     return Fabric(
-        scheme, grid, placement.nodes, scheduler=config.scheduler or None,
+        scheme, grid, placement.nodes, scheduler=scheduler,
         engine=config.engine or None,
     )
 
@@ -204,7 +205,7 @@ def run_with_fabric(
     profile = profiles.get(benchmark_name)
     injector: Optional[FaultInjector] = None
     if config.faults:
-        if not fabric.supports_faults:
+        if not fabric.config.supports_faults:
             raise ValueError(
                 f"scheme {scheme_name or fabric.config.name!r} does not "
                 f"support fault plans (topology "

@@ -344,13 +344,10 @@ def run_sweep(
     cells: Sequence[SweepCell],
     jobs: int = 1,
     progress: bool = False,
-    warm: bool = True,
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     backoff_s: float = 0.05,
     store: Optional[object] = None,
-    lease_s: float = FLEET_LEASE_S,
-    heartbeat_s: float = FLEET_HEARTBEAT_S,
 ) -> SweepReport:
     """Run sweep cells, optionally across ``jobs`` worker processes.
 
@@ -404,7 +401,7 @@ def run_sweep(
     outcomes: List[Optional[CellOutcome]] = [None] * total
     policy = BusPolicy(retries=retries, backoff_s=backoff_s)
     options = service.WorkerOptions(
-        lease_s=lease_s, heartbeat_s=heartbeat_s,
+        lease_s=FLEET_LEASE_S, heartbeat_s=FLEET_HEARTBEAT_S,
         cell_timeout=cell_timeout,
     )
     task_index: Dict[str, int] = {}
@@ -440,8 +437,7 @@ def run_sweep(
         )
         drain_terminal(memory_bus)
     elif cells:
-        if warm:
-            warm_design_cache(cells)
+        warm_design_cache(cells)
         with tempfile.TemporaryDirectory(prefix="repro-sweep-bus-") as tmp:
             bus = SqliteBus(os.path.join(tmp, "bus.sqlite"), policy=policy)
             enqueue(bus)

@@ -16,7 +16,8 @@ and ``_credits``, holding what the *next* tick applies.
 
 Scheduling: two tick disciplines produce bit-identical behaviour.  The
 *dense* scheduler walks every router and NI each cycle (the
-differential-testing oracle); the *active* scheduler (default) visits
+differential-testing oracle, built by ``repro.verify`` and the tests,
+never a user option); the *active* scheduler (default) visits
 only armed components — routers holding flits and NIs with queued
 packets or loaded buffers — and relies on every work-creating event
 (flit arrival, NI enqueue, fault requeue) waking the affected
@@ -49,8 +50,8 @@ ENGINES = ("object", "vector")
 
 
 def resolve_scheduler(value: Optional[str] = None) -> str:
-    """Normalise a scheduler choice (``None``/empty = active)."""
-    value = (value or "active").strip().lower()
+    """Check a scheduler choice (``None``/empty = active)."""
+    value = value or "active"
     if value not in SCHEDULERS:
         raise ValueError(
             f"unknown scheduler {value!r}; expected one of {SCHEDULERS}"

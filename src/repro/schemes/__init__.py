@@ -3,9 +3,9 @@
 The seven paper schemes (section 5, Figure-9 order) plus two
 independent loop-topology baselines from the literature: ``ring_router``
 (Wu's ring-router NoC) and ``routerless`` (Lin's routerless NoC).
-Each entry is a :class:`SchemeSpec` carrying the config factory and the
-scheme's one capability flag — whether fault plans may target it —
-consumed by the harness and the verify campaign.
+Each entry is a :class:`SchemeSpec` carrying the scheme's config
+factory; capabilities (``SchemeConfig.supports_faults``) follow from
+the config itself.
 """
 
 from dataclasses import dataclass
@@ -28,13 +28,10 @@ from .base import BASE_FREQUENCY_GHZ, Fabric, SchemeConfig
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """One scheme's factory plus its capability flags."""
+    """One scheme's name and config factory."""
 
     name: str
     factory: Callable[[], SchemeConfig]
-    # Whether fault plans may target this scheme (loop topologies have
-    # no detour routing, so a severed loop strands its lanes).
-    supports_faults: bool = True
     # Every scheme runs on every tick engine: not a field, only the one
     # tuple for readers that still ask a spec (bench/wl_sweep.py).
     engines: ClassVar[Tuple[str, ...]] = ENGINES
@@ -50,8 +47,8 @@ SCHEMES: Dict[str, SchemeSpec] = {
         SchemeSpec("DA2Mesh", da2mesh.config),
         SchemeSpec("MultiPort", multiport.config),
         SchemeSpec("EquiNox", equinox.config),
-        SchemeSpec("ring_router", ring_router.config, supports_faults=False),
-        SchemeSpec("routerless", routerless.config, supports_faults=False),
+        SchemeSpec("ring_router", ring_router.config),
+        SchemeSpec("routerless", routerless.config),
     )
 }
 """Spec per scheme, keyed by name: the paper's seven in Figure-9 order,

@@ -56,6 +56,18 @@ class SchemeConfig:
     # loop-covered routerless NoC).
     topology: str = "mesh"
 
+    @property
+    def supports_faults(self) -> bool:
+        """Whether fault plans may target this scheme.
+
+        Loop topologies have no adaptive detour to route around a dead
+        link — a severed loop strands every lane through it — so fault
+        injection is a declared non-capability there, enforced where
+        plans are armed (``run_with_fabric``) and generated
+        (``repro.verify``).
+        """
+        return self.topology == "mesh"
+
     def __post_init__(self) -> None:
         if self.network_type not in ("single", "separate"):
             raise ValueError("network_type must be 'single' or 'separate'")
@@ -296,19 +308,6 @@ class Fabric:
                 for _ in range(config.multiport - 1):
                     self.request_net.add_eject_port(cb)
         self._pop_toggle: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def supports_faults(self) -> bool:
-        """Whether fault plans may target this fabric.
-
-        Loop topologies have no adaptive detour to route around a dead
-        link — a severed loop strands every lane through it — so fault
-        injection is a declared non-capability there, enforced where
-        plans are armed (``run_with_fabric``) and generated
-        (``repro.verify``).
-        """
-        return self.config.topology == "mesh"
 
     # ------------------------------------------------------------------
     def _add_network(self, net: Network, ratio: float, role: str) -> None:

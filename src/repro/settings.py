@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator
 
 from .noc.faults import parse_faults_arg
-from .noc.network import resolve_engine, resolve_scheduler
+from .noc.network import resolve_engine
 
 
 def _integer(raw: str) -> int:
@@ -91,8 +91,6 @@ SETTINGS: Dict[str, Setting] = {
                 "integer > 0: stall-watchdog window in base cycles"),
         Setting("faults", "REPRO_FAULTS", parse_faults_arg, (),
                 "fault plan: a JSON file path or inline JSON"),
-        Setting("scheduler", "REPRO_SCHEDULER", resolve_scheduler, "",
-                "`dense` or `active`"),
         Setting("engine", "REPRO_ENGINE", resolve_engine, "",
                 "`object` or `vector`"),
         Setting("telemetry", "REPRO_TELEMETRY", _interval, 0,

@@ -20,9 +20,7 @@ from .export import (
 )
 from .registry import (
     DEFAULT_INTERVAL,
-    NULL_TELEMETRY,
     SCHEMA_VERSION,
-    NullTelemetry,
     ResidencyProbe,
     SeriesSampler,
     TelemetryRegistry,
@@ -31,9 +29,7 @@ from .registry import (
 
 __all__ = [
     "DEFAULT_INTERVAL",
-    "NULL_TELEMETRY",
     "SCHEMA_VERSION",
-    "NullTelemetry",
     "ResidencyProbe",
     "SeriesSampler",
     "TelemetryRegistry",

@@ -17,9 +17,7 @@ Everything the registry does is *read-only* with respect to the
 simulation: enabling telemetry must keep ``stats_fingerprint``
 bit-identical, and the differential test in ``tests/test_telemetry.py``
 pins that.  When telemetry is disabled the harness carries ``None``
-(one ``is None`` test per cycle); :data:`NULL_TELEMETRY` additionally
-provides a no-op registry object for call sites that want the API
-without the conditionals.
+(one ``is None`` test per cycle).
 """
 
 from __future__ import annotations
@@ -108,8 +106,6 @@ class ResidencyProbe:
 class TelemetryRegistry:
     """A live metrics registry for one simulation run."""
 
-    enabled = True
-
     def __init__(
         self,
         interval: int = DEFAULT_INTERVAL,
@@ -194,47 +190,3 @@ class TelemetryRegistry:
             "series": {s.name: s.export() for s in self._series},
             "residency": {p.name: p.export() for p in self._residency},
         }
-
-
-class NullTelemetry:
-    """A no-op registry: every call is accepted, nothing is recorded.
-
-    Lets call sites register probes and sample unconditionally while
-    paying only attribute lookups — the disabled-path contract the
-    overhead test pins.
-    """
-
-    enabled = False
-    interval = 0
-    samples = 0
-
-    def register_series(self, name, fn, window=None):  # noqa: ARG002
-        return None
-
-    def register_residency(self, name, size, fn):  # noqa: ARG002
-        return None
-
-    def register_final(self, name, fn):  # noqa: ARG002
-        return None
-
-    def set_counter(self, name, value):  # noqa: ARG002
-        return None
-
-    def due(self, cycle) -> bool:  # noqa: ARG002
-        return False
-
-    def sample(self, cycle) -> None:  # noqa: ARG002
-        return None
-
-    def export(self) -> Dict[str, object]:
-        return {
-            "interval": 0,
-            "samples": 0,
-            "counters": {},
-            "series": {},
-            "residency": {},
-        }
-
-
-NULL_TELEMETRY = NullTelemetry()
-"""Shared no-op registry instance."""

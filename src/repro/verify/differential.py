@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..schemes import get_spec
+from ..schemes import get_config
 from .invariants import run_case
 from .space import VerifyCase
 
@@ -71,7 +71,7 @@ def differential_variants(case: VerifyCase) -> Dict[str, VerifyCase]:
         "scheduler": base.with_variant(scheduler=other),
         "telemetry": base.with_variant(telemetry=telemetry),
     }
-    if get_spec(case.scheme).supports_faults:
+    if get_config(case.scheme).supports_faults:
         # Armed-plan purity only applies to schemes that accept fault
         # plans at all; a no-fault-capability scheme rejects even a
         # never-firing plan at arm time (by design, and tested).

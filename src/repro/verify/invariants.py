@@ -116,8 +116,9 @@ def run_case(
     ``SimulationStall`` propagate to the caller.
     """
     with hermetic_env(), arming_regime(case):
-        config = case.experiment_config()
-        fabric = build_fabric(case.scheme, config)
+        fabric = build_fabric(
+            case.scheme, case.experiment_config(), scheduler=case.scheduler
+        )
         injector: Optional[FaultInjector] = None
         if case.faults:
             injector = FaultInjector(fabric, FaultPlan(case.faults))

@@ -26,7 +26,7 @@ from typing import Dict, Tuple
 from ..harness.experiment import ExperimentConfig
 from ..noc.faults import FaultSpec
 from ..noc.network import ENGINES
-from ..schemes import SCHEME_ORDER, get_spec
+from ..schemes import SCHEME_ORDER, get_config
 from ..workloads.profiles import BY_NAME
 
 #: Default simulated-cycle bound: liveness means finishing well inside it.
@@ -66,8 +66,7 @@ class VerifyCase:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; known: {SCHEME_ORDER}"
             )
-        spec = get_spec(self.scheme)
-        if self.faults and not spec.supports_faults:
+        if self.faults and not get_config(self.scheme).supports_faults:
             # Even an armed-but-never-firing plan is rejected at
             # arm time for a no-fault-capability scheme, so the
             # differential harness must not generate one here.
@@ -115,7 +114,6 @@ class VerifyCase:
             max_cycles=self.max_cycles,
             watchdog_cycles=self.watchdog_cycles,
             faults=self.faults,
-            scheduler=self.scheduler,
             engine=self.engine,
         )
 

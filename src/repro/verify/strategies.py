@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from ..noc.faults import FaultSpec
 from ..noc.network import ENGINES
-from ..schemes import SCHEME_ORDER, get_spec
+from ..schemes import SCHEME_ORDER, get_config
 from ..workloads import profiles
 from .space import VerifyCase
 
@@ -162,7 +162,6 @@ def _cases(
     max_cycles: int,
 ) -> VerifyCase:
     scheme = draw(schemes())
-    spec = get_spec(scheme)
     width, num_cbs = draw(_mesh(widths, scheme))
     kwargs = {}
     if max_cycles:
@@ -181,7 +180,7 @@ def _cases(
     )
     if (
         with_faults
-        and spec.supports_faults
+        and get_config(scheme).supports_faults
         and draw(st.integers(0, 9)) < 4
     ):
         case = case.with_variant(

@@ -11,7 +11,6 @@ from .profiles import (
     subset,
     tier,
 )
-from .trace import TraceEntry, TraceRecorder, TraceSource, record_trace
 from .synthetic import (
     SweepPoint,
     SyntheticResult,
@@ -33,10 +32,6 @@ __all__ = [
     "subset",
     "TIERS",
     "tier",
-    "TraceEntry",
-    "TraceRecorder",
-    "TraceSource",
-    "record_trace",
     "SweepPoint",
     "SyntheticResult",
     "run_few_to_many",

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.grid import Grid
+from repro.harness.experiment import ExperimentConfig, build_fabric
 from repro.noc import (
     Network,
     NetworkInterface,
@@ -15,6 +16,7 @@ from repro.noc import (
 )
 from repro.noc.loops import LoopInterface, ring_loops, routerless_loops
 from repro.noc.network import ENGINES, network_class
+from repro.settings import hermetic_env
 
 
 def make_net(width=4, **kwargs):
@@ -272,6 +274,50 @@ class TestLoopZeroLoad:
                             net.tick()
         assert wrong == []
         assert net.stats.packets_delivered == pid == 2 * 36 * 35
+        for acc in net.stats.latency.values():
+            assert (acc.queuing, acc.clamped) == (0, 0)
+        if engine == "vector":
+            assert (net.arms, net.disarms) == (1, 0)
+
+
+class TestEirZeroLoad:
+    """The zero-load model through EquiNox's EIRs.
+
+    A reply a CB injects through an EIR enters the mesh at
+    ``inject_router``, so ``_deliver`` counts hops from there.  A lone
+    reply must take exactly ``hops + size + 2`` cycles for every
+    (CB, PE) pair and both reply sizes, on both engines, over the local
+    path and the EIR path alike, with no queuing and no clamp booked.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_lone_replies_meet_the_model(self, engine):
+        config = ExperimentConfig(width=6, num_cbs=5, mcts_iterations=40,
+                                  engine=engine)
+        with hermetic_env():
+            fabric = build_fabric("EquiNox", config)
+        net, grid = fabric.reply_net, fabric.grid
+        wrong = []
+        sent = via_eir = 0
+        with vector.arming(0, 0):
+            for cb in fabric.placement:
+                for pe in fabric.pes:
+                    for ptype in (PacketType.WRITE_REPLY,
+                                  PacketType.READ_REPLY):
+                        sent += 1
+                        packet = fabric.send_reply(cb, pe, ptype, None)
+                        while net.pop_delivered(pe) is None:
+                            fabric.tick()
+                        inject = packet.inject_router
+                        via_eir += inject != cb
+                        model = grid.hops(inject, pe) + packet.size + 2
+                        if packet.latency != model:
+                            wrong.append((cb, pe, ptype, packet.latency))
+                        while not fabric.quiescent():
+                            fabric.tick()
+        assert wrong == []
+        assert net.stats.packets_delivered == sent == 2 * 5 * 31
+        assert 0 < via_eir < sent  # both injection paths taken
         for acc in net.stats.latency.values():
             assert (acc.queuing, acc.clamped) == (0, 0)
         if engine == "vector":

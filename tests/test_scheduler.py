@@ -16,12 +16,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro import settings
+from repro.cli import main
 from repro.core.grid import Grid
 from repro.gpu.system import SimulationStall, System, SystemConfig
 from repro.harness.experiment import (
     ExperimentConfig,
     build_fabric,
-    run_experiment,
     run_with_fabric,
 )
 from repro.noc import vector
@@ -31,52 +31,45 @@ from repro.noc.network import Network, network_class, resolve_scheduler
 from repro.noc.router import Router
 from repro.noc.types import Packet, PacketType, packet_flits
 from repro.noc.vector import _SoA
-from repro.schemes import SCHEME_ORDER, get_spec
+from repro.schemes import SCHEME_ORDER, get_config
 from repro.workloads import profiles
 from repro.workloads.synthetic import run_uniform
 
 QUICK = dict(quota=10, mcts_iterations=10, validate=64)
 
 
-def _config(scheduler, faults=()):
-    return ExperimentConfig(faults=tuple(faults), scheduler=scheduler,
-                            **QUICK)
+def _config(faults=()):
+    return ExperimentConfig(faults=tuple(faults), **QUICK)
 
 
 # ----------------------------------------------------------------------
-# Knob resolution
+# The choice: a library keyword, never a user option
 # ----------------------------------------------------------------------
 class TestResolveScheduler:
-    def test_default_is_active(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        assert settings.resolve(ExperimentConfig()).scheduler == ""
+    def test_default_is_active(self):
         assert resolve_scheduler() == "active"
+        fabric = build_fabric("SeparateBase", _config())
+        assert fabric.scheduler == "active"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", " Dense ")
-        assert settings.resolve(ExperimentConfig()).scheduler == "dense"
-        # Below the harness edge the variable is not consulted.
-        assert resolve_scheduler() == "active"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "dense")
-        config = ExperimentConfig(scheduler="active")
-        assert settings.resolve(config) is config
-
-    def test_invalid_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("lazy")
-        monkeypatch.setenv("REPRO_SCHEDULER", "lazy")
-        with pytest.raises(ValueError, match="REPRO_SCHEDULER unknown sched"):
-            settings.resolve(ExperimentConfig())
+    def test_invalid_rejected(self):
+        for value in ("lazy", " Dense "):
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                resolve_scheduler(value)
 
     def test_fabric_exposes_choice(self):
-        fabric = build_fabric(
-            "SeparateBase", ExperimentConfig(scheduler="dense", **QUICK)
-        )
+        fabric = build_fabric("SeparateBase", _config(), scheduler="dense")
         assert fabric.scheduler == "dense"
         for net, _ratio, _role in fabric.networks:
             assert net.scheduler == "dense"
+
+    def test_not_a_user_option(self, capsys):
+        assert "scheduler" not in {f.name for f in
+                                   dataclasses.fields(ExperimentConfig)}
+        assert "scheduler" not in settings.SETTINGS
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scheduler", "dense"])
+        assert exc.value.code == 2
+        assert "--scheduler" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -88,22 +81,25 @@ class TestSchedulerDifferential:
     # test_schemes.py::TestLoopSchemes.
     @pytest.mark.parametrize(
         "scheme",
-        [s for s in SCHEME_ORDER if get_spec(s).supports_faults],
+        [s for s in SCHEME_ORDER if get_config(s).supports_faults],
     )
     def test_scheme_bit_identical_with_firing_faults(self, scheme):
         # Fault the first CB's reply-injection buffer mid-run (firing),
         # and arm a never-firing mesh fault: both the fault machinery
         # and the armed-only path must leave the schedulers in lockstep.
-        placement = build_fabric(scheme, _config("dense")).placement
+        placement = build_fabric(scheme, _config()).placement
         faults = (
             FaultSpec(kind="ni_buffer", node=placement[0], buffer=0,
                       net="reply", at_cycle=50, heal_cycle=400),
             FaultSpec(kind="mesh_link", node=0, peer=1, net="any",
                       at_cycle=10 ** 9),
         )
+        config = _config(faults)
         results = {
-            sched: run_experiment(scheme, "hotspot",
-                                  _config(sched, faults))
+            sched: run_with_fabric(
+                build_fabric(scheme, config, scheduler=sched), "hotspot",
+                config, scheme,
+            )
             for sched in ("dense", "active")
         }
         dense, active = results["dense"], results["active"]
@@ -118,7 +114,7 @@ class TestSchedulerDifferential:
     def test_fast_forward_engages_and_stays_invisible(self):
         cycles = {}
         for sched in ("dense", "active"):
-            fabric = build_fabric("SeparateBase", _config(sched))
+            fabric = build_fabric("SeparateBase", _config(), scheduler=sched)
             system = System(fabric, profiles.get("bfs"),
                             SystemConfig(quota=10))
             result = system.run()
@@ -132,7 +128,7 @@ class TestSchedulerDifferential:
     def test_watchdog_trips_at_identical_cycle(self):
         trip = {}
         for sched in ("dense", "active"):
-            fabric = build_fabric("SeparateBase", _config(sched))
+            fabric = build_fabric("SeparateBase", _config(), scheduler=sched)
             system = System(
                 fabric, profiles.get("kmeans"),
                 SystemConfig(quota=10, watchdog_cycles=800,
@@ -356,9 +352,8 @@ class TestSaturatedDifferential:
                 ("active", "vector")]
         prints = set()
         for scheduler, engine in runs:
-            cell = dataclasses.replace(config, scheduler=scheduler,
-                                       engine=engine)
-            fabric = build_fabric(scheme, cell)
+            cell = dataclasses.replace(config, engine=engine)
+            fabric = build_fabric(scheme, cell, scheduler=scheduler)
             # Thresholds an 8x8 cell crosses, so the vector twin arms
             # and disarms instead of being the object path throughout.
             with vector.arming(24, 12):

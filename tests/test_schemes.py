@@ -61,12 +61,14 @@ class TestConfigs:
 
     def test_capability_flags(self):
         for name in SCHEME_ORDER:
-            spec = get_spec(name)
-            assert spec.supports_faults == (name not in LOOP_SCHEMES)
+            # Fault capability follows from the topology, defined once.
+            assert get_config(name).supports_faults == (
+                name not in LOOP_SCHEMES
+            )
             # Every scheme runs on every engine: not a per-scheme field.
-            assert spec.engines is ENGINES
+            assert get_spec(name).engines is ENGINES
         fields = {f.name for f in dataclasses.fields(SchemeSpec)}
-        assert fields == {"name", "factory", "supports_faults"}
+        assert fields == {"name", "factory"}
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ValueError):
@@ -423,17 +425,13 @@ class TestLoopSchemes:
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
     def test_scheduler_differential(self, scheme):
-        import dataclasses
-
-        from repro.harness.experiment import run_experiment
-
         cfg = ExperimentConfig(
             width=5, num_cbs=4, quota=8, mcts_iterations=10
         )
         runs = [
-            run_experiment(
-                scheme, "hotspot",
-                dataclasses.replace(cfg, scheduler=scheduler),
+            run_with_fabric(
+                build_fabric(scheme, cfg, scheduler=scheduler),
+                "hotspot", cfg, scheme,
             )
             for scheduler in ("active", "dense")
         ]

@@ -18,7 +18,6 @@ SAMPLES = {
     "validate": ("64", 64),
     "watchdog_cycles": ("1234", 1234),
     "faults": ('[{"kind": "eir_link"}]', (FaultSpec(kind="eir_link"),)),
-    "scheduler": ("dense", "dense"),
     "engine": ("vector", "vector"),
     "telemetry": ("50", 50),
     "cell_timeout": ("1.5", 1.5),
@@ -43,7 +42,7 @@ def _flag(name):
 
 
 class TestTable:
-    def test_nine_knobs_and_config_fields_exist(self):
+    def test_eight_knobs_and_config_fields_exist(self):
         assert set(SAMPLES) == set(settings.SETTINGS)
         assert set(settings.SETTINGS) - set(CONFIG_FIELDS) == SWEEP_ARGUMENTS
         for name, setting in settings.SETTINGS.items():

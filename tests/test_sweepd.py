@@ -192,7 +192,7 @@ class TestWorkerLoop:
         (task_id,) = service.submit(
             bus, [runner.SweepCell("EquiNox", "hotspot", config)]
         )  # under a clean environment
-        monkeypatch.setenv("REPRO_SCHEDULER", "dense")
+        monkeypatch.setenv("REPRO_ENGINE", "vector")
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         monkeypatch.setenv(
             "REPRO_FAULTS",

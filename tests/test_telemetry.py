@@ -6,8 +6,7 @@ The load-bearing contracts:
   ``stats_fingerprint`` as a disabled one (differential);
 * exports are deterministic — serial, parallel and cache-warm runs of
   one sweep produce byte-identical JSONL artifacts;
-* the disabled path is (near) free — the harness carries ``None`` and
-  ``NullTelemetry`` records nothing.
+* the disabled path is (near) free — the harness carries ``None``.
 """
 
 import json
@@ -23,8 +22,6 @@ from repro.harness.experiment import (
 )
 from repro.telemetry import (
     DEFAULT_INTERVAL,
-    NULL_TELEMETRY,
-    NullTelemetry,
     SeriesSampler,
     TelemetryRegistry,
     aggregate_sweep,
@@ -113,15 +110,6 @@ class TestRegistry:
         reg.register_final("total", lambda: state["v"])
         state["v"] = 42
         assert reg.export()["counters"]["total"] == 42
-
-    def test_null_telemetry_records_nothing(self):
-        null = NullTelemetry()
-        assert not null.enabled
-        assert null.register_series("x", lambda: 1) is None
-        null.sample(10)
-        assert not null.due(10)
-        assert null.export()["samples"] == 0
-        assert NULL_TELEMETRY.export()["series"] == {}
 
 
 class TestExperimentIntegration:

@@ -41,7 +41,7 @@ from repro.noc.router import Router
 from repro.noc.types import Packet, PacketType, packet_flits
 from repro.noc.validation import audit_network
 from repro.noc.vector import VectorNetwork
-from repro.schemes import SCHEME_ORDER, get_spec
+from repro.schemes import SCHEME_ORDER, get_config
 from repro.verify import (
     FAST,
     KNOWN_PROPERTIES,
@@ -60,7 +60,9 @@ QUICK = dict(benchmark="backprop", width=4, num_cbs=3, quota=3, seed=6)
 THRASH = dict(QUICK, seed=7)
 # Loop topologies reject fault plans, so the firing-faults parity tests
 # range over the fault-capable mesh schemes; the rest take every scheme.
-FAULT_SCHEMES = [s for s in SCHEME_ORDER if get_spec(s).supports_faults]
+FAULT_SCHEMES = [
+    s for s in SCHEME_ORDER if get_config(s).supports_faults
+]
 
 #: A plan that demonstrably fires inside every QUICK-sized run: a
 #: transient mesh-link fault plus an NI-buffer fault, both healing well

@@ -112,6 +112,10 @@ class TestVerifyCase:
             case.width, case.num_cbs, case.quota, case.seed
         )
         assert config_digest(cfg) == config_digest(case.experiment_config())
+        # The tick discipline is not a config field: run_case hands the
+        # case's scheduler to build_fabric, so the dense oracle runs.
+        dense = run_case(case.with_variant(scheduler="dense"), validate_every=0)
+        assert dense.fabric.scheduler == "dense"
 
     def test_armed_faults_never_fire_but_always_bind(self):
         case = VerifyCase(**QUICK)
@@ -254,7 +258,7 @@ class TestDrivers:
     def test_hermetic_env_blocks_leaking_knobs(self, monkeypatch):
         case = VerifyCase(**QUICK)
         baseline = run_case(case, validate_every=0).stats_fingerprint
-        monkeypatch.setenv("REPRO_SCHEDULER", "dense")
+        monkeypatch.setenv("REPRO_ENGINE", "vector")
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         monkeypatch.setenv(
             "REPRO_FAULTS",

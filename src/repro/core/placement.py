@@ -137,7 +137,8 @@ def nqueen_best(
                 best.nodes,
             ):
                 best = result
-    assert best is not None
+    if best is None:
+        raise ValueError(f"no N-Queen placement exists on a {n}x{n} grid")
     return best
 
 

@@ -139,43 +139,6 @@ class CacheBank:
         self._in_flight = keep
 
     # ------------------------------------------------------------------
-    def timer_only(self) -> bool:
-        """Whether this bank can only be woken by its own timers.
-
-        Requires the fabric to be quiescent (no request can arrive, no
-        reply NI can start injecting between now and the next event);
-        under that premise the bank's remaining work is entirely
-        timer-driven and :meth:`next_event_cycle` bounds it.
-        """
-        return not self._in_flight
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle this bank can act (None = fully idle).
-
-        Only meaningful when the fabric is quiescent and
-        :meth:`timer_only` holds; ``_in_flight`` replies depend on NI
-        injection progress, which is not a timer.
-        """
-        nxt: Optional[int] = None
-        if self._ready:
-            nxt = self._ready[0][0]
-        mem = self.memory.next_event_cycle(cycle)
-        if mem is not None and (nxt is None or mem < nxt):
-            nxt = mem
-        if nxt is None:
-            return None
-        return max(nxt, cycle + 1)
-
-    def fast_forward(self, cycles: int) -> None:
-        """Account ``cycles`` skipped no-op cycles.
-
-        With the fabric quiescent no request can arrive, so the only
-        per-cycle side effect a dense walk would have produced is the
-        full-buffer stall counter.
-        """
-        if self.occupancy >= self.capacity:
-            self.stall_cycles += cycles
-
     def idle(self) -> bool:
         return (
             self.occupancy == 0

@@ -86,37 +86,6 @@ class ProcessingElement:
         self._last = transaction
         return transaction
 
-    def timer_only(self) -> bool:
-        """Whether this PE cannot act until an external event.
-
-        True exactly when :meth:`try_issue` is a pure stall: quota
-        exhausted, MSHRs full, or a stashed dependent instruction
-        waiting on the previous reply.  In every other state the issue
-        path consumes generator randomness each cycle, so those cycles
-        must be simulated, not skipped.
-        """
-        if self.remaining <= 0:
-            return True
-        if self.outstanding >= self.mshrs:
-            return True
-        return (
-            self._stash is not None
-            and self._stash.dependent
-            and self._last is not None
-            and self._last.completed is None
-        )
-
-    def fast_forward(self, cycles: int) -> None:
-        """Account ``cycles`` skipped cycles (only valid when timer-only).
-
-        A timer-only PE with quota left is stalling (MSHRs or a
-        dependency), so each skipped cycle increments ``stall_cycles``
-        exactly as :meth:`try_issue` would have; a finished PE accrues
-        nothing.
-        """
-        if self.remaining > 0:
-            self.stall_cycles += cycles
-
     def receive_reply(self, transaction: Transaction, cycle: int) -> None:
         if transaction.pe != self.node:
             raise ValueError("reply delivered to the wrong PE")

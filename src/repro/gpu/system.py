@@ -131,8 +131,9 @@ class System:
         }
         self.transactions: List[Transaction] = []
         self.cycle = 0
-        # Base cycles skipped by quiescence fast-forward (active
-        # scheduler only; 0 under the dense oracle by construction).
+        # Every base cycle is simulated, so this is always 0.  Kept only
+        # for bench/wl_sweep.py, which reads it into its
+        # gpu.fast_forwarded_cycles per-layer metric.
         self.fast_forwarded_cycles = 0
         self.telemetry = cfg.telemetry
         if self.telemetry is not None:
@@ -140,12 +141,7 @@ class System:
 
     # ------------------------------------------------------------------
     def _register_telemetry(self, registry: "object") -> None:
-        """Register system-level probes (fabric and NI probes included).
-
-        Skipped fast-forward gaps are not sampled: every sample lands on
-        a simulated base cycle, so the series are deterministic for a
-        fixed (seed, config, scheduler).
-        """
+        """Register system-level probes (fabric and NI probes included)."""
         self.fabric.register_telemetry(registry)
         for node, bank in self.banks.items():
             registry.register_series(
@@ -162,10 +158,6 @@ class System:
             "pe.instructions_issued",
             lambda: sum(pe.issued for pe in self.pes.values()),
         )
-        registry.register_final(
-            "system.fast_forwarded_cycles",
-            lambda: self.fast_forwarded_cycles,
-        )
         registry.register_final("system.cycles", lambda: self.cycle)
         registry.register_final(
             "system.pe_stall_cycles",
@@ -175,54 +167,6 @@ class System:
             "system.cb_stall_cycles",
             lambda: sum(bank.stall_cycles for bank in self.banks.values()),
         )
-
-    # ------------------------------------------------------------------
-    def _skippable_cycles(
-        self,
-        cycle: int,
-        pes: List[ProcessingElement],
-        banks: List[CacheBank],
-        injector: Optional[object],
-        last_progress_seen: int,
-        watchdog_window: int,
-        max_cycles: int,
-    ) -> int:
-        """How many upcoming base cycles are provable no-ops (0 = none).
-
-        A cycle is skippable when every network is quiescent and every
-        PE and CB is timer-only, so the next state change comes from a
-        computable event: a memory/L2 completion, a scheduled fault, a
-        periodic audit, or the watchdog deadline.  The skip lands
-        *exactly on* the earliest such event, so the landed cycle is
-        simulated identically to the dense run — including a watchdog
-        trip at the very same cycle a dense run would report.
-        """
-        if not self.fabric.quiescent():
-            return 0
-        for pe in pes:
-            if not pe.timer_only():
-                return 0
-        for bank in banks:
-            if not bank.timer_only():
-                return 0
-        # First cycle the watchdog comparison can fire (or extend).
-        nxt = last_progress_seen + watchdog_window + 1
-        if nxt > max_cycles:
-            nxt = max_cycles
-        for bank in banks:
-            ev = bank.next_event_cycle(cycle)
-            if ev is not None and ev < nxt:
-                nxt = ev
-        if injector is not None:
-            ev = injector.next_event_cycle()
-            if ev is not None and ev < nxt:
-                nxt = ev
-        interval = self.config.validate_interval
-        if interval > 0:
-            audit = cycle + interval - cycle % interval
-            if audit < nxt:
-                nxt = audit
-        return nxt - cycle - 1
 
     def run(self) -> SystemResult:
         cfg = self.config
@@ -235,7 +179,6 @@ class System:
         networks = [net for net, _ratio, _role in self.fabric.networks]
         validate_interval = cfg.validate_interval
         injector = cfg.fault_injector
-        fast_forward = self.fabric.scheduler == "active"
         telemetry = self.telemetry
         t_interval = telemetry.interval if telemetry is not None else 0
         while self.cycle < cfg.max_cycles:
@@ -290,23 +233,6 @@ class System:
                         dump=stall_dump(networks),
                     )
                 last_progress_seen = cycle  # memory still working; extend
-            # 6. Quiescence fast-forward (active scheduler): when the
-            #    fabric is empty and every PE and CB is waiting on a
-            #    timer, every cycle until the next timer event is a
-            #    provable no-op — jump the clock instead of spinning.
-            if fast_forward:
-                skip = self._skippable_cycles(
-                    cycle, pes, banks, injector, last_progress_seen,
-                    watchdog_window, cfg.max_cycles,
-                )
-                if skip > 0:
-                    self.cycle += skip
-                    self.fast_forwarded_cycles += skip
-                    self.fabric.fast_forward(skip)
-                    for pe in pes:
-                        pe.fast_forward(skip)
-                    for bank in banks:
-                        bank.fast_forward(skip)
         if telemetry is not None:
             # Final-state sample (deduplicated if the loop just sampled).
             telemetry.sample(self.cycle)

@@ -400,16 +400,6 @@ class SqliteBus:
         counts = self.counts()
         return counts[PENDING] == 0 and counts[LEASED] == 0
 
-    def next_due(self) -> Optional[float]:
-        """Earliest ``not_before`` among pending tasks (backoff waits)."""
-        with self._txn() as conn:
-            row = conn.execute(
-                "SELECT MIN(not_before) AS due FROM tasks "
-                "WHERE state = ?",
-                (PENDING,),
-            ).fetchone()
-            return row["due"]
-
     def records(
         self, states: Optional[Sequence[str]] = None
     ) -> List[Dict[str, object]]:
@@ -484,9 +474,3 @@ class MemoryBus(SqliteBus):
     ) -> None:
         super().__init__(":memory:", policy=policy, clock=clock)
 
-
-def open_bus(
-    path: object, policy: Optional[BusPolicy] = None
-) -> SqliteBus:
-    """Open (creating if needed) the SQLite bus at ``path``."""
-    return SqliteBus(path, policy=policy)

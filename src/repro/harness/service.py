@@ -493,16 +493,3 @@ def dead_letter_dump(record: Dict[str, object]) -> str:
         lines.append(str(record["stall_dump"]).rstrip())
     return "\n".join(lines)
 
-
-def manifest_cells(bus):
-    """Rebuild (task_id, cell) pairs from a submitted sweep's manifest."""
-    manifest = bus.get_meta(MANIFEST_KEY)
-    if manifest is None:
-        raise ValueError("bus has no sweep manifest (nothing submitted?)")
-    pairs = []
-    for task_id in manifest.get("order", []):
-        record = bus.record(task_id)
-        if record is None:
-            raise ValueError(f"manifest names unknown task {task_id!r}")
-        pairs.append((task_id, cell_from_payload(record["payload"])))
-    return pairs

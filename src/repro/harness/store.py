@@ -11,14 +11,11 @@ cell in the store can ack the stored result without running anything —
 the determinism contract guarantees the bytes match what it would have
 computed.
 
-Backends:
-
-* :class:`MemoryResultStore` — a dict, for tests and in-process use;
-* :class:`DirectoryResultStore` — one fsynced JSON file per entry,
-  written and read through the design cache's durable-entry pair
-  (:func:`~repro.harness.cache.write_entry` /
-  :func:`~repro.harness.cache.read_entry`), safe for concurrent
-  writers because every entry is immutable under its address.
+The backend is :class:`DirectoryResultStore`: one fsynced JSON file per
+entry, written and read through the design cache's durable-entry pair
+(:func:`~repro.harness.cache.write_entry` /
+:func:`~repro.harness.cache.read_entry`), safe for concurrent writers
+because every entry is immutable under its address.
 
 The package version is part of the address, so a release that could
 change simulation behaviour silently invalidates every stored result
@@ -123,42 +120,6 @@ def _matches(
     ):
         return False
     return True
-
-
-class MemoryResultStore:
-    """Dict-backed store (tests, single-process fleets)."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, Dict[str, object]] = {}
-
-    def put(self, record: Dict[str, object]) -> None:
-        if not _valid_record(record):
-            raise ValueError("malformed store record")
-        key = record["key"]
-        self._entries[key] = json.loads(json.dumps(record))
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        record = self._entries.get(key)
-        return json.loads(json.dumps(record)) if record is not None else None
-
-    def query(
-        self,
-        scheme: Optional[str] = None,
-        benchmark: Optional[str] = None,
-        width: Optional[int] = None,
-        config_digest: Optional[str] = None,
-    ) -> List[Dict[str, object]]:
-        return sorted(
-            (
-                json.loads(json.dumps(record))
-                for record in self._entries.values()
-                if _matches(record, scheme, benchmark, width, config_digest)
-            ),
-            key=lambda r: (r["scheme"], r["benchmark"], r["key"]),
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class DirectoryResultStore:

@@ -8,7 +8,6 @@ The PHY between the MC and the stack is folded into that constant.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from .hbm import HbmStack, HbmTiming, MemoryAccess
@@ -55,25 +54,6 @@ class MemoryController:
                 a for a in self._outbound if a.complete_cycle > cycle
             ]
         return done
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle this controller can act (None = idle).
-
-        The minimum over inbound/outbound pipeline completions and the
-        stack's own next event, floored at ``cycle + 1`` — everything
-        here is timer-driven, so between this cycle and the returned
-        one every controller tick is a no-op.
-        """
-        nxt: Optional[float] = self.stack.next_event_cycle(cycle)
-        for access in self._inbound:
-            if nxt is None or access.complete_cycle < nxt:
-                nxt = access.complete_cycle
-        for access in self._outbound:
-            if nxt is None or access.complete_cycle < nxt:
-                nxt = access.complete_cycle
-        if nxt is None:
-            return None
-        return max(math.ceil(nxt), cycle + 1)
 
     def queue_depth(self) -> int:
         """Accesses queued ahead of service (pipeline + stack queues)."""

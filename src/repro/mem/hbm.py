@@ -15,7 +15,6 @@ depth.  Both emerge from this channel/bus model.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -137,24 +136,6 @@ class HbmStack:
         while self._completions and self._completions[0][0] <= cycle:
             done.append(heapq.heappop(self._completions)[2])
         return done
-
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest future core cycle this stack can act (None = idle).
-
-        Valid between ticks: completion pops happen at the ceiling of
-        their float completion time, and a queued channel serves as
-        soon as its bus frees.  Used to bound quiescence fast-forward.
-        """
-        nxt: Optional[float] = None
-        if self._completions:
-            nxt = self._completions[0][0]
-        for ch, queue in enumerate(self._queues):
-            if queue and (nxt is None or self._bus_free[ch] < nxt):
-                nxt = self._bus_free[ch]
-        if nxt is None:
-            return None
-        return max(math.ceil(nxt), cycle + 1)
 
     def queue_depth(self) -> int:
         """Accesses waiting in the per-channel scheduler queues.

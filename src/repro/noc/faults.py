@@ -330,16 +330,6 @@ class FaultInjector:
         events.sort(key=lambda ev: (ev[0], ev[1], ev[2] == "heal"))
         self._events = events
 
-    def next_event_cycle(self) -> Optional[int]:
-        """Base cycle of the next unfired event (None when exhausted).
-
-        Quiescence fast-forward must not jump past a scheduled fault:
-        the system run loop caps any clock skip at this cycle.
-        """
-        if self._next >= len(self._events):
-            return None
-        return self._events[self._next][0]
-
     # ------------------------------------------------------------------
     # Binding
     # ------------------------------------------------------------------

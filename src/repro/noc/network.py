@@ -550,18 +550,8 @@ class Network:
         self.stats.record_delivery(packet, non_queuing)
 
     # ------------------------------------------------------------------
-    # Quiescence (fast-forward support)
+    # Quiescence
     # ------------------------------------------------------------------
-    def skip_cycle(self) -> None:
-        """Advance the clock over one provably-empty cycle.
-
-        Only valid when :meth:`quiescent` holds: a tick of a fully
-        quiescent network does nothing but increment ``cycle`` and
-        ``stats.cycles``, so skipping is bit-identical to ticking.
-        """
-        self.cycle += 1
-        self.stats.cycles += 1
-
     def quiescent(self) -> bool:
         """Nothing scheduled, buffered, queued or awaiting pop.
 

@@ -446,7 +446,7 @@ class Fabric:
         return None
 
     # ------------------------------------------------------------------
-    # Clocking and quiescence
+    # Clocking
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """Advance every network by one base cycle (honouring ratios)."""
@@ -458,27 +458,6 @@ class Fabric:
 
     def idle(self) -> bool:
         return all(net.idle() for net, _r, _role in self.networks)
-
-    def quiescent(self) -> bool:
-        """Every network is provably empty (fast-forward eligible)."""
-        return all(net.quiescent() for net, _r, _role in self.networks)
-
-    def fast_forward(self, cycles: int) -> None:
-        """Skip ``cycles`` base cycles of a fully quiescent fabric.
-
-        Replays the clock-ratio accumulator arithmetic cycle by cycle
-        (cheap: no component is visited) so the float accumulator state
-        and every network's ``cycle``/``stats.cycles`` counters end up
-        bit-identical to ticking the same span of empty cycles.
-        """
-        acc = self._ratio_acc
-        networks = self.networks
-        for _ in range(cycles):
-            for i, (net, ratio, _role) in enumerate(networks):
-                acc[i] += ratio
-                while acc[i] >= 1.0:
-                    net.skip_cycle()
-                    acc[i] -= 1.0
 
     def last_progress(self) -> int:
         """Most recent base cycle any network moved a flit (approximate)."""

@@ -128,9 +128,6 @@ def summarize_record(record: Dict[str, object]) -> Dict[str, object]:
         "samples": record.get("samples", 0),
         "flits_injected": injected,
         "packets_delivered": delivered,
-        "fast_forwarded_cycles": counters.get(
-            "system.fast_forwarded_cycles", 0
-        ),
     }
     balance = _eir_balance(counters)
     if balance is not None:

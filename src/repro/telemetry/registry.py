@@ -5,7 +5,7 @@ the registry at a configurable base-cycle interval.  Three probe kinds
 cover the paper's time-varying quantities:
 
 * **finals** — lazily-evaluated counters, read once at export time
-  (per-EIR injected-flit totals, fast-forwarded cycles).  Zero cost
+  (per-EIR injected-flit totals, run length, stall cycles).  Zero cost
   during the run.
 * **series** — a callable sampled every interval into a bounded window
   of ``(cycle, value)`` pairs (NI buffer occupancy, HBM queue depth,
@@ -121,7 +121,6 @@ class TelemetryRegistry:
         self._series: List[SeriesSampler] = []
         self._residency: List[ResidencyProbe] = []
         self._finals: List[tuple] = []  # (name, fn)
-        self.counters: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Registration (components call these at construction)
@@ -149,16 +148,9 @@ class TelemetryRegistry:
         """Evaluate ``fn()`` once at export time into a counter."""
         self._finals.append((name, fn))
 
-    def set_counter(self, name: str, value: float) -> None:
-        """Record a scalar outcome directly (end-of-run totals)."""
-        self.counters[name] = value
-
     # ------------------------------------------------------------------
     # Sampling (the harness drives this)
     # ------------------------------------------------------------------
-    def due(self, cycle: int) -> bool:
-        return cycle % self.interval == 0
-
     def sample(self, cycle: int) -> None:
         """Take one sample at ``cycle`` (same-cycle repeats are no-ops)."""
         if cycle == self._last_sample_cycle:
@@ -180,13 +172,10 @@ class TelemetryRegistry:
         times, pids or dict-order dependence (keys are emitted sorted
         by the JSON writer).
         """
-        counters = dict(self.counters)
-        for name, fn in self._finals:
-            counters[name] = fn()
         return {
             "interval": self.interval,
             "samples": self.samples,
-            "counters": counters,
+            "counters": {name: fn() for name, fn in self._finals},
             "series": {s.name: s.export() for s in self._series},
             "residency": {p.name: p.export() for p in self._residency},
         }

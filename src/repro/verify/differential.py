@@ -9,7 +9,7 @@ snapshot):
 
 ``dense``
     The dense scheduler oracle vs the default active-set scheduler
-    (with its quiescence fast-forward).
+    (which also lets blocked routers sleep).
 ``telemetry``
     Telemetry sampling enabled vs disabled — probes are read-only.
 ``armed``

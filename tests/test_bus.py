@@ -27,7 +27,6 @@ from repro.harness.bus import (
     BusPolicy,
     MemoryBus,
     SqliteBus,
-    open_bus,
 )
 
 
@@ -211,8 +210,9 @@ class TestRetries:
         record = bus.record("t1")
         assert record["state"] == PENDING and record["failures"] == 1
         assert bus.lease("w1", 10.0) is None  # backoff window
-        assert bus.next_due() == pytest.approx(clock.now + 4.0)
-        clock.advance(4.5)
+        clock.advance(3.9)
+        assert bus.lease("w1", 10.0) is None  # just before the 4 s due
+        clock.advance(0.2)
         retry = bus.lease("w1", 10.0)
         assert retry.failures == 1  # next attempt: deterministic reseed
 
@@ -345,7 +345,7 @@ class TestSharedConnection:
 class TestSqliteSpecifics:
     def test_open_bus_persists_across_connections(self, tmp_path):
         path = tmp_path / "bus.sqlite"
-        first = open_bus(path)
+        first = SqliteBus(path)
         first.put("t1", {"x": 1})
         first.set_meta("policy", {"retries": 3})
         # A second process opening the same file sees everything.

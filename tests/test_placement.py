@@ -99,6 +99,13 @@ class TestNQueen:
         with pytest.raises(ValueError):
             placement.nqueen_best(grid, 9)
 
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_nqueen_no_solution_names_the_width(self, width):
+        # No N-Queen solution exists for n = 2 or 3: a ValueError that
+        # names the grid, not a bare assert (stripped under -O).
+        with pytest.raises(ValueError, match=f"{width}x{width}"):
+            placement.nqueen_best(Grid(width), 2)
+
 
 class TestKnightMove:
     def test_knight_move_many_cbs(self, grid):

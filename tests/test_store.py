@@ -10,7 +10,6 @@ from repro.harness.experiment import ExperimentConfig, config_digest
 from repro.harness.runner import expand_grid, run_sweep
 from repro.harness.store import (
     DirectoryResultStore,
-    MemoryResultStore,
     make_record,
     record_result,
     resolve_store,
@@ -30,10 +29,8 @@ def result():
     return _result()
 
 
-@pytest.fixture(params=["memory", "directory"])
-def store(request, tmp_path):
-    if request.param == "memory":
-        return MemoryResultStore()
+@pytest.fixture(params=["directory"])
+def store(tmp_path):
     return DirectoryResultStore(tmp_path / "results")
 
 

@@ -17,7 +17,7 @@ from repro.harness.runner import (
     run_sweep,
     sweep,
 )
-from repro.harness.store import DirectoryResultStore, MemoryResultStore
+from repro.harness.store import DirectoryResultStore
 from repro.noc.faults import parse_faults_arg
 
 CFG = ExperimentConfig(quota=8, mcts_iterations=10)
@@ -273,7 +273,9 @@ class TestJournal:
         assert len(executed) == 2
         assert len(store) == 4
 
-    def test_env_fault_plan_is_part_of_the_key(self, executed, monkeypatch):
+    def test_env_fault_plan_is_part_of_the_key(
+        self, executed, monkeypatch, tmp_path
+    ):
         # Regression: REPRO_FAULTS used to be read below the point where
         # a cell is keyed, so a faulted run was filed under the
         # fault-free address and later served to a clean sweep.
@@ -283,7 +285,7 @@ class TestJournal:
         )
         config = ExperimentConfig(quota=20, mcts_iterations=10)
         cells = [runner.SweepCell("EquiNox", "hotspot", config)]
-        store = MemoryResultStore()
+        store = DirectoryResultStore(tmp_path)
         monkeypatch.setenv("REPRO_FAULTS", plan)
         faulted = run_sweep(cells, store=store).outcomes[0].result
         monkeypatch.delenv("REPRO_FAULTS")
@@ -353,13 +355,25 @@ class TestJournal:
         def must_not_spawn(*args, **kwargs):
             raise AssertionError("fleet spawned before the store check")
 
+        class RootlessStore:
+            """A store with no ``.root`` for worker processes to reopen."""
+
+            def __init__(self):
+                self.entries = {}
+
+            def get(self, key):
+                return self.entries.get(key)
+
+            def put(self, record):
+                self.entries[record["key"]] = record
+
         monkeypatch.setattr(service, "spawn_fleet", must_not_spawn)
-        with pytest.raises(ValueError, match="MemoryResultStore"):
-            run_sweep(_cells(), jobs=2, store=MemoryResultStore())
+        with pytest.raises(ValueError, match="RootlessStore"):
+            run_sweep(_cells(), jobs=2, store=RootlessStore())
         # Serially the same store works: the worker loop runs inline.
-        store = MemoryResultStore()
+        store = RootlessStore()
         assert all(o.ok for o in run_sweep(_cells(), store=store).outcomes)
-        assert len(store) == 2
+        assert len(store.entries) == 2
 
 
 class TestCacheEvictions:

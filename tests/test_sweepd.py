@@ -31,7 +31,7 @@ from repro.harness.service import (
     task_id_for,
     worker_loop,
 )
-from repro.harness.store import MemoryResultStore, make_record
+from repro.harness.store import DirectoryResultStore, make_record
 
 CFG = ExperimentConfig(quota=8, mcts_iterations=10)
 SCHEMES = ["SingleBase", "EquiNox"]
@@ -88,17 +88,12 @@ class TestSubmitStatus:
         # A later worker on another terminal adopts the recorded policy.
         reopened = service.open_submitted_bus(tmp_path / "bus.sqlite")
         assert reopened.policy == BusPolicy(retries=2, backoff_s=0.1)
-        pairs = service.manifest_cells(reopened)
-        assert [tid for tid, _cell in pairs] == task_ids
-        assert [c.scheme for _tid, c in pairs] == SCHEMES
+        manifest = reopened.get_meta(service.MANIFEST_KEY)
+        assert manifest["order"] == task_ids
         snap = service.status(bus)
         assert snap["cells"] == len(task_ids)
         assert snap["counts"]["pending"] == len(task_ids)
         assert not snap["complete"]
-
-    def test_manifest_required_for_collection(self):
-        with pytest.raises(ValueError, match="manifest"):
-            service.manifest_cells(MemoryBus())
 
 
 class TestWorkerLoop:
@@ -153,10 +148,10 @@ class TestWorkerLoop:
         # fatal to the sweep.
         assert bus.counts()["done"] == 1
 
-    def test_store_hit_short_circuits_execution(self, monkeypatch):
+    def test_store_hit_short_circuits_execution(self, monkeypatch, tmp_path):
         cells = _cells()
         real = run_sweep([cells[0]]).outcomes[0].result
-        store = MemoryResultStore()
+        store = DirectoryResultStore(tmp_path)
         store.put(make_record(cells[0].scheme, cells[0].benchmark,
                               cells[0].config, real, seed_used=CFG.seed))
 
@@ -173,8 +168,8 @@ class TestWorkerLoop:
         assert record["result"]["stats_fingerprint"] == \
             real.stats_fingerprint
 
-    def test_fresh_results_are_stored(self):
-        store = MemoryResultStore()
+    def test_fresh_results_are_stored(self, tmp_path):
+        store = DirectoryResultStore(tmp_path)
         bus = MemoryBus()
         service.submit(bus, [_cells()[0]])
         worker_loop(bus, store=store)
@@ -182,7 +177,7 @@ class TestWorkerLoop:
         (record,) = store.query(scheme="SingleBase")
         assert record["config_digest"] == config_digest(CFG)
 
-    def test_submitter_decides_not_the_worker(self, monkeypatch):
+    def test_submitter_decides_not_the_worker(self, monkeypatch, tmp_path):
         # Extends test_hermetic_env_blocks_leaking_knobs to the lease
         # path: a cell runs under its payload's config, whatever the
         # draining worker's environment says.
@@ -201,7 +196,7 @@ class TestWorkerLoop:
         )
         leaky = runner.run_experiment("EquiNox", "hotspot", config)
         assert leaky.stats_fingerprint != oracle.stats_fingerprint
-        store = MemoryResultStore()
+        store = DirectoryResultStore(tmp_path)
         worker_loop(bus, store=store)
         result = bus.record(task_id)["result"]
         assert result["stats_fingerprint"] == oracle.stats_fingerprint
@@ -316,9 +311,9 @@ class TestFleetChaos:
 
 
 class TestRunSweepIntegration:
-    def test_run_sweep_uses_store(self, monkeypatch):
+    def test_run_sweep_uses_store(self, monkeypatch, tmp_path):
         cells = _cells()
-        store = MemoryResultStore()
+        store = DirectoryResultStore(tmp_path)
         first = run_sweep(cells, store=store)
         assert len(store) == len(cells)
 

@@ -16,9 +16,11 @@ import pytest
 from repro import settings
 from repro.harness.experiment import (
     ExperimentConfig,
+    build_fabric,
     config_digest,
     run_experiment,
     run_suite,
+    run_with_fabric,
 )
 from repro.telemetry import (
     DEFAULT_INTERVAL,
@@ -159,6 +161,20 @@ class TestExperimentIntegration:
                if k.startswith("eir.") and k.endswith(".flits_sent")]
         assert eir, "EquiNox run exported no per-EIR flit counters"
         assert sum(counters[k] for k in eir) > 0
+
+    def test_record_is_scheduler_independent(self):
+        # Both schedulers simulate every base cycle, so they take the
+        # same samples: the records differ only in the field that names
+        # the scheduler.
+        config = ExperimentConfig(quota=12, mcts_iterations=10, telemetry=5)
+        records = {}
+        for sched in ("active", "dense"):
+            fabric = build_fabric("EquiNox", config, scheduler=sched)
+            record = run_with_fabric(fabric, "bfs", config,
+                                     "EquiNox").telemetry
+            assert record.pop("scheduler") == sched
+            records[sched] = dumps_record(record)
+        assert records["active"] == records["dense"]
 
 
 class TestExportDeterminism:

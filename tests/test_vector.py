@@ -97,8 +97,7 @@ def _assert_parity(case: VerifyCase):
         twin = run_case(engine_counterpart(case), validate_every=0)
     assert twin.stats_fingerprint == base.stats_fingerprint, case.label()
     for net in _networks(twin):
-        # Always-armed: no tick slipped through the object path
-        # (fast-forwarded cycles are ticked by neither engine).  The
+        # Always-armed: no tick slipped through the object path.  The
         # only disarms are the fault injector's — one per fire/heal,
         # events landing between the same two ticks sharing one — and
         # the very next tick re-arms.

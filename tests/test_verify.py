@@ -387,6 +387,14 @@ class TestArtifacts:
             assert replay(path) is True
 
 
+    def test_replay_of_an_unbuildable_case_is_invalid(self, tmp_path):
+        # EquiNox has no N-Queen placement at 3x3, so the case cannot be
+        # built: replay raises ValueError (exit 2), not "reproduces".
+        case = VerifyCase(**{**QUICK, "scheme": "EquiNox", "width": 3})
+        path = write_failure(tmp_path, PROPERTY_INVARIANTS, case, "x")
+        with pytest.raises(ValueError, match="3x3"):
+            replay(path)
+
 class TestHarnessDriver:
     def test_drive_shrinks_to_minimal_failure(self):
         # A synthetic property that rejects any quota >= 4: the driver

@@ -177,9 +177,6 @@ class TestAuditNetworks:
         monkeypatch.setattr(system_mod, "audit_networks", counting)
         _fabric, system = make_system(bench="bfs", validate_interval=10)
         result = system.run()
-        # Quiescence fast-forward lands on every audit cycle it would
-        # otherwise skip, so every multiple of 10 is audited.
-        assert system.fast_forwarded_cycles > 0
         assert cycles == list(range(10, result.cycles + 1, 10))
 
 

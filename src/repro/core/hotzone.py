@@ -16,7 +16,7 @@ placement score is the sum over all tiles (lower is better).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .grid import Grid
 
@@ -119,17 +119,3 @@ def penalty_map(grid: Grid, placement: Sequence[int]) -> Dict[int, int]:
             m[node] = m.get(node, 0) + 1
     return {node: node_penalty(m[node]) for node in sorted(m)}
 
-
-def rank_placements(
-    grid: Grid, placements: Iterable[Sequence[int]]
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Score placements and return ``(penalty, placement)`` sorted ascending.
-
-    Ties are broken by the placement tuple itself so the ranking is
-    deterministic across runs.
-    """
-    scored = [
-        (placement_penalty(grid, tuple(p)), tuple(p)) for p in placements
-    ]
-    scored.sort()
-    return scored

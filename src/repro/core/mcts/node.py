@@ -91,7 +91,3 @@ class Node:
             node.visits += 1
             node.total_reward += value
             node = node.parent
-
-    def tree_size(self) -> int:
-        """Number of nodes in the subtree rooted here (including self)."""
-        return 1 + sum(child.tree_size() for child in self.children)

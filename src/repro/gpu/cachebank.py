@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..mem.controller import MemoryController
-from ..mem.hbm import HbmTiming
 from ..noc.types import PacketType
 from ..workloads.profiles import WorkloadProfile
 from .transaction import Transaction
@@ -37,14 +36,13 @@ class CacheBank:
         seed: int,
         capacity: int = DEFAULT_CAPACITY,
         l2_latency: int = DEFAULT_L2_LATENCY,
-        timing: Optional[HbmTiming] = None,
     ) -> None:
         self.node = node
         self.profile = profile
         self.fabric = fabric
         self.capacity = capacity
         self.l2_latency = l2_latency
-        self.memory = MemoryController(timing)
+        self.memory = MemoryController()
         self._rng = random.Random((seed << 16) ^ (node * 40503 % 2**31))
         self._ready: List[Tuple[int, int, Transaction]] = []  # (cycle, seq, txn)
         self._seq = 0

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..mem.hbm import HbmTiming
 from ..noc.diagnostics import audit_networks, stall_dump
 from ..schemes.base import Fabric
 from ..workloads.profiles import WorkloadProfile
@@ -49,10 +48,8 @@ class SystemConfig:
     quota: int = DEFAULT_QUOTA           # memory instructions per PE
     mshrs: int = 32
     cb_capacity: int = 16
-    l2_latency: int = 12
     seed: int = 0
     max_cycles: int = 400000
-    timing: Optional[HbmTiming] = None
     # Conservation-audit interval in base cycles (0 = off).  Audits are
     # read-only; enabling them must not change simulated behaviour.
     validate_interval: int = 0
@@ -84,12 +81,6 @@ class SystemResult:
     def ipc(self) -> float:
         """Memory instructions completed per cycle (whole chip)."""
         return self.instructions / self.cycles if self.cycles else 0.0
-
-    def mean_round_trip(self) -> float:
-        done = [t for t in self.transactions if t.completed is not None]
-        if not done:
-            return 0.0
-        return sum(t.round_trip for t in done) / len(done)
 
 
 class System:
@@ -124,8 +115,6 @@ class System:
                 fabric=fabric,
                 seed=cfg.seed,
                 capacity=cfg.cb_capacity,
-                l2_latency=cfg.l2_latency,
-                timing=cfg.timing,
             )
             for node in placement
         }

@@ -45,12 +45,6 @@ class Transaction:
         self.completed: Optional[int] = None   # PE received the reply
         self.l2_hit: Optional[bool] = None
 
-    @property
-    def round_trip(self) -> int:
-        if self.completed is None:
-            raise ValueError(f"transaction {self.tid} incomplete")
-        return self.completed - self.issued
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         op = "R" if self.is_read else "W"
         return f"Txn({self.tid} {op} pe{self.pe}->cb{self.cb})"

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..core.grid import Grid
-from ..gpu.system import System, SystemConfig
-from ..noc.diagnostics import resolve_validate_interval
+from ..gpu.system import System, SystemConfig, SystemResult
+from ..noc.diagnostics import DEFAULT_AUDIT_INTERVAL
 from ..noc.faults import FaultInjector, FaultPlan, FaultSpec
 from ..noc.types import PacketType
 from ..power.area import fabric_area
@@ -24,9 +24,9 @@ from ..schemes import get_config
 from ..schemes.base import BASE_FREQUENCY_GHZ, Fabric
 from ..settings import resolve
 from ..telemetry import (
+    DEFAULT_INTERVAL as DEFAULT_TELEMETRY_INTERVAL,
     SCHEMA_VERSION as TELEMETRY_SCHEMA,
     TelemetryRegistry,
-    resolve_interval,
 )
 from ..workloads import profiles
 from . import cache
@@ -194,66 +194,118 @@ def _reply_bits_fraction(fabric: Fabric) -> float:
     return reply_bits / total_bits if total_bits else 0.0
 
 
-def run_with_fabric(
+def resolve_interval(value: int, default: int) -> int:
+    """Normalise a ``--validate``/``--telemetry`` value to an interval.
+
+    ``0`` (or negative) is off, ``1`` is ``default``, and any larger
+    integer is the interval itself, in base cycles.
+    """
+    if value <= 0:
+        return 0
+    if value == 1:
+        return default
+    return value
+
+
+@dataclass
+class Simulation:
+    """One finished system run, before any reduction."""
+
+    result: SystemResult
+    injector: Optional[FaultInjector]
+    telemetry: Optional[TelemetryRegistry]
+    stats_fingerprint: str
+
+
+def simulate(
     fabric: Fabric,
     benchmark_name: str,
-    config: Optional[ExperimentConfig] = None,
-    scheme_name: Optional[str] = None,
-) -> ExperimentResult:
-    """Run a pre-built fabric (used by ablations with custom designs)."""
-    config = resolve(config or ExperimentConfig())
-    profile = profiles.get(benchmark_name)
+    config: ExperimentConfig,
+    validate_interval: int,
+    telemetry_interval: int,
+) -> Simulation:
+    """Run one benchmark on a built fabric: the run core of every cell.
+
+    Arms ``config.faults`` and, for a positive ``telemetry_interval``,
+    a telemetry registry; runs :class:`System` with audits every
+    ``validate_interval`` base cycles (0 = off); and takes the sha256
+    over every network's counter snapshot.  ``config`` is used as
+    given: the harness resolves it first, and ``repro.verify`` passes
+    its cases' raw intervals.
+    """
     injector: Optional[FaultInjector] = None
     if config.faults:
         if not fabric.config.supports_faults:
             raise ValueError(
-                f"scheme {scheme_name or fabric.config.name!r} does not "
-                f"support fault plans (topology "
-                f"{fabric.config.topology!r} has no detour routing)"
+                f"scheme {fabric.config.name!r} does not support fault "
+                f"plans (topology {fabric.config.topology!r} has no "
+                f"detour routing)"
             )
         injector = FaultInjector(fabric, FaultPlan(tuple(config.faults)))
-    t_interval = resolve_interval(config.telemetry)
     registry: Optional[TelemetryRegistry] = None
-    if t_interval > 0:
-        registry = TelemetryRegistry(interval=t_interval)
+    if telemetry_interval > 0:
+        registry = TelemetryRegistry(interval=telemetry_interval)
     system = System(
         fabric,
-        profile,
+        profiles.get(benchmark_name),
         SystemConfig(
             quota=config.quota,
             mshrs=config.mshrs,
             cb_capacity=config.cb_capacity,
             seed=config.seed,
             max_cycles=config.max_cycles,
-            validate_interval=resolve_validate_interval(config.validate),
+            validate_interval=validate_interval,
             watchdog_cycles=config.watchdog_cycles or None,
             fault_injector=injector,
             telemetry=registry,
         ),
     )
     result = system.run()
-    energy = fabric_energy(fabric, result.cycles)
-    area = fabric_area(fabric)
     digest = hashlib.sha256()
     for net, _ratio, _role in fabric.networks:
         digest.update(net.stats.fingerprint().encode())
+    return Simulation(result, injector, registry, digest.hexdigest())
+
+
+def run_with_fabric(
+    fabric: Fabric,
+    benchmark_name: str,
+    config: Optional[ExperimentConfig] = None,
+    scheme_name: Optional[str] = None,
+) -> ExperimentResult:
+    """:func:`simulate` a pre-built fabric, reduced to plain metrics.
+
+    Ablations with custom designs call this directly.
+    """
+    config = resolve(config or ExperimentConfig())
+    run = simulate(
+        fabric,
+        benchmark_name,
+        config,
+        resolve_interval(config.validate, DEFAULT_AUDIT_INTERVAL),
+        resolve_interval(config.telemetry, DEFAULT_TELEMETRY_INTERVAL),
+    )
+    result = run.result
+    energy = fabric_energy(fabric, result.cycles)
+    area = fabric_area(fabric)
+    scheme = scheme_name or fabric.config.name
     telemetry_record: Optional[Dict[str, object]] = None
-    if registry is not None:
+    if run.telemetry is not None:
         from .. import __version__
 
         telemetry_record = {
             "schema": TELEMETRY_SCHEMA,
             "kind": "experiment",
             "version": __version__,
-            "scheme": scheme_name or fabric.config.name,
+            "scheme": scheme,
             "benchmark": benchmark_name,
             "config_digest": config_digest(config),
             "scheduler": fabric.scheduler,
-            "stats_fingerprint": digest.hexdigest(),
-            **registry.export(),
+            "stats_fingerprint": run.stats_fingerprint,
+            **run.telemetry.export(),
         }
     return ExperimentResult(
-        scheme=scheme_name or fabric.config.name,
+        scheme=scheme,
         benchmark=benchmark_name,
         width=config.width,
         cycles=result.cycles,
@@ -264,7 +316,7 @@ def run_with_fabric(
         reply_bits_fraction=_reply_bits_fraction(fabric),
         pe_stall_cycles=result.pe_stall_cycles,
         cb_stall_cycles=result.cb_stall_cycles,
-        stats_fingerprint=digest.hexdigest(),
+        stats_fingerprint=run.stats_fingerprint,
         flits_dropped=sum(
             net.stats.flits_dropped for net, _ratio, _role in fabric.networks
         ),

@@ -10,7 +10,7 @@ see EXPERIMENTS.md for the side-by-side record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -189,16 +189,6 @@ class Figure9:
     schemes: List[str]
     benchmarks: List[str]
     results: Dict[Tuple[str, str], ExperimentResult]
-
-    def per_benchmark(self, metric: str) -> Dict[str, Dict[str, float]]:
-        """benchmark -> scheme -> value for 'cycles'|'energy_nj'|'edp'."""
-        out: Dict[str, Dict[str, float]] = {}
-        for benchmark in self.benchmarks:
-            out[benchmark] = {
-                scheme: getattr(self.results[(scheme, benchmark)], metric)
-                for scheme in self.schemes
-            }
-        return out
 
     def normalized_means(
         self, metric: str, baseline: str = "SingleBase"
@@ -400,22 +390,16 @@ def figure12(
     bench_names = [p.name for p in profiles.subset(num_benchmarks)]
     speedups: Dict[int, float] = {}
     for width in widths:
-        cfg = ExperimentConfig(
-            width=width,
-            num_cbs=base.num_cbs,
-            quota=base.quota,
-            mshrs=base.mshrs,
-            cb_capacity=base.cb_capacity,
-            seed=base.seed,
-            mcts_iterations=base.mcts_iterations,
-            max_cycles=base.max_cycles,
+        if progress:
+            print(f"[fig12] {width}x{width}", flush=True)
+        results = run_suite(
+            ["SeparateBase", "EquiNox"], bench_names,
+            replace(base, width=width),
         )
-        ratios = []
-        for name in bench_names:
-            if progress:
-                print(f"[fig12] {width}x{width} {name}", flush=True)
-            sep = run_suite(["SeparateBase"], [name], cfg)[("SeparateBase", name)]
-            eq = run_suite(["EquiNox"], [name], cfg)[("EquiNox", name)]
-            ratios.append(eq.ipc / sep.ipc)
+        ratios = [
+            results[("EquiNox", name)].ipc
+            / results[("SeparateBase", name)].ipc
+            for name in bench_names
+        ]
         speedups[width] = mean(ratios)
     return Figure12(widths=list(widths), speedups=speedups)

@@ -69,15 +69,3 @@ def design_map(design: EquiNoxDesign) -> str:
     )
     return "\n".join(lines) + "\n" + legend
 
-
-def placement_map(grid: Grid, placement: Sequence[int]) -> str:
-    """Render a CB placement as a tile map (``C`` = cache bank)."""
-    cbs = set(placement)
-    lines = []
-    for y in range(grid.height):
-        row = [
-            "C" if grid.node(x, y) in cbs else "."
-            for x in range(grid.width)
-        ]
-        lines.append(" ".join(row))
-    return "\n".join(lines)

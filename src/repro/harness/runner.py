@@ -140,30 +140,6 @@ class SweepReport:
         """Failed cells and their captured tracebacks."""
         return {o.cell.key: o.error for o in self._keyed() if not o.ok}
 
-    def stall_dumps(self) -> Dict[Tuple[str, str], str]:
-        """Failed cells whose exception carried a diagnostic dump."""
-        return {
-            o.cell.key: o.stall_dump
-            for o in self._keyed()
-            if o.stall_dump is not None
-        }
-
-    def telemetry_records(self) -> List[Dict[str, object]]:
-        """Per-cell telemetry records, in grid order (sampled runs only)."""
-        return [
-            o.result.telemetry
-            for o in self.outcomes
-            if o.ok and o.result.telemetry is not None
-        ]
-
-    def telemetry_summary(
-        self, config_digest: str = ""
-    ) -> Dict[str, object]:
-        """Sweep-level aggregation of the per-cell telemetry records."""
-        from ..telemetry import aggregate_sweep
-
-        return aggregate_sweep(self.telemetry_records(), config_digest)
-
     @property
     def cell_seconds(self) -> float:
         """Total single-core work: sum of per-cell durations."""

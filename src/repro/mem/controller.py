@@ -8,9 +8,9 @@ The PHY between the MC and the stack is folded into that constant.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from .hbm import HbmStack, HbmTiming, MemoryAccess
+from .hbm import HbmStack, MemoryAccess
 
 MC_PIPELINE_CYCLES = 4
 """Controller + PHY crossing latency per direction."""
@@ -19,9 +19,8 @@ MC_PIPELINE_CYCLES = 4
 class MemoryController:
     """One FR-FCFS memory controller fronting one HBM stack."""
 
-    def __init__(self, timing: Optional[HbmTiming] = None,
-                 pipeline: int = MC_PIPELINE_CYCLES) -> None:
-        self.stack = HbmStack(timing)
+    def __init__(self, pipeline: int = MC_PIPELINE_CYCLES) -> None:
+        self.stack = HbmStack()
         self.pipeline = pipeline
         self._inbound: List[MemoryAccess] = []  # waiting out the pipeline
         self._outbound: List[MemoryAccess] = []

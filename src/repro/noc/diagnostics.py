@@ -31,14 +31,6 @@ from .validation import NetworkAuditError, _take_census, audit_network
 DEFAULT_AUDIT_INTERVAL = 512
 """Cycles between periodic audits when ``REPRO_VALIDATE=1``."""
 
-def resolve_validate_interval(value: int) -> int:
-    """Normalise a ``--validate``/``REPRO_VALIDATE`` value to an interval."""
-    if value <= 0:
-        return 0
-    if value == 1:
-        return DEFAULT_AUDIT_INTERVAL
-    return value
-
 
 # ----------------------------------------------------------------------
 # Locating stuck traffic

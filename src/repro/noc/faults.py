@@ -43,7 +43,6 @@ order, and an *armed but never-firing* plan leaves the run bit-identical
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -222,47 +221,6 @@ def eir_link_faults(
                     peer=eir,
                     at_cycle=at_cycle,
                     heal_cycle=heal_cycle,
-                )
-            )
-    return tuple(specs)
-
-
-def random_injection_faults(
-    seed: int,
-    design: "object",
-    num_faults: int = 4,
-    fire_window: Tuple[int, int] = (100, 2000),
-    heal_after: Tuple[int, int] = (50, 400),
-    permanent_fraction: float = 0.0,
-) -> Tuple[FaultSpec, ...]:
-    """A seeded random schedule of injection-side faults.
-
-    Draws EIR-link faults (when the design has EIR groups) and local
-    NI-buffer faults at the placed CBs, mostly transient so workloads
-    still complete; used by the property-style conservation tests.
-    """
-    rng = random.Random(seed)
-    links = [(g.cb, eir) for g in design.groups for eir in g.nodes]
-    specs: List[FaultSpec] = []
-    for _ in range(num_faults):
-        at = rng.randrange(*fire_window)
-        heal: Optional[int] = at + rng.randrange(*heal_after)
-        if rng.random() < permanent_fraction:
-            heal = None
-        if links and rng.random() < 0.7:
-            cb, eir = rng.choice(links)
-            specs.append(
-                FaultSpec(
-                    kind="eir_link", node=cb, peer=eir,
-                    at_cycle=at, heal_cycle=heal,
-                )
-            )
-        else:
-            cb = rng.choice(list(design.placement))
-            specs.append(
-                FaultSpec(
-                    kind="ni_buffer", node=cb, buffer=0,
-                    at_cycle=at, heal_cycle=heal,
                 )
             )
     return tuple(specs)

@@ -209,12 +209,6 @@ class Router:
         self.blocked = False
         return port
 
-    def disconnected_mesh_ports(self) -> List[int]:
-        """Mesh ports with no neighbour (boundary routers)."""
-        return [
-            p for p in range(routing.NUM_MESH_PORTS) if p not in self.neighbors
-        ]
-
     # ------------------------------------------------------------------
     # Flit intake (called by the network when a link delivers)
     # ------------------------------------------------------------------

@@ -45,18 +45,6 @@ class LatencyAccumulator:
         self.non_queuing += min(non_queuing, total)
         self.queuing += max(total - non_queuing, 0)
 
-    @property
-    def mean_total(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def mean_queuing(self) -> float:
-        return self.queuing / self.count if self.count else 0.0
-
-    @property
-    def mean_non_queuing(self) -> float:
-        return self.non_queuing / self.count if self.count else 0.0
-
 
 class NetworkStats:
     """Event counters and latency records for one physical network."""
@@ -140,19 +128,6 @@ class NetworkStats:
         total = sum(self.latency[t].total for t in types)
         return total / count if count else 0.0
 
-    def latency_breakdown(self) -> Dict[str, float]:
-        """Mean queuing / non-queuing latency for requests and replies."""
-        req = [PacketType.READ_REQUEST, PacketType.WRITE_REQUEST]
-        rep = [PacketType.READ_REPLY, PacketType.WRITE_REPLY]
-        out: Dict[str, float] = {}
-        for label, group in (("request", req), ("reply", rep)):
-            count = sum(self.latency[t].count for t in group)
-            queuing = sum(self.latency[t].queuing for t in group)
-            nonq = sum(self.latency[t].non_queuing for t in group)
-            out[f"{label}_queuing"] = queuing / count if count else 0.0
-            out[f"{label}_non_queuing"] = nonq / count if count else 0.0
-        return out
-
     def snapshot(self) -> Dict[str, object]:
         """Every counter as plain data, for fingerprinting and tests.
 
@@ -191,29 +166,3 @@ class NetworkStats:
         payload = json.dumps(self.snapshot(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
-    def merge(self, other: "NetworkStats") -> None:
-        """Fold another network's counters into this one (DA2Mesh subnets)."""
-        self.buffer_writes += other.buffer_writes
-        self.buffer_reads += other.buffer_reads
-        self.xbar_traversals += other.xbar_traversals
-        self.vc_allocs += other.vc_allocs
-        self.link_hops_onchip += other.link_hops_onchip
-        self.link_hops_interposer += other.link_hops_interposer
-        self.interposer_hop_length += other.interposer_hop_length
-        self.flits_injected += other.flits_injected
-        self.flits_ejected += other.flits_ejected
-        self.packets_created += other.packets_created
-        self.packets_delivered += other.packets_delivered
-        self.bits_delivered += other.bits_delivered
-        self.flits_dropped += other.flits_dropped
-        self.flits_reclaimed += other.flits_reclaimed
-        self.packets_recovered += other.packets_recovered
-        self.residence_cycles += other.residence_cycles
-        self.residence_count += other.residence_count
-        for t in PacketType:
-            acc, oacc = self.latency[t], other.latency[t]
-            acc.count += oacc.count
-            acc.total += oacc.total
-            acc.queuing += oacc.queuing
-            acc.non_queuing += oacc.non_queuing
-            acc.clamped += oacc.clamped

@@ -65,15 +65,6 @@ class CmeshMap:
         c = self.concentration
         return (y % c) * c + (x % c)
 
-    def tiles_of(self, cnode: int) -> Tuple[int, ...]:
-        cx, cy = self.cgrid.coord(cnode)
-        c = self.concentration
-        return tuple(
-            self.base.node(cx * c + dx, cy * c + dy)
-            for dy in range(c)
-            for dx in range(c)
-        )
-
 
 def build_cmesh(
     base: Grid,

@@ -9,7 +9,7 @@ therefore yielding cost (paper section 3.2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Point = Tuple[float, float]
 
@@ -102,19 +102,3 @@ def crossing_pairs(segments: Sequence[Segment]) -> List[Tuple[int, int]]:
 def count_crossings(segments: Sequence[Segment]) -> int:
     """Number of conflicting segment pairs."""
     return len(crossing_pairs(segments))
-
-
-def crossing_point(s1: Segment, s2: Segment) -> Optional[Point]:
-    """The intersection point of two properly-crossing segments, if any."""
-    x1, y1 = s1.a
-    x2, y2 = s1.b
-    x3, y3 = s2.a
-    x4, y4 = s2.b
-    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    if denom == 0:
-        return None
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / denom
-    u = ((x1 - x3) * (y1 - y2) - (y1 - y3) * (x1 - x2)) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-    return None

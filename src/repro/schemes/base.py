@@ -112,7 +112,6 @@ class Fabric:
         grid: Grid,
         placement: Sequence[int],
         equinox_design: Optional[EquiNoxDesign] = None,
-        max_packet_flits: Optional[int] = None,
         scheduler: Optional[str] = None,
         engine: Optional[str] = None,
     ) -> None:
@@ -138,8 +137,7 @@ class Fabric:
         # Networks a reply can arrive on: reply, both, cmesh.
         self._reply_side: List[Network] = []
 
-        data_flits = packet_flits(PacketType.READ_REPLY, config.flit_bytes)
-        vc_cap = max_packet_flits or data_flits
+        vc_cap = packet_flits(PacketType.READ_REPLY, config.flit_bytes)
 
         def mesh(name: str, role: str, vc_classes,
                  flit_bytes: int = config.flit_bytes,

@@ -24,7 +24,6 @@ from .registry import (
     ResidencyProbe,
     SeriesSampler,
     TelemetryRegistry,
-    resolve_interval,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "ResidencyProbe",
     "SeriesSampler",
     "TelemetryRegistry",
-    "resolve_interval",
     "aggregate_sweep",
     "dumps_record",
     "experiment_filename",

@@ -35,20 +35,6 @@ DEFAULT_WINDOW = 4096
 """Samples a series retains by default (oldest evicted first)."""
 
 
-def resolve_interval(value: int) -> int:
-    """Normalise a ``--telemetry``/``REPRO_TELEMETRY`` value.
-
-    ``0`` (or negative) disables telemetry, ``1`` enables it at
-    :data:`DEFAULT_INTERVAL`, any larger integer is the sampling
-    interval itself — the same convention ``--validate`` uses.
-    """
-    if value <= 0:
-        return 0
-    if value == 1:
-        return DEFAULT_INTERVAL
-    return value
-
-
 class SeriesSampler:
     """One windowed time series: ``fn()`` sampled into a bounded deque."""
 

@@ -32,14 +32,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ContextManager, List, Optional
 
-from ..gpu.system import System, SystemConfig, SystemResult
-from ..harness.experiment import build_fabric
-from ..noc.faults import FaultInjector, FaultPlan
+from ..gpu.system import SystemResult
+from ..harness.experiment import build_fabric, simulate
+from ..noc.faults import FaultInjector
 from ..noc.validation import audit_network
 from ..schemes.base import Fabric
 from ..settings import hermetic_env
-from ..telemetry import TelemetryRegistry
-from ..workloads import profiles
 from .space import VerifyCase
 
 #: Arming thresholds a vector-engine case runs under, picked by ``seed
@@ -94,62 +92,35 @@ class CaseRun:
         return self.injector is not None and self.injector.applied > 0
 
 
-def fingerprint(fabric: Fabric) -> str:
-    """sha256 over every network's counter snapshot (harness contract)."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for net, _ratio, _role in fabric.networks:
-        digest.update(net.stats.fingerprint().encode())
-    return digest.hexdigest()
-
-
 def run_case(
     case: VerifyCase, validate_every: int = 1
 ) -> CaseRun:
     """Run one case with audits every ``validate_every`` base cycles.
 
-    Unlike the sweep harness this passes the audit interval to
-    ``System`` *raw* (1 really means every cycle), runs hermetically
-    with respect to ``REPRO_*`` env knobs, and keeps the live fabric
-    for post-run inspection.  ``NetworkAuditError`` and
-    ``SimulationStall`` propagate to the caller.
+    Unlike the sweep harness this passes the audit and telemetry
+    intervals to :func:`~repro.harness.experiment.simulate` *raw* (1
+    really means every cycle), runs hermetically with respect to
+    ``REPRO_*`` env knobs, and keeps the live fabric for post-run
+    inspection.  ``NetworkAuditError`` and ``SimulationStall``
+    propagate to the caller.
     """
     with hermetic_env(), arming_regime(case):
-        fabric = build_fabric(
-            case.scheme, case.experiment_config(), scheduler=case.scheduler
+        config = case.experiment_config()
+        fabric = build_fabric(case.scheme, config, scheduler=case.scheduler)
+        run = simulate(
+            fabric, case.benchmark, config, validate_every, case.telemetry
         )
-        injector: Optional[FaultInjector] = None
-        if case.faults:
-            injector = FaultInjector(fabric, FaultPlan(case.faults))
-        registry: Optional[TelemetryRegistry] = None
-        if case.telemetry > 0:
-            registry = TelemetryRegistry(interval=case.telemetry)
-        system = System(
-            fabric,
-            profiles.get(case.benchmark),
-            SystemConfig(
-                quota=case.quota,
-                seed=case.seed,
-                max_cycles=case.max_cycles,
-                validate_interval=validate_every,
-                watchdog_cycles=case.watchdog_cycles,
-                fault_injector=injector,
-                telemetry=registry,
-            ),
-        )
-        result = system.run()
-    completed = sum(
-        1 for t in result.transactions if t.completed is not None
-    )
+    transactions = run.result.transactions
     return CaseRun(
         case=case,
         fabric=fabric,
-        result=result,
-        injector=injector,
-        stats_fingerprint=fingerprint(fabric),
-        transactions_completed=completed,
-        transactions_total=len(result.transactions),
+        result=run.result,
+        injector=run.injector,
+        stats_fingerprint=run.stats_fingerprint,
+        transactions_completed=sum(
+            1 for t in transactions if t.completed is not None
+        ),
+        transactions_total=len(transactions),
     )
 
 

@@ -29,7 +29,6 @@ from repro.noc.faults import (
     FaultSpec,
     eir_link_faults,
     parse_faults_arg,
-    random_injection_faults,
 )
 from repro.noc.validation import assert_healthy
 
@@ -361,14 +360,32 @@ class TestEndToEnd:
         assert result.ipc > 0
 
     def test_random_fault_schedules_conserve(self):
-        """Property-style: seeded random fault schedules, audits on."""
-        design = cache.equinox_design(
-            8, 8, iterations_per_level=QUICK.mcts_iterations, seed=0
+        """Transient injection-side fault schedules, audits on.
+
+        Three schedules of four faults each, once drawn at random: EIR
+        links of the 8x8 design's own groups and CB NI buffers, all
+        firing and healing while traffic flows.
+        """
+        schedules = (
+            (("ni_buffer", 39, None, 118, 313),
+             ("eir_link", 39, 45, 110, 286),
+             ("ni_buffer", 54, None, 157, 231),
+             ("eir_link", 17, 34, 271, 321)),
+            (("ni_buffer", 39, None, 78, 151),
+             ("eir_link", 13, 22, 178, 282),
+             ("ni_buffer", 40, None, 270, 420),
+             ("ni_buffer", 2, None, 328, 491)),
+            (("ni_buffer", 59, None, 171, 360),
+             ("eir_link", 40, 56, 370, 568),
+             ("ni_buffer", 59, None, 182, 373),
+             ("eir_link", 13, 37, 326, 516)),
         )
-        for seed in (1, 2, 3):
-            specs = random_injection_faults(
-                seed, design.eir_design, num_faults=4,
-                fire_window=(50, 400), heal_after=(50, 200),
+        for schedule in schedules:
+            specs = tuple(
+                FaultSpec(kind=kind, node=node, peer=peer,
+                          buffer=0 if kind == "ni_buffer" else None,
+                          at_cycle=at, heal_cycle=heal)
+                for kind, node, peer, at, heal in schedule
             )
             for scheme in ("EquiNox", "SeparateBase"):
                 result = run_experiment(

@@ -1,7 +1,11 @@
 """Tests for the figure generators (small configurations)."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
+from repro.harness import figures
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import (
     figure4,
@@ -13,6 +17,8 @@ from repro.harness.figures import (
     section66,
     table1,
 )
+from repro.noc.faults import FaultSpec
+from repro.workloads import profiles
 
 SMALL = ExperimentConfig(quota=10, mcts_iterations=20)
 
@@ -78,11 +84,6 @@ class TestFigure9And10:
         means = fig9.normalized_means("cycles")
         assert means["SingleBase"] == pytest.approx(1.0)
 
-    def test_per_benchmark_view(self, fig9):
-        per = fig9.per_benchmark("cycles")
-        assert set(per) == {"hotspot", "kmeans"}
-        assert set(per["kmeans"]) == {"SingleBase", "SeparateBase", "EquiNox"}
-
     def test_render(self, fig9):
         text = fig9.render()
         assert "Execution time" in text
@@ -111,3 +112,33 @@ class TestSection66:
         assert result.equinox.num_bumps < result.cmesh.num_bumps
         assert 50 < result.saving_percent < 95
         assert "µbump" in result.render()
+
+
+class TestFigure12:
+    def test_every_width_keeps_the_callers_config(self, monkeypatch):
+        """One ``run_suite`` per width, under the caller's config with
+        only the width replaced: engine, audits, watchdog, faults and
+        telemetry all reach the cells."""
+        calls = []
+
+        def fake_run_suite(schemes, benchmarks, config):
+            calls.append((list(schemes), list(benchmarks), config))
+            return {
+                (s, b): SimpleNamespace(ipc=3.0 if s == "EquiNox" else 2.0)
+                for s in schemes
+                for b in benchmarks
+            }
+
+        monkeypatch.setattr(figures, "run_suite", fake_run_suite)
+        base = ExperimentConfig(
+            quota=7, engine="vector", validate=64, watchdog_cycles=900,
+            telemetry=25,
+            faults=(FaultSpec(kind="eir_link", at_cycle=100),),
+        )
+        result = figures.figure12(base, widths=(8, 12), num_benchmarks=2)
+        names = [p.name for p in profiles.subset(2)]
+        assert calls == [
+            (["SeparateBase", "EquiNox"], names, replace(base, width=w))
+            for w in (8, 12)
+        ]
+        assert result.speedups == {8: 1.5, 12: 1.5}

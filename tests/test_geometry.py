@@ -64,18 +64,6 @@ class TestConflicts:
         assert not geometry.segments_cross(seg(1, 1, 0, 1), seg(1, 1, 2, 1))
 
 
-class TestCrossingPoint:
-    def test_exact_point(self):
-        point = geometry.crossing_point(seg(0, 1, 2, 1), seg(1, 0, 1, 2))
-        assert point == pytest.approx((1.0, 1.0))
-
-    def test_parallel_none(self):
-        assert geometry.crossing_point(seg(0, 0, 1, 0), seg(0, 1, 1, 1)) is None
-
-    def test_non_overlapping_none(self):
-        assert geometry.crossing_point(seg(0, 0, 1, 0), seg(3, -1, 3, 1)) is None
-
-
 class TestLength:
     def test_unit_length(self):
         assert seg(0, 0, 1, 0).length == 1.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpu import ProcessingElement, System, SystemConfig, Transaction
-from repro.harness.experiment import ExperimentConfig, build_fabric
+from repro.harness.experiment import ExperimentConfig, build_fabric, run_experiment
 from repro.workloads import get
 from repro.workloads.profiles import WorkloadProfile
 
@@ -143,17 +143,13 @@ class TestSystem:
     def test_ipc_positive(self):
         result = self._run(quota=10)
         assert result.ipc > 0
-        assert result.mean_round_trip() > 0
 
     def test_backpressure_shows_in_request_queuing(self):
         """The parking-lot effect: request queuing >> reply queuing on a
         saturating workload (paper section 6.4)."""
         cfg = ExperimentConfig(quota=60, mcts_iterations=20)
-        fabric = build_fabric("SeparateBase", cfg)
-        System(fabric, get("kmeans"), SystemConfig(quota=60, seed=0)).run()
-        req = fabric.request_net.stats.latency_breakdown()
-        rep = fabric.reply_net.stats.latency_breakdown()
-        assert req["request_queuing"] > rep["reply_queuing"]
+        latency = run_experiment("SeparateBase", "kmeans", cfg).latency
+        assert latency.request_queuing > latency.reply_queuing
 
     def test_cb_capacity_limits_occupancy(self):
         cfg = ExperimentConfig(quota=20, mcts_iterations=20)

@@ -153,21 +153,3 @@ class TestPenaltyFromOverlaps:
             (node, p) for node, p in expected.items() if p
         ]
 
-
-class TestRanking:
-    def test_rank_sorted_ascending(self):
-        grid = Grid(8)
-        placements = [
-            tuple(grid.node(x, 0) for x in range(4)),
-            (grid.node(0, 0), grid.node(7, 0), grid.node(0, 7), grid.node(7, 7)),
-        ]
-        ranked = hotzone.rank_placements(grid, placements)
-        assert ranked[0][0] <= ranked[1][0]
-
-    def test_rank_deterministic_ties(self):
-        grid = Grid(8)
-        a = (grid.node(0, 0), grid.node(7, 7))
-        b = (grid.node(7, 0), grid.node(0, 7))
-        first = hotzone.rank_placements(grid, [a, b])
-        second = hotzone.rank_placements(grid, [b, a])
-        assert first == second

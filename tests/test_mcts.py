@@ -89,7 +89,11 @@ class TestNode:
         root = Node(action=None)
         c = root.add_child(make_group(1, {}))
         c.add_child(make_group(2, {}))
-        assert root.tree_size() == 3
+
+        def size(node):
+            return 1 + sum(size(child) for child in node.children)
+
+        assert size(root) == 3
 
 
 class TestSearch:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.grid import Grid
 from repro.harness import cache
-from repro.harness.render import design_map, heatmap_text, placement_map
+from repro.harness.render import design_map, heatmap_text
 
 
 class TestHeatmap:
@@ -49,11 +49,3 @@ class TestDesignMap:
         occupied = 8 + design.num_eirs
         assert flat.count(".") == 64 - occupied
 
-
-class TestPlacementMap:
-    def test_cb_count(self):
-        grid = Grid(8)
-        placement = cache.placement("diamond", 8).nodes
-        text = placement_map(grid, placement)
-        assert text.count("C") == 8
-        assert text.count(".") == 56

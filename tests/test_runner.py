@@ -140,16 +140,12 @@ class TestRunSweep:
         outcome = report.outcomes[0]
         assert not outcome.ok
         assert outcome.stall_dump == "=== network 'request' ==="
-        assert report.stall_dumps() == {
-            ("SingleBase", "hotspot"): "=== network 'request' ==="
-        }
 
     def test_plain_failure_has_no_stall_dump(self):
         report = run_sweep(
             [SweepCell("SingleBase", "no-such-benchmark", CFG)], jobs=1
         )
         assert report.outcomes[0].stall_dump is None
-        assert report.stall_dumps() == {}
 
     def test_run_suite_matches_runner(self):
         suite = run_suite(["SingleBase"], ["hotspot"], CFG)
@@ -180,8 +176,7 @@ class TestMixedConfigReport:
         return SweepReport([outcome(12, None), outcome(16, "boom"),
                             outcome(16, "bang")], wall_s=3.0, jobs=1)
 
-    @pytest.mark.parametrize("accessor",
-                             ["results", "errors", "stall_dumps"])
+    @pytest.mark.parametrize("accessor", ["results", "errors"])
     def test_keyed_accessors_refuse_to_collapse(self, accessor):
         with pytest.raises(ValueError) as info:
             getattr(self._report(), accessor)()

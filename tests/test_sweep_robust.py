@@ -376,6 +376,46 @@ class TestJournal:
         assert len(store.entries) == 2
 
 
+
+class TestFleetFallback:
+    """``run_sweep`` finishing in the submitting process.
+
+    Either the fleet cannot start (``spawn_fleet`` raises ``OSError``),
+    or every worker is SIGKILLed holding a lease, so the supervisor
+    force-expires the leases and drains the bus serially.  Neither
+    path may cost a retry or change a result.
+    """
+
+    @pytest.mark.parametrize("mode", ["spawn_fails", "fleet_killed"])
+    def test_sweep_finishes_serially(self, monkeypatch, capsys, mode):
+        from dataclasses import replace
+
+        from repro.harness import service
+
+        serial = run_sweep(_cells(), jobs=1)
+        spawn_fleet = service.spawn_fleet
+
+        def spawn(bus_path, workers, policy, options, store_root=None):
+            if mode == "spawn_fails":
+                raise OSError("no processes left")
+            return spawn_fleet(
+                bus_path, workers, policy,
+                replace(options, chaos_kill_after=1), store_root=store_root,
+            )
+
+        monkeypatch.setattr(service, "spawn_fleet", spawn)
+        report = run_sweep(_cells(), jobs=2, progress=True)
+        assert [(o.ok, o.attempts) for o in report.outcomes] == [(True, 1)] * 2
+        assert [o.result.stats_fingerprint for o in report.outcomes] == [
+            o.result.stats_fingerprint for o in serial.outcomes
+        ]
+        expected = {
+            "spawn_fails": "worker fleet unavailable",
+            "fleet_killed": "worker fleet exited early",
+        }[mode]
+        assert expected in capsys.readouterr().out
+
+
 class TestCacheEvictions:
     def test_corrupt_entry_counted_and_removed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

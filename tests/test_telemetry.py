@@ -18,6 +18,7 @@ from repro.harness.experiment import (
     ExperimentConfig,
     build_fabric,
     config_digest,
+    resolve_interval,
     run_experiment,
     run_suite,
     run_with_fabric,
@@ -30,7 +31,6 @@ from repro.telemetry import (
     dumps_record,
     experiment_filename,
     read_jsonl,
-    resolve_interval,
     summarize_record,
     sweep_filename,
     sweep_records,
@@ -44,15 +44,15 @@ CFG_TEL = ExperimentConfig(quota=8, mcts_iterations=10, telemetry=25)
 
 class TestIntervals:
     def test_resolve_interval_convention(self):
-        assert resolve_interval(0) == 0
-        assert resolve_interval(-3) == 0
-        assert resolve_interval(1) == DEFAULT_INTERVAL
-        assert resolve_interval(64) == 64
+        assert resolve_interval(0, DEFAULT_INTERVAL) == 0
+        assert resolve_interval(-3, DEFAULT_INTERVAL) == 0
+        assert resolve_interval(1, DEFAULT_INTERVAL) == DEFAULT_INTERVAL
+        assert resolve_interval(64, DEFAULT_INTERVAL) == 64
 
     def test_env_parsing(self, monkeypatch):
         def interval():
             config = settings.resolve(ExperimentConfig())
-            return resolve_interval(config.telemetry)
+            return resolve_interval(config.telemetry, DEFAULT_INTERVAL)
 
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         assert interval() == 0
@@ -252,9 +252,9 @@ class TestAggregation:
         report = run_sweep(
             expand_grid(["SingleBase"], ["hotspot"], CFG_TEL), jobs=1
         )
-        records = report.telemetry_records()
+        records = [r.telemetry for r in report.results().values()]
         assert len(records) == 1
-        summary = report.telemetry_summary("d2")
+        summary = aggregate_sweep(records, "d2")
         assert summary["config_digest"] == "d2"
         assert len(summary["cells"]) == 1
 

@@ -14,6 +14,7 @@ from repro.gpu.system import SimulationStall, System, SystemConfig
 from repro.harness.experiment import (
     ExperimentConfig,
     build_fabric,
+    resolve_interval,
     run_experiment,
     run_with_fabric,
 )
@@ -26,11 +27,7 @@ from repro.noc import (
     vector,
 )
 from repro.core.grid import Grid
-from repro.noc.diagnostics import (
-    DEFAULT_AUDIT_INTERVAL,
-    network_dump,
-    resolve_validate_interval,
-)
+from repro.noc.diagnostics import DEFAULT_AUDIT_INTERVAL, network_dump
 from repro.noc.loops import LoopInterface, ring_loops
 from repro.noc.routing import PORT_E, PORT_S, PORT_W
 from repro.noc.types import Packet, PacketType, packet_flits
@@ -184,7 +181,7 @@ class TestEnvKnobs:
     def test_validate_interval_semantics(self, monkeypatch):
         def interval():
             config = settings.resolve(ExperimentConfig())
-            return resolve_validate_interval(config.validate)
+            return resolve_interval(config.validate, DEFAULT_AUDIT_INTERVAL)
 
         monkeypatch.delenv("REPRO_VALIDATE", raising=False)
         assert interval() == 0
@@ -202,10 +199,11 @@ class TestEnvKnobs:
             interval()
 
     def test_resolve_validate_interval(self):
-        assert resolve_validate_interval(-3) == 0
-        assert resolve_validate_interval(0) == 0
-        assert resolve_validate_interval(1) == DEFAULT_AUDIT_INTERVAL
-        assert resolve_validate_interval(64) == 64
+        default = DEFAULT_AUDIT_INTERVAL
+        assert resolve_interval(-3, default) == 0
+        assert resolve_interval(0, default) == 0
+        assert resolve_interval(1, default) == DEFAULT_AUDIT_INTERVAL
+        assert resolve_interval(64, default) == 64
 
     def test_watchdog_env(self, monkeypatch):
         def window(explicit=0):

@@ -1,7 +1,7 @@
 """EquiNox core: placement, hot zones, EIR selection and the design flow."""
 
 from .equinox import EquiNoxDesign, design_equinox, design_from_groups
-from .eir import EirDesign, EirGroup, make_group, no_eir_design
+from .eir import EirDesign, EirGroup, make_group
 from .grid import Grid
 from .placement import PlacementResult, by_name as placement_by_name
 
@@ -12,7 +12,6 @@ __all__ = [
     "EirDesign",
     "EirGroup",
     "make_group",
-    "no_eir_design",
     "Grid",
     "PlacementResult",
     "placement_by_name",

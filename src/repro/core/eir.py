@@ -44,10 +44,6 @@ class EirGroup:
         """EIR node ids (excluding the CB's local router)."""
         return tuple(node for _, node in self.eirs)
 
-    @property
-    def by_direction(self) -> Dict[Coord, int]:
-        return dict(self.eirs)
-
     def __len__(self) -> int:
         return len(self.eirs)
 
@@ -144,32 +140,6 @@ def enumerate_groups(
     return groups
 
 
-def design_space_size(
-    grid: Grid,
-    placement: Sequence[int],
-    min_distance: int = 1,
-    max_distance: int = MAX_EIR_DISTANCE,
-) -> int:
-    """Upper bound on the number of complete EIR selections.
-
-    The product over CBs of their per-CB group counts (ignoring the
-    no-sharing interaction between CBs, hence an upper bound).  With
-    ``min_distance=1`` and ``max_distance=3`` this reports the size of
-    the raw space the paper quotes as ~1.7e10 for 8x8.
-    """
-    total = 1
-    for cb in placement:
-        groups = enumerate_groups(
-            grid,
-            placement,
-            cb,
-            min_distance=min_distance,
-            max_distance=max_distance,
-        )
-        total *= len(groups)
-    return total
-
-
 @dataclass(frozen=True)
 class EirDesign:
     """A complete EIR selection: one group per cache bank."""
@@ -227,8 +197,3 @@ def shortest_path_eirs(grid: Grid, design: EirDesign, cb: int, dst: int) -> List
         if grid.hops(cb, node) + grid.hops(node, dst) == base
     ]
 
-
-def no_eir_design(grid: Grid, placement: Sequence[int]) -> EirDesign:
-    """A degenerate design with empty groups (baseline injection only)."""
-    groups = tuple(make_group(cb, {}) for cb in placement)
-    return EirDesign(grid=grid, placement=tuple(placement), groups=groups)

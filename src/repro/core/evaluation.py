@@ -134,11 +134,9 @@ def _finalize(
     return EvalResult(raw=raw, normalized=normalized, score=score)
 
 
-def evaluate(
-    design: EirDesign,
-    weights: Optional[Mapping[str, float]] = None,
-) -> EvalResult:
-    """Evaluate a complete EIR design; lower scores are better."""
+def evaluate(design: EirDesign) -> EvalResult:
+    """Evaluate a complete EIR design under the default weights; lower
+    scores are better."""
     grid = design.grid
     plan = interposer.plan_for_design(design)
 
@@ -151,7 +149,7 @@ def evaluate(
     }
     return _finalize(
         grid, design.placement, len(design.links()), raw,
-        _baseline_avg_hops(grid, design.placement), weights,
+        _baseline_avg_hops(grid, design.placement), None,
     )
 
 

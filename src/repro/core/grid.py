@@ -141,13 +141,6 @@ class Grid:
                     out.append(self.node(x + dx, y + sy))
         return sorted(set(out))
 
-    def within(self, node: int, radius: int) -> List[int]:
-        """All nodes within ``radius`` hops of ``node`` (excluding itself)."""
-        out: List[int] = []
-        for r in range(1, radius + 1):
-            out.extend(self.ring(node, r))
-        return sorted(set(out))
-
     # ------------------------------------------------------------------
     # Alignment predicates (used by placement quality checks)
     # ------------------------------------------------------------------
@@ -174,10 +167,3 @@ class Grid:
 AXIS_DIRECTIONS: Tuple[Coord, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 """The four axis directions (E, W, S, N) used for EIR placement."""
 
-
-def direction_name(direction: Coord) -> str:
-    """Human-readable name of an axis direction."""
-    names = {(1, 0): "x+", (-1, 0): "x-", (0, 1): "y+", (0, -1): "y-"}
-    if direction not in names:
-        raise ValueError(f"{direction} is not an axis direction")
-    return names[direction]

@@ -33,17 +33,9 @@ def is_valid_solution(cols: Sequence[int]) -> bool:
     return True
 
 
-def solve_all(n: int, limit: Optional[int] = None) -> List[Solution]:
-    """Enumerate N-Queen solutions by backtracking (row by row).
-
-    Parameters
-    ----------
-    n:
-        Board size.
-    limit:
-        If given, stop after this many solutions (useful for n >= 12
-        where the full count explodes).
-    """
+def solve_all(n: int) -> List[Solution]:
+    """Enumerate every N-Queen solution of an ``n``-board by
+    backtracking (row by row)."""
     if n <= 0:
         raise ValueError("n must be positive")
     solutions: List[Solution] = []
@@ -52,22 +44,19 @@ def solve_all(n: int, limit: Optional[int] = None) -> List[Solution]:
     used_d1 = [False] * (2 * n)  # row + col
     used_d2 = [False] * (2 * n)  # row - col + n
 
-    def backtrack(row: int) -> bool:
+    def backtrack(row: int) -> None:
         if row == n:
             solutions.append(tuple(cols))
-            return limit is not None and len(solutions) >= limit
+            return
         for col in range(n):
             d1, d2 = row + col, row - col + n
             if used_cols[col] or used_d1[d1] or used_d2[d2]:
                 continue
             used_cols[col] = used_d1[d1] = used_d2[d2] = True
             cols.append(col)
-            done = backtrack(row + 1)
+            backtrack(row + 1)
             cols.pop()
             used_cols[col] = used_d1[d1] = used_d2[d2] = False
-            if done:
-                return True
-        return False
 
     backtrack(0)
     return solutions
@@ -135,23 +124,21 @@ def solution_to_nodes(grid: Grid, cols: Sequence[int]) -> Tuple[int, ...]:
     return tuple(grid.node(col, row) for row, col in enumerate(cols))
 
 
-def candidate_solutions(
-    n: int, max_solutions: int = 256, seed: int = 0
-) -> List[Solution]:
+SAMPLED_SOLUTIONS = 256
+"""How many solutions :func:`candidate_solutions` draws above n = 10."""
+
+
+def candidate_solutions(n: int) -> List[Solution]:
     """Solutions to score for an ``n x n`` grid.
 
     For ``n <= 10`` every solution is enumerated (92 for n=8); above
-    that a deterministic sample is drawn, mirroring the paper's "generate
-    a number of N-Queen placements" procedure for large networks.
+    that a deterministic sample of :data:`SAMPLED_SOLUTIONS` is drawn,
+    mirroring the paper's "generate a number of N-Queen placements"
+    procedure for large networks.
     """
     if n <= 10:
         return solve_all(n)
-    return sample_solutions(n, max_solutions, seed=seed)
-
-
-def count_solutions(n: int) -> int:
-    """Number of N-Queen solutions (exact, by enumeration)."""
-    return len(solve_all(n))
+    return sample_solutions(n, SAMPLED_SOLUTIONS)
 
 
 def prune_to_k(

@@ -101,12 +101,7 @@ def diamond(grid: Grid, num_cbs: int = 8) -> PlacementResult:
     return _score(grid, "diamond", nodes)
 
 
-def nqueen_best(
-    grid: Grid,
-    num_cbs: int = 8,
-    max_solutions: int = 256,
-    seed: int = 0,
-) -> PlacementResult:
+def nqueen_best(grid: Grid, num_cbs: int = 8) -> PlacementResult:
     """The lowest-penalty N-Queen placement (the paper's choice).
 
     For square grids with ``num_cbs == N`` every solution (or a sampled
@@ -119,7 +114,7 @@ def nqueen_best(
     n = grid.width
     if num_cbs > n:
         raise ValueError("use knight_move() when num_cbs exceeds N")
-    solutions = nqueen.candidate_solutions(n, max_solutions=max_solutions, seed=seed)
+    solutions = nqueen.candidate_solutions(n)
     best: PlacementResult | None = None
     for cols in solutions:
         if num_cbs == n:
@@ -127,7 +122,7 @@ def nqueen_best(
                 tuple((c, r) for r, c in enumerate(cols))
             ]
         else:
-            candidates = list(nqueen.prune_to_k(cols, num_cbs, seed=seed,
+            candidates = list(nqueen.prune_to_k(cols, num_cbs,
                                                 max_subsets=32))
         for coords in candidates:
             nodes = tuple(grid.node(x, y) for x, y in coords)
@@ -185,7 +180,7 @@ STRATEGIES: Dict[str, Callable[..., PlacementResult]] = {
 """Placements compared in the paper's Figure 4, by name."""
 
 
-def by_name(name: str, grid: Grid, num_cbs: int = 8, **kwargs) -> PlacementResult:
+def by_name(name: str, grid: Grid, num_cbs: int = 8) -> PlacementResult:
     """Look up and build a placement strategy by its Figure-4 name."""
     try:
         strategy = STRATEGIES[name]
@@ -193,4 +188,4 @@ def by_name(name: str, grid: Grid, num_cbs: int = 8, **kwargs) -> PlacementResul
         raise ValueError(
             f"unknown placement {name!r}; choose from {sorted(STRATEGIES)}"
         ) from None
-    return strategy(grid, num_cbs, **kwargs)
+    return strategy(grid, num_cbs)

@@ -108,6 +108,7 @@ def save_design(design: EquiNoxDesign, path: Union[str, Path]) -> Path:
     return path
 
 
-def load_design(path: Union[str, Path], strict: bool = True) -> EquiNoxDesign:
-    """Read a design previously written by :func:`save_design`."""
-    return design_from_dict(json.loads(Path(path).read_text()), strict=strict)
+def load_design(path: Union[str, Path]) -> EquiNoxDesign:
+    """Read a design previously written by :func:`save_design`, strictly
+    cross-checking its stored score."""
+    return design_from_dict(json.loads(Path(path).read_text()))

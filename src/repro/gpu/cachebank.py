@@ -35,13 +35,12 @@ class CacheBank:
         fabric: "object",
         seed: int,
         capacity: int = DEFAULT_CAPACITY,
-        l2_latency: int = DEFAULT_L2_LATENCY,
     ) -> None:
         self.node = node
         self.profile = profile
         self.fabric = fabric
         self.capacity = capacity
-        self.l2_latency = l2_latency
+        self.l2_latency = DEFAULT_L2_LATENCY
         self.memory = MemoryController()
         self._rng = random.Random((seed << 16) ^ (node * 40503 % 2**31))
         self._ready: List[Tuple[int, int, Transaction]] = []  # (cycle, seq, txn)

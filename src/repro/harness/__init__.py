@@ -4,7 +4,6 @@ from . import cache, figures, runner
 from .experiment import (
     ExperimentConfig,
     build_fabric,
-    default_config,
     run_experiment,
     run_suite,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "runner",
     "ExperimentConfig",
     "build_fabric",
-    "default_config",
     "run_experiment",
     "run_suite",
     "ExperimentResult",

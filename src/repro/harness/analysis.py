@@ -12,6 +12,11 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .metrics import ExperimentResult, mean
 
+# Fractional exec-time reduction at or above which a benchmark is
+# noc-bound, or moderate.
+NOC_BOUND_THRESHOLD = 0.15
+MODERATE_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class BenchmarkClass:
@@ -25,8 +30,6 @@ class BenchmarkClass:
 def classify(
     baseline: Mapping[str, ExperimentResult],
     improved: Mapping[str, ExperimentResult],
-    noc_bound_threshold: float = 0.15,
-    moderate_threshold: float = 0.05,
 ) -> List[BenchmarkClass]:
     """Classify benchmarks by how much a better NoC helps them.
 
@@ -38,9 +41,9 @@ def classify(
         if name not in improved:
             raise KeyError(f"benchmark {name!r} missing from improved runs")
         sensitivity = 1.0 - improved[name].cycles / base.cycles
-        if sensitivity >= noc_bound_threshold:
+        if sensitivity >= NOC_BOUND_THRESHOLD:
             label = "noc-bound"
-        elif sensitivity >= moderate_threshold:
+        elif sensitivity >= MODERATE_THRESHOLD:
             label = "moderate"
         else:
             label = "compute-bound"
@@ -67,15 +70,13 @@ def summarize_scheme(
     scheme: str,
     results: Mapping[Tuple[str, str], ExperimentResult],
     benchmarks: Sequence[str],
-    baseline: str = "SingleBase",
-    metric: str = "cycles",
 ) -> SchemeSummary:
-    """Reduce a scheme x benchmark grid to a suite-level summary."""
+    """Reduce a scheme x benchmark grid to a suite-level summary of its
+    exec-time reduction against SingleBase."""
     reductions: Dict[str, float] = {}
     for bench in benchmarks:
-        base = getattr(results[(baseline, bench)], metric)
-        value = getattr(results[(scheme, bench)], metric)
-        reductions[bench] = 1.0 - value / base
+        base = results[("SingleBase", bench)].cycles
+        reductions[bench] = 1.0 - results[(scheme, bench)].cycles / base
     best = max(reductions, key=reductions.get)
     worst = min(reductions, key=reductions.get)
     return SchemeSummary(
@@ -95,9 +96,8 @@ def crossover_benchmarks(
     scheme_b: str,
     results: Mapping[Tuple[str, str], ExperimentResult],
     benchmarks: Sequence[str],
-    metric: str = "cycles",
 ) -> Tuple[List[str], List[str]]:
-    """Split benchmarks by which of two schemes wins on ``metric``.
+    """Split benchmarks by which of two schemes runs faster.
 
     Returns ``(a_wins, b_wins)``; ties count for neither.  This is how
     the paper discusses DA2Mesh vs SeparateBase: DA2Mesh wins the
@@ -106,8 +106,8 @@ def crossover_benchmarks(
     """
     a_wins, b_wins = [], []
     for bench in benchmarks:
-        a = getattr(results[(scheme_a, bench)], metric)
-        b = getattr(results[(scheme_b, bench)], metric)
+        a = results[(scheme_a, bench)].cycles
+        b = results[(scheme_b, bench)].cycles
         if a < b:
             a_wins.append(bench)
         elif b < a:

@@ -249,17 +249,9 @@ def placement(name: str, width: int, num_cbs: int = 8) -> PlacementResult:
     return result
 
 
-def clear(disk: bool = False) -> None:
-    """Drop cached artefacts: always tier 1, plus the store if ``disk``."""
+def clear() -> None:
+    """Drop the in-memory tier of cached artefacts."""
     global _CORRUPT_EVICTIONS
     _DESIGNS.clear()
     _PLACEMENTS.clear()
     _CORRUPT_EVICTIONS = 0
-    if disk:
-        root = cache_dir()
-        if root is not None and root.is_dir():
-            for entry in root.glob("*.json"):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass

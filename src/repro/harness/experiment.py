@@ -71,11 +71,6 @@ class ExperimentConfig:
     telemetry: int = 0
 
 
-def default_config() -> ExperimentConfig:
-    """Table 1's configuration at harness scale."""
-    return ExperimentConfig()
-
-
 def config_digest(config: ExperimentConfig) -> str:
     """Short stable digest of a fully-resolved experiment config.
 

@@ -35,6 +35,12 @@ from .metrics import (
 
 PLACEMENT_NAMES = ("top", "side", "diagonal", "diamond", "nqueen")
 
+# The 8x8 board of Figures 4 and 5, and Figure 4's few-to-many load.
+FIGURE_WIDTH = 8
+FIGURE4_RATE = 0.5
+FIGURE4_CYCLES = 2000
+FIGURE4_SEED = 3
+
 
 # ----------------------------------------------------------------------
 # Table 1
@@ -91,13 +97,9 @@ class Figure4:
         return f"Figure 4 (heat-map variance, {self.width}x{self.width}):\n{table}"
 
 
-def figure4(
-    width: int = 8,
-    injection_rate: float = 0.5,
-    cycles: int = 2000,
-    seed: int = 3,
-) -> Figure4:
+def figure4() -> Figure4:
     """Per-router residence heat maps under the five CB placements."""
+    width = FIGURE_WIDTH
     variances: Dict[str, float] = {}
     heatmaps: Dict[str, np.ndarray] = {}
     placements: Dict[str, Tuple[int, ...]] = {}
@@ -106,9 +108,9 @@ def figure4(
         result = synthetic.run_few_to_many(
             Grid(width),
             placed.nodes,
-            injection_rate=injection_rate,
-            cycles=cycles,
-            seed=seed,
+            injection_rate=FIGURE4_RATE,
+            cycles=FIGURE4_CYCLES,
+            seed=FIGURE4_SEED,
         )
         variances[name] = result.heatmap_variance
         heatmaps[name] = result.network.stats.heatmap().reshape(width, width)
@@ -141,17 +143,17 @@ class Figure5:
         )
 
 
-def figure5(width: int = 8) -> Figure5:
+def figure5() -> Figure5:
     """Score every N-Queen solution with the hot-zone penalty."""
-    grid = Grid(width)
-    solutions = solve_all(width)
+    grid = Grid(FIGURE_WIDTH)
+    solutions = solve_all(FIGURE_WIDTH)
     scored = []
     for cols in solutions:
         nodes = solution_to_nodes(grid, cols)
         scored.append((placement_penalty(grid, nodes), nodes))
     scored.sort()
     return Figure5(
-        width=width,
+        width=FIGURE_WIDTH,
         num_solutions=len(solutions),
         penalties=[s[0] for s in scored],
         best_penalty=scored[0][0],
@@ -190,17 +192,16 @@ class Figure9:
     benchmarks: List[str]
     results: Dict[Tuple[str, str], ExperimentResult]
 
-    def normalized_means(
-        self, metric: str, baseline: str = "SingleBase"
-    ) -> Dict[str, float]:
-        """Mean over benchmarks of per-benchmark normalised values."""
+    def normalized_means(self, metric: str) -> Dict[str, float]:
+        """Mean over benchmarks of per-benchmark values normalised to
+        SingleBase."""
         sums = {scheme: 0.0 for scheme in self.schemes}
         for benchmark in self.benchmarks:
             values = {
                 scheme: getattr(self.results[(scheme, benchmark)], metric)
                 for scheme in self.schemes
             }
-            for scheme, v in normalize(values, baseline).items():
+            for scheme, v in normalize(values, "SingleBase").items():
                 sums[scheme] += v
         return {s: v / len(self.benchmarks) for s, v in sums.items()}
 
@@ -221,15 +222,13 @@ class Figure9:
 
 def figure9(
     config: Optional[ExperimentConfig] = None,
-    schemes: Optional[Sequence[str]] = None,
-    benchmarks: Optional[Sequence[str]] = None,
     progress: bool = False,
     jobs: int = 1,
 ) -> Figure9:
     """Run the scheme x benchmark grid behind Figures 9 and 10."""
     config = config or ExperimentConfig()
-    schemes = list(schemes or SCHEME_ORDER)
-    benchmarks = list(benchmarks or profiles.names())
+    schemes = list(SCHEME_ORDER)
+    benchmarks = profiles.names()
     results = run_suite(schemes, benchmarks, config, progress=progress,
                         jobs=jobs)
     return Figure9(schemes=schemes, benchmarks=benchmarks, results=results)

@@ -145,14 +145,13 @@ def reduction_percent(baseline: float, improved: float) -> float:
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
-    float_format: str = "{:.3f}",
 ) -> str:
     """Render a plain-text table (the harness's figure output format)."""
     rendered: List[List[str]] = [[str(h) for h in headers]]
     for row in rows:
         rendered.append(
             [
-                float_format.format(cell) if isinstance(cell, float) else str(cell)
+                f"{cell:.3f}" if isinstance(cell, float) else str(cell)
                 for cell in row
             ]
         )

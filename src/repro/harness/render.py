@@ -20,7 +20,6 @@ def heatmap_text(
     heat: np.ndarray,
     grid: Grid,
     marked: Sequence[int] = (),
-    cell_format: str = "{:5.2f}",
 ) -> str:
     """Render a per-node array as a grid of numbers.
 
@@ -39,7 +38,7 @@ def heatmap_text(
         for x in range(grid.width):
             node = grid.node(x, y)
             suffix = "*" if node in marked_set else " "
-            cells.append(cell_format.format(flat[node]) + suffix)
+            cells.append(f"{flat[node]:5.2f}{suffix}")
         lines.append(" ".join(cells))
     return "\n".join(lines)
 

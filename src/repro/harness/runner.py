@@ -150,8 +150,8 @@ class SweepReport:
         """Aggregate work time over wall time (1.0 when serial)."""
         return self.cell_seconds / self.wall_s if self.wall_s else 0.0
 
-    def summary(self, slowest: int = 5) -> str:
-        """A human-readable timing summary (slowest cells first)."""
+    def summary(self) -> str:
+        """A human-readable timing summary (the five slowest cells)."""
         ranked = sorted(
             self.outcomes, key=lambda o: o.duration_s, reverse=True
         )
@@ -161,7 +161,7 @@ class SweepReport:
                 o.duration_s,
                 "ok" if o.ok else "FAILED",
             )
-            for o in ranked[:slowest]
+            for o in ranked[:5]
         ]
         lines = [
             f"{len(self.outcomes)} cells, "
@@ -480,18 +480,8 @@ def sweep(
     config: Optional[ExperimentConfig] = None,
     jobs: int = 1,
     progress: bool = False,
-    reseed_cells: bool = False,
-    cell_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     store: Optional[object] = None,
 ) -> SweepReport:
     """Grid convenience wrapper: :func:`expand_grid` + :func:`run_sweep`."""
-    cells = expand_grid(schemes, benchmarks, config, reseed_cells)
-    return run_sweep(
-        cells,
-        jobs=jobs,
-        progress=progress,
-        cell_timeout=cell_timeout,
-        retries=retries,
-        store=store,
-    )
+    cells = expand_grid(schemes, benchmarks, config)
+    return run_sweep(cells, jobs=jobs, progress=progress, store=store)

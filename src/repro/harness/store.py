@@ -48,11 +48,9 @@ def result_key(
     scheme: str,
     benchmark: str,
     config: ExperimentConfig,
-    version: Optional[str] = None,
 ) -> str:
     """The content address of one cell's result."""
-    version = version or _version()
-    payload = f"{version}:{scheme}:{benchmark}:{config_digest(config)}"
+    payload = f"{_version()}:{scheme}:{benchmark}:{config_digest(config)}"
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
@@ -107,19 +105,12 @@ def _matches(
     scheme: Optional[str],
     benchmark: Optional[str],
     width: Optional[int],
-    config_digest: Optional[str],
 ) -> bool:
     if scheme is not None and record.get("scheme") != scheme:
         return False
     if benchmark is not None and record.get("benchmark") != benchmark:
         return False
-    if width is not None and record.get("width") != width:
-        return False
-    if config_digest is not None and (
-        record.get("config_digest") != config_digest
-    ):
-        return False
-    return True
+    return width is None or record.get("width") == width
 
 
 class DirectoryResultStore:
@@ -169,12 +160,11 @@ class DirectoryResultStore:
         scheme: Optional[str] = None,
         benchmark: Optional[str] = None,
         width: Optional[int] = None,
-        config_digest: Optional[str] = None,
     ) -> List[Dict[str, object]]:
         return sorted(
             (
                 record for record in self._iter_records()
-                if _matches(record, scheme, benchmark, width, config_digest)
+                if _matches(record, scheme, benchmark, width)
             ),
             key=lambda r: (r["scheme"], r["benchmark"], r["key"]),
         )

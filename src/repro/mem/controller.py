@@ -19,9 +19,8 @@ MC_PIPELINE_CYCLES = 4
 class MemoryController:
     """One FR-FCFS memory controller fronting one HBM stack."""
 
-    def __init__(self, pipeline: int = MC_PIPELINE_CYCLES) -> None:
+    def __init__(self) -> None:
         self.stack = HbmStack()
-        self.pipeline = pipeline
         self._inbound: List[MemoryAccess] = []  # waiting out the pipeline
         self._outbound: List[MemoryAccess] = []
 
@@ -32,7 +31,7 @@ class MemoryController:
             token=token, is_read=is_read, row_hit=row_hit,
             submit_cycle=cycle,
         )
-        access.complete_cycle = cycle + self.pipeline  # enters stack then
+        access.complete_cycle = cycle + MC_PIPELINE_CYCLES  # enters stack then
         self._inbound.append(access)
 
     def tick(self, cycle: int) -> List[MemoryAccess]:
@@ -45,7 +44,7 @@ class MemoryController:
                 still_waiting.append(access)
         self._inbound = still_waiting
         for access in self.stack.tick(cycle):
-            access.complete_cycle = cycle + self.pipeline
+            access.complete_cycle = cycle + MC_PIPELINE_CYCLES
             self._outbound.append(access)
         done = [a for a in self._outbound if a.complete_cycle <= cycle]
         if done:

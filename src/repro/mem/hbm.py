@@ -62,15 +62,14 @@ class MemoryAccess:
         is_read: bool,
         row_hit: bool,
         submit_cycle: int,
-        channel: int = -1,
-        complete_cycle: float = 0.0,
     ) -> None:
         self.token = token
         self.is_read = is_read
         self.row_hit = row_hit
         self.submit_cycle = submit_cycle
-        self.channel = channel
-        self.complete_cycle = complete_cycle
+        # Set by HbmStack.submit and at each completion.
+        self.channel = -1
+        self.complete_cycle = 0.0
 
 
 class HbmStack:

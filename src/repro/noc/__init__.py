@@ -15,13 +15,11 @@ from .diagnostics import (
 from .network import Network
 from .router import Router
 from .stats import NetworkStats
-from .topology import CmeshEnvelope, CmeshMap, build_cmesh, build_mesh
+from .topology import CmeshEnvelope, CmeshMap, build_cmesh
 from .validation import (
     AuditReport,
     NetworkAuditError,
-    assert_healthy,
     audit_network,
-    check_invariants,
 )
 from .types import (
     CACHE_LINE_BYTES,
@@ -43,7 +41,6 @@ __all__ = [
     "CmeshEnvelope",
     "CmeshMap",
     "build_cmesh",
-    "build_mesh",
     "CACHE_LINE_BYTES",
     "Flit",
     "Packet",
@@ -52,10 +49,8 @@ __all__ = [
     "packet_flits",
     "AuditReport",
     "NetworkAuditError",
-    "assert_healthy",
     "audit_networks",
     "audit_network",
-    "check_invariants",
     "network_dump",
     "oldest_stuck_packet",
     "stall_dump",

@@ -126,17 +126,17 @@ def locate_packet(net: Network, packet: Packet) -> List[str]:
 # ----------------------------------------------------------------------
 # Dumps
 # ----------------------------------------------------------------------
-def network_dump(
-    net: Network,
-    max_routers: int = 16,
-    audit: bool = True,
-) -> str:
-    """A structured diagnostic dump of one network's live state."""
+DUMP_ROUTERS = 16
+"""Occupied routers a dump details per network; the rest are counted."""
+
+
+def network_dump(net: Network) -> str:
+    """A structured diagnostic dump of one network's live state, its
+    audit report first."""
     net.sync_for_inspection()
     lines = [f"=== network {net.name!r} @ cycle {net.cycle} "
              f"(last progress {net.last_progress}) ==="]
-    if audit:
-        lines.append(audit_network(net).format())
+    lines.append(audit_network(net).format())
 
     failed_links = [
         (router.node, port)
@@ -163,7 +163,7 @@ def network_dump(
     lines.append(
         f"routers with buffered flits: {len(occupied)}/{len(net.routers)}"
     )
-    for router in occupied[:max_routers]:
+    for router in occupied[:DUMP_ROUTERS]:
         ages = [
             net.cycle - flit.buffered_at
             for port in router.input_ports
@@ -191,20 +191,20 @@ def network_dump(
                         f"owner={out.owner[ivc.out_vc]!r}"
                     )
                 lines.append(desc)
-    if len(occupied) > max_routers:
-        lines.append(f"  ... {len(occupied) - max_routers} more routers")
+    if len(occupied) > DUMP_ROUTERS:
+        lines.append(f"  ... {len(occupied) - DUMP_ROUTERS} more routers")
 
     backlogged = [ni for ni in net.nis if ni.backlog() or not ni.idle()]
     if backlogged:
         lines.append("NI backlogs:")
-        for ni in backlogged[:max_routers]:
+        for ni in backlogged[:DUMP_ROUTERS]:
             buffered = sum(len(b.flits) for b in ni.buffers)
             lines.append(
                 f"  NI {ni.node}: {ni.backlog()} queued, "
                 f"{buffered} flit(s) in buffers"
             )
-        if len(backlogged) > max_routers:
-            lines.append(f"  ... {len(backlogged) - max_routers} more NIs")
+        if len(backlogged) > DUMP_ROUTERS:
+            lines.append(f"  ... {len(backlogged) - DUMP_ROUTERS} more NIs")
 
     stuck = oldest_stuck_packet(net)
     if stuck is not None:
@@ -218,11 +218,9 @@ def network_dump(
     return "\n".join(lines)
 
 
-def stall_dump(networks: Sequence[Network], max_routers: int = 16) -> str:
+def stall_dump(networks: Sequence[Network]) -> str:
     """Diagnostic dump of every network in a fabric (watchdog report)."""
-    return "\n".join(
-        network_dump(net, max_routers=max_routers) for net in networks
-    )
+    return "\n".join(network_dump(net) for net in networks)
 
 
 def audit_networks(networks: Sequence[Network]) -> None:

@@ -112,10 +112,6 @@ class FaultSpec:
                 "(wildcard)"
             )
 
-    @property
-    def transient(self) -> bool:
-        return self.heal_cycle is not None
-
     def to_dict(self) -> Dict[str, object]:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
@@ -208,9 +204,9 @@ def eir_link_faults(
     design: "object",
     per_group: int,
     at_cycle: int = 0,
-    heal_cycle: Optional[int] = None,
 ) -> Tuple[FaultSpec, ...]:
-    """Fail the first ``per_group`` EIR links of every CB group."""
+    """Fail the first ``per_group`` EIR links of every CB group for
+    good."""
     specs: List[FaultSpec] = []
     for group in design.groups:
         for eir in group.nodes[:per_group]:
@@ -220,7 +216,6 @@ def eir_link_faults(
                     node=group.cb,
                     peer=eir,
                     at_cycle=at_cycle,
-                    heal_cycle=heal_cycle,
                 )
             )
     return tuple(specs)
@@ -259,10 +254,10 @@ class FaultInjector:
     events in deterministic ``(cycle, spec order)`` order.  Specs that
     match nothing in this fabric (e.g. EIR-link faults applied to a
     baseline scheme) are recorded in ``unmatched`` and skipped — the
-    same plan can drive a whole sweep — unless ``strict`` is set.
+    same plan can drive a whole sweep.
     """
 
-    def __init__(self, fabric, plan: FaultPlan, strict: bool = False) -> None:
+    def __init__(self, fabric, plan: FaultPlan) -> None:
         self.fabric = fabric
         self.plan = plan
         self.unmatched: List[FaultSpec] = []
@@ -277,8 +272,6 @@ class FaultInjector:
         for order, spec in enumerate(plan.faults):
             targets = self._resolve(spec)
             if not targets:
-                if strict:
-                    raise ValueError(f"fault spec matched nothing: {spec}")
                 self.unmatched.append(spec)
                 continue
             for target in targets:

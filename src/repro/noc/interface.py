@@ -291,14 +291,12 @@ class MultiPortInterface(NetworkInterface):
         network: Network,
         node: int,
         num_ports: int = 4,
-        core: Optional[SerializationCore] = None,
-        core_bytes: int = BASE_CORE_BYTES,
     ) -> None:
         self.network = network
         self.node = node
         self.source_queue = deque()
         self.buffers = [InjectionBuffer(network, node) for _ in range(num_ports)]
-        self._init_core(core, core_bytes)
+        self._init_core(None)
         self._register()
 
 
@@ -318,7 +316,6 @@ class EquiNoxInterface(NetworkInterface):
         network: Network,
         node: int,
         design: EirDesign,
-        core: Optional[SerializationCore] = None,
     ) -> None:
         self.network = network
         self.node = node
@@ -338,7 +335,7 @@ class EquiNoxInterface(NetworkInterface):
             self.buffers.append(buf)
         # Pad to the uniform five-buffer layout (idle ports, Figure 8).
         self.num_idle_buffers = 5 - len(self.buffers)
-        self._init_core(core)
+        self._init_core(None)
         self._register()
         # Precompute destination -> candidate EIR buffer indices.
         self._choices: Dict[int, Tuple[int, ...]] = {}

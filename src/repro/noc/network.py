@@ -242,19 +242,17 @@ class Network:
         self._disarm()
         return self.routers[node].add_input_port()
 
-    def add_eject_port(self, node: int, capacity: Optional[int] = None) -> int:
+    def add_eject_port(self, node: int) -> int:
         """Add an extra ejection port (MultiPort / concentration).
 
-        Defaults to the network's configured ``eject_capacity`` so extra
-        ports match the depth of the ports built at construction time
-        (a ``vc_capacity``-derived default here would silently give
-        concentrated-mesh ports the wrong depth whenever the network
-        was constructed with an explicit ``eject_capacity``).
+        Its depth is the network's configured ``eject_capacity``, so
+        extra ports match the ports built at construction time (a
+        ``vc_capacity``-derived depth would give concentrated-mesh ports
+        the wrong depth whenever the network was constructed with an
+        explicit ``eject_capacity``).
         """
-        if capacity is None:
-            capacity = self.eject_capacity
         self._disarm()
-        return self.routers[node].add_eject_port(capacity)
+        return self.routers[node].add_eject_port(self.eject_capacity)
 
     def register_ni(self, ni: "object") -> None:
         ni._net_index = len(self.nis)
@@ -451,7 +449,6 @@ class Network:
                 self._deliver(node, -port - 1, flit, cycle)
                 writes -= 1
                 continue
-            # Router.accept in line: it was one call per landing flit.
             router = routers[node]
             flit.buffered_at = cycle
             router.inputs[port][vc].queue.append(flit)

@@ -28,6 +28,9 @@ from ..core.grid import Grid
 from . import routing
 from .types import Flit
 
+MONOPOLY_CLASSES = (1,)
+"""Packet classes VC monopolisation lets borrow foreign VCs: replies."""
+
 
 class InputVC:
     """One virtual-channel FIFO at a router input port."""
@@ -94,7 +97,6 @@ class Router:
         "routing_algorithm",
         "vc_classes",
         "monopolize",
-        "monopoly_classes",
         "eject_filter",
         "failed_outputs",
         "peak_flits",
@@ -110,10 +112,8 @@ class Router:
         vc_capacity: int,
         routing_algorithm: str,
         vc_classes: Sequence[Sequence[int]],
-        num_eject_ports: int = 1,
         eject_capacity: int = 16,
         monopolize: bool = False,
-        monopoly_classes: Sequence[int] = (1,),
     ) -> None:
         self.node = node
         self.grid = grid
@@ -123,7 +123,6 @@ class Router:
         # vc_classes[c] = VCs that packets of class c may use.
         self.vc_classes = [tuple(vcs) for vcs in vc_classes]
         self.monopolize = monopolize
-        self.monopoly_classes = tuple(monopoly_classes)
 
         self.neighbors: Dict[int, Tuple[int, int]] = {}  # port -> (node, in_port)
         self.inputs: Dict[int, List[InputVC]] = {
@@ -133,14 +132,12 @@ class Router:
         self.outputs: Dict[int, OutputPort] = {}
         for p in range(routing.NUM_MESH_PORTS):
             self.outputs[p] = OutputPort(num_vcs, vc_capacity, router=self)
-        self.eject_ports: List[int] = []
-        next_port = routing.NUM_MESH_PORTS
-        for _ in range(num_eject_ports):
-            # Ejection modelled as a single-VC link into the node's
-            # receive queue; one packet drains at a time per port.
-            self.outputs[next_port] = OutputPort(1, eject_capacity, router=self)
-            self.eject_ports.append(next_port)
-            next_port += 1
+        # Ejection modelled as a single-VC link into the node's receive
+        # queue; one packet drains at a time per port.  MultiPort and
+        # concentration add more with add_eject_port.
+        eject = routing.NUM_MESH_PORTS
+        self.outputs[eject] = OutputPort(1, eject_capacity, router=self)
+        self.eject_ports: List[int] = [eject]
         self.input_ports: List[int] = list(range(routing.NUM_MESH_PORTS))
         self.rr_in: Dict[int, int] = {p: 0 for p in self.input_ports}
         self.flit_count = 0
@@ -189,14 +186,10 @@ class Router:
         self.rr_mod = max(self.rr_mod, port + 1)
         return port
 
-    def add_output_port(
-        self, num_vcs: int, capacity: int, interposer: bool = False
-    ) -> int:
+    def add_output_port(self, num_vcs: int, capacity: int) -> int:
         """Add an output-only link port (loop topologies); returns index."""
         port = 1 + max(max(self.inputs), max(self.outputs))
-        self.outputs[port] = OutputPort(
-            num_vcs, capacity, interposer=interposer, router=self
-        )
+        self.outputs[port] = OutputPort(num_vcs, capacity, router=self)
         self.rr_mod = max(self.rr_mod, port + 1)
         return port
 
@@ -208,18 +201,6 @@ class Router:
         self.rr_mod = max(self.rr_mod, port + 1)
         self.blocked = False
         return port
-
-    # ------------------------------------------------------------------
-    # Flit intake (called by the network when a link delivers)
-    # ------------------------------------------------------------------
-    def accept(self, port: int, vc: int, flit: Flit, cycle: int) -> None:
-        flit.buffered_at = cycle
-        self.inputs[port][vc].queue.append(flit)
-        self.flit_count += 1
-        if self.flit_count > self.peak_flits:
-            self.peak_flits = self.flit_count
-        self.port_flits[port] += 1
-        self.blocked = False
 
     # ------------------------------------------------------------------
     # One cycle
@@ -479,7 +460,7 @@ class Router:
         class's VCs.  Three restrictions keep the protocol
         deadlock-free:
 
-        * only ``monopoly_classes`` (replies, whose ejection is
+        * only :data:`MONOPOLY_CLASSES` (replies, whose ejection is
           unconditionally consumed at PEs) may borrow — a request
           parked in a reply VC could block the very replies whose
           draining the request's own progress depends on;
@@ -490,7 +471,7 @@ class Router:
           borrowed VC's free space, so the borrower never stalls
           mid-transfer while holding own-class buffers upstream.
         """
-        if not self.monopolize or vc_class not in self.monopoly_classes:
+        if not self.monopolize or vc_class not in MONOPOLY_CLASSES:
             return ()
         own = self.vc_classes[vc_class]
         if current_vc not in own:

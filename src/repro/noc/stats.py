@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -122,10 +122,10 @@ class NetworkStats:
         """Variance of the per-router residence averages (Figure 4)."""
         return float(np.var(self.heatmap()))
 
-    def mean_latency(self, types: Optional[List[PacketType]] = None) -> float:
-        types = list(PacketType) if types is None else types
-        count = sum(self.latency[t].count for t in types)
-        total = sum(self.latency[t].total for t in types)
+    def mean_latency(self) -> float:
+        """Mean latency over every delivered packet, all types."""
+        count = sum(acc.count for acc in self.latency.values())
+        total = sum(acc.total for acc in self.latency.values())
         return total / count if count else 0.0
 
     def snapshot(self) -> Dict[str, object]:

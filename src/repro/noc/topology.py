@@ -1,4 +1,4 @@
-"""Topology builders: plain mesh and the interposer concentrated mesh.
+"""Topology builder for the interposer concentrated mesh.
 
 The CMesh used by the Interposer-CMesh baseline [Jerger et al., MICRO
 2014] concentrates 2x2 tile blocks onto one CMesh router; the CMesh
@@ -17,18 +17,8 @@ from ..core.grid import Grid
 from .network import Network, network_class
 from .types import Packet
 
-
-def build_mesh(
-    name: str,
-    width: int,
-    flit_bytes: int,
-    height: int = 0,
-    engine: Optional[str] = None,
-    **kwargs,
-) -> Network:
-    """A plain ``width x height`` mesh network."""
-    cls = network_class(engine)
-    return cls(name, Grid(width, height), flit_bytes, **kwargs)
+CONCENTRATION = 2
+"""Base tiles per CMesh router side: 2x2 blocks share one router."""
 
 
 @dataclass(frozen=True)
@@ -47,29 +37,27 @@ class CmeshEnvelope:
 class CmeshMap:
     """Coordinate mapping between the base grid and the CMesh grid."""
 
-    def __init__(self, base: Grid, concentration: int = 2) -> None:
-        if base.width % concentration or base.height % concentration:
+    def __init__(self, base: Grid) -> None:
+        c = CONCENTRATION
+        if base.width % c or base.height % c:
             raise ValueError("grid not divisible by concentration factor")
         self.base = base
-        self.concentration = concentration
-        self.cgrid = Grid(base.width // concentration,
-                          base.height // concentration)
+        self.cgrid = Grid(base.width // c, base.height // c)
 
     def cmesh_node(self, tile: int) -> int:
         x, y = self.base.coord(tile)
-        c = self.concentration
+        c = CONCENTRATION
         return self.cgrid.node(x // c, y // c)
 
     def local_index(self, tile: int) -> int:
         x, y = self.base.coord(tile)
-        c = self.concentration
+        c = CONCENTRATION
         return (y % c) * c + (x % c)
 
 
 def build_cmesh(
     base: Grid,
     flit_bytes: int,
-    concentration: int = 2,
     engine: Optional[str] = None,
     **kwargs,
 ) -> Tuple[Network, CmeshMap, Dict[Tuple[int, int], int]]:
@@ -81,7 +69,7 @@ def build_cmesh(
     caller wires one NI per base tile into the corresponding CMesh
     router.
     """
-    cmap = CmeshMap(base, concentration)
+    cmap = CmeshMap(base)
     kwargs.setdefault("interposer_mesh_links", True)
     cls = network_class(engine)
     net = cls(
@@ -90,7 +78,7 @@ def build_cmesh(
         flit_bytes,
         **kwargs,
     )
-    ports_per_tile = concentration * concentration
+    ports_per_tile = CONCENTRATION * CONCENTRATION
     eject_port_of: Dict[Tuple[int, int], int] = {}
     for cnode in cmap.cgrid.nodes():
         # The default eject port serves local index 0; add the rest.

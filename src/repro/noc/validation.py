@@ -25,9 +25,8 @@ in-flight flits and returning credits once per link, ejection accounting
 groups the census packets by ejection port once, and a problem's label
 is formatted only when it is reported.
 
-``check_invariants`` keeps the original list-of-strings interface; the
-simulator never calls any of this on the hot path.  Tests, bring-up
-scripts, and the periodic validation mode (``REPRO_VALIDATE``) do.
+The simulator never calls any of this on the hot path.  Tests, the
+stall dump and the periodic validation mode (``REPRO_VALIDATE``) do.
 
 All invariants hold *between* network ticks; calling the audit from
 inside a tick (e.g. a router hook) reports false violations.
@@ -149,11 +148,11 @@ def _take_census(net: Network) -> _Census:
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
-def audit_network(net: Network, strict_classes: bool = True) -> AuditReport:
+def audit_network(net: Network) -> AuditReport:
     """Full conservation audit of one network (empty problems = healthy)."""
     net.sync_for_inspection()
     census = _take_census(net)
-    problems = _walk_routers(net, strict_classes)
+    problems = _walk_routers(net)
     problems.extend(_check_links(net))
     problems.extend(_check_eject_conservation(net, census))
     problems.extend(_check_ni_buffers(net))
@@ -181,25 +180,10 @@ def audit_network(net: Network, strict_classes: bool = True) -> AuditReport:
     )
 
 
-def check_invariants(net: Network, strict_classes: bool = True) -> List[str]:
-    """Return a list of invariant violations (empty = healthy)."""
-    return audit_network(net, strict_classes).problems
-
-
-def assert_healthy(net: Network, strict_classes: bool = True) -> None:
-    """Raise ``AssertionError`` listing all violations, if any."""
-    problems = check_invariants(net, strict_classes)
-    if problems:
-        raise AssertionError(
-            f"{len(problems)} network invariant violation(s):\n  "
-            + "\n  ".join(problems)
-        )
-
-
 # ----------------------------------------------------------------------
 # The router walk: structure, ownership and credit ranges
 # ----------------------------------------------------------------------
-def _walk_routers(net: Network, strict_classes: bool) -> List[str]:
+def _walk_routers(net: Network) -> List[str]:
     """One pass over every router's input VCs and outputs.
 
     Returns each router's structural problems followed by that router's
@@ -217,7 +201,7 @@ def _walk_routers(net: Network, strict_classes: bool) -> List[str]:
         inputs = router.inputs
         outputs = router.outputs
         port_flits = router.port_flits
-        check_classes = strict_classes and not router.monopolize
+        check_classes = not router.monopolize
         owned: List[str] = []
         counted = 0
         for port in router.input_ports:

@@ -7,7 +7,6 @@ from .ubump import (
     budget_for_design,
     equinox_budget,
     interposer_cmesh_budget,
-    link_ubump_area_mm2,
     ubump_area_mm2,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "budget_for_design",
     "equinox_budget",
     "interposer_cmesh_budget",
-    "link_ubump_area_mm2",
     "ubump_area_mm2",
 ]

@@ -18,11 +18,11 @@ UBUMP_PITCH_UM = 40.0
 """µbump pitch (µm), per De Vos et al. [22]."""
 
 
-def ubump_area_mm2(num_bumps: int, pitch_um: float = UBUMP_PITCH_UM) -> float:
-    """Die area consumed by ``num_bumps`` µbumps at the given pitch."""
+def ubump_area_mm2(num_bumps: int) -> float:
+    """Die area consumed by ``num_bumps`` µbumps at the 40 µm pitch."""
     if num_bumps < 0:
         raise ValueError("bump count must be non-negative")
-    return num_bumps * (pitch_um * 1e-3) ** 2
+    return num_bumps * (UBUMP_PITCH_UM * 1e-3) ** 2
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,18 @@ class UbumpBudget:
         return ubump_area_mm2(self.num_bumps)
 
 
-def interposer_cmesh_budget(
-    num_links: int = 128, bits_per_link: int = 256
-) -> UbumpBudget:
-    """The paper's Interposer-CMesh configuration (32,768 µbumps)."""
+def interposer_cmesh_budget() -> UbumpBudget:
+    """The paper's Interposer-CMesh configuration: 128 uni-directional
+    256-bit links (32,768 µbumps)."""
     return UbumpBudget(
         scheme="interposer-cmesh",
-        num_links=num_links,
-        bits_per_link=bits_per_link,
+        num_links=128,
+        bits_per_link=256,
         bumps_per_wire=1,
     )
 
 
-def equinox_budget(num_eirs: int = 24, bits_per_link: int = 128) -> UbumpBudget:
+def equinox_budget(num_eirs: int = 24) -> UbumpBudget:
     """EquiNox's budget: one uni-directional link per (CB, EIR) pair.
 
     CB->EIR links carry injection traffic only, so each connection is a
@@ -67,19 +66,11 @@ def equinox_budget(num_eirs: int = 24, bits_per_link: int = 128) -> UbumpBudget:
     return UbumpBudget(
         scheme="equinox",
         num_links=num_eirs,
-        bits_per_link=bits_per_link,
+        bits_per_link=128,
         bumps_per_wire=2,
     )
 
 
-def budget_for_design(design, bits_per_link: int = 128) -> UbumpBudget:
+def budget_for_design(design) -> UbumpBudget:
     """µbump budget for a concrete :class:`~repro.core.eir.EirDesign`."""
-    return equinox_budget(
-        num_eirs=len(design.links()), bits_per_link=bits_per_link
-    )
-
-
-def link_ubump_area_mm2(bits: int = 128, bidirectional: bool = True) -> float:
-    """Area of the µbumps for one link (0.34 mm^2 for 128-bit bi-dir)."""
-    wires = bits * (2 if bidirectional else 1)
-    return ubump_area_mm2(wires)
+    return equinox_budget(num_eirs=len(design.links()))

@@ -6,7 +6,6 @@ from .area import (
     AreaReport,
     fabric_area,
     network_area,
-    router_area_mm2,
 )
 from .energy import (
     EnergyBreakdown,
@@ -22,7 +21,6 @@ __all__ = [
     "AreaReport",
     "fabric_area",
     "network_area",
-    "router_area_mm2",
     "EnergyBreakdown",
     "EnergyParams",
     "EnergyReport",

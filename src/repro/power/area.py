@@ -58,26 +58,10 @@ class AreaReport:
         return sum(n.total_mm2 for n in self.networks)
 
 
-def router_area_mm2(
-    in_ports: int,
-    out_ports: int,
-    num_vcs: int,
-    vc_capacity: int,
-    flit_bytes: int,
-    params: AreaParams = DEFAULT_PARAMS,
-) -> float:
-    """Area of one router from its structural parameters."""
-    buffer_bytes = in_ports * num_vcs * vc_capacity * flit_bytes
-    buffers = buffer_bytes * params.buffer_mm2_per_byte
-    xbar = in_ports * out_ports * flit_bytes * params.xbar_mm2_per_port2_byte
-    alloc = (in_ports + out_ports) * params.alloc_mm2_per_port
-    return buffers + xbar + alloc
-
-
-def network_area(
-    net: Network, params: AreaParams = DEFAULT_PARAMS
-) -> AreaBreakdown:
-    """Structural area of one network, routers plus its NIs."""
+def network_area(net: Network) -> AreaBreakdown:
+    """Structural area of one network, routers plus its NIs, under
+    :data:`DEFAULT_PARAMS`."""
+    params = DEFAULT_PARAMS
     buffers = xbar = alloc = 0.0
     for router in net.routers:
         in_ports = len(router.inputs)
@@ -101,12 +85,8 @@ def network_area(
     )
 
 
-def fabric_area(
-    fabric: Fabric, params: AreaParams = DEFAULT_PARAMS
-) -> AreaReport:
+def fabric_area(fabric: Fabric) -> AreaReport:
     """Total NoC area of a scheme instance (Figure 11)."""
     return AreaReport(
-        networks=[
-            network_area(net, params) for net, _r, _role in fabric.networks
-        ]
+        networks=[network_area(net) for net, _r, _role in fabric.networks]
     )

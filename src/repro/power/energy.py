@@ -126,10 +126,10 @@ def _mean_radix_factor(net: Network) -> float:
     return mean_ports / REFERENCE_ROUTER_PORTS
 
 
-def network_energy(
-    net: Network, base_cycles: int, params: EnergyParams = DEFAULT_PARAMS
-) -> EnergyBreakdown:
-    """Energy of one network over a run of ``base_cycles`` base cycles."""
+def network_energy(net: Network, base_cycles: int) -> EnergyBreakdown:
+    """Energy of one network over a run of ``base_cycles`` base cycles,
+    under :data:`DEFAULT_PARAMS`."""
+    params = DEFAULT_PARAMS
     stats = net.stats
     scale = _width_scale(net.flit_bytes, params)
     buffer_pj = (
@@ -158,16 +158,14 @@ def network_energy(
     )
 
 
-def fabric_energy(
-    fabric: Fabric, base_cycles: int, params: EnergyParams = DEFAULT_PARAMS
-) -> EnergyReport:
+def fabric_energy(fabric: Fabric, base_cycles: int) -> EnergyReport:
     """Energy of every network in a fabric over one run."""
     breakdowns = [
-        network_energy(net, base_cycles, params)
+        network_energy(net, base_cycles)
         for net, _ratio, _role in fabric.networks
     ]
     return EnergyReport(
         networks=breakdowns,
         base_cycles=base_cycles,
-        frequency_ghz=params.frequency_ghz,
+        frequency_ghz=DEFAULT_PARAMS.frequency_ghz,
     )

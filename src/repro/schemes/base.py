@@ -30,6 +30,22 @@ from ..noc.types import Packet, PacketType, packet_flits
 BASE_FREQUENCY_GHZ = 1.126
 """PE / NoC base clock (Table 1)."""
 
+# Every scheme shares these; the scheme configs differ in the rest.
+FLIT_BYTES = 16
+"""Base-mesh flit width: 128-bit links (Table 1)."""
+NUM_VCS = 2
+"""VCs per port: one per packet class (one pair per dateline on loops)."""
+ROUTING = "oddeven"
+"""Base-mesh routing algorithm: minimal adaptive odd-even."""
+DA2MESH_SUBNETS = 8
+"""DA2Mesh's narrow reply subnets, each 1/8 of the base flit width."""
+DA2MESH_CLOCK_RATIO = 2.5
+"""DA2Mesh subnet clock over the base clock."""
+CMESH_FLIT_BYTES = 32
+"""Interposer-CMesh overlay flit width: 256-bit links."""
+CMESH_THRESHOLD = 2
+"""Mesh hops at or beyond which a packet may take the CMesh overlay."""
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -38,17 +54,10 @@ class SchemeConfig:
     name: str
     network_type: str  # "single" | "separate"
     placement_name: str = "diamond"
-    flit_bytes: int = 16
-    num_vcs: int = 2
-    routing: str = "oddeven"
     monopolize: bool = False
     monopolize_injection: bool = False
     cmesh: bool = False
-    cmesh_flit_bytes: int = 32
-    cmesh_threshold: int = 3
     da2mesh: bool = False
-    da2mesh_subnets: int = 8
-    da2mesh_clock_ratio: float = 2.5
     multiport: int = 1
     equinox: bool = False
     # Physical topology: "mesh" (all paper schemes), or the loop
@@ -97,10 +106,6 @@ class SchemeConfig:
                     "loop topologies cannot combine with mesh overlays "
                     "or NI variants"
                 )
-            if self.num_vcs < 2:
-                raise ValueError(
-                    "loop topologies need >= 2 VCs for the dateline"
-                )
 
 
 class Fabric:
@@ -137,23 +142,23 @@ class Fabric:
         # Networks a reply can arrive on: reply, both, cmesh.
         self._reply_side: List[Network] = []
 
-        vc_cap = packet_flits(PacketType.READ_REPLY, config.flit_bytes)
+        vc_cap = packet_flits(PacketType.READ_REPLY, FLIT_BYTES)
 
         def mesh(name: str, role: str, vc_classes,
-                 flit_bytes: int = config.flit_bytes,
+                 flit_bytes: int = FLIT_BYTES,
                  vc_capacity: int = vc_cap, clock_ratio: float = 1.0,
                  **kw) -> Network:
             """Build one network of this fabric and register it."""
             net = NetCls(
-                name, grid, flit_bytes, num_vcs=config.num_vcs,
-                vc_capacity=vc_capacity, routing_algorithm=config.routing,
+                name, grid, flit_bytes, num_vcs=NUM_VCS,
+                vc_capacity=vc_capacity, routing_algorithm=ROUTING,
                 vc_classes=vc_classes, clock_ratio=clock_ratio,
                 scheduler=self.scheduler, **kw,
             )
             self._add_network(net, clock_ratio, role)
             return net
 
-        all_vcs = [tuple(range(config.num_vcs))]
+        all_vcs = [tuple(range(NUM_VCS))]
         # --- Loop topologies (ring / routerless) -------------------------
         # Two separate loop-wired networks.  The VC pair implements the
         # loop dateline, not a traffic-class partition, so packets are
@@ -183,19 +188,19 @@ class Fabric:
         # --- DA2Mesh reply subnets --------------------------------------
         self.reply_subnets: List[Network] = []
         if config.da2mesh:
-            narrow_bytes = max(1, config.flit_bytes // config.da2mesh_subnets)
+            narrow_bytes = max(1, FLIT_BYTES // DA2MESH_SUBNETS)
             # Buffers keep the same *bit* budget as the wide network, so
             # a narrow VC holds few narrow flits and a data packet spans
             # many routers — the serialisation cost the paper describes.
             narrow_cap = max(
-                2, vc_cap * narrow_bytes // config.flit_bytes + 1
+                2, vc_cap * narrow_bytes // FLIT_BYTES + 1
             )
             narrow_eject = 2 * packet_flits(PacketType.READ_REPLY, narrow_bytes)
-            for i in range(config.da2mesh_subnets):
+            for i in range(DA2MESH_SUBNETS):
                 self.reply_subnets.append(mesh(
                     f"reply-sub{i}", "reply", all_vcs,
                     flit_bytes=narrow_bytes, vc_capacity=narrow_cap,
-                    clock_ratio=config.da2mesh_clock_ratio,
+                    clock_ratio=DA2MESH_CLOCK_RATIO,
                     eject_capacity=narrow_eject,
                 ))
         self._da2_rr: Dict[int, int] = {cb: 0 for cb in placement}
@@ -206,14 +211,14 @@ class Fabric:
         self.cmap: Optional[CmeshMap] = None
         if config.cmesh:
             data_flits_cm = packet_flits(
-                PacketType.READ_REPLY, config.cmesh_flit_bytes
+                PacketType.READ_REPLY, CMESH_FLIT_BYTES
             )
             self.cmesh_net, self.cmap, self._cmesh_eject = build_cmesh(
                 grid,
-                config.cmesh_flit_bytes,
-                num_vcs=config.num_vcs,
+                CMESH_FLIT_BYTES,
+                num_vcs=NUM_VCS,
                 vc_capacity=data_flits_cm,
-                routing_algorithm=config.routing,
+                routing_algorithm=ROUTING,
                 vc_classes=[(0,), (1,)],
                 scheduler=self.scheduler,
                 engine=self.engine,
@@ -238,7 +243,7 @@ class Fabric:
                 if tile in self._cb_cores:
                     self.cmesh_nis[tile] = NetworkInterface(
                         self.cmesh_net, cnode, core=self._cb_cores[tile],
-                        core_bytes=config.flit_bytes,
+                        core_bytes=FLIT_BYTES,
                     )
                 else:
                     self.cmesh_nis[tile] = NetworkInterface(
@@ -255,7 +260,7 @@ class Fabric:
             from ..noc.interface import BASE_CORE_BYTES
 
             if self.cmesh_net is not None:
-                return config.flit_bytes
+                return FLIT_BYTES
             return BASE_CORE_BYTES
 
         if config.topology != "mesh":
@@ -283,7 +288,7 @@ class Fabric:
                 self.reply_nis[cb] = [
                     NetworkInterface(
                         subnet, cb, core=shared_core,
-                        core_bytes=config.flit_bytes,
+                        core_bytes=FLIT_BYTES,
                     )
                     for subnet in self.reply_subnets
                 ]
@@ -332,7 +337,7 @@ class Fabric:
         """
         if (
             self.cmesh_net is None
-            or self.grid.hops(src, dst) < self.config.cmesh_threshold
+            or self.grid.hops(src, dst) < CMESH_THRESHOLD
         ):
             return False
         if mesh_ni is None:

@@ -18,6 +18,4 @@ def config() -> SchemeConfig:
         network_type="separate",
         placement_name="diamond",
         da2mesh=True,
-        da2mesh_subnets=8,
-        da2mesh_clock_ratio=2.5,
     )

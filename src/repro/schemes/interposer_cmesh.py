@@ -2,7 +2,7 @@
 
 A single-network scheme augmented with a concentrated mesh whose links
 are routed in the interposer: every 2x2 tile block shares one CMesh
-router, CMesh links are 256-bit, and traffic travelling 3 hops or more
+router, CMesh links are 256-bit, and traffic travelling 2 hops or more
 prefers the overlay.  The CMesh routers have ~2x the ports of a basic
 router (4 concentration ports plus mesh ports), which is what drives
 this scheme's area and its 32,768-µbump budget (paper sections 6.5-6.6).
@@ -19,6 +19,4 @@ def config() -> SchemeConfig:
         network_type="single",
         placement_name="diamond",
         cmesh=True,
-        cmesh_flit_bytes=32,
-        cmesh_threshold=2,
     )

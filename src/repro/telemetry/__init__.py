@@ -11,7 +11,6 @@ from .export import (
     aggregate_sweep,
     dumps_record,
     experiment_filename,
-    read_jsonl,
     summarize_record,
     sweep_filename,
     sweep_records,
@@ -35,7 +34,6 @@ __all__ = [
     "aggregate_sweep",
     "dumps_record",
     "experiment_filename",
-    "read_jsonl",
     "summarize_record",
     "sweep_filename",
     "sweep_records",

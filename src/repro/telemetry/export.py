@@ -52,16 +52,6 @@ def write_jsonl(
     return path
 
 
-def read_jsonl(path: PathLike) -> List[Dict[str, object]]:
-    """Parse a JSONL artifact; blank lines are ignored."""
-    records: List[Dict[str, object]] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
-
-
 def experiment_filename(
     scheme: str, benchmark: str, config_digest: str
 ) -> str:
@@ -91,15 +81,19 @@ def _eir_balance(counters: Dict[str, float]) -> Optional[float]:
     """min/max ratio of per-EIR injected flits (1.0 = perfectly even).
 
     Counters named ``eir.cb<N>.eir<M>.flits_sent`` are grouped per CB;
-    the reported figure is the worst (smallest) per-CB min/max ratio —
-    the load-balance claim of the paper's Figures 4/7 in one number.
+    the CB's own buffer (``eir.cb<N>.local``) is not an EIR and does not
+    count.  The reported figure is the worst (smallest) per-CB min/max
+    ratio — the load-balance claim of the paper's Figures 4/7 in one
+    number.
     """
     groups: Dict[str, List[float]] = {}
     for name, value in counters.items():
-        if not name.startswith("eir.cb") or not name.endswith(".flits_sent"):
+        parts = name.split(".")
+        if (len(parts) != 4 or parts[0] != "eir"
+                or not parts[2].startswith("eir")
+                or parts[3] != "flits_sent"):
             continue
-        cb = name.split(".")[1]
-        groups.setdefault(cb, []).append(float(value))
+        groups.setdefault(parts[1], []).append(float(value))
     worst: Optional[float] = None
     for values in groups.values():
         if len(values) < 2:

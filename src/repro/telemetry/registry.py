@@ -31,8 +31,8 @@ SCHEMA_VERSION = 1
 DEFAULT_INTERVAL = 100
 """Base cycles between samples when telemetry is enabled bare (``=1``)."""
 
-DEFAULT_WINDOW = 4096
-"""Samples a series retains by default (oldest evicted first)."""
+SERIES_WINDOW = 4096
+"""Samples a series retains (oldest evicted first)."""
 
 
 class SeriesSampler:
@@ -40,16 +40,11 @@ class SeriesSampler:
 
     __slots__ = ("name", "fn", "cycles", "values")
 
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[], float],
-        window: Optional[int] = DEFAULT_WINDOW,
-    ) -> None:
+    def __init__(self, name: str, fn: Callable[[], float]) -> None:
         self.name = name
         self.fn = fn
-        self.cycles = deque(maxlen=window)
-        self.values = deque(maxlen=window)
+        self.cycles = deque(maxlen=SERIES_WINDOW)
+        self.values = deque(maxlen=SERIES_WINDOW)
 
     def sample(self, cycle: int) -> None:
         self.cycles.append(cycle)
@@ -92,16 +87,11 @@ class ResidencyProbe:
 class TelemetryRegistry:
     """A live metrics registry for one simulation run."""
 
-    def __init__(
-        self,
-        interval: int = DEFAULT_INTERVAL,
-        window: Optional[int] = DEFAULT_WINDOW,
-    ) -> None:
+    def __init__(self, interval: int = DEFAULT_INTERVAL) -> None:
         if interval <= 0:
             raise ValueError("telemetry interval must be positive; use "
                              "None (no registry) to disable telemetry")
         self.interval = interval
-        self.window = window
         self.samples = 0
         self._last_sample_cycle: Optional[int] = None
         self._series: List[SeriesSampler] = []
@@ -112,13 +102,10 @@ class TelemetryRegistry:
     # Registration (components call these at construction)
     # ------------------------------------------------------------------
     def register_series(
-        self,
-        name: str,
-        fn: Callable[[], float],
-        window: Optional[int] = None,
+        self, name: str, fn: Callable[[], float]
     ) -> SeriesSampler:
         """Sample ``fn()`` every interval into a bounded window."""
-        sampler = SeriesSampler(name, fn, window or self.window)
+        sampler = SeriesSampler(name, fn)
         self._series.append(sampler)
         return sampler
 

@@ -20,7 +20,6 @@ from .artifact import (
     PROPERTY_DIFFERENTIAL,
     PROPERTY_ENGINE_PARITY,
     PROPERTY_INVARIANTS,
-    artifact_bytes,
     artifact_filename,
     build_artifact,
     load_artifact,
@@ -88,7 +87,6 @@ __all__ = [
     "VerifyFailure",
     "VerifyProfile",
     "VerifyReport",
-    "artifact_bytes",
     "artifact_filename",
     "base_case",
     "build_artifact",

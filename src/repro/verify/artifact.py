@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, Union
 
 from .. import __version__
-from ..telemetry import dumps_record, write_json
+from ..telemetry import write_json
 from .space import VerifyCase
 
 ARTIFACT_SCHEMA = 1
@@ -36,11 +36,15 @@ KNOWN_PROPERTIES = (
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 
 
-def sanitize_error(text: str, limit: int = 4000) -> str:
+ERROR_LIMIT = 4000
+"""Characters of an error message an artifact keeps."""
+
+
+def sanitize_error(text: str) -> str:
     """Strip run-dependent bytes (object addresses) and bound the size."""
     cleaned = _ADDRESS.sub("0x...", text)
-    if len(cleaned) > limit:
-        cleaned = cleaned[:limit] + " ...[truncated]"
+    if len(cleaned) > ERROR_LIMIT:
+        cleaned = cleaned[:ERROR_LIMIT] + " ...[truncated]"
     return cleaned
 
 
@@ -144,7 +148,3 @@ def replay(path: Union[str, Path]) -> bool:
         return True
     return False
 
-
-def artifact_bytes(prop: str, case: VerifyCase, error: str) -> bytes:
-    """The exact bytes :func:`write_failure` persists (determinism tests)."""
-    return (dumps_record(build_artifact(prop, case, error)) + "\n").encode()

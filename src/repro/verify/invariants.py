@@ -182,15 +182,13 @@ def end_state_problems(run: CaseRun) -> List[str]:
     return problems
 
 
-def check_invariants_case(
-    case: VerifyCase, validate_every: int = 1
-) -> CaseRun:
+def check_invariants_case(case: VerifyCase) -> CaseRun:
     """The fuzzer's core property: per-cycle audits + end-state contract.
 
     Raises on any violation; returns the completed :class:`CaseRun`
     otherwise (differential checks reuse it).
     """
-    run = run_case(case, validate_every=validate_every)
+    run = run_case(case)
     problems = end_state_problems(run)
     if problems:
         raise VerifyFailure(case, problems)

@@ -22,7 +22,7 @@ stays cheap; the deep profile widens the distribution.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -71,17 +71,12 @@ def _mesh(draw, widths: Sequence[int], scheme: str) -> Tuple[int, int]:
 
 
 @st.composite
-def fault_specs(
-    draw,
-    width: int,
-    max_cycles: int,
-    transient_only: bool = True,
-) -> FaultSpec:
+def fault_specs(draw, width: int, max_cycles: int) -> FaultSpec:
     """One fault spec that names real structure on a ``width`` mesh.
 
-    ``transient_only`` forces a heal cycle onto any spec that can fire
-    inside the run, keeping generated cases live-by-construction; the
-    armed-but-never-firing differential plans exercise permanence.
+    Every spec that can fire inside the run heals, keeping generated
+    cases live-by-construction; the armed-but-never-firing differential
+    plans exercise permanence.
     """
     kind = draw(
         st.sampled_from(
@@ -90,11 +85,7 @@ def fault_specs(
         )
     )
     at_cycle = draw(st.integers(0, min(FAULT_FIRE_MAX, max_cycles // 2)))
-    heal_cycle: Optional[int] = at_cycle + draw(
-        st.integers(HEAL_DELAY[0], HEAL_DELAY[1])
-    )
-    if not transient_only and draw(st.booleans()):
-        heal_cycle = None
+    heal_cycle = at_cycle + draw(st.integers(HEAL_DELAY[0], HEAL_DELAY[1]))
     net = draw(st.sampled_from(["reply", "request", "any"]))
     node = draw(st.integers(0, width * width - 1))
     x, y = node % width, node // width
@@ -143,11 +134,9 @@ def fault_specs(
 
 
 @st.composite
-def fault_plans(
-    draw, width: int, max_cycles: int, max_specs: int = 3
-) -> Tuple[FaultSpec, ...]:
-    """An ordered plan of 0..``max_specs`` valid transient specs."""
-    count = draw(st.integers(0, max_specs))
+def fault_plans(draw, width: int, max_cycles: int) -> Tuple[FaultSpec, ...]:
+    """An ordered plan of 0..3 valid transient specs."""
+    count = draw(st.integers(0, 3))
     return tuple(
         draw(fault_specs(width, max_cycles)) for _ in range(count)
     )

@@ -15,7 +15,6 @@ from .synthetic import (
     SweepPoint,
     SyntheticResult,
     run_few_to_many,
-    run_many_to_few,
     run_uniform,
     saturation_throughput,
     sweep_few_to_many,
@@ -35,7 +34,6 @@ __all__ = [
     "SweepPoint",
     "SyntheticResult",
     "run_few_to_many",
-    "run_many_to_few",
     "run_uniform",
     "saturation_throughput",
     "sweep_few_to_many",

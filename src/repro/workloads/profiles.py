@@ -22,7 +22,7 @@ strongly to injection bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 
@@ -48,12 +48,6 @@ class WorkloadProfile:
             value = getattr(self, field_name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{field_name}={value} outside [0, 1]")
-
-    def scaled(self, intensity_scale: float) -> "WorkloadProfile":
-        """A copy with scaled memory intensity (used by sweeps)."""
-        return replace(
-            self, intensity=min(1.0, self.intensity * intensity_scale)
-        )
 
 
 def _p(

@@ -7,7 +7,8 @@ These bypass the GPU/memory layers and drive a single network directly:
 * :func:`run_few_to_many` — the reply-side injection pattern (each CB
   sprays data packets at random PEs), used to draw the Figure-4 heat
   maps under different CB placements,
-* :func:`run_many_to_few` — the request-side pattern.
+* :func:`sweep_few_to_many` — a latency-throughput sweep of that
+  pattern.
 """
 
 from __future__ import annotations
@@ -54,12 +55,15 @@ def _drain(network: Network, nodes: Sequence[int], received: List[int]) -> None:
             received[0] += 1
 
 
+DRAIN_LIMIT = 20000
+"""Cycles a synthetic run may tick after its injection window to drain."""
+
+
 def _run(
     network: Network,
     nis: Dict[int, NetworkInterface],
     make_packets,
     cycles: int,
-    drain_limit: int = 20000,
 ) -> SyntheticResult:
     sent = 0
     received = [0]
@@ -75,7 +79,7 @@ def _run(
             sent += 1
         network.tick()
         _drain(network, nodes, received)
-    for _ in range(drain_limit):
+    for _ in range(DRAIN_LIMIT):
         if network.idle():
             break
         network.tick()
@@ -167,7 +171,6 @@ def sweep_few_to_many(
     cbs: Sequence[int],
     rates: Sequence[float],
     cycles: int = 1200,
-    seed: int = 0,
     network_factory=None,
     **net_kwargs,
 ) -> List[SweepPoint]:
@@ -186,7 +189,7 @@ def sweep_few_to_many(
         else:
             env = _fresh_network(grid, **net_kwargs)
             network, nis = env["network"], env["nis"]
-        rng = random.Random(seed)
+        rng = random.Random(0)
         pes = [n for n in grid.nodes() if n not in set(cbs)]
         vc_class = min(1, len(network.vc_classes) - 1)
         pid = 0
@@ -219,26 +222,3 @@ def saturation_throughput(points: Sequence[SweepPoint]) -> float:
     """The highest accepted throughput across a sweep."""
     return max(p.throughput for p in points) if points else 0.0
 
-
-def run_many_to_few(
-    grid: Grid,
-    cbs: Sequence[int],
-    injection_rate: float = 0.05,
-    cycles: int = 2000,
-    seed: int = 0,
-    **net_kwargs,
-) -> SyntheticResult:
-    """Request-pattern traffic: every PE sends short packets to CBs."""
-    env = _fresh_network(grid, **net_kwargs)
-    rng = random.Random(seed)
-    cbs = list(cbs)
-    pes = [n for n in grid.nodes() if n not in set(cbs)]
-
-    def make_packets():
-        out = []
-        for pe in pes:
-            if rng.random() < injection_rate:
-                out.append((pe, rng.choice(cbs), PacketType.READ_REQUEST, 0))
-        return out
-
-    return _run(env["network"], env["nis"], make_packets, cycles)

@@ -1,15 +1,28 @@
-"""Every public ``def`` and ``class`` in ``src/repro`` has a caller.
+"""Every public name and every option in ``src/repro`` has a caller.
 
-A name counts as called when it occurs as a whole word in ``src/``,
-``bench/``, ``benchmarks/`` or ``examples/`` outside its own definition.
-Tests do not count: a function only its own test calls is dead code,
-so it goes with its test.  The exceptions are test oracles and safety
-counters, each named in ``ALLOWED`` with the reason it stays.
+Callers are the code in ``src/``, ``bench/``, ``benchmarks/`` and
+``examples/``, read as syntax trees.  Tests do not count: a function or
+an option only its own test uses is dead code, so it goes with its test.
+
+* A public ``def`` or ``class`` counts as called only through a code
+  reference outside its own definition: a name, an attribute, or a
+  string constant (so ``bench/``'s wrap-by-method-name maps count).
+  Imports, ``__all__`` entries, docstrings and comments do not.
+* A defaulted parameter counts as set only when some call that can
+  reach its function passes it by keyword, by position or through a
+  ``*``/``**`` splat.  Calls resolve by name; the aliases a name lookup
+  cannot see (``Fabric``'s ``NetCls``, ``network_class(engine)(...)``)
+  resolve through ``FACTORIES``.  An option nothing sets is the
+  constant it always was.
+
+The exceptions are test oracles, safety counters and seams that
+substitute a fake, each named with the reason it stays.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,58 +33,334 @@ ALLOWED = {
     "same_col": "test oracle: placements never put two CBs on a column",
     "same_diagonal": "test oracle: placements never put two CBs on a "
                      "diagonal",
-    "direction_name": "the paper's x+/x-/y+/y- label of an EIR direction",
     "is_valid_solution": "test oracle: an N-Queen checker independent of "
                          "the solver",
-    "count_solutions": "test oracle: the known N-Queen solution counts",
-    "design_space_size": "the EIR design-space size the paper quotes "
-                         "(~1.7e10 at 8x8)",
-    "by_direction": "test oracle: an EIR group as direction -> node",
     "eir_nodes": "test oracle: no EIR sits on a CB or on another group",
     "hot_zone": "test oracle: the union of a CB's two access zones",
     "corrupt_evictions": "safety counter: corrupt design-cache entries "
                          "evicted since the last clear",
     "faulted": "test oracle: whether a verify case's fault plan can fire "
                "inside its window",
+    "quiescent": "test oracle: a network holds no flit, credit or event "
+                 "in flight (zero-load and engine-parity drains)",
+    "verify_loop_cover": "test oracle: a loop set covers every ordered "
+                         "node pair (routerless and ring schemes)",
 }
 
-_WORD = re.compile(r"\w+")
+# ``function:parameter`` (``Class.method:parameter`` for methods).
+ALLOWED_PARAMS = {
+    "main:argv": "seam: tests drive the CLI in-process with an argument "
+                 "list instead of sys.argv",
+    "MemoryBus.__init__:clock": "seam: tests substitute a fake clock to "
+                                "expire leases without sleeping",
+    "HbmStack.__init__:timing": "seam: tests substitute a one-channel "
+                                "HbmTiming to observe FR-FCFS order",
+    "run_sweep:backoff_s": "seam: retry tests substitute a zero backoff "
+                           "instead of sleeping",
+    "sample_solutions:seed": "seam: property tests vary the random draw",
+    "prune_to_k:seed": "seam: property tests vary the random draw",
+}
+
+# Calls that return a class: a call of the returned value, or of a name
+# bound to it, constructs one of these classes.
+FACTORIES = {
+    "network_class": ("Network", "VectorNetwork"),
+}
 
 
-def _sources():
-    """Every caller-side file's lines, by path."""
+@lru_cache(maxsize=None)
+def _files():
+    """Every caller-side file's syntax tree, by path."""
     return {
-        path: path.read_text().splitlines()
+        path: ast.parse(path.read_text())
         for folder in CALLER_DIRS
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
 
 
+def _import_aliases(tree):
+    """``{local name: imported name}`` for ``import x as y`` forms."""
+    return {
+        alias.asname: alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+
+
+def _prose(tree):
+    """``id()`` of every string constant that is not code: docstrings
+    and other bare string statements, and the entries of ``__all__``."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value,
+                                                     ast.Constant):
+            skip.add(id(node.value))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                skip.update(id(n) for n in ast.walk(node.value))
+    return skip
+
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
+
+
+def _references(files):
+    """``{name: [(path, line), ...]}`` of every code reference."""
+    refs = defaultdict(list)
+    for path, tree in files.items():
+        aliases = _import_aliases(tree)
+        prose = _prose(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [aliases.get(node.id, node.id)]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and id(node) not in prose
+                  and _DOTTED.fullmatch(node.value)):
+                names = re.split(r"[.:]", node.value)
+            else:
+                continue
+            for name in names:
+                refs[name].append((path, node.lineno))
+    return refs
+
+
+@lru_cache(maxsize=None)
+def _definitions():
+    """Every ``def``/``class`` under ``src/repro``, with its class (for
+    methods), its path and its line span."""
+    defs = []
+    package = ROOT / "src" / "repro"
+    for path, tree in _files().items():
+        if package not in path.parents:
+            continue
+        stack = [(tree, None)]
+        while stack:
+            parent, owner = stack.pop()
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, ast.ClassDef):
+                    defs.append((node, None, path))
+                    stack.append((node, node))
+                elif isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    defs.append((node, owner, path))
+                    stack.append((node, None))
+                else:
+                    stack.append((node, owner))
+    return defs
+
+
+@lru_cache(maxsize=None)
 def _uncalled():
-    """Public names in ``src/repro`` that nothing outside their own
-    definition mentions, as ``{name: "path:line"}``."""
-    sources = _sources()
-    words = Counter()
-    for lines in sources.values():
-        for line in lines:
-            words.update(_WORD.findall(line))
+    """Public names in ``src/repro`` with no code reference outside
+    their own definition, as ``{name: "path:line"}``."""
+    refs = _references(_files())
     uncalled = {}
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        lines = sources[path]
-        for node in ast.walk(ast.parse("\n".join(lines))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            own = sum(
-                _WORD.findall(line).count(node.name)
-                for line in lines[node.lineno - 1:node.end_lineno]
-            )
-            if words[node.name] == own:
-                where = f"{path.relative_to(ROOT)}:{node.lineno}"
-                uncalled[node.name] = where
+    for node, _owner, path in _definitions():
+        if node.name.startswith("_"):
+            continue
+        outside = [
+            (where, line) for where, line in refs.get(node.name, ())
+            if where != path or not node.lineno <= line <= node.end_lineno
+        ]
+        if not outside:
+            uncalled[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
     return uncalled
+
+
+def _defaulted(node):
+    """``(positional index or None, name)`` of each defaulted parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i, positional[i].arg) for i in range(first, len(positional))]
+    out += [
+        (None, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _tables(files):
+    """``{name: [function or class name, ...]}`` of every dict literal
+    bound to a name whose values are all names: a call of one of its
+    entries (``STRATEGIES[name](...)``) calls one of those."""
+    tables = defaultdict(list)
+    for tree in files.values():
+        for node in ast.walk(tree):
+            value = getattr(node, "value", None)
+            if not (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(value, ast.Dict) and value.values
+                    and all(isinstance(v, (ast.Name, ast.Attribute))
+                            for v in value.values)):
+                continue
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    tables[target.id] += [
+                        v.id if isinstance(v, ast.Name) else v.attr
+                        for v in value.values
+                    ]
+    return tables
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call in one caller file, as ``(targets, positional count,
+    keywords, splat)``.  A target is ``(name, True)`` for a resolved
+    construction of class ``name``, else ``(name, None)``: whatever
+    function or class is called ``name``."""
+
+    def __init__(self, aliases, bases, tables):
+        self.aliases = aliases
+        self.bases = bases
+        self.tables = tables
+        self.calls = []
+        self.classes = []
+        self.scopes = [{}]
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        scope = {}
+        if self.classes and node.args.args and (
+                node.args.args[0].arg == "cls"):
+            scope["cls"] = [(self.classes[-1], True)]
+        self.scopes.append(scope)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Assign(self, node):
+        targets = self._resolve(node.value)
+        if targets:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.scopes[-1][target.id] = targets
+        self.generic_visit(node)
+
+    def _resolve(self, value):
+        """What calling ``value`` can call, when a name lookup would
+        miss it: a factory's class, a table entry, or a local bound to
+        either."""
+        if isinstance(value, ast.Call):
+            return [(cls, True)
+                    for cls in FACTORIES.get(self._name(value.func), ())]
+        if isinstance(value, ast.Subscript) and isinstance(value.value,
+                                                           ast.Name):
+            return [(f, None) for f in self.tables.get(value.value.id, ())]
+        if isinstance(value, ast.Name):
+            for scope in reversed(self.scopes):
+                if value.id in scope:
+                    return scope[value.id]
+        return []
+
+    def _name(self, func):
+        if isinstance(func, ast.Name):
+            return self.aliases.get(func.id, func.id)
+        if isinstance(func, ast.Attribute):
+            return func.attr
+        return None
+
+    def visit_Call(self, node):
+        func = node.func
+        targets = self._resolve(func)
+        if not targets and (
+                isinstance(func, ast.Attribute) and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and self._name(func.value.func) == "super"):
+            # super().__init__(...) inside a method constructs the base.
+            owner = self.classes[-1] if self.classes else None
+            targets = [(b, True) for b in self.bases.get(owner, ())]
+        if not targets and self._name(func):
+            targets = [(self._name(func), None)]
+        self.calls.append((
+            targets,
+            sum(not isinstance(a, ast.Starred) for a in node.args),
+            {k.arg for k in node.keywords if k.arg},
+            any(isinstance(a, ast.Starred) for a in node.args)
+            or any(k.arg is None for k in node.keywords),
+        ))
+        self.generic_visit(node)
+
+
+@lru_cache(maxsize=None)
+def _unset_parameters():
+    """Defaulted parameters of ``src/repro`` functions that no call in a
+    caller file passes, as ``{"func:param": "path:line"}``."""
+    definitions = _definitions()
+    classes = {node.name: node for node, _o, _p in definitions
+               if isinstance(node, ast.ClassDef)}
+    bases = {
+        name: [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
+        for name, node in classes.items()
+    }
+    files = _files()
+    tables = _tables(files)
+    calls = []
+    for tree in files.values():
+        visitor = _Calls(_import_aliases(tree), bases, tables)
+        visitor.visit(tree)
+        calls += visitor.calls
+
+    def constructors(cls, seen=()):
+        """The classes whose construction runs ``cls.__init__``:
+        ``cls`` and every subclass that does not define its own."""
+        out = [cls]
+        for name, node in classes.items():
+            if cls in bases.get(name, ()) and name not in seen:
+                own = any(isinstance(s, ast.FunctionDef)
+                          and s.name == "__init__" for s in node.body)
+                if not own:
+                    out += constructors(name, seen + (cls,))
+        return out
+
+    by_target = defaultdict(list)
+    for targets, positional, keywords, splat in calls:
+        for name, construction in targets:
+            by_target[(name, construction)].append(
+                (positional, keywords, splat))
+
+    unset = {}
+    for node, owner, path in definitions:
+        if isinstance(node, ast.ClassDef):
+            continue
+        params = _defaulted(node)
+        if not params:
+            continue
+        if node.name == "__init__" and owner is not None:
+            sites = [
+                site for cls in constructors(owner.name)
+                for key in ((cls, None), (cls, True))
+                for site in by_target[key]
+            ]
+            offset = 1
+        else:
+            sites = by_target[(node.name, None)]
+            static = any(ast.unparse(d) == "staticmethod"
+                         for d in node.decorator_list)
+            offset = 1 if owner is not None and not static else 0
+        label = f"{owner.name}.{node.name}" if owner else node.name
+        for index, param in params:
+            passed = any(
+                splat or param in keywords
+                or (index is not None and index < positional + offset)
+                for positional, keywords, splat in sites
+            )
+            if not passed:
+                unset[f"{label}:{param}"] = (
+                    f"{path.relative_to(ROOT)}:{node.lineno}")
+    return unset
 
 
 def test_every_public_symbol_has_a_caller():
@@ -85,7 +374,39 @@ def test_every_public_symbol_has_a_caller():
     )
 
 
+def test_every_option_is_set_by_a_caller():
+    unset = {
+        param: where for param, where in _unset_parameters().items()
+        if param not in ALLOWED_PARAMS
+    }
+    assert unset == {}, (
+        "no call in src/, bench/, benchmarks/ or examples/ passes these; "
+        "make each the constant it always is, or add it to "
+        "ALLOWED_PARAMS with a reason"
+    )
+
+
+def test_allowed_oracles_serve_other_tests():
+    # An oracle only its own module's unit test uses is dead code with
+    # a test, not an oracle.
+    tests = {
+        path: ast.parse(path.read_text())
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        if path.name != Path(__file__).name
+    }
+    refs = _references(tests)
+    home = {node.name: path for node, _o, path in _definitions()}
+    lonely = {
+        name for name in ALLOWED
+        if not {path.name for path, _line in refs.get(name, ())}
+        - {f"test_{home[name].stem}.py"}
+    }
+    assert lonely == set()
+    assert all(ALLOWED.values()) and all(ALLOWED_PARAMS.values())
+
+
 def test_allowed_names_are_still_uncalled():
     # An entry whose name gained a caller, or lost its definition, is
-    # stale: drop it so ALLOWED stays the list of real exceptions.
+    # stale: drop it so the lists stay the real exceptions.
     assert sorted(_uncalled()) == sorted(ALLOWED)
+    assert sorted(_unset_parameters()) == sorted(ALLOWED_PARAMS)

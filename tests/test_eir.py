@@ -7,6 +7,13 @@ from repro.core.grid import Grid
 from repro.core.hotzone import daz
 
 
+def empty_design(grid, placement):
+    """A design with empty groups: every CB injects at its own router."""
+    groups = tuple(eir.make_group(cb, {}) for cb in placement)
+    return eir.EirDesign(grid=grid, placement=tuple(placement),
+                         groups=groups)
+
+
 @pytest.fixture
 def grid():
     return Grid(8)
@@ -84,7 +91,7 @@ class TestGroups:
         group = eir.make_group(10, {(1, 0): 12, (0, 1): 26})
         assert group.cb == 10
         assert set(group.nodes) == {12, 26}
-        assert group.by_direction[(1, 0)] == 12
+        assert dict(group.eirs)[(1, 0)] == 12
 
 
 class TestDesign:
@@ -136,7 +143,7 @@ class TestDesign:
         )
 
     def test_no_eir_design(self, grid, nodes):
-        design = eir.no_eir_design(grid, nodes)
+        design = empty_design(grid, nodes)
         assert design.links() == []
         assert design.injection_points(nodes[0]) == (nodes[0],)
 
@@ -170,11 +177,21 @@ class TestShortestPathEirs:
                              groups=tuple(groups))
 
 
+def raw_space_size(grid, placement):
+    """Upper bound on the number of complete EIR selections: the product
+    over CBs of their group counts at distances 1..3, ignoring the
+    no-sharing interaction between CBs (the raw space the paper sizes)."""
+    total = 1
+    for cb in placement:
+        total *= len(eir.enumerate_groups(grid, placement, cb,
+                                          min_distance=1, max_distance=3))
+    return total
+
+
 class TestDesignSpace:
     def test_space_is_large(self, grid, nodes):
         """The paper quotes ~1.7e10 for 8x8; our action model is larger."""
-        size = eir.design_space_size(grid, nodes)
-        assert size > 1e10
+        assert raw_space_size(grid, nodes) > 1e10
 
     def test_space_product_of_per_cb_counts(self, grid):
         nodes = (Grid(8).node(3, 3), Grid(8).node(6, 6))
@@ -182,4 +199,4 @@ class TestDesignSpace:
                                      min_distance=1, max_distance=3))
         b = len(eir.enumerate_groups(grid, nodes, nodes[1],
                                      min_distance=1, max_distance=3))
-        assert eir.design_space_size(grid, nodes) == a * b
+        assert raw_space_size(grid, nodes) == a * b

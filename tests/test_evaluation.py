@@ -18,6 +18,13 @@ from repro.core.placement import nqueen_best
 from repro.physical import interposer
 
 
+def empty_design(grid, placement):
+    """A design with empty groups: every CB injects at its own router."""
+    groups = tuple(eir.make_group(cb, {}) for cb in placement)
+    return eir.EirDesign(grid=grid, placement=tuple(placement),
+                         groups=groups)
+
+
 @pytest.fixture
 def grid():
     return Grid(8)
@@ -50,7 +57,7 @@ class TestInjectionLoads:
         assert sum(loads.values()) == pytest.approx(num_pes * len(nodes))
 
     def test_no_eirs_all_on_local(self, grid, nodes):
-        design = eir.no_eir_design(grid, nodes)
+        design = empty_design(grid, nodes)
         loads = evaluation.injection_loads(design)
         num_pes = grid.size - len(nodes)
         for cb in nodes:
@@ -58,14 +65,14 @@ class TestInjectionLoads:
 
     def test_eirs_reduce_max_load(self, grid, nodes):
         with_eirs = evaluation.injection_loads(build_design(grid, nodes))
-        without = evaluation.injection_loads(eir.no_eir_design(grid, nodes))
+        without = evaluation.injection_loads(empty_design(grid, nodes))
         assert max(with_eirs.values()) < max(without.values())
 
 
 class TestAverageHops:
     def test_eirs_reduce_avg_hops(self, grid, nodes):
         with_eirs = evaluation.average_hops(build_design(grid, nodes))
-        without = evaluation.average_hops(eir.no_eir_design(grid, nodes))
+        without = evaluation.average_hops(empty_design(grid, nodes))
         assert with_eirs < without
 
     def test_positive(self, grid, nodes):
@@ -86,17 +93,17 @@ class TestEvaluate:
             assert 0.0 <= value <= 1.5, (name, value)
 
     def test_lower_is_better_no_eirs_scores_high_load(self, grid, nodes):
-        empty = evaluation.evaluate(eir.no_eir_design(grid, nodes))
+        empty = evaluation.evaluate(empty_design(grid, nodes))
         assert empty.normalized["max_load"] == pytest.approx(1.0)
 
     def test_weights_change_score(self, grid, nodes):
         design = build_design(grid, nodes)
         default = evaluation.evaluate(design)
-        heavy = evaluation.evaluate(
-            design,
+        heavy = evaluation.IncrementalEvaluator(
+            grid, nodes,
             weights={"max_load": 10.0, "avg_hops": 1.0, "crossings": 1.0,
                      "link_length": 1.0},
-        )
+        ).evaluate(design.groups)
         assert heavy.score > default.score
 
     def test_score_is_weighted_sum(self, grid, nodes):
@@ -116,7 +123,7 @@ class TestReward:
 
     def test_reward_monotone(self, grid, nodes):
         good = evaluation.evaluate(build_design(grid, nodes))
-        bad = evaluation.evaluate(eir.no_eir_design(grid, nodes))
+        bad = evaluation.evaluate(empty_design(grid, nodes))
         # The empty design has max load 1.0 and baseline hops; the EIR
         # design should be preferred (strictly higher reward).
         assert evaluation.reward(good) > evaluation.reward(bad)

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 from repro.core.grid import Grid
 from repro.noc import Network, Packet, PacketType
 from repro.noc.interface import EquiNoxInterface
+from tests.parking import park
 
 
 class TestOutputArbitrationModulus:
@@ -65,7 +66,7 @@ class TestOutputArbitrationModulus:
                     pid += 1
                     packet = Packet(pid, PacketType.READ_REPLY, 0, 1, 4, 0)
                     for flit in packet.make_flits():
-                        router.accept(port, vc, flit, cycle)
+                        park(router, port, vc, flit, cycle)
             before = [len(router.inputs[p][v].queue) for p, v in contenders]
             router.tick(cycle, [], [])  # lone router: events discarded
             # The cycle's winner is whichever input VC lost a flit.

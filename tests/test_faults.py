@@ -30,7 +30,7 @@ from repro.noc.faults import (
     eir_link_faults,
     parse_faults_arg,
 )
-from repro.noc.validation import assert_healthy
+from repro.noc.validation import audit_network
 
 QUICK = ExperimentConfig(quota=10, mcts_iterations=10, validate=64)
 
@@ -144,7 +144,7 @@ def drain(net, nodes, cycles=2000, injector=None):
         if injector is not None:
             injector.on_cycle(net.cycle + 1)
         net.tick()
-        assert_healthy(net)
+        assert audit_network(net).problems == []
         for n in nodes:
             while True:
                 p = net.pop_delivered(n)
@@ -263,9 +263,6 @@ class TestBufferQuarantine:
         spec = FaultSpec(kind="ni_buffer", node=62, buffer=0)
         injector = FaultInjector(_OneNetFabric(net), FaultPlan((spec,)))
         assert injector.unmatched == [spec]
-        with pytest.raises(ValueError, match="matched nothing"):
-            FaultInjector(_OneNetFabric(net), FaultPlan((spec,)),
-                          strict=True)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.harness import figures
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import ExperimentConfig, run_suite
 from repro.harness.figures import (
+    Figure9,
     figure4,
     figure5,
     figure7,
-    figure9,
     figure10,
     figure11,
     section66,
@@ -37,8 +37,10 @@ class TestTable1:
 
 
 class TestFigure4:
-    def test_small_run(self):
-        result = figure4(width=8, injection_rate=0.3, cycles=300)
+    def test_small_run(self, monkeypatch):
+        monkeypatch.setattr(figures, "FIGURE4_RATE", 0.3)
+        monkeypatch.setattr(figures, "FIGURE4_CYCLES", 300)
+        result = figure4()
         assert set(result.variances) == {
             "top", "side", "diagonal", "diamond", "nqueen"
         }
@@ -49,13 +51,14 @@ class TestFigure4:
 
 class TestFigure5:
     def test_92_solutions(self):
-        result = figure5(8)
+        result = figure5()
         assert result.num_solutions == 92
         assert len(result.penalties) == 92
         assert result.best_penalty == min(result.penalties)
 
-    def test_smaller_board(self):
-        result = figure5(6)
+    def test_smaller_board(self, monkeypatch):
+        monkeypatch.setattr(figures, "FIGURE_WIDTH", 6)
+        result = figure5()
         assert result.num_solutions == 4
 
 
@@ -71,11 +74,11 @@ class TestFigure7:
 class TestFigure9And10:
     @pytest.fixture(scope="class")
     def fig9(self):
-        return figure9(
-            SMALL,
-            schemes=["SingleBase", "SeparateBase", "EquiNox"],
-            benchmarks=["hotspot", "kmeans"],
-        )
+        # figure9() runs the full grid; its figure over a slice.
+        schemes = ["SingleBase", "SeparateBase", "EquiNox"]
+        benchmarks = ["hotspot", "kmeans"]
+        return Figure9(schemes, benchmarks,
+                       run_suite(schemes, benchmarks, SMALL))
 
     def test_grid_complete(self, fig9):
         assert len(fig9.results) == 6

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.grid import AXIS_DIRECTIONS, Grid, direction_name
+from repro.core.grid import Grid
 
 
 class TestAddressing:
@@ -102,12 +102,6 @@ class TestDistances:
         corner = grid.node(0, 0)
         assert len(grid.ring(corner, 2)) == 3  # (2,0), (1,1), (0,2)
 
-    def test_within(self):
-        grid = Grid(9)
-        center = grid.node(4, 4)
-        assert len(grid.within(center, 2)) == 12
-        assert center not in grid.within(center, 3)
-
     def test_ring_negative_radius(self):
         with pytest.raises(ValueError):
             Grid(4).ring(0, -1)
@@ -175,12 +169,3 @@ class TestAlignment:
         assert grid.direction(b, a) == (-1, 1)
         assert grid.direction(a, a) == (0, 0)
 
-
-class TestDirections:
-    def test_axis_direction_names(self):
-        names = {direction_name(d) for d in AXIS_DIRECTIONS}
-        assert names == {"x+", "x-", "y+", "y-"}
-
-    def test_direction_name_invalid(self):
-        with pytest.raises(ValueError):
-            direction_name((1, 1))

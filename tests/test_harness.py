@@ -6,7 +6,6 @@ from repro.harness import cache
 from repro.harness.experiment import (
     ExperimentConfig,
     build_fabric,
-    default_config,
     run_experiment,
     run_suite,
 )
@@ -97,7 +96,7 @@ class TestExperiment:
     CFG = ExperimentConfig(quota=10, mcts_iterations=20)
 
     def test_default_config(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert cfg.width == 8
         assert cfg.num_cbs == 8
 

@@ -91,7 +91,7 @@ class TestUbump:
     def test_paper_link_area(self):
         """A 128-bit bi-directional link consumes ~0.34 mm^2 less than
         half a percent off the paper's quoted 0.34."""
-        assert ubump.link_ubump_area_mm2(128) == pytest.approx(0.41, abs=0.08)
+        assert ubump.ubump_area_mm2(2 * 128) == pytest.approx(0.41, abs=0.08)
 
     def test_interposer_cmesh_budget_matches_paper(self):
         budget = ubump.interposer_cmesh_budget()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mem import HbmStack, HbmTiming, MemoryAccess, MemoryController
+from repro.mem.controller import MC_PIPELINE_CYCLES
 
 
 def access(token, is_read=True, row_hit=True, cycle=0):
@@ -121,7 +122,7 @@ class TestController:
         stack_latency = (
             mc.stack.timing.t_cas + mc.stack.timing.transfer_cycles
         )
-        assert cycle >= stack_latency + 2 * mc.pipeline - 1
+        assert cycle >= stack_latency + 2 * MC_PIPELINE_CYCLES - 1
 
     def test_idle_lifecycle(self):
         mc = MemoryController()

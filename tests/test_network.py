@@ -15,6 +15,7 @@ from repro.noc import (
     vector,
 )
 from repro.noc.loops import LoopInterface, ring_loops, routerless_loops
+from repro.noc.topology import CmeshEnvelope
 from repro.noc.network import ENGINES, network_class
 from repro.settings import hermetic_env
 
@@ -198,11 +199,6 @@ class TestCredits:
         assert added.capacity == 7
         assert added.credits[0] == 7
 
-    def test_add_eject_port_explicit_capacity_still_honoured(self):
-        net, _ = make_net(eject_capacity=7)
-        port = net.add_eject_port(0, capacity=11)
-        assert net.routers[0].outputs[port].capacity == 11
-
 
 class TestVcClasses:
     def test_classes_stay_separated_without_monopolize(self):
@@ -333,8 +329,8 @@ class TestMeshZeroLoad:
     must take exactly ``hops + size + 2`` cycles of the network that
     carries it, with no queuing and no clamp booked.  DA2Mesh's reply
     subnets run at 2.5x the base clock, so their replies are timed in
-    subnet cycles.  Interposer-CMesh is left out: its overlay and base
-    mesh paths are not exact at zero load yet (ROADMAP item 16).
+    subnet cycles.  Interposer-CMesh misses the model by a fixed offset
+    per path; :meth:`test_cmesh_offsets_are_the_ni_core_lag` pins them.
     """
 
     @pytest.mark.parametrize("scheme", [
@@ -383,3 +379,89 @@ class TestMeshZeroLoad:
             for acc in net.stats.latency.values():
                 assert (acc.queuing, acc.clamped) == (0, 0)
         assert delivered == sent
+
+    # (kind, network, size in flits) -> cycles over hops + size + 2.
+    CMESH_OFFSETS = {
+        ("reply", "mesh", 1): 1, ("reply", "mesh", 5): 1,
+        ("reply", "overlay", 1): 2, ("reply", "overlay", 3): 4,
+        ("request", "mesh", 1): 0, ("request", "mesh", 5): 0,
+        ("request", "overlay", 1): 1, ("request", "overlay", 3): 1,
+    }
+
+    def test_cmesh_offsets_are_the_ni_core_lag(self):
+        """Interposer-CMesh, characterised: every lone packet takes the
+        model plus a fixed offset per path, and each offset is the lag
+        of the sending NI's serialisation core, ``max_k(floor((k + 1) /
+        rate) - k)`` over the packet's flits ``k``.
+
+        The core's rate is 1 flit/cycle for a CB's base-width core,
+        which its mesh and overlay NIs share (+1 on the base mesh), 0.5
+        on the 32 B overlay (+2 and +4 for 1- and 3-flit replies) and 1
+        for a PE's overlay NI (+1); a PE's mesh NI keeps pace (+0).  So
+        the extra cycles are spent in the NI core, not in a router, the
+        concentration or the interposer hop (ROADMAP item 16(a)).
+        """
+        config = ExperimentConfig(width=6, num_cbs=5, engine="object")
+        with hermetic_env():
+            fabric = build_fabric("Interposer-CMesh", config)
+        overlay_grid = fabric.cmesh_net.grid
+        paths = {}
+        wrong = []
+
+        def core_lag(rate, size):
+            return max(int((k + 1) / rate) - k for k in range(size))
+
+        def tick_until(done):
+            for _ in range(500):
+                if done():
+                    return
+                fabric.tick()
+            raise AssertionError("fabric did not settle in 500 cycles")
+
+        def lone(kind, packet, src, pop, dst, nis):
+            """Tick until ``packet`` is popped and all is quiet, and
+            book its offset under its path."""
+            tick_until(lambda: pop(dst) == packet_token(packet))
+            overlay = isinstance(packet.token, CmeshEnvelope)
+            grid = overlay_grid if overlay else fabric.grid
+            offset = packet.latency - (
+                grid.hops(packet.src, packet.dst) + packet.size + 2)
+            path = (kind, "overlay" if overlay else "mesh", packet.size)
+            paths[path] = paths.get(path, 0) + 1
+            ni = (fabric.cmesh_nis if overlay else nis)[src]
+            if offset != self.CMESH_OFFSETS.get(path) or (
+                    offset != core_lag(ni.core_rate, packet.size)):
+                wrong.append((path, packet.src, packet.dst, offset))
+            tick_until(lambda: all(
+                n.quiescent() for n, _r, _role in fabric.networks
+            ))
+
+        def packet_token(packet):
+            if isinstance(packet.token, CmeshEnvelope):
+                return packet.token.inner
+            return packet.token
+
+        token = 0
+        for cb in fabric.placement:
+            for pe in fabric.pes:
+                for ptype in (PacketType.WRITE_REPLY, PacketType.READ_REPLY):
+                    token += 1
+                    packet = fabric.send_reply(cb, pe, ptype, token)
+                    lone("reply", packet, cb, fabric.pop_reply, pe,
+                         fabric.reply_nis)
+                for ptype in (PacketType.READ_REQUEST,
+                              PacketType.WRITE_REQUEST):
+                    token += 1
+                    packet = fabric.send_request(pe, cb, ptype, token)
+                    lone("request", packet, pe, fabric.pop_request, cb,
+                         fabric.request_nis)
+        assert wrong == []
+        assert paths == {
+            ("reply", "mesh", 1): 16, ("reply", "mesh", 5): 16,
+            ("reply", "overlay", 1): 139, ("reply", "overlay", 3): 139,
+            ("request", "mesh", 1): 16, ("request", "mesh", 5): 16,
+            ("request", "overlay", 1): 139, ("request", "overlay", 3): 139,
+        }
+        for net, _ratio, _role in fabric.networks:
+            for acc in net.stats.latency.values():
+                assert acc.clamped == 0

@@ -26,9 +26,6 @@ class TestSolveAll:
         solutions = nqueen.solve_all(8)
         assert len(set(solutions)) == len(solutions)
 
-    def test_limit_stops_early(self):
-        assert len(nqueen.solve_all(8, limit=5)) == 5
-
     def test_no_solution_for_n3(self):
         assert nqueen.solve_all(3) == []
 
@@ -99,11 +96,11 @@ class TestCandidates:
         assert len(nqueen.candidate_solutions(8)) == 92
 
     def test_large_n_samples(self):
-        sols = nqueen.candidate_solutions(12, max_solutions=16, seed=0)
-        assert 0 < len(sols) <= 16
+        sols = nqueen.candidate_solutions(12)
+        assert 0 < len(sols) <= nqueen.SAMPLED_SOLUTIONS
 
     def test_count_solutions(self):
-        assert nqueen.count_solutions(6) == 4
+        assert len(nqueen.solve_all(6)) == 4
 
 
 class TestPruning:

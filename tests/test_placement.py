@@ -92,7 +92,7 @@ class TestNQueen:
 
     def test_nqueen_large_grid_sampled(self):
         grid = Grid(12)
-        result = placement.nqueen_best(grid, 8, max_solutions=8)
+        result = placement.nqueen_best(grid, 8)
         assert len(result) == 8
 
     def test_nqueen_too_many_cbs(self, grid):

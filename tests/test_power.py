@@ -2,15 +2,27 @@
 
 import pytest
 
+from repro.core.grid import Grid
 from repro.harness.experiment import ExperimentConfig, build_fabric
+from repro.noc import MultiPortInterface, Network, NetworkInterface
 from repro.power import (
     EnergyParams,
+    energy,
     fabric_area,
     fabric_energy,
     network_area,
     network_energy,
-    router_area_mm2,
 )
+
+
+def router_area(ni=NetworkInterface, **kwargs):
+    """Mean router area (mm^2) of a 4x4, 2-VC, 5-flit, 16 B mesh with
+    one ``ni`` per node."""
+    net = Network("t", Grid(4), 16, vc_capacity=5)
+    for node in net.grid.nodes():
+        ni(net, node, **kwargs)
+    area = network_area(net)
+    return (area.buffers_mm2 + area.xbar_mm2 + area.alloc_mm2) / 16
 
 
 @pytest.fixture(scope="module")
@@ -66,22 +78,22 @@ class TestEnergy:
             > sum(n.static_pj for n in single.networks)
         )
 
-    def test_width_scaling(self, loaded_fabric):
+    def test_width_scaling(self, loaded_fabric, monkeypatch):
         base = network_energy(loaded_fabric.reply_net, 1000)
-        wide_params = EnergyParams(reference_flit_bytes=32)
-        wide = network_energy(loaded_fabric.reply_net, 1000, wide_params)
+        monkeypatch.setattr(energy, "DEFAULT_PARAMS",
+                            EnergyParams(reference_flit_bytes=32))
+        wide = network_energy(loaded_fabric.reply_net, 1000)
         assert wide.dynamic_pj == pytest.approx(base.dynamic_pj / 2)
 
 
 class TestArea:
     def test_router_area_plausible(self):
         """A 5-port 2-VC 128-bit router is in the 0.05-0.2 mm^2 range."""
-        area = router_area_mm2(5, 5, 2, 5, 16)
-        assert 0.05 < area < 0.2
+        assert 0.05 < router_area() < 0.2
 
     def test_area_grows_with_ports(self):
-        small = router_area_mm2(5, 5, 2, 5, 16)
-        big = router_area_mm2(9, 9, 2, 5, 16)
+        small = router_area()
+        big = router_area(MultiPortInterface, num_ports=4)
         assert big > small
 
     def test_single_less_than_separate(self, cfg):

@@ -4,6 +4,7 @@
 from repro.core.grid import Grid
 from repro.noc import Network, NetworkInterface, Packet, PacketType
 from repro.noc.routing import NUM_MESH_PORTS, PORT_E, PORT_W
+from tests.parking import park
 
 
 def make_net(monopolize=False, **kwargs):
@@ -116,7 +117,7 @@ class TestMonopolization:
         # Park a request flit directly in an input VC.
         req = Packet(1, PacketType.READ_REQUEST, 0, 3, 1, 0, vc_class=0)
         flit = req.make_flits()[0]
-        router.accept(PORT_W, 0, flit, cycle=1)
+        park(router, PORT_W, 0, flit, 1)
         assert router._borrowable_vcs(1, 1) == ()
 
     def test_vcmono_network_no_class_leak_for_requests(self):

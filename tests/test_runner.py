@@ -344,14 +344,6 @@ class TestDiskCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert cache.cache_dir() == tmp_path
 
-    def test_clear_disk_removes_entries(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache.clear()
-        cache.placement("diamond", 8)
-        assert list(tmp_path.glob("*.json"))
-        cache.clear(disk=True)
-        assert not list(tmp_path.glob("*.json"))
-
     def test_warm_design_cache_covers_grid(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache.clear()

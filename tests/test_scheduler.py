@@ -185,8 +185,9 @@ def _saturate(scheduler, engine="object", rate=0.3, pop_every=1, faults=(),
     nis = {node: NetworkInterface(net, node) for node in nodes}
     injector = FaultInjector(
         SimpleNamespace(networks_by_role=lambda role: [net]),
-        FaultPlan(tuple(faults)), strict=True,
+        FaultPlan(tuple(faults)),
     )
+    assert injector.unmatched == []
     rng = random.Random(7)
     pid = 0
     with vector.arming(10 ** 9, 10 ** 9):

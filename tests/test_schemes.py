@@ -78,18 +78,13 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SchemeConfig(name="x", network_type="ring")
         # Loop topologies: separate networks only, no overlays/NI
-        # variants, and at least two VCs for the dateline.
+        # variants.
         with pytest.raises(ValueError):
             SchemeConfig(name="x", network_type="single", topology="ring")
         with pytest.raises(ValueError):
             SchemeConfig(
                 name="x", network_type="separate", topology="routerless",
                 multiport=4,
-            )
-        with pytest.raises(ValueError):
-            SchemeConfig(
-                name="x", network_type="separate", topology="ring",
-                num_vcs=1,
             )
         with pytest.raises(ValueError):
             SchemeConfig(name="x", network_type="separate", topology="torus")
@@ -332,7 +327,7 @@ class TestLoopSchemes:
 
     @pytest.mark.parametrize("scheme", LOOP_SCHEMES)
     def test_delivery_accounting(self, scheme):
-        from repro.noc.validation import assert_healthy
+        from repro.noc.validation import audit_network
 
         fabric = build_fabric(scheme, self.cfg)
         tokens = {}
@@ -352,7 +347,7 @@ class TestLoopSchemes:
         assert got == set(tokens)
         assert fabric.idle()
         for net, _ratio, _role in fabric.networks:
-            assert_healthy(net)
+            assert audit_network(net).problems == []
             stats = net.stats
             assert stats.packets_created == stats.packets_delivered
             assert stats.flits_injected == stats.flits_ejected

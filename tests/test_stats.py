@@ -53,7 +53,8 @@ class TestNetworkStats:
             packet(PacketType.READ_REQUEST, delivered=10), 5
         )
         assert stats.mean_latency() == pytest.approx(20.0)
-        assert stats.mean_latency([PacketType.READ_REQUEST]) == 10.0
+        requests = stats.latency[PacketType.READ_REQUEST]
+        assert requests.total / requests.count == 10.0
 
     def test_heatmap_masks_untouched_routers(self):
         stats = NetworkStats(4, 16)

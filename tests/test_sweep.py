@@ -14,7 +14,7 @@ class TestSweep:
         grid = Grid(8)
         cbs = nqueen_best(grid, 8).nodes
         return sweep_few_to_many(
-            grid, cbs, rates=[0.05, 0.15, 0.3], cycles=600, seed=1
+            grid, cbs, rates=[0.05, 0.15, 0.3], cycles=600
         )
 
     def test_point_per_rate(self, points):

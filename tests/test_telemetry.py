@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import settings
+from repro.telemetry import registry as registry_mod
 from repro.harness.experiment import (
     ExperimentConfig,
     build_fabric,
@@ -30,7 +31,6 @@ from repro.telemetry import (
     aggregate_sweep,
     dumps_record,
     experiment_filename,
-    read_jsonl,
     summarize_record,
     sweep_filename,
     sweep_records,
@@ -40,6 +40,12 @@ from repro.telemetry import (
 
 CFG = ExperimentConfig(quota=8, mcts_iterations=10)
 CFG_TEL = ExperimentConfig(quota=8, mcts_iterations=10, telemetry=25)
+
+
+def read_records(path):
+    """The records of a JSONL artifact."""
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()]
 
 
 class TestIntervals:
@@ -71,8 +77,9 @@ class TestIntervals:
 
 
 class TestRegistry:
-    def test_series_windowing_evicts_oldest(self):
-        sampler = SeriesSampler("x", lambda: 1.0, window=3)
+    def test_series_windowing_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(registry_mod, "SERIES_WINDOW", 3)
+        sampler = SeriesSampler("x", lambda: 1.0)
         for cycle in (10, 20, 30, 40):
             sampler.sample(cycle)
         assert sampler.export()["cycles"] == [20, 30, 40]
@@ -200,7 +207,7 @@ class TestExportDeterminism:
             {"schema": 1, "kind": "experiment", "value": 3},
         ]
         path = write_jsonl(tmp_path / "t.jsonl", records)
-        assert read_jsonl(path) == records
+        assert read_records(path) == records
         # canonical form: sorted keys, compact, one line per record
         first = path.read_text().splitlines()[0]
         assert first == dumps_record(records[0])
@@ -235,6 +242,20 @@ class TestAggregation:
         assert summary["kind"] == "sweep_summary"
         assert summary["cells"] == [row]
         assert summary["total_flits_injected"] == row["flits_injected"]
+
+    def test_eir_balance_counts_eirs_not_the_local_buffer(self):
+        # An idle local buffer beside two evenly loaded EIRs is perfect
+        # EIR balance; the local buffer is not an EIR.
+        counters = {
+            "eir.cb3.local.flits_sent": 0,
+            "eir.cb3.eir10.flits_sent": 50,
+            "eir.cb3.eir12.flits_sent": 50,
+            "eir.cb3.backlog": 7,
+        }
+        row = summarize_record({"counters": counters})
+        assert row["eir_balance"] == 1.0
+        counters["eir.cb3.eir12.flits_sent"] = 25
+        assert summarize_record({"counters": counters})["eir_balance"] == 0.5
 
     def test_sweep_records_layout(self):
         cell = {"schema": 1, "kind": "experiment", "counters": {},
@@ -284,7 +305,7 @@ class TestCli:
                      "--telemetry-out", str(tmp_path)]) == 0
         files = list(tmp_path.glob("sweep-*.jsonl"))
         assert len(files) == 1
-        lines = read_jsonl(files[0])
+        lines = read_records(files[0])
         assert lines[0]["kind"] == "sweep"
         assert lines[1]["kind"] == "experiment"
         assert lines[-1]["kind"] == "sweep_summary"

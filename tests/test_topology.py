@@ -11,14 +11,14 @@ from repro.noc import (
     NetworkInterface,
     Packet,
     PacketType,
+    Network,
     build_cmesh,
-    build_mesh,
 )
 
 
 class TestMesh:
     def test_build_mesh(self):
-        net = build_mesh("m", 8, 16)
+        net = Network("m", Grid(8), 16)
         assert len(net.routers) == 64
         interior = net.routers[net.grid.node(3, 3)]
         assert len(interior.neighbors) == 4
@@ -26,7 +26,7 @@ class TestMesh:
         assert len(corner.neighbors) == 2
 
     def test_mesh_links_bidirectional(self):
-        net = build_mesh("m", 4, 16)
+        net = Network("m", Grid(4), 16)
         for router in net.routers:
             for port, (nbr, nbr_port) in router.neighbors.items():
                 back = net.routers[nbr].neighbors[nbr_port]

@@ -375,8 +375,8 @@ class TestForcedTransitions:
                 FaultSpec(kind="ni_buffer", node=7, buffer=0, at_cycle=170,
                           heal_cycle=230),
             )),
-            strict=True,
         )
+        assert injector.unmatched == []
         rng = random.Random(11)
         armed_when_added = []
         armed_when_faulted = []
@@ -497,8 +497,8 @@ class TestSeam:
                 SimpleNamespace(networks_by_role=lambda role, net=net: [net]),
                 FaultPlan((FaultSpec(kind="mesh_link", node=27, peer=28,
                                      at_cycle=40, heal_cycle=100),)),
-                strict=True,
             ))
+            assert injectors[-1].unmatched == []
 
         def surface(net):
             return (net.in_flight(), net.idle(), net.quiescent(),

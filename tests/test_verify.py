@@ -24,7 +24,6 @@ from repro.verify import (
     VerifyCase,
     VerifyFailure,
     VerifyProfile,
-    artifact_bytes,
     base_case,
     build_artifact,
     check_differential_case,
@@ -40,6 +39,7 @@ from repro.verify import (
     sanitize_error,
     write_failure,
 )
+from repro.telemetry.export import dumps_record
 from repro.verify.harness import _drive
 from repro.verify.invariants import end_state_problems
 from repro.verify.strategies import cases
@@ -317,12 +317,17 @@ class TestDrivers:
         assert knobs <= set(os.environ)  # and restored afterwards
 
 
+def failure_bytes(prop, case, error):
+    """The exact bytes write_failure persists for one failure."""
+    return (dumps_record(build_artifact(prop, case, error)) + "\n").encode()
+
+
 class TestArtifacts:
     def test_bytes_identical_across_builds(self, tmp_path):
         case = VerifyCase(**QUICK)
         error = "VerifyFailure: buffer <Buffer at 0x7f0012abcdef> stuck"
-        first = artifact_bytes(PROPERTY_INVARIANTS, case, error)
-        second = artifact_bytes(PROPERTY_INVARIANTS, case, error)
+        first = failure_bytes(PROPERTY_INVARIANTS, case, error)
+        second = failure_bytes(PROPERTY_INVARIANTS, case, error)
         assert first == second
         path = write_failure(tmp_path, PROPERTY_INVARIANTS, case, error)
         assert path.read_bytes() == first
@@ -412,9 +417,9 @@ class TestHarnessDriver:
             "invariants", check, cases(widths=(4,)), 30, lambda _m: None
         )
         assert again.failure == outcome.failure
-        assert artifact_bytes(
+        assert failure_bytes(
             "invariants", again.failure, again.error
-        ) == artifact_bytes("invariants", outcome.failure, outcome.error)
+        ) == failure_bytes("invariants", outcome.failure, outcome.error)
 
     def test_drive_records_simulator_runtime_failures(self):
         # NetworkAuditError and SimulationStall subclass RuntimeError,

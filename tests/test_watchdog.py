@@ -85,7 +85,7 @@ class TestWatchdog:
         for _ in range(20):
             net.tick()
         assert net.stats.packets_delivered == 0
-        dump = network_dump(net, audit=False)
+        dump = network_dump(net)
         assert "oldest stuck packet: pid 1 READ_REPLY 0->10" in dump
         # The router line says how long the head has waited there.
         head = next(
@@ -118,7 +118,7 @@ class TestWatchdog:
         for _ in range(20):
             net.tick()
         assert packet.lane == 0 and net.stats.packets_delivered == 0
-        dump = network_dump(net, audit=False)
+        dump = network_dump(net)
         where = dump.index("no output allocated")
         assert dump[where:].splitlines()[1] == (
             f"    candidate port out(p{port}): v{vc} owner=(9, 0) credits=0"

@@ -11,7 +11,6 @@ from repro.workloads import (
     get,
     names,
     run_few_to_many,
-    run_many_to_few,
     run_uniform,
     subset,
 )
@@ -42,12 +41,6 @@ class TestProfiles:
     def test_parameter_ranges_validated(self):
         with pytest.raises(ValueError):
             WorkloadProfile("x", "t", 1.5, 0.5, 0.5, 0.5, 0.5)
-
-    def test_scaled(self):
-        base = get("kmeans")
-        double = base.scaled(2.0)
-        assert double.intensity == pytest.approx(min(1.0, base.intensity * 2))
-        assert double.name == base.name
 
     def test_subset_spans_spectrum(self):
         small = subset(5)
@@ -140,12 +133,6 @@ class TestSynthetic:
         # Hot routers sit at/near the injection row.
         assert cb_heat >= heat.mean()
         assert result.heatmap_variance > 0
-
-    def test_many_to_few_delivers(self):
-        grid = Grid(8)
-        cbs = by_name("diamond", grid, 8).nodes
-        result = run_many_to_few(grid, cbs, injection_rate=0.03, cycles=400)
-        assert result.received == result.sent
 
     def test_nqueen_variance_lower_than_top(self):
         """The Figure-4 headline: N-Queen balances traffic best."""

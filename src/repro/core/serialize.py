@@ -54,13 +54,13 @@ def design_to_dict(design: EquiNoxDesign) -> Dict:
     }
 
 
-def design_from_dict(data: Dict, strict: bool = True) -> EquiNoxDesign:
+def design_from_dict(data: Dict) -> EquiNoxDesign:
     """Rebuild a design from :func:`design_to_dict` output.
 
     The RDL plan and evaluation are recomputed from the stored
-    structure (they are deterministic functions of it); with ``strict``
-    the stored evaluation score is cross-checked, which will reject
-    files written under non-default evaluation weights.
+    structure (they are deterministic functions of it), and the stored
+    evaluation score is cross-checked, which rejects files written
+    under non-default evaluation weights.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
@@ -85,7 +85,7 @@ def design_from_dict(data: Dict, strict: bool = True) -> EquiNoxDesign:
                            groups=groups)
     result = evaluation.evaluate(eir_design)
     stored = data.get("evaluation", {}).get("score")
-    if strict and stored is not None and abs(stored - result.score) > 1e-6:
+    if stored is not None and abs(stored - result.score) > 1e-6:
         raise ValueError(
             f"stored evaluation score {stored} does not match recomputed "
             f"{result.score}; file corrupt or evaluation changed"

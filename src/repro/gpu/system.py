@@ -177,7 +177,10 @@ class System:
             #    invariant holds when faults are applied or healed.
             if injector is not None:
                 injector.on_cycle(cycle)
-            # 1. PEs issue new requests and absorb replies.
+            # 1. PEs issue new requests and absorb replies.  Issuing
+            #    never delivers a reply, so one check before the loop
+            #    says whether any PE's poll could find one.
+            replies = self.fabric.replies_waiting()
             for pe in pes:
                 transaction = pe.try_issue(cycle, tid + 1, cb_nodes)
                 if transaction is not None:
@@ -189,7 +192,7 @@ class System:
                         ProcessingElement.request_type(transaction),
                         transaction,
                     )
-                while True:
+                while replies:
                     reply = self.fabric.pop_reply(pe.node)
                     if reply is None:
                         break

@@ -206,7 +206,7 @@ def equinox_design(
             "seed": seed,
         },
     )
-    design = read_entry(path, lambda data: design_from_dict(data, strict=True))
+    design = read_entry(path, design_from_dict)
     if design is None:
         design = design_equinox(
             width,

@@ -36,22 +36,17 @@ class MemoryController:
 
     def tick(self, cycle: int) -> List[MemoryAccess]:
         """Advance one cycle; return accesses whose data is back at the CB."""
-        still_waiting = []
-        for access in self._inbound:
-            if access.complete_cycle <= cycle:
+        inbound = self._inbound
+        if inbound and inbound[0].complete_cycle <= cycle:
+            for access in _take_due(inbound, cycle):
                 self.stack.submit(access)
-            else:
-                still_waiting.append(access)
-        self._inbound = still_waiting
         for access in self.stack.tick(cycle):
             access.complete_cycle = cycle + MC_PIPELINE_CYCLES
             self._outbound.append(access)
-        done = [a for a in self._outbound if a.complete_cycle <= cycle]
-        if done:
-            self._outbound = [
-                a for a in self._outbound if a.complete_cycle > cycle
-            ]
-        return done
+        outbound = self._outbound
+        if not outbound or outbound[0].complete_cycle > cycle:
+            return []
+        return _take_due(outbound, cycle)
 
     def queue_depth(self) -> int:
         """Accesses queued ahead of service (pipeline + stack queues)."""
@@ -62,3 +57,17 @@ class MemoryController:
 
     def idle(self) -> bool:
         return self.pending() == 0
+
+
+def _take_due(pipeline: List[MemoryAccess], cycle: int) -> List[MemoryAccess]:
+    """Remove and return the accesses of ``pipeline`` due by ``cycle``.
+
+    A pipeline is in due order (one cycle's entries are all due the
+    same fixed latency later), so they are a prefix.
+    """
+    k = 0
+    while k < len(pipeline) and pipeline[k].complete_cycle <= cycle:
+        k += 1
+    due = pipeline[:k]
+    del pipeline[:k]
+    return due

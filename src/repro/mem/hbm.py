@@ -89,6 +89,7 @@ class HbmStack:
         ]
         self._bus_free: List[float] = [0.0] * self.timing.channels
         self._completions: List[Tuple[float, int, MemoryAccess]] = []
+        self._queued = 0  # accesses across the channel queues
         self._seq = 0
         self._rr = 0
         # Aggregate stats.
@@ -103,6 +104,7 @@ class HbmStack:
         access.channel = self._rr
         self._rr = (self._rr + 1) % self.timing.channels
         self._queues[access.channel].append(access)
+        self._queued += 1
         if access.is_read:
             self.reads += 1
         else:
@@ -112,6 +114,18 @@ class HbmStack:
 
     def tick(self, cycle: int) -> List[MemoryAccess]:
         """Advance one core cycle; return accesses completing now."""
+        if self._queued:
+            self._schedule(cycle)
+        completions = self._completions
+        if not completions or completions[0][0] > cycle:
+            return []
+        done: List[MemoryAccess] = []
+        while completions and completions[0][0] <= cycle:
+            done.append(heapq.heappop(completions)[2])
+        return done
+
+    def _schedule(self, cycle: int) -> None:
+        """Start an access on every free channel with one queued."""
         timing = self.timing
         for ch, queue in enumerate(self._queues):
             if not queue or self._bus_free[ch] > cycle:
@@ -121,6 +135,7 @@ class HbmStack:
             window = queue[: timing.queue_depth]
             pick = next((a for a in window if a.row_hit), window[0])
             queue.remove(pick)
+            self._queued -= 1
             access_latency = timing.t_cas if pick.row_hit else timing.t_row_miss
             transfer = timing.transfer_cycles
             start = max(self._bus_free[ch], float(cycle))
@@ -131,10 +146,6 @@ class HbmStack:
             heapq.heappush(
                 self._completions, (pick.complete_cycle, self._seq, pick)
             )
-        done: List[MemoryAccess] = []
-        while self._completions and self._completions[0][0] <= cycle:
-            done.append(heapq.heappop(self._completions)[2])
-        return done
 
     def queue_depth(self) -> int:
         """Accesses waiting in the per-channel scheduler queues.
@@ -143,10 +154,10 @@ class HbmStack:
         front-end still has to serve — the telemetry signal that shows a
         reply burst building up behind a CB.
         """
-        return sum(len(q) for q in self._queues)
+        return self._queued
 
     def pending(self) -> int:
-        return sum(len(q) for q in self._queues) + len(self._completions)
+        return self._queued + len(self._completions)
 
     def idle(self) -> bool:
         return self.pending() == 0

@@ -214,7 +214,7 @@ class NetworkInterface:
         self.network.register_ni(self)
         for buf in self.buffers:
             buf.ni = self
-            self.network.upstream[(buf.target_node, buf.target_port)] = buf.link
+            self.network.set_upstream(buf.target_node, buf.target_port, buf.link)
 
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> None:

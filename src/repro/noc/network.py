@@ -162,11 +162,13 @@ class Network:
             self._wire_mesh()
         else:
             self._wire_loops(loops)
-        # (node, in_port) -> upstream OutputPort, for credit return.
+        # (node, in_port) -> upstream OutputPort: the credit links the
+        # audit and the SoA walk; routers return credits through their
+        # ``up`` lists, which set_upstream keeps equal to this map.
         self.upstream: Dict[Tuple[int, int], OutputPort] = {}
         for router in self.routers:
             for port, (nbr, nbr_port) in router.neighbors.items():
-                self.upstream[(nbr, nbr_port)] = router.outputs[port]
+                self.set_upstream(nbr, nbr_port, router.outputs[port])
         # What the next tick applies: (node, port, vc, flit) landings
         # (port < 0: ejection sink) and (OutputPort, vc) credit returns.
         self._arrivals: List[Tuple] = []
@@ -236,6 +238,11 @@ class Network:
             self._soa.materialize(self)
             self._soa = None
             self.disarms += 1
+
+    def set_upstream(self, node: int, port: int, link: OutputPort) -> None:
+        """Wire ``link`` as the credit link into ``node``'s input ``port``."""
+        self.upstream[(node, port)] = link
+        self.routers[node].up[port] = link
 
     def add_injection_port(self, node: int) -> int:
         """Add an NI-facing input port to ``node``'s router."""
@@ -456,6 +463,7 @@ class Network:
             if router.flit_count > router.peak_flits:
                 router.peak_flits = router.flit_count
             router.port_flits[port] += 1
+            router.occ |= 1 << port
             router.blocked = False
             if active:
                 self.active.add(node)

@@ -92,6 +92,8 @@ class Router:
         "rr_in",
         "flit_count",
         "port_flits",
+        "occ",
+        "up",
         "rr_mod",
         "_vc_orders",
         "routing_algorithm",
@@ -144,9 +146,15 @@ class Router:
         # High-water mark of buffered flits (telemetry: per-router
         # congestion without any per-cycle sampling cost).
         self.peak_flits = 0
-        # Flits buffered per input port: lets the tick loop skip empty
-        # ports without scanning their VCs.
+        # Flits buffered per input port, and the occupancy bitmask the
+        # tick walks instead of scanning every port: bit p is set
+        # exactly while ``port_flits[p] > 0``.
         self.port_flits: Dict[int, int] = {p: 0 for p in self.input_ports}
+        self.occ = 0
+        # up[p]: the OutputPort feeding input port p (None while
+        # unwired), for credit return; written only by
+        # ``Network.set_upstream`` beside ``network.upstream``.
+        self.up: List[Optional[OutputPort]] = [None] * routing.NUM_MESH_PORTS
         # Round-robin modulus: one slot per port index actually in use.
         # Must cover injection/interposer ports added later — a fixed
         # modulus would alias high port indices and break fairness.
@@ -183,6 +191,7 @@ class Router:
         self.input_ports.append(port)
         self.rr_in[port] = 0
         self.port_flits[port] = 0
+        self.up.extend([None] * (port + 1 - len(self.up)))
         self.rr_mod = max(self.rr_mod, port + 1)
         return port
 
@@ -233,9 +242,13 @@ class Router:
         # out_port -> (in_port, in_vc, ivc) in first-request order per
         # output, which is the arrival order downstream.
         winners: Optional[Dict[int, Tuple[int, int, InputVC]]] = None
-        for port in self.input_ports:
-            if not port_flits[port]:
-                continue
+        # Occupied input ports in ascending order, as ``input_ports``
+        # lists them (an added port always gets the highest index).
+        occ = self.occ
+        while occ:
+            low = occ & -occ
+            occ ^= low
+            port = low.bit_length() - 1
             vcs = inputs[port]
             for vc in vc_orders[rr_in[port]]:
                 ivc = vcs[vc]
@@ -265,9 +278,8 @@ class Router:
 
         # --- Switch traversal ------------------------------------------
         node = self.node
-        network = self.network
         neighbors = self.neighbors
-        upstream = network.upstream
+        up = self.up
         num_vcs = self.num_vcs
         residence = 0
         ejected = 0
@@ -275,7 +287,10 @@ class Router:
             out = outputs[out_port]
             out_vc = ivc.out_vc
             flit = ivc.queue.popleft()
-            port_flits[in_port] -= 1
+            left = port_flits[in_port] - 1
+            port_flits[in_port] = left
+            if not left:
+                self.occ &= ~(1 << in_port)
             out.credits[out_vc] -= 1
             out.rr = (in_port + 1) % rr_mod
             rr_in[in_port] = (in_vc + 1) % num_vcs
@@ -286,9 +301,9 @@ class Router:
             # A traversal occupies the router for at least one cycle; waits
             # in the input buffer add on top (the Figure-4 heat metric).
             residence += cycle - flit.buffered_at + 1
-            up = upstream.get((node, in_port))
-            if up is not None:
-                credits.append((up, in_vc))
+            link = up[in_port]
+            if link is not None:
+                credits.append((link, in_vc))
             nbr = neighbors.get(out_port)
             if nbr is not None:
                 arrivals.append((nbr[0], nbr[1], out_vc, flit))
@@ -297,7 +312,7 @@ class Router:
                 flit.packet.eject_port = out
                 ejected += 1
         self.flit_count -= len(winners)
-        stats = network.stats
+        stats = self.network.stats
         stats.residence_cycles[node] += residence
         stats.residence_count[node] += len(winners)
         return ejected

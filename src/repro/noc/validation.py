@@ -16,7 +16,10 @@
   allocations always point at each other, for router inputs and NI
   injection buffers alike;
 * the original structural checks: buffer overflow, ``flit_count``
-  drift, and flits parked in VCs their class does not permit.
+  drift, and flits parked in VCs their class does not permit;
+* **derived tick state** — each router's occupancy bitmask ``occ``
+  against its ``port_flits`` and its credit list ``up`` against
+  ``Network.upstream``, the two things its tick reads instead.
 
 One audit is a census (where every flit and packet is) plus one walk
 per router over its input VCs and outputs, which does the structural,
@@ -204,6 +207,7 @@ def _walk_routers(net: Network) -> List[str]:
         check_classes = not router.monopolize
         owned: List[str] = []
         counted = 0
+        occupied = 0
         for port in router.input_ports:
             port_counted = 0
             for vc, ivc in enumerate(inputs[port]):
@@ -267,10 +271,17 @@ def _walk_routers(net: Network) -> List[str]:
                     f"router {node} port_flits[p{port}] "
                     f"{port_flits.get(port, 0)} != buffered {port_counted}"
                 )
+            if port_flits.get(port, 0):
+                occupied |= 1 << port
         if counted != router.flit_count:
             problems.append(
                 f"router {node} flit_count {router.flit_count} != "
                 f"buffered {counted}"
+            )
+        if router.occ != occupied:
+            problems.append(
+                f"router {node} occ {router.occ:#x} != ports holding "
+                f"flits {occupied:#x}"
             )
         for out_port, out in outputs.items():
             owners, credits, limit = out.owner, out.credits, out.capacity
@@ -339,6 +350,12 @@ def _check_links(net: Network) -> List[str]:
                 f"upstream link targets missing input p{port} of router {node}"
             )
             continue
+        up = routers[node].up
+        if port >= len(up) or up[port] is not link:
+            problems.append(
+                f"router {node} up[p{port}] is not the upstream link "
+                f"into in(p{port})"
+            )
         capacity = link.capacity
         credits = link.credits
         flits = arriving.get(key)

@@ -570,8 +570,8 @@ class _SoA:
         stats.buffer_reads += n
         stats.xbar_traversals += n
         residence = cycle - self.f_buffered[vids] + 1
-        np.add.at(stats.residence_cycles, nodes_w, residence)
-        np.add.at(stats.residence_count, nodes_w, 1)
+        np.add.at(stats.batched_residence_cycles, nodes_w, residence)
+        np.add.at(stats.batched_residence_count, nodes_w, 1)
         tails = self.f_tail[vids].astype(bool)
         if tails.any():
             t_slot = w_slot[tails]
@@ -957,6 +957,7 @@ class _SoA:
             self.out_port_nr, self.f_objs, self.f_buffered
         )
         count = 0
+        occ = 0
         for p in router.input_ports:
             port_flits = 0
             vcs = router.inputs[p]
@@ -983,8 +984,11 @@ class _SoA:
                 else:
                     ivc.out_port = ivc.out_vc = None
             router.port_flits[p] = port_flits
+            if port_flits:
+                occ |= 1 << p
             count += port_flits
             router.rr_in[p] = rr_in[p]
+        router.occ = occ
         router.flit_count = count
         router.peak_flits = int(self.peak[node])
         # Whatever its last object-path tick concluded no longer holds.

@@ -399,6 +399,14 @@ class Fabric:
     # ------------------------------------------------------------------
     def pop_request(self, cb: int) -> Optional[object]:
         """One arrived request transaction at ``cb``, if any."""
+        # Every CB polls every cycle and nearly every poll is empty:
+        # answer those from the per-node delivered counts (an empty
+        # poll never moves the toggle).
+        if not self.request_net._delivered.get(cb) and (
+            self.cmesh_net is None
+            or not self.cmesh_net._delivered.get(self.cmap.cmesh_node(cb))
+        ):
+            return None
         toggle = self._pop_toggle.get(cb, 0)
         sources = [self._pop_request_mesh, self._pop_cmesh]
         for k in range(len(sources)):
@@ -420,15 +428,23 @@ class Fabric:
         packet = self.cmesh_net.pop_delivered(cnode, port=port)
         return packet.token.inner if packet else None
 
-    def pop_reply(self, pe: int) -> Optional[object]:
-        """One arrived reply transaction at ``pe``, if any."""
-        # Every PE polls every cycle and nearly every poll is empty:
-        # answer those from the delivered totals, before any per-node
-        # lookup (an empty poll never moved a rotation pointer).
+    def replies_waiting(self) -> bool:
+        """Whether any reply-side network holds a delivered packet.
+
+        ``System.run`` asks once per cycle and skips every PE's
+        :meth:`pop_reply` poll when the answer is no.
+        """
         for net in self._reply_side:
             if net._delivered_total:
-                break
-        else:
+                return True
+        return False
+
+    def pop_reply(self, pe: int) -> Optional[object]:
+        """One arrived reply transaction at ``pe``, if any."""
+        # Once the cycle's replies are popped, the remaining polls of
+        # the PE loop are empty: answer those from the delivered totals
+        # too (an empty poll never moved a rotation pointer).
+        if not self.replies_waiting():
             return None
         if self.config.da2mesh:
             start = self._da2_pop_rr.get(pe, 0)

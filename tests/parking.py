@@ -12,4 +12,5 @@ def park(router, port, vc, flit, cycle):
     router.flit_count += 1
     router.peak_flits = max(router.peak_flits, router.flit_count)
     router.port_flits[port] += 1
+    router.occ |= 1 << port
     router.blocked = False

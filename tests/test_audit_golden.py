@@ -232,6 +232,16 @@ def blocked_ready_router(net):
     router.blocked = True
 
 
+def occupancy_drift(net):
+    router, port, _vc, _ivc = _busy_vc(net)
+    router.occ &= ~(1 << port)
+
+
+def upstream_drift(net):
+    node, port = next(iter(net.upstream))
+    net.routers[node].up[port] = None
+
+
 def ni_cur_vc_mismatch(net):
     bufs = _ni_buffers(net)
     held = [buf for buf in bufs if buf.cur_vc is not None]
@@ -268,7 +278,7 @@ CORRUPTIONS = {
         vc_over_capacity, orphan_owner, foreign_owner, route_without_out_vc,
         route_to_missing_port, foreign_class_flit, off_dateline_flit,
         delivered_drift, blocked_empty_router, blocked_ready_router,
-        ni_cur_vc_mismatch, ni_two_packets,
+        ni_cur_vc_mismatch, ni_two_packets, occupancy_drift, upstream_drift,
     )
 }
 

@@ -87,6 +87,46 @@ class TestArbitration:
             for out in router.outputs.values():
                 assert all(owner is None for owner in out.owner)
 
+    def test_ports_added_late_are_visited_in_index_order(self):
+        """The tick visits occupied inputs in ascending port order.
+
+        Router (1,1) gets injection port 5 from its NI and ports 6 and 7
+        afterwards, as EquiNox CB routers and loop routers do.  One-flit
+        packets sit at p0 (westbound), p2 (for this node) and at p5 and
+        p7, both eastbound in different VCs, so both hold an output VC
+        and meet at the switch; p6 stays empty.  The arrivals list
+        follows the first request per output (W, ejection, E), and E's
+        round-robin pointer, set to 6, picks p7 over p5.
+        """
+        net, _nis = make_net()
+        node = net.grid.node(1, 1)
+        router = net.routers[node]
+        assert net.add_injection_port(node) == 6
+        assert net.add_injection_port(node) == 7
+        flits = {}
+        for port, dst, vc in ((0, net.grid.node(0, 1), 0), (2, node, 0),
+                              (5, net.grid.node(3, 1), 0),
+                              (7, net.grid.node(3, 1), 1)):
+            packet = Packet(port, PacketType.READ_REQUEST, node, dst, 1, 0,
+                            vc_class=vc)
+            flits[port] = packet.make_flits()[0]
+            park(router, port, vc, flits[port], 1)
+        router.outputs[PORT_E].rr = 6
+        arrivals, credits = [], []
+        assert router.tick(1, arrivals, credits) == 1
+        west, east = net.grid.node(0, 1), net.grid.node(2, 1)
+        assert arrivals == [
+            (west, PORT_E, 0, flits[0]),
+            (node, -NUM_MESH_PORTS - 1, 0, flits[2]),
+            (east, PORT_W, 1, flits[7]),
+        ]
+        # Only p0 and p2 have an upstream link to credit.
+        assert credits == [
+            (net.upstream[(node, 0)], 0), (net.upstream[(node, 2)], 0)
+        ]
+        assert router.outputs[PORT_E].rr == 0  # (7 + 1) % rr_mod 8
+        assert list(router.inputs[5][0].queue) == [flits[5]]
+
 
 class TestMonopolization:
     def test_disabled_by_default(self):

@@ -56,13 +56,11 @@ class TestValidation:
         data["evaluation"]["score"] = 123.0
         with pytest.raises(ValueError, match="score"):
             design_from_dict(data)
-        rebuilt = design_from_dict(data, strict=False)
-        assert rebuilt.eir_design == design.eir_design
 
     def test_corrupt_groups_rejected(self, design):
         data = design_to_dict(design)
         # Duplicate an EIR across two CBs.
         node = data["groups"][0]["eirs"][0]["node"]
         data["groups"][1]["eirs"][0]["node"] = node
-        with pytest.raises(ValueError):
-            design_from_dict(data, strict=False)
+        with pytest.raises(ValueError, match="shared between CBs"):
+            design_from_dict(data)

@@ -66,8 +66,8 @@ class TestNetworkStats:
 
     def test_heatmap_variance(self):
         stats = NetworkStats(4, 16)
-        stats.residence_cycles += 3
-        stats.residence_count += 1
+        stats.residence_cycles[:] = [3] * 4
+        stats.residence_count[:] = [1] * 4
         assert stats.heatmap_variance() == 0.0
 
     def test_snapshot_carries_clamped(self):

@@ -35,7 +35,7 @@ from .harness import (
 from .schemes import SCHEME_ORDER, Fabric, SchemeConfig, get_config
 from .workloads import BENCHMARKS, WorkloadProfile
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "EquiNoxDesign",

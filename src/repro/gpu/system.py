@@ -162,7 +162,11 @@ class System:
         cb_nodes = list(self.fabric.placement)
         pes = list(self.pes.values())
         banks = list(self.banks.values())
+        # PEs with quota left, in ``pes`` order: a spent PE's try_issue
+        # returns None and changes nothing, so it leaves the walk.
+        issuing = [pe for pe in pes if pe.remaining > 0]
         tid = 0
+        received = 0
         last_progress_seen = 0
         watchdog_window = cfg.watchdog_cycles or WATCHDOG_CYCLES
         networks = [net for net, _ratio, _role in self.fabric.networks]
@@ -177,11 +181,9 @@ class System:
             #    invariant holds when faults are applied or healed.
             if injector is not None:
                 injector.on_cycle(cycle)
-            # 1. PEs issue new requests and absorb replies.  Issuing
-            #    never delivers a reply, so one check before the loop
-            #    says whether any PE's poll could find one.
-            replies = self.fabric.replies_waiting()
-            for pe in pes:
+            # 1. PEs issue new requests ...
+            spent = False
+            for pe in issuing:
                 transaction = pe.try_issue(cycle, tid + 1, cb_nodes)
                 if transaction is not None:
                     tid += 1
@@ -192,11 +194,22 @@ class System:
                         ProcessingElement.request_type(transaction),
                         transaction,
                     )
-                while replies:
-                    reply = self.fabric.pop_reply(pe.node)
+                    spent = spent or not pe.remaining
+            if spent:
+                issuing = [pe for pe in issuing if pe.remaining]
+            # ... and the PEs a reply waits for absorb them.  Issuing
+            # never delivers a reply and pops at different PEs touch
+            # disjoint state, so this equals interleaving the two.
+            for node in self.fabric.reply_tiles():
+                pe = self.pes.get(node)
+                if pe is None:
+                    continue
+                while True:
+                    reply = self.fabric.pop_reply(node)
                     if reply is None:
                         break
                     pe.receive_reply(reply, cycle)
+                    received += 1
             # 2. Networks move flits.
             self.fabric.tick()
             # 3. CBs accept requests, talk to memory, emit replies.
@@ -208,16 +221,18 @@ class System:
             # 4. Periodic conservation audit (validation mode only).
             if validate_interval > 0 and cycle % validate_interval == 0:
                 audit_networks(networks)
-            # 5. Termination and watchdog.
-            if all(pe.done for pe in pes):
+            # 5. Termination: every quota spent and every reply home.
+            if not issuing and received == tid:
                 break
-            progress = self.fabric.last_progress()
-            if progress > last_progress_seen:
-                last_progress_seen = progress
-            elif cycle - last_progress_seen > watchdog_window:
-                if not any(
-                    not bank.memory.idle() for bank in banks
-                ):
+            # 6. Watchdog.  Progress never moves backwards, so reading
+            #    it only once the window looks exceeded, then re-testing,
+            #    trips on the cycle an every-cycle read would.
+            if cycle - last_progress_seen > watchdog_window:
+                last_progress_seen = max(
+                    last_progress_seen, self.fabric.last_progress()
+                )
+            if cycle - last_progress_seen > watchdog_window:
+                if all(bank.memory.idle() for bank in banks):
                     raise SimulationStall(
                         f"no network progress since base cycle "
                         f"{last_progress_seen} (watchdog window "

@@ -524,15 +524,15 @@ class Network:
             for ni in self.nis:
                 ni.tick(cycle)
         elif self._active_nis:
-            idle_nis: List[int] = []
+            armed = self._active_nis
             nis = self.nis
-            for idx in sorted(self._active_nis):
+            # A drained NI leaves the set as it is passed: no tick here
+            # wakes another NI, so none can re-arm one already passed.
+            for idx in sorted(armed) if len(armed) > 1 else tuple(armed):
                 ni = nis[idx]
                 ni.tick(cycle)
                 if not ni.has_work():
-                    idle_nis.append(idx)
-            for idx in idle_nis:
-                self._active_nis.discard(idx)
+                    armed.discard(idx)
 
     def _deliver(self, node: int, eject_port: int, flit: Flit, cycle: int) -> None:
         if not flit.is_tail:

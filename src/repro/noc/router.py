@@ -141,7 +141,8 @@ class Router:
         self.outputs[eject] = OutputPort(1, eject_capacity, router=self)
         self.eject_ports: List[int] = [eject]
         self.input_ports: List[int] = list(range(routing.NUM_MESH_PORTS))
-        self.rr_in: Dict[int, int] = {p: 0 for p in self.input_ports}
+        # Port-indexed, like ``up`` below (0 at non-input indices).
+        self.rr_in: List[int] = [0] * routing.NUM_MESH_PORTS
         self.flit_count = 0
         # High-water mark of buffered flits (telemetry: per-router
         # congestion without any per-cycle sampling cost).
@@ -149,7 +150,7 @@ class Router:
         # Flits buffered per input port, and the occupancy bitmask the
         # tick walks instead of scanning every port: bit p is set
         # exactly while ``port_flits[p] > 0``.
-        self.port_flits: Dict[int, int] = {p: 0 for p in self.input_ports}
+        self.port_flits: List[int] = [0] * routing.NUM_MESH_PORTS
         self.occ = 0
         # up[p]: the OutputPort feeding input port p (None while
         # unwired), for credit return; written only by
@@ -189,9 +190,10 @@ class Router:
         port = 1 + max(max(self.inputs), max(self.outputs))
         self.inputs[port] = [InputVC() for _ in range(self.num_vcs)]
         self.input_ports.append(port)
-        self.rr_in[port] = 0
-        self.port_flits[port] = 0
-        self.up.extend([None] * (port + 1 - len(self.up)))
+        grow = port + 1 - len(self.up)
+        self.up.extend([None] * grow)
+        self.rr_in.extend([0] * grow)
+        self.port_flits.extend([0] * grow)
         self.rr_mod = max(self.rr_mod, port + 1)
         return port
 

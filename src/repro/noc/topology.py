@@ -11,7 +11,7 @@ roughly twice the ports of a basic router (paper section 6.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.grid import Grid
 from .network import Network, network_class
@@ -53,6 +53,16 @@ class CmeshMap:
         x, y = self.base.coord(tile)
         c = CONCENTRATION
         return (y % c) * c + (x % c)
+
+    def tiles(self, cnode: int) -> List[int]:
+        """The base tiles ``cnode`` concentrates."""
+        cx, cy = self.cgrid.coord(cnode)
+        c = CONCENTRATION
+        return [
+            self.base.node(cx * c + dx, cy * c + dy)
+            for dy in range(c)
+            for dx in range(c)
+        ]
 
 
 def build_cmesh(

@@ -266,12 +266,12 @@ def _walk_routers(net: Network) -> List[str]:
                         f"{out.owner[out_vc]!r}"
                     )
             counted += port_counted
-            if port_counted != port_flits.get(port, 0):
+            if port_counted != port_flits[port]:
                 problems.append(
                     f"router {node} port_flits[p{port}] "
-                    f"{port_flits.get(port, 0)} != buffered {port_counted}"
+                    f"{port_flits[port]} != buffered {port_counted}"
                 )
-            if port_flits.get(port, 0):
+            if port_flits[port]:
                 occupied |= 1 << port
         if counted != router.flit_count:
             problems.append(

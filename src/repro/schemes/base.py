@@ -13,7 +13,7 @@ consumed by the GPU system model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.equinox import EquiNoxDesign
 from ..core.grid import Grid
@@ -428,24 +428,27 @@ class Fabric:
         packet = self.cmesh_net.pop_delivered(cnode, port=port)
         return packet.token.inner if packet else None
 
-    def replies_waiting(self) -> bool:
-        """Whether any reply-side network holds a delivered packet.
+    def reply_tiles(self) -> Set[int]:
+        """Tiles at which a reply-side network holds a delivered packet.
 
-        ``System.run`` asks once per cycle and skips every PE's
-        :meth:`pop_reply` poll when the answer is no.
+        ``System.run`` polls :meth:`pop_reply` only at these tiles.  A
+        CMesh overlay node stands for every tile it concentrates, and a
+        single network's set also holds CBs with requests waiting.
         """
+        tiles: Set[int] = set()
         for net in self._reply_side:
-            if net._delivered_total:
-                return True
-        return False
+            if not net._delivered_total:
+                continue
+            nodes = [node for node, count in net._delivered.items() if count]
+            if net is self.cmesh_net:
+                for cnode in nodes:
+                    tiles.update(self.cmap.tiles(cnode))
+            else:
+                tiles.update(nodes)
+        return tiles
 
     def pop_reply(self, pe: int) -> Optional[object]:
         """One arrived reply transaction at ``pe``, if any."""
-        # Once the cycle's replies are popped, the remaining polls of
-        # the PE loop are empty: answer those from the delivered totals
-        # too (an empty poll never moved a rotation pointer).
-        if not self.replies_waiting():
-            return None
         if self.config.da2mesh:
             start = self._da2_pop_rr.get(pe, 0)
             n = len(self.reply_subnets)

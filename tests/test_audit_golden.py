@@ -312,9 +312,10 @@ def _snapshot_digest(net):
             for port, out in router.outputs.items()
         ]
         rows.append((
-            router.node, inputs, outputs, sorted(router.port_flits.items()),
+            router.node, inputs, outputs,
+            [(p, router.port_flits[p]) for p in router.input_ports],
             router.flit_count, router.peak_flits, router.blocked,
-            sorted(router.rr_in.items()),
+            [(p, router.rr_in[p]) for p in router.input_ports],
         ))
     rows.append([(n, p, v, f.packet.pid, f.idx)
                  for n, p, v, f in net._arrivals])

@@ -161,6 +161,25 @@ class TestSystem:
             assert bank.occupancy <= 4
             assert bank.requests_accepted > 0
 
+    @pytest.mark.parametrize("scheme,cycles,stalls,fingerprint", [
+        ("SingleBase", 1726, 42668,
+         "7b2da7832439322310682cb81a8293498a7fe7faf333b02a017b7601bf08f70b"),
+        ("Interposer-CMesh", 1789, 41371,
+         "187d7308cbb73b9331658ea929980a6d8308c592c2575b3508597dea835a9605"),
+    ])
+    def test_mshr_bound_run_is_pinned(self, scheme, cycles, stalls,
+                                      fingerprint):
+        """Four MSHRs for 40 instructions: PEs spend much of the run in
+        ``try_issue``'s MSHR-full branch, which no golden cell reaches.
+        A stalled PE must stay in the issue walk and keep counting its
+        stall cycles; the CMesh cell also covers the overlay's
+        node-to-tile reply gating."""
+        cfg = ExperimentConfig(seed=3, quota=40, mshrs=4, mcts_iterations=20)
+        result = run_experiment(scheme, "hotspot", cfg)
+        assert result.cycles == cycles
+        assert result.pe_stall_cycles == stalls
+        assert result.stats_fingerprint == fingerprint
+
     def test_l2_hit_ratio_tracks_profile(self):
         result = self._run(bench="hotspot", quota=40)
         hits = sum(1 for t in result.transactions if t.l2_hit)

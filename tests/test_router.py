@@ -160,6 +160,29 @@ class TestMonopolization:
         park(router, PORT_W, 0, flit, 1)
         assert router._borrowable_vcs(1, 1) == ()
 
+    def _east_allocation(self, extra):
+        """Where a monopolising router sends a reply head ``extra``
+        flits longer than a VC when its own-class VC east is taken and
+        its foreign VC east is completely empty."""
+        net, _ = make_net(monopolize=True)
+        router = net.routers[net.grid.node(1, 1)]
+        east = router.outputs[PORT_E]
+        east.owner[1] = (PORT_W, 0)
+        assert east.owner[0] is None and east.credits[0] == east.capacity
+        reply = Packet(1, PacketType.READ_REPLY, router.node,
+                       net.grid.node(3, 1), east.capacity + extra, 0,
+                       vc_class=1)
+        park(router, PORT_W, 1, reply.make_flits()[0], 1)
+        router.tick(2, [], [])
+        ivc = router.inputs[PORT_W][1]
+        return ivc.out_port, ivc.out_vc
+
+    def test_reply_of_exactly_vc_capacity_borrows_empty_foreign_vc(self):
+        """The fit rule is ``capacity >= size``: a reply that exactly
+        fills the borrowed VC may take it, one flit longer may not."""
+        assert self._east_allocation(0) == (PORT_E, 0)
+        assert self._east_allocation(1) == (None, None)
+
     def test_vcmono_network_no_class_leak_for_requests(self):
         """Requests stay in their class VCs even with monopolisation."""
         import random

@@ -2,7 +2,6 @@
 
 import dataclasses
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -202,19 +201,20 @@ class TestFabricTraffic:
 
     @pytest.mark.parametrize("scheme", ["DA2Mesh", "Interposer-CMesh"])
     def test_empty_reply_polls_are_answered_without_a_lookup(self, scheme):
-        """``pop_reply`` answers None from the delivered totals alone.
+        """``System.run`` polls ``pop_reply`` only where a reply waits.
 
-        An empty poll never moved ``_da2_pop_rr`` / ``_pop_rr``, so
-        skipping the per-node scan cannot move a rotation or a
-        fingerprint: the same cell with the early-out defeated (a
-        stand-in network that always claims a delivery) must agree.
+        An empty poll never moves ``_da2_pop_rr`` / ``_pop_rr``, so
+        polling only the tiles ``Fabric.reply_tiles`` names cannot move
+        a rotation or a fingerprint: the same cell with the gate
+        defeated (every PE tile polled every cycle) must agree.
         """
         runs = []
         for defeat in (False, True):
             fabric = build_fabric(scheme, self.cfg)
             assert len(fabric._reply_side) == (8 if scheme == "DA2Mesh" else 2)
             if defeat:
-                fabric._reply_side = [SimpleNamespace(_delivered_total=1)]
+                every_pe = set(fabric.pes)
+                fabric.reply_tiles = lambda every_pe=every_pe: every_pe
             polls = []
             for net, _ratio, _role in fabric.networks:
                 real = net.pop_delivered

@@ -57,6 +57,11 @@ class TestWatchdog:
         err = exc_info.value
         assert "watchdog window 800" in str(err)
         assert system.cycle < 100000  # fired long before the timeout
+        # The trip point: progress is read lazily, yet the watchdog
+        # fires on the cycle and names the cycle an every-cycle read
+        # would.
+        assert system.cycle == 986
+        assert "since base cycle 185" in str(err)
         # The dump names the leaking router/port and locates the oldest
         # stuck packet.
         assert "eject(" in err.dump

@@ -24,7 +24,10 @@ packets or loaded buffers — and relies on every work-creating event
 component.  Round-robin pointers advance only on wins, so skipping a
 workless component is exactly equivalent to visiting it.  Past
 saturation "holds flits" is every router, so the active scheduler also
-skips a router marked ``blocked`` (the rule is on ``Router.tick``).
+skips a router marked ``blocked``, and a head whose allocation was
+refused is re-offered only once an output it was refused on could take
+it (``InputVC.memo``; both rules are on ``Router.tick``).  The dense
+oracle never memoises a refusal and never sleeps a router.
 
 Engines: an ``engine = "vector"`` network is *adaptive*: while enough
 flits move per cycle it holds a struct-of-arrays snapshot in ``_soa``
@@ -190,6 +193,7 @@ class Network:
         self._pop_rr: Dict[int, int] = {}  # per-node eject-port rotation
         # Delivered packets queued per node (all eject ports): lets
         # pop_delivered return immediately for the common empty case.
+        # A node has an entry only while its count is positive.
         self._delivered: Dict[int, int] = {}
         self._delivered_total = 0
         self.last_progress = 0  # cycle of the most recent committed move
@@ -396,7 +400,11 @@ class Network:
                 else:
                     eject_port.credits[0] += packet.size
                     eject_port.router.blocked = False
-                self._delivered[node] -= 1
+                left = self._delivered[node] - 1
+                if left:
+                    self._delivered[node] = left
+                else:
+                    del self._delivered[node]
                 self._delivered_total -= 1
                 if rotate:
                     # Advance past the port that actually served, and
@@ -589,11 +597,13 @@ class Network:
         the objects and then pulls in-flight flits back out of
         ``_arrivals``, so the objects must be canonical first.  Either
         change can turn a refused allocation into a grant anywhere in
-        the network, so every router's sleep ends here.
+        the network, so every router's sleep ends here, and every refused
+        head's memo goes with it.
         """
         self._disarm()
         for router in self.routers:
             router.blocked = False
+            router.drop_memos()
 
     # The one definition of busy: three reads, each answered by the
     # representation that is canonical right now.  The active sets obey

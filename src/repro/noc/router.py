@@ -33,14 +33,37 @@ MONOPOLY_CLASSES = (1,)
 
 
 class InputVC:
-    """One virtual-channel FIFO at a router input port."""
+    """One virtual-channel FIFO at a router input port.
 
-    __slots__ = ("queue", "out_port", "out_vc")
+    ``memo`` is set while the head flit's last allocation attempt was
+    refused (active scheduler only): one ``(owner, credits, vcs)`` entry
+    per output that attempt scanned, the lists being the live
+    ``OutputPort`` ones.  See :func:`_may_allocate`.
+    """
+
+    __slots__ = ("queue", "out_port", "out_vc", "memo")
 
     def __init__(self) -> None:
         self.queue: Deque[Flit] = deque()
         self.out_port: Optional[int] = None
         self.out_vc: Optional[int] = None
+        self.memo: Optional[Tuple] = None
+
+
+def _may_allocate(ivc: InputVC) -> bool:
+    """Whether a refused head may now be granted; drops its memo if so.
+
+    The test ``_scan_outputs`` (and the eject test) applies, on the
+    lists it reads: some allowed VC of some candidate output is unowned
+    and has a credit.  A refusal mutates nothing, so while this reads
+    False a full attempt would be refused too.
+    """
+    for owner, credits, vcs in ivc.memo:
+        for v in vcs:
+            if owner[v] is None and credits[v] > 0:
+                ivc.memo = None
+                return True
+    return False
 
 
 class OutputPort:
@@ -211,7 +234,14 @@ class Router:
         self.eject_ports.append(port)
         self.rr_mod = max(self.rr_mod, port + 1)
         self.blocked = False
+        self.drop_memos()
         return port
+
+    def drop_memos(self) -> None:
+        """Forget every refused head's memo (its candidates may change)."""
+        for vcs in self.inputs.values():
+            for ivc in vcs:
+                ivc.memo = None
 
     # ------------------------------------------------------------------
     # One cycle
@@ -232,6 +262,15 @@ class Router:
         sites clear the mark and the active scheduler skips the router
         until then.  The dense oracle never reads the mark, so a missed
         wake is a fingerprint mismatch, not a hang.
+
+        The same holds per head: a refused allocation leaves the input
+        VC a memo of the outputs it was refused on (``InputVC.memo``),
+        and the head is offered again only once :func:`_may_allocate`
+        finds one of them able to take it.  Only the active scheduler
+        memoises, and never once a fault has fired; the dense oracle
+        re-attempts every refused head every cycle.  A memo is dropped
+        where its candidate set can change: ``Network.soa_invalidate``,
+        ``add_eject_port`` and ``_SoA.materialize_inputs``.
         """
         # --- Per-input-port arbitration (separable, input first); each
         # request meets its output's arbitration as it is raised -------
@@ -258,7 +297,9 @@ class Router:
                     continue
                 if ivc.out_port is None:
                     flit = ivc.queue[0]
-                    if flit.is_head:
+                    if flit.is_head and (
+                        ivc.memo is None or _may_allocate(ivc)
+                    ):
                         self._route_and_allocate(port, vc, ivc, flit)
                     if ivc.out_port is None:
                         continue
@@ -335,8 +376,11 @@ class Router:
             out_port, out_vc = self.network.loop_table.route(
                 packet.lane, packet.inject_router, self.node
             )
-            self._grant(port, vc, ivc, self._scan_outputs(
-                (out_port,), (out_vc,), (), packet))
+            best = self._scan_outputs((out_port,), (out_vc,), (), packet)
+            if best is None:
+                self._refuse(ivc, (out_port,), (out_vc,))
+            else:
+                self._grant(port, vc, ivc, best)
             return
         src = packet.inject_router if packet.inject_router is not None else packet.src
         candidates = routing.route_candidates(
@@ -356,7 +400,15 @@ class Router:
         )
         best = self._scan_outputs(candidates, allowed, borrowable, packet,
                                   exclude)
-        if best is None and self.network.faults_fired:
+        if best is None and not self.network.faults_fired:
+            # A reply's borrow set hangs on foreign heads no memo watches.
+            if not (self.monopolize and packet.vc_class in MONOPOLY_CLASSES):
+                neighbors = self.neighbors
+                self._refuse(
+                    ivc, [p for p in candidates if p in neighbors], allowed
+                )
+            return
+        if best is None:
             # Every turn-model-legal port may be structurally unusable
             # (failed, disconnected, or the arrival port).  Only then
             # widen — a merely credit-blocked candidate keeps the turn
@@ -405,6 +457,20 @@ class Router:
             ivc.out_port, ivc.out_vc = best
             self.outputs[best[0]].owner[best[1]] = (port, vc)
             self.network.stats.vc_allocs += 1
+
+    def _refuse(self, ivc: InputVC, ports: Sequence[int],
+                vcs: Sequence[int]) -> None:
+        """Memoise a refusal on ``ports`` x ``vcs`` (active scheduler only).
+
+        Not once a fault has fired: detours and the no-backtrack rule
+        make the candidate set depend on more than these lists.
+        """
+        network = self.network
+        if network._active_scheduler and not network.faults_fired:
+            outputs = self.outputs
+            ivc.memo = tuple(
+                (outputs[p].owner, outputs[p].credits, vcs) for p in ports
+            )
 
     def _scan_outputs(
         self,
@@ -468,6 +534,7 @@ class Router:
                 ivc.out_port = eject
                 ivc.out_vc = 0
                 return
+        self._refuse(ivc, ports, (0,))
 
     def _borrowable_vcs(self, vc_class: int, current_vc: int) -> Sequence[int]:
         """Foreign VCs this packet may additionally allocate (VC-Mono).

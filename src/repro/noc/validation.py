@@ -40,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from . import routing
 from .network import Network
+from .router import InputVC, Router
 from .types import Packet
 
 
@@ -514,9 +516,11 @@ def _check_scheduler_sets(net: Network) -> List[str]:
 
     Between ticks the router active set must equal the set of routers
     holding flits, the NI active set must equal the set of NIs with
-    pending work, and a router marked ``blocked`` must hold flits none
-    of which could move — a missed wake here is exactly the bug class
-    that would make the active scheduler diverge from the dense oracle.
+    pending work, a router marked ``blocked`` must hold flits none of
+    which could move, and a refused head's memo must read what a full
+    allocation attempt would decide — a missed wake here is exactly the
+    bug class that would make the active scheduler diverge from the
+    dense oracle.
     """
     if not net._active_scheduler:
         return []
@@ -561,4 +565,66 @@ def _check_scheduler_sets(net: Network) -> List[str]:
             if ivc.queue and ivc.out_port is not None
             and router.outputs[ivc.out_port].credits[ivc.out_vc] > 0
         )
+    for router in net.routers:
+        inputs = router.inputs
+        for port in router.input_ports:
+            for vc, ivc in enumerate(inputs[port]):
+                if ivc.memo is not None:
+                    problem = _check_memo(net, router, port, vc, ivc)
+                    if problem:
+                        problems.append(problem)
     return problems
+
+
+def _check_memo(
+    net: Network, router: Router, port: int, vc: int, ivc: InputVC
+) -> str:
+    """A memo's verdict against a fresh attempt's, by pure reads."""
+    label = f"scheduler: router {router.node} in(p{port},v{vc}) memo"
+    queue = ivc.queue
+    if ivc.out_port is not None or not queue or not queue[0].is_head:
+        return f"{label} held without an unrouted head"
+    if net.faults_fired:
+        return f"{label} held after a fault fired"
+    packet = queue[0].packet
+    outputs = router.outputs
+    if packet.dst == router.node:
+        ports = (
+            router.eject_ports if router.eject_filter is None
+            else router.eject_filter(packet)
+        )
+        fresh = any(
+            outputs[p].owner[0] is None and outputs[p].credits[0] > 0
+            for p in ports
+        )
+    elif packet.lane is not None:
+        out_port, out_vc = net.loop_table.route(
+            packet.lane, packet.inject_router, router.node
+        )
+        fresh = router._scan_outputs(
+            (out_port,), (out_vc,), (), packet
+        ) is not None
+    else:
+        src = (
+            packet.inject_router if packet.inject_router is not None
+            else packet.src
+        )
+        candidates = routing.route_candidates(
+            router.grid, router.routing_algorithm, router.node, src,
+            packet.dst,
+        )
+        fresh = router._scan_outputs(
+            candidates, router.vc_classes[packet.vc_class],
+            router._borrowable_vcs(packet.vc_class, vc), packet,
+        ) is not None
+    held = any(
+        owner[v] is None and credits[v] > 0
+        for owner, credits, vcs in ivc.memo
+        for v in vcs
+    )
+    if held == fresh:
+        return ""
+    return (
+        f"{label} reads {'grantable' if held else 'refused'} but a fresh "
+        f"attempt would be {'refused' if held else 'granted'}"
+    )

@@ -983,6 +983,7 @@ class _SoA:
                     ivc.out_vc = cs - bases[oi - oi0]
                 else:
                     ivc.out_port = ivc.out_vc = None
+                ivc.memo = None
             router.port_flits[p] = port_flits
             if port_flits:
                 occ |= 1 << p
@@ -991,7 +992,8 @@ class _SoA:
         router.occ = occ
         router.flit_count = count
         router.peak_flits = int(self.peak[node])
-        # Whatever its last object-path tick concluded no longer holds.
+        # Whatever its last object-path tick concluded no longer holds
+        # (the memos above included: the SoA may have moved a head).
         router.blocked = False
 
     def materialize_outputs(self, router: Router) -> None:

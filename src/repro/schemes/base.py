@@ -439,7 +439,7 @@ class Fabric:
         for net in self._reply_side:
             if not net._delivered_total:
                 continue
-            nodes = [node for node, count in net._delivered.items() if count]
+            nodes = net._delivered.keys()
             if net is self.cmesh_net:
                 for cnode in nodes:
                     tiles.update(self.cmap.tiles(cnode))

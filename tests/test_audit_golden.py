@@ -215,8 +215,9 @@ def off_dateline_flit(net):
 
 
 def delivered_drift(net):
-    node = next(iter(net._delivered))
-    net._delivered[node] += 1
+    # A node whose deliveries were all popped has no entry.
+    node = next(iter(net._delivered), 0)
+    net._delivered[node] = net._delivered.get(node, 0) + 1
 
 
 def blocked_empty_router(net):

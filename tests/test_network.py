@@ -58,6 +58,8 @@ class TestDelivery:
         assert received == [packet]
         assert packet.delivered is not None
         assert packet.injected is not None
+        # A node's delivered count leaves the map when it reaches zero.
+        assert net._delivered == {}
 
     def test_latency_at_zero_load_matches_model(self):
         net, nis = make_net(8)

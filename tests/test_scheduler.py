@@ -24,7 +24,7 @@ from repro.harness.experiment import (
     build_fabric,
     run_with_fabric,
 )
-from repro.noc import vector
+from repro.noc import routing, vector
 from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network, network_class, resolve_scheduler
@@ -34,6 +34,7 @@ from repro.noc.vector import _SoA
 from repro.schemes import SCHEME_ORDER, get_config
 from repro.workloads import profiles
 from repro.workloads.synthetic import run_uniform
+from tests.parking import park
 
 QUICK = dict(quota=10, mcts_iterations=10, validate=64)
 
@@ -266,6 +267,14 @@ _WAKES = {
     "port_added": (
         Router, "add_eject_port", "\n        self.blocked = False\n",
         dict(pop_every=16, add_eject_at=60)),
+    # Two of the three memo drops; the third, in soa_invalidate, has
+    # its own test (TestRefusalMemo).
+    "memo_port_added": (
+        Router, "add_eject_port", "\n        self.drop_memos()\n",
+        dict(pop_every=16, add_eject_at=60)),
+    "memo_materialise": (
+        _SoA, "materialize_inputs", "\n                ivc.memo = None\n",
+        dict(engine="vector", flip_every=3)),
 }
 
 
@@ -292,7 +301,8 @@ class TestRouterSleep:
         """Exact counts on ``fabric_saturated``'s object half, no clock.
 
         Before the sleep rule this run made 302,054 arbitration passes
-        and 641,141 allocation attempts for the same 356,958 moves.
+        and 641,141 allocation attempts for the same 356,958 moves;
+        before the refusal memo, 436,946 attempts (now 131,511).
         """
         calls = {"tick": 0, "alloc": 0}
         real_tick, real_alloc = Router.tick, Router._route_and_allocate
@@ -312,7 +322,94 @@ class TestRouterSleep:
         assert result.sent == result.received == 6920
         assert result.network.stats.buffer_reads == 356958
         assert calls["tick"] <= 235_000
-        assert calls["alloc"] <= 440_000
+        assert calls["alloc"] <= 135_000
+
+
+def _refused_head(scheduler):
+    """A request head at router 5 of a 4x4 mesh, refused once.
+
+    It arrived from the west and heads one hop east, so east is its
+    only candidate output, and that output has no credit left.
+    Returns ``(net, router, the head's InputVC)``.
+    """
+    net = Network("memo", Grid(4), flit_bytes=16, vc_classes=[(0,), (1,)],
+                  scheduler=scheduler)
+    router = net.routers[5]
+    router.outputs[routing.PORT_E].credits[0] = 0
+    # Only the head is parked, so a granted route outlives its hop.
+    packet = Packet(1, PacketType.READ_REQUEST, 4, 6, 2, 0)
+    park(router, routing.PORT_W, 0, packet.make_flits()[0], 0)
+    if scheduler == "active":
+        net.active.add(5)
+    net.tick()
+    ivc = router.inputs[routing.PORT_W][0]
+    assert ivc.out_port is None
+    return net, router, ivc
+
+
+class TestRefusalMemo:
+    """A refused head is re-offered only once a candidate could take it."""
+
+    def _fail_east_link(self, net):
+        injector = FaultInjector(
+            SimpleNamespace(networks_by_role=lambda role: [net]),
+            FaultPlan((FaultSpec(kind="mesh_link", node=5, peer=6,
+                                 at_cycle=net.cycle),)),
+        )
+        injector.on_cycle(net.cycle)
+        assert net.faults_fired
+
+    def test_memo_watches_the_refused_candidates(self):
+        net, router, ivc = _refused_head("active")
+        east = router.outputs[routing.PORT_E]
+        assert ivc.memo == ((east.owner, east.credits, (0,)),)
+        net.tick()
+        assert ivc.out_port is None and ivc.memo is not None
+        east.credits[0] = 1  # what a returning credit writes
+        router.blocked = False
+        net.tick()
+        assert ivc.memo is None
+        assert (ivc.out_port, ivc.out_vc) == (routing.PORT_E, 0)
+
+    def test_fault_drops_the_memo_and_the_head_detours(self, monkeypatch):
+        """Every candidate fails: only a dropped memo lets the head detour.
+
+        The east output never regains a credit, so a memo left in place
+        keeps the head parked behind a dead link for good.
+        """
+        detour = routing.turn_right(routing.PORT_E)
+        net, router, ivc = _refused_head("active")
+        assert ivc.memo is not None
+        self._fail_east_link(net)
+        assert ivc.memo is None
+        net.tick()
+        assert ivc.out_port == detour
+
+        _without(monkeypatch, Network, "soa_invalidate",
+                 "\n            router.drop_memos()\n")
+        net, router, ivc = _refused_head("active")
+        self._fail_east_link(net)
+        assert ivc.memo is not None
+        for _ in range(5):
+            net.tick()
+        assert ivc.out_port is None
+
+    def test_dense_oracle_never_memoises(self, monkeypatch):
+        net, _router, ivc = _refused_head("dense")
+        assert ivc.memo is None
+        refusals = {"dense": [], "active": []}
+        real = Router._refuse
+
+        def refuse(router, ivc, *args):
+            real(router, ivc, *args)
+            refusals[router.network.scheduler].append(ivc.memo is not None)
+
+        monkeypatch.setattr(Router, "_refuse", refuse)
+        for scheduler in refusals:
+            run_uniform(Grid(8), 0.3, cycles=100, seed=7,
+                        scheduler=scheduler)
+        assert refusals["dense"] and not any(refusals["dense"])
+        assert all(refusals["active"])
 
 
 class TestSaturatedDifferential:

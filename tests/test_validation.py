@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.grid import Grid
 from repro.noc import MultiPortInterface, Network, NetworkInterface, Packet, PacketType
+from repro.noc.routing import PORT_E, PORT_W
 from repro.noc.validation import AuditReport, audit_network
 from tests.parking import park
 
@@ -214,6 +215,34 @@ class TestConservationAudit:
         router.blocked = True
         assert any(
             "blocked router 5 holds a ready flit at in(p1,v1)" in p
+            for p in check_invariants(net)
+        )
+
+    def test_stale_refusal_memo_detected(self):
+        net, _ = make_net()
+        router = net.routers[5]
+        east = router.outputs[PORT_E]
+        east.credits[1] = 0
+        packet = Packet(1, PacketType.READ_REPLY, 4, 6, 5, 0, vc_class=1)
+        park(router, PORT_W, 1, packet.make_flits()[0], 1)
+        net.active.add(5)
+        net.tick()
+        ivc = router.inputs[PORT_W][1]
+        assert ivc.out_port is None and ivc.memo is not None
+        assert not any("memo" in p for p in check_invariants(net))
+        # A credit list swapped behind the memo's back: the memo still
+        # reads the old, empty one while a fresh attempt would succeed.
+        east.credits = [5, 5]
+        assert any(
+            "router 5 in(p1,v1) memo reads refused but a fresh attempt "
+            "would be granted" in p
+            for p in check_invariants(net)
+        )
+        ivc.memo = ((east.owner, east.credits, (1,)),)
+        assert not any("memo" in p for p in check_invariants(net))
+        ivc.queue.clear()
+        assert any(
+            "router 5 in(p1,v1) memo held without an unrouted head" in p
             for p in check_invariants(net)
         )
 

@@ -17,6 +17,17 @@ byte-identical run-to-run.  The campaign ``seed`` decorrelates the
 workload seeds inside the generated cases without breaking that
 determinism.
 
+Each property runs in three steps.  Hypothesis *draws* the cases in
+this process (:func:`_drive` with a check that only records them).
+The drawn cases are *checked* on every usable CPU by forked workers,
+which inherit the check and the cases and receive only indices.  Only
+a property with a failing case is *re-driven* inline by :func:`_drive`
+with the real check: hypothesis draws the same cases, reproduces the
+failure and shrinks it, so the report and the artifact are those of a
+serial campaign.  A harness crash, a dead worker or a pool that cannot
+start takes that same inline path, and so does a one-CPU host after
+checking the drawn cases in this process.
+
 Shrinking is captured by recording every failing example as hypothesis
 minimizes; the last recorded failure is the minimal one and becomes
 the replay artifact.
@@ -24,6 +35,7 @@ the replay artifact.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -204,6 +216,55 @@ def _drive(
     return outcome
 
 
+#: The check and drawn cases of the property being checked, set before
+#: the pool forks.  Workers inherit them and receive only indices: a
+#: check may be a local function (tests monkeypatch them), which cannot
+#: be pickled, hence the fork context.
+_work: Tuple[Optional[Callable], List[VerifyCase]] = (None, [])
+
+
+def _passes(index: int) -> bool:
+    """Whether drawn case ``index`` passes; any exception is a failure
+    for the inline re-drive to reproduce (or propagate)."""
+    check, drawn = _work
+    try:
+        check(drawn[index])
+    except Exception:
+        return False
+    return True
+
+
+def _all_pass(check: Callable[[VerifyCase], object], drawn: List[VerifyCase]) -> bool:
+    """Check ``drawn`` on every usable CPU; stop at the first failure.
+
+    False also when a worker dies or the pool cannot start: the caller
+    re-drives the property inline either way.
+    """
+    global _work
+    workers = min(len(os.sched_getaffinity(0)), len(drawn))
+    _work = (check, drawn)
+    try:
+        if workers <= 1:
+            return all(map(_passes, range(len(drawn))))
+        # Imported on use: `import repro.verify` loads no multiprocessing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                if all(pool.map(_passes, range(len(drawn)))):
+                    return True
+                pool.shutdown(cancel_futures=True)
+                return False
+        except (BrokenProcessPool, OSError):
+            return False
+    finally:
+        _work = (None, [])
+
+
 def run_profile(
     profile: Union[str, VerifyProfile],
     artifact_dir: Union[str, Path, None] = None,
@@ -261,7 +322,10 @@ def run_profile(
     for prop, check, strategy, budget in plan:
         log(f"verify: {prop} ({budget} examples, profile={profile.name})")
         start = time.perf_counter()
-        outcome = _drive(prop, check, strategy, budget, log)
+        drawn: List[VerifyCase] = []
+        outcome = _drive(prop, drawn.append, strategy, budget, log)
+        if not _all_pass(check, drawn):
+            outcome = _drive(prop, check, strategy, budget, lambda _line: None)
         outcome.seconds = time.perf_counter() - start
         if outcome.failure is not None and artifact_dir is not None:
             outcome.artifact_path = artifact_mod.write_failure(

@@ -41,18 +41,19 @@ class SyntheticResult:
         return self.network.stats.heatmap_variance()
 
 
-def _drain(network: Network, nodes: Sequence[int], received: List[int]) -> None:
-    # Driver-side fast path: at low load most cycles deliver nothing,
-    # and a per-node pop scan would dominate the runtime the active
-    # scheduler saves inside the network.
-    if not network._delivered_total:
-        return
-    delivered = network._delivered
-    for node in nodes:
-        if not delivered.get(node):
-            continue
+def _drain(network: Network) -> int:
+    """Pop every delivered packet; return how many there were.
+
+    Visits only the nodes holding one (``Network._delivered``'s keys),
+    in the dict's order rather than node order: pops at different nodes
+    touch disjoint state (the node's queues, its ``_pop_rr`` entry and
+    its eject credits), so the order changes nothing.
+    """
+    received = 0
+    for node in list(network._delivered):
         while network.pop_delivered(node) is not None:
-            received[0] += 1
+            received += 1
+    return received
 
 
 DRAIN_LIMIT = 20000
@@ -66,8 +67,7 @@ def _run(
     cycles: int,
 ) -> SyntheticResult:
     sent = 0
-    received = [0]
-    nodes = list(network.grid.nodes())
+    received = 0
     pid = 0
     for _ in range(cycles):
         for packet_args in make_packets():
@@ -78,14 +78,14 @@ def _run(
             nis[src].enqueue(packet)
             sent += 1
         network.tick()
-        _drain(network, nodes, received)
+        received += _drain(network)
     for _ in range(DRAIN_LIMIT):
         if network.idle():
             break
         network.tick()
-        _drain(network, nodes, received)
+        received += _drain(network)
     return SyntheticResult(
-        network=network, sent=sent, received=received[0], cycles=network.cycle
+        network=network, sent=sent, received=received, cycles=network.cycle
     )
 
 
@@ -108,18 +108,19 @@ def run_uniform(
     """Uniform random traffic at ``injection_rate`` packets/node/cycle."""
     env = _fresh_network(grid, **net_kwargs)
     rng = random.Random(seed)
+    rand, choice = rng.random, rng.choice
     nodes = list(grid.nodes())
 
     def make_packets():
         out = []
         for src in nodes:
-            if rng.random() < injection_rate:
-                dst = rng.choice(nodes)
+            if rand() < injection_rate:
+                dst = choice(nodes)
                 if dst == src:
                     continue
                 ptype = (
                     PacketType.READ_REPLY
-                    if rng.random() < 0.5
+                    if rand() < 0.5
                     else PacketType.READ_REQUEST
                 )
                 out.append((src, dst, ptype, 1 if ptype.is_reply else 0))
@@ -205,9 +206,7 @@ def sweep_few_to_many(
                                rng.choice(pes), size, 0, vc_class=vc_class)
                     )
             network.tick()
-            for pe in pes:
-                while network.pop_delivered(pe):
-                    received += 1
+            received += _drain(network)
         points.append(
             SweepPoint(
                 offered=rate,

@@ -8,7 +8,9 @@ simulator regression.
 """
 
 import json
+import os
 import re
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -479,6 +481,135 @@ class TestHarnessDriver:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown verify profile"):
             run_profile("warp-speed")
+
+
+MINI = VerifyProfile(
+    name="mini", invariant_examples=8, differential_examples=3,
+    engine_examples=3, widths=(4,),
+)
+
+
+def quota_below_4(case):
+    assert case.quota < 4, f"quota {case.quota} too big"
+
+
+def use_checks(monkeypatch, invariants, others=lambda case: None):
+    """Cheap stand-ins for the three property checks of a campaign."""
+    from repro.verify import harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "check_invariants_case", invariants)
+    monkeypatch.setattr(harness_mod, "check_differential_case", others)
+    monkeypatch.setattr(harness_mod, "check_engine_parity_case", others)
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)))
+
+
+def report_shape(report):
+    """Everything a report says except its wall times and artifact dir."""
+    return [
+        (o.prop, o.examples, o.failure, o.error,
+         o.artifact_path and o.artifact_path.read_bytes())
+        for o in report.outcomes
+    ]
+
+
+class TestParallelCampaign:
+    """``run_profile`` draws in this process, checks in forked workers
+    and re-drives only a failing property inline, so every report and
+    artifact is the serial campaign's."""
+
+    @pytest.mark.parametrize("prop,check,with_faults", [
+        (PROPERTY_INVARIANTS, check_invariants_case, True),
+        (PROPERTY_DIFFERENTIAL, check_differential_case, False),
+        (PROPERTY_ENGINE_PARITY, check_engine_parity_case, True),
+    ])
+    def test_the_draw_yields_the_cases_the_real_drive_checks(
+        self, prop, check, with_faults
+    ):
+        strategy = cases(widths=(4,), base_seed=1, with_faults=with_faults)
+        drawn = []
+        _drive(prop, drawn.append, strategy, 5, lambda _m: None)
+        checked = []
+
+        def recording(case):
+            checked.append(case)
+            check(case)
+
+        outcome = _drive(prop, recording, strategy, 5, lambda _m: None)
+        assert outcome.ok and outcome.examples == 5
+        assert checked == drawn
+
+    def test_failure_artifact_is_the_inline_drives(self, tmp_path, monkeypatch):
+        use_checks(monkeypatch, quota_below_4)
+        use_cpus(monkeypatch, 2)
+        report = run_profile(MINI, artifact_dir=tmp_path / "pool", seed=3)
+        [failed] = report.failures
+        inline = _drive(
+            PROPERTY_INVARIANTS, quota_below_4,
+            cases(widths=(4,), base_seed=3, with_faults=True),
+            MINI.invariant_examples, lambda _m: None,
+        )
+        assert failed.failure.quota == 4
+        assert (failed.examples, failed.failure, failed.error) == (
+            inline.examples, inline.failure, inline.error,
+        )
+        path = write_failure(
+            tmp_path / "inline", PROPERTY_INVARIANTS, inline.failure,
+            inline.error,
+        )
+        assert list((tmp_path / "pool").iterdir()) == [
+            tmp_path / "pool" / path.name
+        ]
+        assert failed.artifact_path.read_bytes() == path.read_bytes()
+
+    def test_a_crash_in_a_pooled_case_propagates(self, monkeypatch):
+        def broken(case):
+            raise TypeError("harness bug")
+
+        use_checks(monkeypatch, broken)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(TypeError, match="harness bug"):
+            run_profile(MINI)
+
+    def test_a_killed_worker_changes_nothing(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def dies_in_a_worker(case):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def invariants(case):
+            dies_in_a_worker(case)
+            quota_below_4(case)
+
+        # 60 differential cases: a re-drive that logged would repeat
+        # the "... differential: 50 cases" line.
+        profile = VerifyProfile("mini", 8, 60, 3, (4,))
+        use_checks(monkeypatch, invariants, dies_in_a_worker)
+        use_cpus(monkeypatch, 2)
+        killed_log, serial_log = [], []
+        killed = run_profile(
+            profile, artifact_dir=tmp_path / "killed", log=killed_log.append
+        )
+        use_cpus(monkeypatch, 1)
+        serial = run_profile(
+            profile, artifact_dir=tmp_path / "serial", log=serial_log.append
+        )
+        assert [o.ok for o in serial.outcomes] == [False, True, True]
+        assert report_shape(killed) == report_shape(serial)
+        assert killed_log == serial_log
+        assert serial_log.count("  ... differential: 50 cases") == 1
+
+    def test_one_cpu_gives_the_same_report(self, tmp_path, monkeypatch):
+        use_checks(monkeypatch, quota_below_4)
+        use_cpus(monkeypatch, 2)
+        pooled = run_profile(MINI, artifact_dir=tmp_path / "pool", seed=3)
+        use_cpus(monkeypatch, 1)
+        inline = run_profile(MINI, artifact_dir=tmp_path / "inline", seed=3)
+        assert report_shape(inline) == report_shape(pooled)
+        assert inline.cases_run == pooled.cases_run
 
 
 class TestFastProfile:

@@ -200,16 +200,11 @@ class System:
             # ... and the PEs a reply waits for absorb them.  Issuing
             # never delivers a reply and pops at different PEs touch
             # disjoint state, so this equals interleaving the two.
-            for node in self.fabric.reply_tiles():
-                pe = self.pes.get(node)
-                if pe is None:
-                    continue
-                while True:
-                    reply = self.fabric.pop_reply(node)
-                    if reply is None:
-                        break
-                    pe.receive_reply(reply, cycle)
-                    received += 1
+            for node, count in self.fabric.replies_waiting().items():
+                pe = self.pes[node]
+                for _ in range(count):
+                    pe.receive_reply(self.fabric.pop_reply(node), cycle)
+                received += count
             # 2. Networks move flits.
             self.fabric.tick()
             # 3. CBs accept requests, talk to memory, emit replies.

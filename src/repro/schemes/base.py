@@ -13,7 +13,7 @@ consumed by the GPU system model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.equinox import EquiNoxDesign
 from ..core.grid import Grid
@@ -428,24 +428,35 @@ class Fabric:
         packet = self.cmesh_net.pop_delivered(cnode, port=port)
         return packet.token.inner if packet else None
 
-    def reply_tiles(self) -> Set[int]:
-        """Tiles at which a reply-side network holds a delivered packet.
+    def replies_waiting(self) -> Dict[int, int]:
+        """Delivered, not yet popped replies per PE tile that holds one.
 
-        ``System.run`` polls :meth:`pop_reply` only at these tiles.  A
-        CMesh overlay node stands for every tile it concentrates, and a
-        single network's set also holds CBs with requests waiting.
+        ``System.run`` calls :meth:`pop_reply` exactly that many times
+        at each of these tiles.  A PE tile receives only replies, so a
+        reply-side network's delivered count at it is its reply count;
+        a CMesh overlay node concentrates several tiles, so a tile's
+        count there is the length of its own eject port's queue.
         """
-        tiles: Set[int] = set()
+        waiting: Dict[int, int] = {}
+        cbs = self.cb_set
         for net in self._reply_side:
             if not net._delivered_total:
                 continue
-            nodes = net._delivered.keys()
             if net is self.cmesh_net:
-                for cnode in nodes:
-                    tiles.update(self.cmap.tiles(cnode))
+                queues = net.receive_queues
+                for cnode in net._delivered:
+                    for tile in self.cmap.tiles(cnode):
+                        port = self._cmesh_eject[
+                            (cnode, self.cmap.local_index(tile))
+                        ]
+                        queue = queues.get((cnode, port))
+                        if queue and tile not in cbs:
+                            waiting[tile] = waiting.get(tile, 0) + len(queue)
             else:
-                tiles.update(nodes)
-        return tiles
+                for node, count in net._delivered.items():
+                    if node not in cbs:
+                        waiting[node] = waiting.get(node, 0) + count
+        return waiting
 
     def pop_reply(self, pe: int) -> Optional[object]:
         """One arrived reply transaction at ``pe``, if any."""

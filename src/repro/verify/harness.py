@@ -17,16 +17,17 @@ byte-identical run-to-run.  The campaign ``seed`` decorrelates the
 workload seeds inside the generated cases without breaking that
 determinism.
 
-Each property runs in three steps.  Hypothesis *draws* the cases in
-this process (:func:`_drive` with a check that only records them).
-The drawn cases are *checked* on every usable CPU by forked workers,
-which inherit the check and the cases and receive only indices.  Only
-a property with a failing case is *re-driven* inline by :func:`_drive`
-with the real check: hypothesis draws the same cases, reproduces the
-failure and shrinks it, so the report and the artifact are those of a
-serial campaign.  A harness crash, a dead worker or a pool that cannot
-start takes that same inline path, and so does a one-CPU host after
-checking the drawn cases in this process.
+A campaign runs in three steps.  Hypothesis *draws* every property's
+cases in this process (:func:`_drive` with a check that only records
+them).  All drawn cases are then *checked* in one pool of forked
+workers, one per usable CPU, which inherit the checks and the cases and
+receive only indices.  The verdicts are taken property by property, in
+plan order.  Only a property with a failing case is *re-driven* inline
+by :func:`_drive` with the real check: hypothesis draws the same cases,
+reproduces the failure and shrinks it, so the report and the artifact
+are those of a serial campaign.  A harness crash, a dead worker or a
+pool that cannot start takes that same inline path.  A one-CPU host,
+or one without fork, checks the drawn cases in this process instead.
 
 Shrinking is captured by recording every failing example as hypothesis
 minimizes; the last recorded failure is the minimal one and becomes
@@ -38,8 +39,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from hypothesis import HealthCheck, Phase, given, settings
 
@@ -58,6 +60,8 @@ from .strategies import DEEP_WIDTHS, FAST_WIDTHS, cases
 #: AssertionError — and are documented to propagate out of
 #: :func:`~repro.verify.invariants.run_case`.
 FAILURE_EXCEPTIONS = (AssertionError, NetworkAuditError, SimulationStall)
+
+Check = Callable[[VerifyCase], object]
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,9 @@ class PropertyOutcome:
 
     prop: str
     examples: int = 0
-    # Wall-clock seconds the property took, shrinking included.
+    # Wall-clock seconds of the property's draw, of the wait for its
+    # verdicts and of its re-drive (shrinking included): the three
+    # properties' seconds add up to the campaign's wall time.
     seconds: float = 0.0
     failure: Optional[VerifyCase] = None
     error: str = ""
@@ -216,53 +222,74 @@ def _drive(
     return outcome
 
 
-#: The check and drawn cases of the property being checked, set before
-#: the pool forks.  Workers inherit them and receive only indices: a
-#: check may be a local function (tests monkeypatch them), which cannot
-#: be pickled, hence the fork context.
-_work: Tuple[Optional[Callable], List[VerifyCase]] = (None, [])
+#: Every drawn ``(check, case)`` pair of the campaign, set before the
+#: pool forks.  Workers inherit it and receive only indices: a check may
+#: be a local function (tests monkeypatch them), which cannot be
+#: pickled, hence the fork context.
+_work: List[Tuple[Check, VerifyCase]] = []
 
 
 def _passes(index: int) -> bool:
-    """Whether drawn case ``index`` passes; any exception is a failure
+    """Whether drawn pair ``index`` passes; any exception is a failure
     for the inline re-drive to reproduce (or propagate)."""
-    check, drawn = _work
+    check, case = _work[index]
     try:
-        check(drawn[index])
+        check(case)
     except Exception:
         return False
     return True
 
 
-def _all_pass(check: Callable[[VerifyCase], object], drawn: List[VerifyCase]) -> bool:
-    """Check ``drawn`` on every usable CPU; stop at the first failure.
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS, Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
-    False also when a worker dies or the pool cannot start: the caller
-    re-drives the property inline either way.
+
+def _fork_context():
+    # Imported on use: `import repro.verify` loads no multiprocessing.
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        return None
+
+
+def _verdicts(work: List[Tuple[Check, VerifyCase]]) -> Iterator[bool]:
+    """Whether each pair of ``work`` passes, in order, checked on every
+    usable CPU by one pool (inline and lazily on one CPU, or without
+    fork).
+
+    Once a worker dies or the pool cannot start, every pair not yet
+    answered reads False: the caller re-drives those properties inline.
+    Closing the iterator cancels what is queued and joins the workers.
     """
     global _work
-    workers = min(len(os.sched_getaffinity(0)), len(drawn))
-    _work = (check, drawn)
+    workers = min(_usable_cpus(), len(work))
+    context = _fork_context() if workers > 1 else None
+    _work = work
     try:
-        if workers <= 1:
-            return all(map(_passes, range(len(drawn))))
-        # Imported on use: `import repro.verify` loads no multiprocessing.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        if context is None:
+            yield from map(_passes, range(len(work)))
+            return
+        from concurrent.futures.process import (
+            BrokenProcessPool,
+            ProcessPoolExecutor,
+        )
 
+        answered = 0
         try:
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                if all(pool.map(_passes, range(len(drawn)))):
-                    return True
+            pool = ProcessPoolExecutor(workers, mp_context=context)
+            try:
+                for verdict in pool.map(_passes, range(len(work))):
+                    answered += 1
+                    yield verdict
+            finally:
                 pool.shutdown(cancel_futures=True)
-                return False
         except (BrokenProcessPool, OSError):
-            return False
+            yield from repeat(False, len(work) - answered)
     finally:
-        _work = (None, [])
+        _work = []
 
 
 def run_profile(
@@ -319,17 +346,38 @@ def run_profile(
             profile.engine_examples,
         ),
     ]
+    # Draw every property's cases, holding back its log lines.
+    work: List[Tuple[Check, VerifyCase]] = []
+    draws = []
     for prop, check, strategy, budget in plan:
-        log(f"verify: {prop} ({budget} examples, profile={profile.name})")
         start = time.perf_counter()
+        lines = [f"verify: {prop} ({budget} examples, profile={profile.name})"]
         drawn: List[VerifyCase] = []
-        outcome = _drive(prop, drawn.append, strategy, budget, log)
-        if not _all_pass(check, drawn):
-            outcome = _drive(prop, check, strategy, budget, lambda _line: None)
+        outcome = _drive(prop, drawn.append, strategy, budget, lines.append)
         outcome.seconds = time.perf_counter() - start
-        if outcome.failure is not None and artifact_dir is not None:
-            outcome.artifact_path = artifact_mod.write_failure(
-                artifact_dir, prop, outcome.failure, outcome.error
-            )
-        report.outcomes.append(outcome)
+        work.extend((check, case) for case in drawn)
+        draws.append((outcome, lines, len(drawn)))
+    # Check them all in one pool, then take the verdicts property by
+    # property.  A property takes all of its verdicts, failing or not,
+    # so the next property's verdicts follow.
+    verdicts = _verdicts(work)
+    try:
+        for (prop, check, strategy, budget), (outcome, lines, count) in zip(
+            plan, draws
+        ):
+            start = time.perf_counter()
+            for line in lines:
+                log(line)
+            if not all(list(islice(verdicts, count))):
+                draw_seconds = outcome.seconds
+                outcome = _drive(prop, check, strategy, budget, lambda _line: None)
+                outcome.seconds = draw_seconds
+            outcome.seconds += time.perf_counter() - start
+            if outcome.failure is not None and artifact_dir is not None:
+                outcome.artifact_path = artifact_mod.write_failure(
+                    artifact_dir, prop, outcome.failure, outcome.error
+                )
+            report.outcomes.append(outcome)
+    finally:
+        verdicts.close()
     return report

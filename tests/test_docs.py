@@ -8,6 +8,8 @@
 * Nothing outside the history files describes the retired checksum
   command, its baseline or its CI job, and README's row count of the
   golden cell table is the table's.
+* Every line of ``BENCH_HISTORY.jsonl`` has the keys
+  ``tools/bench_history.py`` writes, and versions never go back.
 """
 
 import json
@@ -99,3 +101,26 @@ def test_readme_quotes_the_golden_row_count():
     quoted = {int(n) for n in re.findall(r"(\d+) rows\b", section)}
     table = json.loads((ROOT / "results" / "golden_cells.json").read_text())
     assert quoted == {len(table) - 1}  # every key but "schema" is a row
+
+
+def test_bench_history_lines_have_every_key_in_version_order():
+    lines = (ROOT / "BENCH_HISTORY.jsonl").read_text().splitlines()
+    versions = []
+    for number, line in enumerate(lines, 1):
+        point = json.loads(line)
+        assert set(point) == {
+            "version", "commit", "nproc", "host.calibration_s",
+            "workloads", "tier1", "full_sweep", "note",
+        }, f"line {number}"
+        assert point["workloads"], f"line {number}"
+        for workload in point["workloads"].values():
+            assert set(workload) == {
+                "wall_s", "setup_s", "peak_rss_mb", "seeds", "seconds",
+            }, f"line {number}"
+        if point["tier1"] is not None:
+            assert set(point["tier1"]) == {"wall_s", "top5"}
+        if point["full_sweep"] is not None:
+            assert set(point["full_sweep"]) == {"wall_s", "cpu_s"}
+        versions.append(tuple(map(int, point["version"].split("."))))
+    assert len(versions) >= 2
+    assert versions == sorted(versions)

@@ -1,6 +1,7 @@
 """Tests for scheme configs and the fabric builder."""
 
 import dataclasses
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -201,20 +202,30 @@ class TestFabricTraffic:
 
     @pytest.mark.parametrize("scheme", ["DA2Mesh", "Interposer-CMesh"])
     def test_empty_reply_polls_are_answered_without_a_lookup(self, scheme):
-        """``System.run`` polls ``pop_reply`` only where a reply waits.
+        """``System.run`` pops replies only where and as often as
+        ``Fabric.replies_waiting`` says.
 
-        An empty poll never moves ``_da2_pop_rr`` / ``_pop_rr``, so
-        polling only the tiles ``Fabric.reply_tiles`` names cannot move
-        a rotation or a fingerprint: the same cell with the gate
-        defeated (every PE tile polled every cycle) must agree.
+        An empty poll never moves ``_da2_pop_rr`` / ``_pop_rr``, so the
+        same cell with the counts defeated (every PE tile drained until
+        ``pop_reply`` returns None, every cycle) must agree on its
+        rotations and fingerprint.
         """
         runs = []
         for defeat in (False, True):
             fabric = build_fabric(scheme, self.cfg)
             assert len(fabric._reply_side) == (8 if scheme == "DA2Mesh" else 2)
             if defeat:
-                every_pe = set(fabric.pes)
-                fabric.reply_tiles = lambda every_pe=every_pe: every_pe
+                drain = fabric.pop_reply
+                held = {pe: deque() for pe in fabric.pes}
+
+                def drain_every_pe(drain=drain, held=held):
+                    for pe, replies in held.items():
+                        for reply in iter(lambda pe=pe: drain(pe), None):
+                            replies.append(reply)
+                    return {pe: len(r) for pe, r in held.items() if r}
+
+                fabric.replies_waiting = drain_every_pe
+                fabric.pop_reply = lambda pe, held=held: held[pe].popleft()
             polls = []
             for net, _ratio, _role in fabric.networks:
                 real = net.pop_delivered
@@ -231,6 +242,17 @@ class TestFabricTraffic:
                          len(polls)))
         assert runs[0][:3] == runs[1][:3]
         assert runs[0][3] < 0.6 * runs[1][3]  # CB request polls included
+
+    @pytest.mark.parametrize("scheme", SCHEME_ORDER)
+    def test_every_reply_pop_returns_a_reply(self, scheme):
+        fabric = build_fabric(scheme, self.cfg)
+        popped = []
+        real = fabric.pop_reply
+        fabric.pop_reply = lambda pe: popped.append(real(pe)) or popped[-1]
+        result = run_with_fabric(fabric, "hotspot", self.cfg, scheme)
+        # One call per transaction's reply, and none came back empty.
+        assert len(popped) == result.instructions > 0
+        assert None not in popped
 
     def test_reply_backlog_reporting(self):
         fabric = build_fabric("SeparateBase", self.cfg)

@@ -8,9 +8,14 @@ simulator regression.
 """
 
 import json
+import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -516,9 +521,10 @@ def report_shape(report):
 
 
 class TestParallelCampaign:
-    """``run_profile`` draws in this process, checks in forked workers
-    and re-drives only a failing property inline, so every report and
-    artifact is the serial campaign's."""
+    """``run_profile`` draws every property's cases in this process,
+    checks them all in one pool of forked workers and re-drives only a
+    failing property inline, so every report and artifact is the
+    serial campaign's."""
 
     @pytest.mark.parametrize("prop,check,with_faults", [
         (PROPERTY_INVARIANTS, check_invariants_case, True),
@@ -572,6 +578,98 @@ class TestParallelCampaign:
         use_cpus(monkeypatch, 2)
         with pytest.raises(TypeError, match="harness bug"):
             run_profile(MINI)
+        assert multiprocessing.active_children() == []
+
+    def test_a_campaign_makes_one_pool(self, monkeypatch):
+        from concurrent.futures import process
+
+        made = []
+
+        class Counted(process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Counted)
+        use_checks(monkeypatch, quota_below_4)
+        use_cpus(monkeypatch, 2)
+        report = run_profile(MINI, seed=3)
+        assert [o.ok for o in report.outcomes] == [False, True, True]
+        assert made == [(2,)]
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_later_property_gives_the_serial_report(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.verify import harness as harness_mod
+
+        parent, inline = os.getpid(), []
+
+        def passes(case):
+            if os.getpid() == parent:
+                inline.append(case)
+
+        use_checks(monkeypatch, passes, passes)
+        monkeypatch.setattr(
+            harness_mod, "check_differential_case", quota_below_4
+        )
+        runs = []
+        for cpus in (2, 1):
+            use_cpus(monkeypatch, cpus)
+            lines = []
+            report = run_profile(
+                MINI, artifact_dir=tmp_path / str(cpus), seed=3,
+                log=lines.append,
+            )
+            runs.append((report_shape(report), lines))
+            # A passing property is never re-driven: each one takes
+            # exactly its own verdicts.
+            assert cpus == 1 or inline == []
+        assert [shape[0] for shape in runs[0][0]] == [
+            PROPERTY_INVARIANTS, PROPERTY_DIFFERENTIAL, PROPERTY_ENGINE_PARITY,
+        ]
+        assert [shape[2] is None for shape in runs[0][0]] == [True, False, True]
+        assert runs[0] == runs[1]
+
+    def test_property_seconds_add_up_to_the_campaign(self, monkeypatch):
+        def slow(case):
+            time.sleep(0.02)
+
+        use_checks(monkeypatch, slow, slow)
+        use_cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        report = run_profile(MINI)
+        wall = time.perf_counter() - start
+        spent = sum(o.seconds for o in report.outcomes)
+        assert 0.9 * wall <= spent <= wall
+
+    @pytest.mark.parametrize("host", ["no-affinity", "no-fork"])
+    def test_other_platforms_give_the_same_report(
+        self, host, tmp_path, monkeypatch
+    ):
+        use_checks(monkeypatch, quota_below_4)
+        use_cpus(monkeypatch, 2)
+        pooled = run_profile(MINI, artifact_dir=tmp_path / "pool", seed=3)
+        if host == "no-affinity":  # macOS, Windows
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:  # Windows
+
+            def no_fork(method=None):
+                raise ValueError(f"cannot find context for {method!r}")
+
+            monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        other = run_profile(MINI, artifact_dir=tmp_path / host, seed=3)
+        assert report_shape(other) == report_shape(pooled)
+
+    def test_importing_verify_loads_no_multiprocessing(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.verify; print('multiprocessing' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert loaded.strip() == "False"
 
     def test_a_killed_worker_changes_nothing(self, tmp_path, monkeypatch):
         parent = os.getpid()

@@ -19,6 +19,8 @@ shared between CBs (section 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import hotzone
@@ -39,13 +41,22 @@ class EirGroup:
     cb: int
     eirs: Tuple[Tuple[Coord, int], ...]
 
-    @property
+    @cached_property
     def nodes(self) -> Tuple[int, ...]:
         """EIR node ids (excluding the CB's local router)."""
         return tuple(node for _, node in self.eirs)
 
     def __len__(self) -> int:
         return len(self.eirs)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The hash dataclass would generate, computed once: groups key
+        # every memo of the search.
+        return hash((self.cb, self.eirs))
 
 
 def make_group(cb: int, eirs: Dict[Coord, int]) -> EirGroup:
@@ -102,42 +113,29 @@ def candidate_positions(
 
 
 def enumerate_groups(
-    grid: Grid,
-    placement: Sequence[int],
     cb: int,
+    per_dir: Dict[Coord, List[int]],
     taken: FrozenSet[int] = frozenset(),
-    min_distance: int = MIN_EIR_DISTANCE,
-    max_distance: int = MAX_EIR_DISTANCE,
     require_full: bool = False,
 ) -> List[EirGroup]:
     """All legal EIR groups for ``cb``, skipping nodes already ``taken``.
 
+    ``per_dir`` is ``cb``'s :func:`candidate_positions`.
     ``require_full`` keeps only groups with an EIR in every direction
     that has at least one candidate (used to bias the search toward
     high-injection-bandwidth designs).
     """
-    per_dir = candidate_positions(
-        grid, placement, cb, min_distance=min_distance, max_distance=max_distance
-    )
-    directions = list(per_dir)
-    groups: List[EirGroup] = []
-
-    def recurse(idx: int, chosen: Dict[Coord, int]) -> None:
-        if idx == len(directions):
-            groups.append(make_group(cb, dict(chosen)))
-            return
-        direction = directions[idx]
-        options = [n for n in per_dir[direction] if n not in taken
-                   and n not in chosen.values()]
-        if not options or not require_full:
-            recurse(idx + 1, chosen)  # leave this direction empty
-        for node in options:
-            chosen[direction] = node
-            recurse(idx + 1, chosen)
-            del chosen[direction]
-
-    recurse(0, {})
-    return groups
+    # Directions in order, each left empty (None) first where allowed:
+    # the order a depth-first walk over the directions gives.  No node
+    # is a candidate in two directions, so no group repeats a node.
+    choices = []
+    for nodes in per_dir.values():
+        options = [n for n in nodes if n not in taken]
+        choices.append(options if options and require_full else [None] + options)
+    return [
+        make_group(cb, {d: n for d, n in zip(per_dir, combo) if n is not None})
+        for combo in product(*choices)
+    ]
 
 
 @dataclass(frozen=True)

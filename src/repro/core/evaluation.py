@@ -22,6 +22,8 @@ UCB backpropagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..physical import geometry, interposer
@@ -163,10 +165,11 @@ class _Fragment(NamedTuple):
     ``hops`` stays a per-destination sequence (PE order) because
     :func:`average_hops` adds every CB's values into one running total,
     and replaying them keeps that float-addition order.  ``link_length``
-    is the integer hop length of the CB's links, ``segments`` their RDL
-    wires, ``crossings`` the conflicts among those wires and ``box`` the
-    ``(x0, x1, y0, y1)`` bounds of all of them.  ``index`` names the
-    fragment in the evaluator's pairwise crossing memo.
+    is the integer hop length of the CB's links, ``wires`` their RDL
+    wires as ``((cb, eir), segment)``, ``crossings`` the conflicts among
+    those wires and ``box`` the ``(x0, x1, y0, y1)`` bounds of all of
+    them.  ``index`` names the fragment in the evaluator's pairwise
+    crossing memo.
     """
 
     index: int
@@ -174,7 +177,7 @@ class _Fragment(NamedTuple):
     max_load: float
     hops: List[float]
     link_length: int
-    segments: Tuple[geometry.Segment, ...]
+    wires: Tuple[Tuple[Tuple[int, int], geometry.Segment], ...]
     crossings: int
     box: Tuple[int, int, int, int]
 
@@ -195,8 +198,11 @@ class IncrementalEvaluator:
     fragments' indices in placement order; the hop values are replayed
     in placement order, preserving the exact float-addition sequence, so
     results are bit-identical to :func:`evaluate` and the search commits
-    the same design either way.  Both memos live as long as the
-    evaluator, i.e. one search.
+    the same design either way.  Below the fragments, each PE's distance
+    to a CB and the minimal-path hop count through each (CB, EIR) pair
+    are rows shared by every group that holds them, and each pair of
+    wires is tested for a crossing once.  Every memo lives as long as
+    the evaluator, i.e. one search.
     """
 
     def __init__(
@@ -213,53 +219,82 @@ class IncrementalEvaluator:
             grid.coord(n) for n in grid.nodes() if n not in self._cbs
         ]
         self._baseline_hops = _baseline_avg_hops(grid, self.placement)
-        self._fragments: Dict[Tuple[int, tuple], _Fragment] = {}
+        self._fragments: Dict[EirGroup, _Fragment] = {}
         self._pair_crossings: Dict[Tuple[int, int], int] = {}
+        self._cb_rows: Dict[int, Tuple[int, ...]] = {}
+        self._rows: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+        self._wire_crossings: Dict[tuple, bool] = {}
+        self._prefixes: Dict[int, tuple] = {}
 
     def _fragment(self, group: EirGroup) -> _Fragment:
-        key = (group.cb, group.eirs)
-        frag = self._fragments.get(key)
+        frag = self._fragments.get(group)
         if frag is None:
             frag = self._compute_fragment(group, len(self._fragments))
-            self._fragments[key] = frag
+            self._fragments[group] = frag
         return frag
+
+    def _distances(self, cb: int) -> Tuple[int, ...]:
+        """``hops(cb, pe)`` per PE, in PE order."""
+        row = self._cb_rows.get(cb)
+        if row is None:
+            cx, cy = self.grid.coord(cb)
+            row = self._cb_rows[cb] = tuple(
+                abs(cx - x) + abs(cy - y) for x, y in self._pe_xy
+            )
+        return row
+
+    def _row(self, cb: int, node: int) -> Tuple[Tuple[int, int], ...]:
+        """``(i, 1 + hops(node, pe))`` for each PE ``i`` (in PE order)
+        that a minimal path from ``cb`` may enter at ``node``."""
+        row = self._rows.get((cb, node))
+        if row is None:
+            # grid.hops inlined on coordinates (integers, so exact).
+            ex, ey = self.grid.coord(node)
+            near = self.grid.hops(cb, node)
+            row = self._rows[cb, node] = tuple(
+                (i, 1 + far)
+                for i, ((x, y), base) in enumerate(
+                    zip(self._pe_xy, self._distances(cb))
+                )
+                for far in (abs(ex - x) + abs(ey - y),)
+                if near + far == base
+            )
+        return row
 
     def _compute_fragment(self, group: EirGroup, index: int) -> _Fragment:
         grid = self.grid
         cb = group.cb
         nodes = group.nodes
-        points = (cb,) + nodes
-        cx, cy = grid.coord(cb)
-        eir_xy = [grid.coord(node) for node in nodes]
-        to_eir = [abs(cx - ex) + abs(cy - ey) for ex, ey in eir_xy]
-        loads = dict.fromkeys(points, 0.0)
-        hops_list: List[float] = []
-        # grid.hops inlined on coordinates (integers, so exact); the float
-        # operations mirror injection_loads and average_hops one for one.
-        for x, y in self._pe_xy:
-            base = abs(cx - x) + abs(cy - y)
-            far = [abs(ex - x) + abs(ey - y) for ex, ey in eir_xy]
-            choices = [
-                k for k, near in enumerate(to_eir) if near + far[k] == base
-            ]
-            if choices:
-                hops = sum(1 + far[k] for k in choices) / len(choices)
-                loaded = [nodes[k] for k in choices]
-            else:
-                hops = 1 + base - 1  # local injection
-                loaded = [cb]
-            hops_list.append(hops)
-            share = 1.0 / len(loaded)
-            for inj in loaded:
-                loads[inj] += share
-        segments = tuple(
-            interposer.link_segment(grid, cb, node) for node in nodes
+        rows = [self._row(cb, node) for node in nodes]
+        # Per PE, how many EIRs lie on a minimal path and the sum of
+        # their hop counts (integers, so exact in any order).
+        count = [0] * len(self._pe_xy)
+        through = [0] * len(self._pe_xy)
+        for row in rows:
+            for i, hops in row:
+                count[i] += 1
+                through[i] += hops
+        # The float operations mirror injection_loads and average_hops
+        # PE by PE, and each injection point's shares are added in PE
+        # order; the local router's unit shares sum exactly.
+        hops_list: List[float] = [
+            total / n if n else base  # else local injection
+            for total, n, base in zip(through, count, self._distances(cb))
+        ]
+        loads = [float(count.count(0))]
+        for row in rows:
+            load = 0.0
+            for i, _ in row:
+                load += 1.0 / count[i]
+            loads.append(load)
+        wires = tuple(
+            ((cb, node), interposer.link_segment(grid, cb, node)) for node in nodes
         )
-        xs = [cx] + [ex for ex, _ in eir_xy]
-        ys = [cy] + [ey for _, ey in eir_xy]
+        xs, ys = zip(grid.coord(cb), *(grid.coord(node) for node in nodes))
         return _Fragment(
-            index, points, max(loads.values()), hops_list, sum(to_eir),
-            segments, geometry.count_crossings(segments),
+            index, (cb,) + nodes, max(loads), hops_list,
+            sum(grid.hops(cb, node) for node in nodes), wires,
+            geometry.count_crossings([segment for _, segment in wires]),
             (min(xs), max(xs), min(ys), max(ys)),
         )
 
@@ -272,11 +307,17 @@ class IncrementalEvaluator:
             bx0, bx1, by0, by1 = b.box
             disjoint = ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0
             count = 0 if disjoint else sum(
-                1 for s in a.segments for t in b.segments
-                if geometry.segments_cross(s, t)
+                self._wires_cross(s, t) for s in a.wires for t in b.wires
             )
             self._pair_crossings[key] = count
         return count
+
+    def _wires_cross(self, s: tuple, t: tuple) -> bool:
+        key = (s[0], t[0])
+        cross = self._wire_crossings.get(key)
+        if cross is None:
+            cross = self._wire_crossings[key] = geometry.segments_cross(s[1], t[1])
+        return cross
 
     def evaluate(self, groups: Sequence[EirGroup]) -> EvalResult:
         """Evaluate a complete design given as one group per CB."""
@@ -288,16 +329,20 @@ class IncrementalEvaluator:
         points = [p for frag in frags for p in frag.points]
         if len(set(points)) != len(points):
             raise ValueError("an EIR may not be shared or sit on a CB")
-        total = 0.0
-        pairs = 0
-        crossings = 0
+        # The running hop total and crossing count after each prefix of
+        # fragments sit in a trie, so designs sharing a prefix (every
+        # rollout shares its committed levels) add only their own tail.
+        total, crossings, children = 0.0, 0, self._prefixes
         for i, frag in enumerate(frags):
-            for hops in frag.hops:
-                total += hops
-            pairs += len(frag.hops)
-            crossings += frag.crossings
-            for other in frags[i + 1:]:
-                crossings += self._crossings_between(frag, other)
+            step = children.get(frag.index)
+            if step is None:
+                total = reduce(add, frag.hops, total)  # in order, as +=
+                crossings += frag.crossings
+                for other in frags[:i]:
+                    crossings += self._crossings_between(other, frag)
+                step = children[frag.index] = (total, crossings, {})
+            total, crossings, children = step
+        pairs = sum(len(frag.hops) for frag in frags)
         raw = {
             "max_load": max((f.max_load for f in frags), default=0.0),
             "avg_hops": total / pairs if pairs else 0.0,

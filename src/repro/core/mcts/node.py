@@ -50,23 +50,26 @@ class Node:
     # ------------------------------------------------------------------
     # UCB1
     # ------------------------------------------------------------------
-    def ucb(self, child: "Node", c: float = DEFAULT_UCB_C) -> float:
+    def ucb(self, child: "Node", c: float = DEFAULT_UCB_C,
+            log_visits: Optional[float] = None) -> float:
         """Upper confidence bound of ``child`` as seen from this node.
 
         ``v_i + C * sqrt(ln N / n_i)`` per the paper's footnote 2, with
         unvisited children treated as infinitely attractive.
+        ``log_visits`` is ``ln N`` when the caller already has it.
         """
         if child.visits == 0:
             return math.inf
-        return child.mean_reward + c * math.sqrt(
-            math.log(self.visits) / child.visits
-        )
+        if log_visits is None:
+            log_visits = math.log(self.visits)
+        return child.mean_reward + c * math.sqrt(log_visits / child.visits)
 
     def best_child_ucb(self, c: float = DEFAULT_UCB_C) -> "Node":
         """The child maximising UCB1 (exploration + exploitation)."""
         if not self.children:
             raise ValueError("node has no children")
-        return max(self.children, key=lambda ch: self.ucb(ch, c))
+        log_visits = math.log(self.visits)
+        return max(self.children, key=lambda ch: self.ucb(ch, c, log_visits))
 
     def best_child_value(self) -> "Node":
         """The child with the highest accumulated value (commit step)."""

@@ -37,7 +37,7 @@ from ..eir import (
     enumerate_groups,
     make_group,
 )
-from ..grid import Grid
+from ..grid import Coord, Grid
 from .node import DEFAULT_UCB_C, Node
 
 
@@ -90,7 +90,9 @@ class EirSearch:
         self.config = config or SearchConfig()
         self._rng = random.Random(self.config.seed)
         self._eval_cache: Dict[Tuple[EirGroup, ...], evaluation.EvalResult] = {}
-        self._cb_candidates: Dict[int, FrozenSet[int]] = {}
+        self._cb_candidates: Dict[
+            int, Tuple[Dict[Coord, List[int]], FrozenSet[int]]
+        ] = {}
         self._actions: Dict[Tuple[int, FrozenSet[int]], Tuple[EirGroup, ...]] = {}
         self._evaluator = evaluation.IncrementalEvaluator(
             grid, self.placement, self.config.weights
@@ -103,8 +105,8 @@ class EirSearch:
     # ------------------------------------------------------------------
     # Action model
     # ------------------------------------------------------------------
-    def _candidates(self, cb: int) -> FrozenSet[int]:
-        """Every node ``enumerate_groups`` may place an EIR of ``cb`` on."""
+    def _candidates(self, cb: int) -> Tuple[Dict[Coord, List[int]], FrozenSet[int]]:
+        """``cb``'s :func:`candidate_positions` and the set of all of them."""
         cands = self._cb_candidates.get(cb)
         if cands is None:
             per_dir = candidate_positions(
@@ -112,7 +114,7 @@ class EirSearch:
                 min_distance=self.config.min_distance,
                 max_distance=self.config.max_distance,
             )
-            cands = frozenset(n for nodes in per_dir.values() for n in nodes)
+            cands = per_dir, frozenset(n for nodes in per_dir.values() for n in nodes)
             self._cb_candidates[cb] = cands
         return cands
 
@@ -128,18 +130,13 @@ class EirSearch:
         if depth >= len(self.placement):
             return ()
         cb = self.placement[depth]
-        cands = self._candidates(cb)
-        taken = frozenset(n for g in state for n in g.nodes if n in cands)
+        per_dir, cands = self._candidates(cb)
+        taken = cands.intersection([n for g in state for n in g.nodes])
         key = (depth, taken)
         groups = self._actions.get(key)
         if groups is None:
             groups = tuple(enumerate_groups(
-                self.grid,
-                self.placement,
-                cb,
-                taken=taken,
-                min_distance=self.config.min_distance,
-                max_distance=self.config.max_distance,
+                cb, per_dir, taken=taken,
                 require_full=self.config.require_full_groups,
             )) or (make_group(cb, {}),)
             self._actions[key] = groups

@@ -38,16 +38,20 @@ class InputVC:
     ``memo`` is set while the head flit's last allocation attempt was
     refused (active scheduler only): one ``(owner, credits, vcs)`` entry
     per output that attempt scanned, the lists being the live
-    ``OutputPort`` ones.  See :func:`_may_allocate`.
+    ``OutputPort`` ones.  A reply refused on a monopolising router also
+    holds ``borrow``, what the VC-borrow rule reads (:func:`_may_borrow`);
+    ``borrow`` means nothing while ``memo`` is None.  See
+    :func:`_may_allocate`.
     """
 
-    __slots__ = ("queue", "out_port", "out_vc", "memo")
+    __slots__ = ("queue", "out_port", "out_vc", "memo", "borrow")
 
     def __init__(self) -> None:
         self.queue: Deque[Flit] = deque()
         self.out_port: Optional[int] = None
         self.out_vc: Optional[int] = None
         self.memo: Optional[Tuple] = None
+        self.borrow: Optional[Tuple] = None
 
 
 def _may_allocate(ivc: InputVC) -> bool:
@@ -55,15 +59,35 @@ def _may_allocate(ivc: InputVC) -> bool:
 
     The test ``_scan_outputs`` (and the eject test) applies, on the
     lists it reads: some allowed VC of some candidate output is unowned
-    and has a credit.  A refusal mutates nothing, so while this reads
-    False a full attempt would be refused too.
+    and has a credit, or the borrow rule lends one.  A refusal mutates
+    nothing, so while this reads False a full attempt would be refused
+    too.
     """
     for owner, credits, vcs in ivc.memo:
         for v in vcs:
             if owner[v] is None and credits[v] > 0:
                 ivc.memo = None
                 return True
+    if ivc.borrow is not None and _may_borrow(ivc.borrow):
+        ivc.memo = None
+        return True
     return False
+
+
+def _may_borrow(borrow: Tuple) -> bool:
+    """Whether VC monopolisation would now lend a refused reply a VC.
+
+    ``borrow`` is ``(router, vc, packet, outs)``, ``outs`` the candidate
+    outputs.  The rule ``_scan_outputs`` applies is re-read in full: no
+    foreign-class head at the router's inputs, and a foreign VC that is
+    unowned, has all its credits free and can hold the whole packet.
+    """
+    router, vc, packet, outs = borrow
+    foreign = router._borrowable_vcs(packet.vc_class, vc)
+    return any(
+        out.owner[v] is None and out.credits[v] == out.capacity
+        for out in outs if out.capacity >= packet.size for v in foreign
+    )
 
 
 class OutputPort:
@@ -401,12 +425,11 @@ class Router:
         best = self._scan_outputs(candidates, allowed, borrowable, packet,
                                   exclude)
         if best is None and not self.network.faults_fired:
-            # A reply's borrow set hangs on foreign heads no memo watches.
-            if not (self.monopolize and packet.vc_class in MONOPOLY_CLASSES):
-                neighbors = self.neighbors
-                self._refuse(
-                    ivc, [p for p in candidates if p in neighbors], allowed
-                )
+            ports = [p for p in candidates if p in self.neighbors]
+            borrow = None
+            if self.monopolize and packet.vc_class in MONOPOLY_CLASSES:
+                borrow = (self, vc, packet, [self.outputs[p] for p in ports])
+            self._refuse(ivc, ports, allowed, borrow)
             return
         if best is None:
             # Every turn-model-legal port may be structurally unusable
@@ -459,11 +482,13 @@ class Router:
             self.network.stats.vc_allocs += 1
 
     def _refuse(self, ivc: InputVC, ports: Sequence[int],
-                vcs: Sequence[int]) -> None:
+                vcs: Sequence[int], borrow: Optional[Tuple] = None) -> None:
         """Memoise a refusal on ``ports`` x ``vcs`` (active scheduler only).
 
-        Not once a fault has fired: detours and the no-backtrack rule
-        make the candidate set depend on more than these lists.
+        ``borrow`` is a refused reply's VC-borrow re-check
+        (:func:`_may_borrow`).  Not once a fault has fired: detours and
+        the no-backtrack rule make the candidate set depend on more than
+        these lists.
         """
         network = self.network
         if network._active_scheduler and not network.faults_fired:
@@ -471,6 +496,7 @@ class Router:
             ivc.memo = tuple(
                 (outputs[p].owner, outputs[p].credits, vcs) for p in ports
             )
+            ivc.borrow = borrow
 
     def _scan_outputs(
         self,

@@ -42,7 +42,7 @@ from typing import Dict, List
 
 from . import routing
 from .network import Network
-from .router import InputVC, Router
+from .router import InputVC, Router, _may_borrow
 from .types import Packet
 
 
@@ -621,7 +621,7 @@ def _check_memo(
         owner[v] is None and credits[v] > 0
         for owner, credits, vcs in ivc.memo
         for v in vcs
-    )
+    ) or (ivc.borrow is not None and _may_borrow(ivc.borrow))
     if held == fresh:
         return ""
     return (

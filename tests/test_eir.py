@@ -62,28 +62,32 @@ class TestCandidates:
 class TestGroups:
     def test_enumerate_groups_non_empty(self, grid, nodes):
         for cb in nodes:
-            groups = eir.enumerate_groups(grid, nodes, cb)
+            groups = eir.enumerate_groups(
+                cb, eir.candidate_positions(grid, nodes, cb)
+            )
             assert groups
 
     def test_require_full_groups_are_maximal(self, grid, nodes):
         cb = nodes[3]
         cands = eir.candidate_positions(grid, nodes, cb)
         non_empty_dirs = sum(1 for opts in cands.values() if opts)
-        for group in eir.enumerate_groups(grid, nodes, cb, require_full=True):
+        for group in eir.enumerate_groups(cb, cands, require_full=True):
             assert len(group) == non_empty_dirs
 
     def test_groups_respect_taken(self, grid, nodes):
         cb = nodes[3]
-        all_groups = eir.enumerate_groups(grid, nodes, cb)
+        cands = eir.candidate_positions(grid, nodes, cb)
+        all_groups = eir.enumerate_groups(cb, cands)
         some_eir = next(g.nodes[0] for g in all_groups if g.nodes)
         filtered = eir.enumerate_groups(
-            grid, nodes, cb, taken=frozenset({some_eir})
+            cb, cands, taken=frozenset({some_eir})
         )
         assert all(some_eir not in g.nodes for g in filtered)
 
     def test_group_one_eir_per_direction(self, grid, nodes):
         for cb in nodes[:3]:
-            for group in eir.enumerate_groups(grid, nodes, cb)[:50]:
+            cands = eir.candidate_positions(grid, nodes, cb)
+            for group in eir.enumerate_groups(cb, cands)[:50]:
                 directions = [d for d, _n in group.eirs]
                 assert len(directions) == len(set(directions))
 
@@ -100,7 +104,8 @@ class TestDesign:
         taken = set()
         for cb in nodes:
             options = eir.enumerate_groups(
-                grid, nodes, cb, taken=frozenset(taken), require_full=True
+                cb, eir.candidate_positions(grid, nodes, cb),
+                taken=frozenset(taken), require_full=True,
             )
             groups.append(options[0])
             taken.update(options[0].nodes)
@@ -169,7 +174,8 @@ class TestShortestPathEirs:
         taken = set()
         for cb in nodes:
             options = eir.enumerate_groups(
-                grid, nodes, cb, taken=frozenset(taken), require_full=True
+                cb, eir.candidate_positions(grid, nodes, cb),
+                taken=frozenset(taken), require_full=True,
             )
             groups.append(options[-1])
             taken.update(options[-1].nodes)
@@ -183,8 +189,8 @@ def raw_space_size(grid, placement):
     no-sharing interaction between CBs (the raw space the paper sizes)."""
     total = 1
     for cb in placement:
-        total *= len(eir.enumerate_groups(grid, placement, cb,
-                                          min_distance=1, max_distance=3))
+        total *= len(eir.enumerate_groups(cb, eir.candidate_positions(
+            grid, placement, cb, min_distance=1, max_distance=3)))
     return total
 
 
@@ -195,8 +201,8 @@ class TestDesignSpace:
 
     def test_space_product_of_per_cb_counts(self, grid):
         nodes = (Grid(8).node(3, 3), Grid(8).node(6, 6))
-        a = len(eir.enumerate_groups(grid, nodes, nodes[0],
-                                     min_distance=1, max_distance=3))
-        b = len(eir.enumerate_groups(grid, nodes, nodes[1],
-                                     min_distance=1, max_distance=3))
+        a = len(eir.enumerate_groups(nodes[0], eir.candidate_positions(
+            grid, nodes, nodes[0], min_distance=1, max_distance=3)))
+        b = len(eir.enumerate_groups(nodes[1], eir.candidate_positions(
+            grid, nodes, nodes[1], min_distance=1, max_distance=3)))
         assert raw_space_size(grid, nodes) == a * b

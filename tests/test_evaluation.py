@@ -40,7 +40,8 @@ def build_design(grid, nodes, pick=0, require_full=True):
     taken = set()
     for cb in nodes:
         options = eir.enumerate_groups(
-            grid, nodes, cb, taken=frozenset(taken), require_full=require_full
+            cb, eir.candidate_positions(grid, nodes, cb),
+            taken=frozenset(taken), require_full=require_full,
         )
         group = options[min(pick, len(options) - 1)]
         groups.append(group)
@@ -153,8 +154,8 @@ def random_state(grid, nodes, rng):
     groups, taken = [], set()
     for cb in nodes:
         options = eir.enumerate_groups(
-            grid, nodes, cb, taken=frozenset(taken),
-            require_full=rng.random() < 0.5,
+            cb, eir.candidate_positions(grid, nodes, cb),
+            taken=frozenset(taken), require_full=rng.random() < 0.5,
         ) or [eir.make_group(cb, {})]
         group = rng.choice(options)
         groups.append(group)

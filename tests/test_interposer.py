@@ -61,15 +61,18 @@ class TestRdlPlan:
 
     def test_plan_for_design(self):
         grid = Grid(8)
-        from repro.core.eir import enumerate_groups, EirDesign
+        from repro.core.eir import (
+            EirDesign, candidate_positions, enumerate_groups,
+        )
 
         nodes = placement.nqueen_best(grid, 8).nodes
         groups = []
         taken = set()
         for cb in nodes:
-            options = enumerate_groups(grid, nodes, cb,
-                                       taken=frozenset(taken),
-                                       require_full=True)
+            options = enumerate_groups(
+                cb, candidate_positions(grid, nodes, cb),
+                taken=frozenset(taken), require_full=True,
+            )
             groups.append(options[0])
             taken.update(options[0].nodes)
         design = EirDesign(grid=grid, placement=tuple(nodes),

@@ -1,14 +1,17 @@
 """Unit tests for the MCTS EIR search."""
 
+import ast
 import functools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import placement
-from repro.core.eir import enumerate_groups, make_group
+from repro.core.eir import candidate_positions, enumerate_groups, make_group
+from repro.core.equinox import design_equinox
 from repro.core.grid import Grid
 from repro.core.mcts import (
     EirSearch,
@@ -204,16 +207,58 @@ class TestActionMemo:
             state, taken = [], set()
             for cb in nodes[:depth]:
                 options = enumerate_groups(
-                    grid, nodes, cb, taken=frozenset(taken)
+                    cb, candidate_positions(grid, nodes, cb),
+                    taken=frozenset(taken),
                 )
                 group = rng.choice([g for g in options if g.nodes] or options)
                 state.append(group)
                 taken.update(group.nodes)
             cb = nodes[depth]
             expected = enumerate_groups(
-                grid, nodes, cb, taken=frozenset(taken),
-                require_full=require_full,
+                cb, candidate_positions(grid, nodes, cb),
+                taken=frozenset(taken), require_full=require_full,
             ) or [make_group(cb, {})]
             assert list(search.actions(state)) == expected
             with_taken += bool(taken)
         assert with_taken
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+# The design flow's process-wide caches: shape tables that hold no
+# search state.
+PROCESS_CACHES = {
+    "core/grid.py:_coords",
+    "core/grid.py:_neighbors",
+    "core/nqueen.py:_row_subsets",
+}
+
+
+class TestMemoScope:
+    """Every memo of a search lives on its ``EirSearch`` or its
+    ``IncrementalEvaluator``, so a cold design pays for a whole search
+    each time it runs (the bench's cold set-up repetitions rely on it)."""
+
+    def test_repeated_cold_designs_do_the_same_work(self):
+        config = SearchConfig(iterations_per_level=150, seed=1)
+        first = design_equinox(8, 8, config).search
+        second = design_equinox(8, 8, config).search
+        assert first.designs_evaluated > 0 and first.eval_cache_lookups > 0
+        assert (second.designs_evaluated, second.eval_cache_lookups) == (
+            first.designs_evaluated, first.eval_cache_lookups,
+        )
+
+    def test_no_new_process_wide_cache(self):
+        cached = set()
+        for folder in ("core", "physical"):
+            for path in sorted((SRC / folder).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, ast.FunctionDef):
+                        continue
+                    for deco in node.decorator_list:
+                        target = deco.func if isinstance(deco, ast.Call) else deco
+                        name = ast.unparse(target).rsplit(".", 1)[-1]
+                        if name in ("lru_cache", "cache"):
+                            rel = path.relative_to(SRC).as_posix()
+                            cached.add(f"{rel}:{node.name}")
+        assert cached == PROCESS_CACHES

@@ -5,7 +5,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import hotzone
-from repro.core.eir import EirDesign, enumerate_groups
+from repro.core.eir import EirDesign, candidate_positions, enumerate_groups
 from repro.core.grid import Grid
 from repro.core.nqueen import is_valid_solution, sample_solutions
 from repro.noc import Network, NetworkInterface, Packet, PacketType
@@ -172,7 +172,8 @@ class TestEirProperties:
         groups = []
         for cb in placement:
             options = enumerate_groups(
-                grid, placement, cb, taken=frozenset(taken), require_full=True
+                cb, candidate_positions(grid, placement, cb),
+                taken=frozenset(taken), require_full=True,
             )
             group = rng.choice(options)
             groups.append(group)

@@ -24,7 +24,7 @@ from repro.harness.experiment import (
     build_fabric,
     run_with_fabric,
 )
-from repro.noc import routing, vector
+from repro.noc import routing, validation, vector
 from repro.noc.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.noc.interface import NetworkInterface
 from repro.noc.network import Network, network_class, resolve_scheduler
@@ -393,6 +393,53 @@ class TestRefusalMemo:
         for _ in range(5):
             net.tick()
         assert ivc.out_port is None
+
+    def test_refused_reply_reads_the_borrow_rule(self, monkeypatch):
+        """A reply refused on a monopolising router is memoised too.
+
+        Its own class is full east and a request head sits at the
+        router, so it may not borrow east's free request VC.  The memo
+        holds (no attempt) until the request leaves; the re-check then
+        reads the borrow rule and the reply takes the foreign VC.
+        """
+        net = Network("mono", Grid(4), flit_bytes=16,
+                      vc_classes=[(0,), (1,)], monopolize=True,
+                      scheduler="active")
+        router = net.routers[5]
+        router.outputs[routing.PORT_E].credits[1] = 0
+        router.outputs[routing.PORT_S].credits[0] = 0
+        request = Packet(1, PacketType.READ_REQUEST, 1, 13, 1, 0)
+        reply = Packet(2, PacketType.READ_REPLY, 4, 6, 2, 0, vc_class=1)
+        park(router, routing.PORT_N, 0, request.make_flits()[0], 0)
+        park(router, routing.PORT_W, 1, reply.make_flits()[0], 0)
+        net.active.add(5)
+        attempts = []
+        real = Router._route_and_allocate
+
+        def attempt(at, port, vc, ivc, flit):
+            if at is router:
+                attempts.append(flit.packet.pid)
+            real(at, port, vc, ivc, flit)
+
+        monkeypatch.setattr(Router, "_route_and_allocate", attempt)
+        ivc = router.inputs[routing.PORT_W][1]
+        net.tick()
+        assert ivc.out_port is None and ivc.borrow is not None
+        assert attempts == [2, 1]
+        router.blocked = False
+        net.tick()
+        assert attempts == [2, 1]  # both memos hold
+        assert validation._check_memo(net, router, routing.PORT_W, 1, ivc) == ""
+        router.outputs[routing.PORT_S].credits[0] = 1
+        router.blocked = False
+        net.tick()  # the request leaves; the reply still sees its head
+        assert attempts == [2, 1, 1] and ivc.memo is not None
+        # The audit reads the borrow rule too: the held memo now reads
+        # grantable, as a fresh attempt would be.
+        assert validation._check_memo(net, router, routing.PORT_W, 1, ivc) == ""
+        net.tick()
+        assert attempts == [2, 1, 1, 2]
+        assert (ivc.out_port, ivc.out_vc) == (routing.PORT_E, 0)
 
     def test_dense_oracle_never_memoises(self, monkeypatch):
         net, _router, ivc = _refused_head("dense")

@@ -35,7 +35,7 @@ from .harness import (
 from .schemes import SCHEME_ORDER, Fabric, SchemeConfig, get_config
 from .workloads import BENCHMARKS, WorkloadProfile
 
-__version__ = "1.31.0"
+__version__ = "1.32.0"
 
 __all__ = [
     "EquiNoxDesign",

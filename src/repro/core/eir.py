@@ -68,13 +68,13 @@ def candidate_positions(
     grid: Grid,
     placement: Sequence[int],
     cb: int,
-    min_distance: int = MIN_EIR_DISTANCE,
-    max_distance: int = MAX_EIR_DISTANCE,
 ) -> Dict[Coord, List[int]]:
     """Per-direction EIR candidates for ``cb`` under ``placement``.
 
     Returns a mapping from each axis direction to the list of node ids
-    that may host an EIR in that direction, ordered by distance.
+    that may host an EIR in that direction, ordered by distance.  A
+    candidate lies :data:`MIN_EIR_DISTANCE` to :data:`MAX_EIR_DISTANCE`
+    hops from ``cb``.
     """
     if cb not in placement:
         raise ValueError(f"node {cb} is not a CB in the given placement")
@@ -89,10 +89,10 @@ def candidate_positions(
         forbidden |= hotzone.daz(grid, other)
     x, y = grid.coord(cb)
     candidates: Dict[Coord, List[int]] = {d: [] for d in AXIS_DIRECTIONS}
-    for dx in range(-max_distance, max_distance + 1):
-        for dy in range(-max_distance, max_distance + 1):
+    for dx in range(-MAX_EIR_DISTANCE, MAX_EIR_DISTANCE + 1):
+        for dy in range(-MAX_EIR_DISTANCE, MAX_EIR_DISTANCE + 1):
             dist = abs(dx) + abs(dy)
-            if not min_distance <= dist <= max_distance:
+            if not MIN_EIR_DISTANCE <= dist <= MAX_EIR_DISTANCE:
                 continue
             if not grid.contains(x + dx, y + dy):
                 continue

@@ -79,7 +79,7 @@ def design_equinox(
     num_cbs:
         Number of cache banks / memory controllers (8 in the paper).
     search_config:
-        MCTS budget and constraints; defaults are adequate for 8x8.
+        MCTS budget, seed and weights; defaults are adequate for 8x8.
     placement_nodes:
         Override the CB placement (used by ablations); when given, the
         N-Queen stage is skipped and the nodes are scored as-is.

@@ -1,10 +1,10 @@
 """Monte Carlo Tree Search for EIR selection."""
 
-from .node import DEFAULT_UCB_C, Node
+from .node import UCB_C, Node
 from .search import EirSearch, SearchConfig, SearchResult, random_search
 
 __all__ = [
-    "DEFAULT_UCB_C",
+    "UCB_C",
     "Node",
     "EirSearch",
     "SearchConfig",

@@ -8,7 +8,8 @@ from typing import List, Optional, Tuple
 
 from ..eir import EirGroup
 
-DEFAULT_UCB_C = math.sqrt(2.0)
+UCB_C = math.sqrt(2.0)
+"""UCB1's exploration constant C."""
 
 
 @dataclass
@@ -22,10 +23,11 @@ class Node:
 
     action: Optional[EirGroup]
     parent: Optional["Node"] = None
-    children: List["Node"] = field(default_factory=list)
-    untried: List[EirGroup] = field(default_factory=list)
-    visits: int = 0
-    total_reward: float = 0.0
+    # Run state, filled in as the search expands and backs up.
+    children: List["Node"] = field(default_factory=list, init=False)
+    untried: List[EirGroup] = field(default_factory=list, init=False)
+    visits: int = field(default=0, init=False)
+    total_reward: float = field(default=0.0, init=False)
 
     @property
     def depth(self) -> int:
@@ -50,8 +52,7 @@ class Node:
     # ------------------------------------------------------------------
     # UCB1
     # ------------------------------------------------------------------
-    def ucb(self, child: "Node", c: float = DEFAULT_UCB_C,
-            log_visits: Optional[float] = None) -> float:
+    def ucb(self, child: "Node", log_visits: Optional[float] = None) -> float:
         """Upper confidence bound of ``child`` as seen from this node.
 
         ``v_i + C * sqrt(ln N / n_i)`` per the paper's footnote 2, with
@@ -62,14 +63,14 @@ class Node:
             return math.inf
         if log_visits is None:
             log_visits = math.log(self.visits)
-        return child.mean_reward + c * math.sqrt(log_visits / child.visits)
+        return child.mean_reward + UCB_C * math.sqrt(log_visits / child.visits)
 
-    def best_child_ucb(self, c: float = DEFAULT_UCB_C) -> "Node":
+    def best_child_ucb(self) -> "Node":
         """The child maximising UCB1 (exploration + exploitation)."""
         if not self.children:
             raise ValueError("node has no children")
         log_visits = math.log(self.visits)
-        return max(self.children, key=lambda ch: self.ucb(ch, c, log_visits))
+        return max(self.children, key=lambda ch: self.ucb(ch, log_visits))
 
     def best_child_value(self) -> "Node":
         """The child with the highest accumulated value (commit step)."""

@@ -29,8 +29,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import evaluation
 from ..eir import (
-    MAX_EIR_DISTANCE,
-    MIN_EIR_DISTANCE,
     EirDesign,
     EirGroup,
     candidate_positions,
@@ -38,18 +36,20 @@ from ..eir import (
     make_group,
 )
 from ..grid import Coord, Grid
-from .node import DEFAULT_UCB_C, Node
+from .node import Node
+
+REQUIRE_FULL_GROUPS = True
+"""Offer only groups with an EIR in every direction that has a
+candidate: the search is biased toward high injection bandwidth."""
 
 
 @dataclass
 class SearchConfig:
-    """Tuning knobs of the EIR search."""
+    """One search's budget, random stream and evaluation weights
+    (``None``: the defaults).  The paper fixes the rest: UCB1's
+    ``UCB_C``, the EIR distance band and :data:`REQUIRE_FULL_GROUPS`."""
 
     iterations_per_level: int = 200
-    ucb_c: float = DEFAULT_UCB_C
-    min_distance: int = MIN_EIR_DISTANCE
-    max_distance: int = MAX_EIR_DISTANCE
-    require_full_groups: bool = True
     seed: int = 0
     weights: Optional[Dict[str, float]] = None
 
@@ -109,11 +109,7 @@ class EirSearch:
         """``cb``'s :func:`candidate_positions` and the set of all of them."""
         cands = self._cb_candidates.get(cb)
         if cands is None:
-            per_dir = candidate_positions(
-                self.grid, self.placement, cb,
-                min_distance=self.config.min_distance,
-                max_distance=self.config.max_distance,
-            )
+            per_dir = candidate_positions(self.grid, self.placement, cb)
             cands = per_dir, frozenset(n for nodes in per_dir.values() for n in nodes)
             self._cb_candidates[cb] = cands
         return cands
@@ -137,7 +133,7 @@ class EirSearch:
         if groups is None:
             groups = tuple(enumerate_groups(
                 cb, per_dir, taken=taken,
-                require_full=self.config.require_full_groups,
+                require_full=REQUIRE_FULL_GROUPS,
             )) or (make_group(cb, {}),)
             self._actions[key] = groups
         return groups
@@ -227,7 +223,7 @@ class EirSearch:
         state = list(committed)
         # 1. Selection.
         while node.is_fully_expanded() and node.children:
-            node = node.best_child_ucb(self.config.ucb_c)
+            node = node.best_child_ucb()
             state.append(node.action)  # type: ignore[arg-type]
         # 2. Expansion.
         if node.untried and not self.is_terminal(state):

@@ -32,7 +32,7 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import settings
@@ -163,14 +163,15 @@ class WorkerOptions:
 
 @dataclass
 class WorkerStats:
-    """What one worker-loop invocation did."""
+    """What one worker-loop invocation did: run state the loop counts
+    up, not options."""
 
-    executed: int = 0
-    acked: int = 0
-    failed: int = 0
-    dead: int = 0
-    store_hits: int = 0
-    stale: int = 0
+    executed: int = field(default=0, init=False)
+    acked: int = field(default=0, init=False)
+    failed: int = field(default=0, init=False)
+    dead: int = field(default=0, init=False)
+    store_hits: int = field(default=0, init=False)
+    stale: int = field(default=0, init=False)
 
 
 class _Heartbeat:

@@ -100,14 +100,15 @@ class _Census:
 
     # pid -> flits in NI buffers, router input queues or link arrivals
     # (everything upstream of an ejection commit).
-    in_network: Dict[int, int] = field(default_factory=dict)
-    packets: Dict[int, Packet] = field(default_factory=dict)
-    buffered: int = 0          # flits in router input VCs
-    link_flits: int = 0        # flits scheduled on router/NI links
-    sink_flits: int = 0        # flits scheduled into ejection sinks
-    ni_flits: int = 0          # flits waiting in NI injection buffers
-    source_backlog: int = 0    # packets in NI source queues
-    receive_queued: int = 0    # delivered packets awaiting pop
+    in_network: Dict[int, int] = field(default_factory=dict, init=False)
+    packets: Dict[int, Packet] = field(default_factory=dict, init=False)
+    # Tallies _take_census counts up.
+    buffered: int = field(default=0, init=False)        # router input VCs
+    link_flits: int = field(default=0, init=False)      # on router/NI links
+    sink_flits: int = field(default=0, init=False)      # into ejection sinks
+    ni_flits: int = field(default=0, init=False)        # NI injection buffers
+    source_backlog: int = field(default=0, init=False)  # NI source packets
+    receive_queued: int = field(default=0, init=False)  # awaiting pop
 
 
 def _take_census(net: Network) -> _Census:

@@ -1,9 +1,11 @@
 """Scheme configuration and the fabric that realises it.
 
-A :class:`SchemeConfig` captures everything that distinguishes the seven
-compared designs (paper section 5): single vs separate physical
-networks, VC monopolisation, the interposer CMesh overlay, the DA2Mesh
-narrow reply subnets, MultiPort CB routers, and EquiNox's EIRs.
+A :class:`SchemeConfig` captures everything that distinguishes the nine
+compared designs: the paper's seven (section 5) differ in single vs
+separate physical networks, VC monopolisation, the interposer CMesh
+overlay, the DA2Mesh narrow reply subnets, MultiPort CB routers and
+EquiNox's EIRs; the two loop baselines, ring_router (Wu's ring-router
+NoC) and routerless (Lin's routerless NoC), differ in topology.
 
 A :class:`Fabric` instantiates the networks and NIs for one
 configuration and provides the transaction-level send/receive interface
@@ -54,8 +56,9 @@ class SchemeConfig:
     name: str
     network_type: str  # "single" | "separate"
     placement_name: str = "diamond"
+    # VC-Mono: routers and NIs lend a message class every VC while the
+    # other class is absent.
     monopolize: bool = False
-    monopolize_injection: bool = False
     cmesh: bool = False
     da2mesh: bool = False
     multiport: int = 1
@@ -100,7 +103,6 @@ class SchemeConfig:
                 or self.multiport > 1
                 or self.equinox
                 or self.monopolize
-                or self.monopolize_injection
             ):
                 raise ValueError(
                     "loop topologies cannot combine with mesh overlays "
@@ -177,7 +179,7 @@ class Fabric:
             self.request_net = self.reply_net = mesh(
                 "single", "both", [(0,), (1,)],
                 monopolize=config.monopolize,
-                monopolize_injection=config.monopolize_injection,
+                monopolize_injection=config.monopolize,
             )
         else:
             self.request_net = mesh("request", "request", all_vcs)

@@ -17,5 +17,4 @@ def config() -> SchemeConfig:
         network_type="single",
         placement_name="diamond",
         monopolize=True,
-        monopolize_injection=True,
     )

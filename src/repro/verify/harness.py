@@ -4,9 +4,8 @@ Two profiles ship:
 
 * ``fast`` — the tier-1 profile: small meshes, ~270 generated configs
   across three properties (invariants, differential purity, object vs
-  vector engine parity), finishes in a couple of minutes.  A pytest
-  wrapper runs it in the normal test suite, so every CI matrix entry
-  fuzzes.
+  vector engine parity), 18-35 s on a 2-CPU host.  A pytest wrapper
+  runs it in the normal test suite, so every CI matrix entry fuzzes.
 * ``deep`` — the dedicated CI-job profile: wider meshes (including the
   paper's 8x8), several hundred configs.
 
@@ -73,8 +72,6 @@ class VerifyProfile:
     differential_examples: int
     engine_examples: int
     widths: Tuple[int, ...]
-    # 0 keeps the VerifyCase default cycle bound.
-    max_cycles: int = 0
 
 
 FAST = VerifyProfile(
@@ -117,14 +114,15 @@ class PropertyOutcome:
     """Result of driving one property for one profile."""
 
     prop: str
-    examples: int = 0
+    # Run state, filled in as the property is driven.
+    examples: int = field(default=0, init=False)
     # Wall-clock seconds of the property's draw, of the wait for its
     # verdicts and of its re-drive (shrinking included): the three
     # properties' seconds add up to the campaign's wall time.
-    seconds: float = 0.0
-    failure: Optional[VerifyCase] = None
-    error: str = ""
-    artifact_path: Optional[Path] = None
+    seconds: float = field(default=0.0, init=False)
+    failure: Optional[VerifyCase] = field(default=None, init=False)
+    error: str = field(default="", init=False)
+    artifact_path: Optional[Path] = field(default=None, init=False)
 
     @property
     def ok(self) -> bool:
@@ -137,7 +135,7 @@ class VerifyReport:
 
     profile: str
     seed: int
-    outcomes: List[PropertyOutcome] = field(default_factory=list)
+    outcomes: List[PropertyOutcome] = field(default_factory=list, init=False)
 
     @property
     def cases_run(self) -> int:
@@ -316,7 +314,6 @@ def run_profile(
                 widths=profile.widths,
                 base_seed=seed,
                 with_faults=True,
-                max_cycles=profile.max_cycles,
             ),
             profile.invariant_examples,
         ),
@@ -327,7 +324,6 @@ def run_profile(
                 widths=profile.widths,
                 base_seed=seed,
                 with_faults=False,
-                max_cycles=profile.max_cycles,
             ),
             profile.differential_examples,
         ),
@@ -341,7 +337,6 @@ def run_profile(
                 widths=profile.widths,
                 base_seed=seed + 1,
                 with_faults=True,
-                max_cycles=profile.max_cycles,
             ),
             profile.engine_examples,
         ),

@@ -148,13 +148,9 @@ def _cases(
     widths: Sequence[int],
     base_seed: int,
     with_faults: bool,
-    max_cycles: int,
 ) -> VerifyCase:
     scheme = draw(schemes())
     width, num_cbs = draw(_mesh(widths, scheme))
-    kwargs = {}
-    if max_cycles:
-        kwargs["max_cycles"] = max_cycles
     case = VerifyCase(
         scheme=scheme,
         benchmark=draw(benchmarks()),
@@ -165,7 +161,6 @@ def _cases(
         scheduler=draw(st.sampled_from(["active", "dense"])),
         engine=draw(st.sampled_from(ENGINES)),
         telemetry=draw(st.sampled_from([0, 0, 1, 3])),
-        **kwargs,
     )
     if (
         with_faults
@@ -182,14 +177,13 @@ def cases(
     widths: Sequence[int] = FAST_WIDTHS,
     base_seed: int = 0,
     with_faults: bool = True,
-    max_cycles: int = 0,
 ) -> st.SearchStrategy[VerifyCase]:
     """A complete valid :class:`VerifyCase`.
 
     ``base_seed`` decorrelates whole fuzzing campaigns (CLI ``--seed``)
     while staying deterministic for a fixed value; ``with_faults``
     gates fault-plan generation (differential checks supply their own
-    plans); ``max_cycles`` of 0 keeps the space default.
+    plans).
 
     The width pool is validated *here*, at strategy construction, so a
     custom pool with no even entry (Interposer-CMesh needs one) fails
@@ -208,5 +202,4 @@ def cases(
         widths=widths,
         base_seed=base_seed,
         with_faults=with_faults,
-        max_cycles=max_cycles,
     )

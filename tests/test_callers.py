@@ -14,16 +14,29 @@ an option only its own test uses is dead code, so it goes with its test.
   cannot see (``Fabric``'s ``NetCls``, ``network_class(engine)(...)``)
   resolve through ``FACTORIES``.  An option nothing sets is the
   constant it always was.
+* A defaulted field of a ``src/repro`` dataclass counts as set when a
+  construction passes it by keyword, by position or through a ``**``
+  splat, or through a ``*`` splat that can reach its position (a
+  module-level tuple literal fills as many positions as it holds); when
+  ``replace(x, field=...)`` passes it; or when code stores to it as an
+  attribute (``x.field = ...``, ``object.__setattr__(x, "field", ...)``;
+  a store to ``self.field`` sets only the enclosing class's field).
+  Fields declared ``init=False`` are run state, not options, and are
+  skipped.
 
 The exceptions are test oracles, safety counters and seams that
 substitute a fake, each named with the reason it stays.
 """
 
 import ast
+import math
 import re
 from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
@@ -59,6 +72,43 @@ ALLOWED_PARAMS = {
                            "instead of sleeping",
     "sample_solutions:seed": "seam: property tests vary the random draw",
     "prune_to_k:seed": "seam: property tests vary the random draw",
+}
+
+# ``Class.field``.  The Table-1 records keep their values as named
+# fields of one default instance, so each field is its own constant.
+ALLOWED_FIELDS = {
+    **{
+        f"EnergyParams.{name}": "Table-1 record: a named per-event "
+                                "energy of the default EnergyParams"
+        for name in (
+            "reference_flit_bytes", "buffer_write_pj", "buffer_read_pj",
+            "xbar_pj", "alloc_pj", "link_onchip_pj",
+            "link_interposer_pj_per_tile", "router_leak_mw_per_port",
+            "ni_buffer_leak_mw", "frequency_ghz",
+        )
+    },
+    **{
+        f"AreaParams.{name}": "Table-1 record: a named component area "
+                              "of the default AreaParams"
+        for name in (
+            "buffer_mm2_per_byte", "xbar_mm2_per_port2_byte",
+            "alloc_mm2_per_port", "ni_core_mm2",
+        )
+    },
+    **{
+        f"HbmTiming.{name}": "Table-1 record: a named HBM2 timing of the "
+                             "default HbmTiming"
+        for name in (
+            "bytes_per_cycle_per_channel", "t_cas", "t_row_miss",
+            "queue_depth",
+        )
+    },
+    "HbmTiming.channels": "seam: tests build a one-channel HbmTiming and "
+                          "pass it through HbmStack(timing) to observe "
+                          "FR-FCFS order",
+    "SearchConfig.weights": "seam: the evaluation-weight override kept "
+                            "for the per-metric weight ablation of the "
+                            "score-vs-simulator rank study",
 }
 
 # Calls that return a class: a call of the returned value, or of a name
@@ -131,13 +181,11 @@ def _references(files):
     return refs
 
 
-@lru_cache(maxsize=None)
-def _definitions():
-    """Every ``def``/``class`` under ``src/repro``, with its class (for
-    methods), its path and its line span."""
+def _definitions_in(files, package):
+    """Every ``def``/``class`` of ``files`` under ``package``, with its
+    class (for methods), its path and its line span."""
     defs = []
-    package = ROOT / "src" / "repro"
-    for path, tree in _files().items():
+    for path, tree in files.items():
         if package not in path.parents:
             continue
         stack = [(tree, None)]
@@ -154,6 +202,12 @@ def _definitions():
                 else:
                     stack.append((node, owner))
     return defs
+
+
+@lru_cache(maxsize=None)
+def _definitions():
+    """Every ``def``/``class`` under ``src/repro``."""
+    return _definitions_in(_files(), ROOT / "src" / "repro")
 
 
 @lru_cache(maxsize=None)
@@ -211,17 +265,51 @@ def _tables(files):
     return tables
 
 
-class _Calls(ast.NodeVisitor):
-    """Every call in one caller file, as ``(targets, positional count,
-    keywords, splat)``.  A target is ``(name, True)`` for a resolved
-    construction of class ``name``, else ``(name, None)``: whatever
-    function or class is called ``name``."""
+def _tuples(files):
+    """``{name: length}`` of every module-level tuple literal bound to a
+    name: a ``*name`` splat fills that many positions.  A name bound to
+    tuples of different lengths maps to ``None`` (unknown)."""
+    lengths = {}
+    for tree in files.values():
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if not (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(value, ast.Tuple)
+                    and not any(isinstance(e, ast.Starred)
+                                for e in value.elts)):
+                continue
+            for target in getattr(node, "targets", None) or [node.target]:
+                if isinstance(target, ast.Name):
+                    known = lengths.setdefault(target.id, len(value.elts))
+                    if known != len(value.elts):
+                        lengths[target.id] = None
+    return lengths
 
-    def __init__(self, aliases, bases, tables):
+
+class _Call(NamedTuple):
+    """One call: what it can call and what it passes."""
+
+    targets: list
+    positional: int  # arguments that are not splats
+    keywords: set
+    splat: bool  # any ``*`` or ``**`` argument
+    reach: float  # positions filled, ``*`` splats included (inf: unknown)
+    mapping: bool  # a ``**`` argument
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call in one caller file, as :class:`_Call` records, and
+    every attribute store, as ``(class or None, name)``.  A target is ``(name, True)`` for
+    a resolved construction of class ``name``, else ``(name, None)``:
+    whatever function or class is called ``name``."""
+
+    def __init__(self, aliases, bases, tables, tuples):
         self.aliases = aliases
         self.bases = bases
         self.tables = tables
+        self.tuples = tuples
         self.calls = []
+        self.stored = set()
         self.classes = []
         self.scopes = [{}]
 
@@ -249,6 +337,21 @@ class _Calls(ast.NodeVisitor):
                     self.scopes[-1][target.id] = targets
         self.generic_visit(node)
 
+    def _store(self, receiver, name):
+        """Record a store to attribute ``name`` of ``receiver``: as
+        ``(class, name)`` when the receiver is ``self`` inside a class,
+        else as ``(None, name)``, which any class's field may be."""
+        owner = None
+        if (self.classes and isinstance(receiver, ast.Name)
+                and receiver.id == "self"):
+            owner = self.classes[-1]
+        self.stored.add((owner, name))
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store):
+            self._store(node.value, node.attr)
+        self.generic_visit(node)
+
     def _resolve(self, value):
         """What calling ``value`` can call, when a name lookup would
         miss it: a factory's class, a table entry, or a local bound to
@@ -272,8 +375,32 @@ class _Calls(ast.NodeVisitor):
             return func.attr
         return None
 
+    def _reach(self, args):
+        """How many leading positions ``args`` fill: a ``*`` splat of a
+        module-level tuple literal fills its length, any other one every
+        position from where it stands."""
+        reach = 0
+        for arg in args:
+            if not isinstance(arg, ast.Starred):
+                reach += 1
+                continue
+            length = (self.tuples.get(self._name(arg.value))
+                      if isinstance(arg.value, ast.Name) else None)
+            if length is None:
+                return math.inf
+            reach += length
+        return reach
+
     def visit_Call(self, node):
         func = node.func
+        name = self._name(func)
+        keywords = {k.arg for k in node.keywords if k.arg}
+        if name == "replace":
+            self.stored.update((None, k) for k in keywords)
+        elif (name in ("setattr", "__setattr__") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            self._store(node.args[0], node.args[1].value)
         targets = self._resolve(func)
         if not targets and (
                 isinstance(func, ast.Attribute) and func.attr == "__init__"
@@ -282,40 +409,46 @@ class _Calls(ast.NodeVisitor):
             # super().__init__(...) inside a method constructs the base.
             owner = self.classes[-1] if self.classes else None
             targets = [(b, True) for b in self.bases.get(owner, ())]
-        if not targets and self._name(func):
-            targets = [(self._name(func), None)]
-        self.calls.append((
+        if not targets and name:
+            targets = [(name, None)]
+        mapping = any(k.arg is None for k in node.keywords)
+        self.calls.append(_Call(
             targets,
             sum(not isinstance(a, ast.Starred) for a in node.args),
-            {k.arg for k in node.keywords if k.arg},
-            any(isinstance(a, ast.Starred) for a in node.args)
-            or any(k.arg is None for k in node.keywords),
+            keywords,
+            mapping or any(isinstance(a, ast.Starred) for a in node.args),
+            self._reach(node.args),
+            mapping,
         ))
         self.generic_visit(node)
 
 
-@lru_cache(maxsize=None)
-def _unset_parameters():
-    """Defaulted parameters of ``src/repro`` functions that no call in a
-    caller file passes, as ``{"func:param": "path:line"}``."""
-    definitions = _definitions()
+def _index(files, definitions):
+    """Index the calls of ``files`` against ``definitions``: returns
+    ``(calls by target, attribute stores, constructors)``,
+    where ``constructors(cls)`` names the classes whose construction
+    runs ``cls.__init__``."""
     classes = {node.name: node for node, _o, _p in definitions
                if isinstance(node, ast.ClassDef)}
     bases = {
         name: [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
         for name, node in classes.items()
     }
-    files = _files()
     tables = _tables(files)
-    calls = []
+    tuples = _tuples(files)
+    by_target = defaultdict(list)
+    stored = set()
     for tree in files.values():
-        visitor = _Calls(_import_aliases(tree), bases, tables)
+        visitor = _Calls(_import_aliases(tree), bases, tables, tuples)
         visitor.visit(tree)
-        calls += visitor.calls
+        stored |= visitor.stored
+        for call in visitor.calls:
+            for target in call.targets:
+                by_target[target].append(call)
 
     def constructors(cls, seen=()):
-        """The classes whose construction runs ``cls.__init__``:
-        ``cls`` and every subclass that does not define its own."""
+        """``cls`` and every subclass that does not define its own
+        ``__init__``."""
         out = [cls]
         for name, node in classes.items():
             if cls in bases.get(name, ()) and name not in seen:
@@ -325,12 +458,25 @@ def _unset_parameters():
                     out += constructors(name, seen + (cls,))
         return out
 
-    by_target = defaultdict(list)
-    for targets, positional, keywords, splat in calls:
-        for name, construction in targets:
-            by_target[(name, construction)].append(
-                (positional, keywords, splat))
+    return by_target, stored, constructors
 
+
+def _constructions(by_target, constructors, cls):
+    """Every call that constructs ``cls`` or a subclass sharing its
+    ``__init__``."""
+    return [
+        call for name in constructors(cls)
+        for key in ((name, None), (name, True))
+        for call in by_target[key]
+    ]
+
+
+@lru_cache(maxsize=None)
+def _unset_parameters():
+    """Defaulted parameters of ``src/repro`` functions that no call in a
+    caller file passes, as ``{"func:param": "path:line"}``."""
+    definitions = _definitions()
+    by_target, _stored, constructors = _index(_files(), definitions)
     unset = {}
     for node, owner, path in definitions:
         if isinstance(node, ast.ClassDef):
@@ -339,11 +485,7 @@ def _unset_parameters():
         if not params:
             continue
         if node.name == "__init__" and owner is not None:
-            sites = [
-                site for cls in constructors(owner.name)
-                for key in ((cls, None), (cls, True))
-                for site in by_target[key]
-            ]
+            sites = _constructions(by_target, constructors, owner.name)
             offset = 1
         else:
             sites = by_target[(node.name, None)]
@@ -353,14 +495,66 @@ def _unset_parameters():
         label = f"{owner.name}.{node.name}" if owner else node.name
         for index, param in params:
             passed = any(
-                splat or param in keywords
-                or (index is not None and index < positional + offset)
-                for positional, keywords, splat in sites
+                call.splat or param in call.keywords
+                or (index is not None and index < call.positional + offset)
+                for call in sites
             )
             if not passed:
                 unset[f"{label}:{param}"] = (
                     f"{path.relative_to(ROOT)}:{node.lineno}")
     return unset
+
+
+def _fields(node):
+    """``(position or None, name, defaulted, line)`` of each ``__init__``
+    field of class ``node``, or ``[]`` if it is no dataclass.  Fields
+    declared ``init=False`` are not ``__init__`` fields."""
+    if not any(ast.unparse(d).split("(")[0].rsplit(".", 1)[-1]
+               == "dataclass" for d in node.decorator_list):
+        return []
+    fields = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)) or (
+                "ClassVar" in ast.unparse(stmt.annotation)):
+            continue
+        value = stmt.value
+        defaulted = value is not None
+        if isinstance(value, ast.Call) and (
+                ast.unparse(value.func).rsplit(".", 1)[-1] == "field"):
+            options = {k.arg: k.value for k in value.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = bool({"default", "default_factory"} & set(options))
+        fields.append((len(fields), stmt.target.id, defaulted, stmt.lineno))
+    return fields
+
+
+def _unset_fields_in(files, root):
+    """Defaulted fields of the dataclasses under ``root/src/repro`` that
+    nothing in ``files`` sets, as ``{"Class.field": "path:line"}``."""
+    definitions = _definitions_in(files, root / "src" / "repro")
+    by_target, stored, constructors = _index(files, definitions)
+    unset = {}
+    for node, _owner, path in definitions:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        sites = _constructions(by_target, constructors, node.name)
+        for position, name, defaulted, line in _fields(node):
+            if not defaulted or {(None, name), (node.name, name)} & stored:
+                continue
+            if not any(call.mapping or name in call.keywords
+                       or position < call.reach for call in sites):
+                unset[f"{node.name}.{name}"] = (
+                    f"{path.relative_to(root)}:{line}")
+    return unset
+
+
+@lru_cache(maxsize=None)
+def _unset_fields():
+    """Defaulted ``src/repro`` dataclass fields nothing sets."""
+    return _unset_fields_in(_files(), ROOT)
 
 
 def test_every_public_symbol_has_a_caller():
@@ -386,6 +580,72 @@ def test_every_option_is_set_by_a_caller():
     )
 
 
+def test_every_field_is_set_by_a_caller():
+    unset = {
+        name: where for name, where in _unset_fields().items()
+        if name not in ALLOWED_FIELDS
+    }
+    assert unset == {}, (
+        "nothing in src/, bench/, benchmarks/ or examples/ sets these; "
+        "make each a module constant, declare run state init=False, or "
+        "add it to ALLOWED_FIELDS with a reason"
+    )
+
+
+_RECORD = """
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Rec:
+    name: str
+    opt: int = 0
+    state: int = field(default=0, init=False)
+{method}
+"""
+
+
+@pytest.mark.parametrize("method, caller, unset", [
+    ("", "Rec('a', opt=1)", set()),
+    ("", "Rec('a', 1)", set()),
+    ("", "Rec(**options)", set()),
+    ("", "Rec(*args)", set()),
+    ("", "PAIR = ('a', 1)\nRec(*PAIR)", set()),
+    ("", "NAMES = ('a',)\nRec(*NAMES)", {"Rec.opt"}),
+    ("", "replace(rec, opt=1)", set()),
+    ("", "rec.opt = 1", set()),
+    ("", "object.__setattr__(rec, 'opt', 1)", set()),
+    ("    def reset(self):\n        self.opt = 0", "Rec('a')", set()),
+    ("", "class Other:\n    def f(self):\n        self.opt = 1",
+     {"Rec.opt"}),
+    ("    @classmethod\n    def make(cls):\n        return cls('a', 1)",
+     "Rec.make()", set()),
+    ("", "Rec('a')", {"Rec.opt"}),
+], ids=["keyword", "position", "mapping", "unknown-splat", "tuple-splat",
+        "short-tuple-splat", "replace", "store", "setattr", "self-store",
+        "other-self-store", "classmethod", "unset"])
+def test_field_rule_resolves_each_setter(tmp_path, method, caller, unset):
+    # ``Rec.state`` is init=False, so no case reports it.
+    files = {
+        tmp_path / "src" / "repro" / "rec.py":
+            ast.parse(_RECORD.format(method=method)),
+        tmp_path / "bench" / "use.py": ast.parse(caller),
+    }
+    assert set(_unset_fields_in(files, tmp_path)) == unset
+
+
+def test_field_rule_reports_a_planted_field():
+    planted = ROOT / "src" / "repro" / "planted.py"
+    files = dict(_files())
+    files[planted] = ast.parse(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass Planted:\n    name: str\n    opt: int = 0\n"
+        "\nPlanted('a')\n"
+    )
+    assert _unset_fields_in(files, ROOT) == {
+        **_unset_fields(), "Planted.opt": "src/repro/planted.py:6"}
+
+
 def test_allowed_oracles_serve_other_tests():
     # An oracle only its own module's unit test uses is dead code with
     # a test, not an oracle.
@@ -403,6 +663,7 @@ def test_allowed_oracles_serve_other_tests():
     }
     assert lonely == set()
     assert all(ALLOWED.values()) and all(ALLOWED_PARAMS.values())
+    assert all(ALLOWED_FIELDS.values())
 
 
 def test_allowed_names_are_still_uncalled():
@@ -410,3 +671,4 @@ def test_allowed_names_are_still_uncalled():
     # stale: drop it so the lists stay the real exceptions.
     assert sorted(_uncalled()) == sorted(ALLOWED)
     assert sorted(_unset_parameters()) == sorted(ALLOWED_PARAMS)
+    assert sorted(_unset_fields()) == sorted(ALLOWED_FIELDS)

@@ -186,15 +186,21 @@ class TestShortestPathEirs:
 def raw_space_size(grid, placement):
     """Upper bound on the number of complete EIR selections: the product
     over CBs of their group counts at distances 1..3, ignoring the
-    no-sharing interaction between CBs (the raw space the paper sizes)."""
+    no-sharing interaction between CBs (the raw space the paper sizes).
+    Callers widen the band to 1..3 with the ``one_hop`` fixture."""
     total = 1
     for cb in placement:
         total *= len(eir.enumerate_groups(cb, eir.candidate_positions(
-            grid, placement, cb, min_distance=1, max_distance=3)))
+            grid, placement, cb)))
     return total
 
 
 class TestDesignSpace:
+    @pytest.fixture(autouse=True)
+    def one_hop(self, monkeypatch):
+        monkeypatch.setattr(eir, "MIN_EIR_DISTANCE", 1)
+        assert eir.MAX_EIR_DISTANCE == 3
+
     def test_space_is_large(self, grid, nodes):
         """The paper quotes ~1.7e10 for 8x8; our action model is larger."""
         assert raw_space_size(grid, nodes) > 1e10
@@ -202,7 +208,7 @@ class TestDesignSpace:
     def test_space_product_of_per_cb_counts(self, grid):
         nodes = (Grid(8).node(3, 3), Grid(8).node(6, 6))
         a = len(eir.enumerate_groups(nodes[0], eir.candidate_positions(
-            grid, nodes, nodes[0], min_distance=1, max_distance=3)))
+            grid, nodes, nodes[0])))
         b = len(eir.enumerate_groups(nodes[1], eir.candidate_positions(
-            grid, nodes, nodes[1], min_distance=1, max_distance=3)))
+            grid, nodes, nodes[1])))
         assert raw_space_size(grid, nodes) == a * b

@@ -5,6 +5,7 @@ import functools
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from repro.core.mcts import (
     SearchResult,
     random_search,
 )
+from repro.core.mcts import search as search_mod
 
 
 @pytest.fixture
@@ -195,9 +197,7 @@ class TestActionMemo:
         require_full = data.draw(st.booleans())
         grid = Grid(width)
         nodes = _placement(kind, width, num_cbs)
-        search = EirSearch(
-            grid, nodes, SearchConfig(require_full_groups=require_full)
-        )
+        search = EirSearch(grid, nodes)
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         with_taken = 0
         # Many partial states through one search, so later lookups are
@@ -218,7 +218,9 @@ class TestActionMemo:
                 cb, candidate_positions(grid, nodes, cb),
                 taken=frozenset(taken), require_full=require_full,
             ) or [make_group(cb, {})]
-            assert list(search.actions(state)) == expected
+            with mock.patch.object(search_mod, "REQUIRE_FULL_GROUPS",
+                                   require_full):
+                assert list(search.actions(state)) == expected
             with_taken += bool(taken)
         assert with_taken
 
